@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import deque
+from itertools import chain
 from typing import IO, Iterable, Iterator
 
 import networkx as nx
@@ -116,19 +117,31 @@ class Graph:
 
     # -- linear algebra views ----------------------------------------------
 
+    def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``indptr`` and ``indices`` (int32) of the sorted adjacency lists."""
+        indptr = np.zeros(self.n + 1, dtype=np.int32)
+        np.cumsum(np.fromiter(map(len, self._adj), dtype=np.int32, count=self.n), out=indptr[1:])
+        indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.int32, count=2 * self._m)
+        return indptr, indices
+
     def laplacian(self) -> sp.csr_matrix:
-        """Sparse Laplacian L = D - A."""
+        """Sparse Laplacian L = D - A, CSR with sorted column indices."""
         n = self.n
-        rows, cols, vals = [], [], []
-        for a in range(n):
-            rows.append(a)
-            cols.append(a)
-            vals.append(float(len(self._adj[a])))
-            for b in self._adj[a]:
-                rows.append(a)
-                cols.append(b)
-                vals.append(-1.0)
-        return sp.csr_matrix((vals, (rows, cols)), shape=(n, n))
+        adj_ptr, nbrs = self.adjacency_arrays()
+        deg = np.diff(adj_ptr)
+        rows = np.repeat(np.arange(n, dtype=np.int32), deg)
+        above = nbrs > rows
+        # every row gains its diagonal entry, placed after the neighbours below it
+        indptr = adj_ptr + np.arange(n + 1, dtype=np.int32)
+        diag_pos = indptr[:-1] + np.bincount(rows[~above], minlength=n)
+        nbr_pos = np.arange(len(nbrs)) + rows + above
+        indices = np.empty(n + len(nbrs), dtype=np.int32)
+        data = np.empty(n + len(nbrs))
+        indices[diag_pos] = np.arange(n)
+        data[diag_pos] = deg
+        indices[nbr_pos] = nbrs
+        data[nbr_pos] = -1.0
+        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     def laplacian_dense(self) -> np.ndarray:
         return self.laplacian().toarray()

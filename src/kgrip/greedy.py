@@ -2,7 +2,9 @@
 
 Every heuristic follows the same loop: preprocess (Compute), then per round
 pick candidates, score them (Eval), insert the best-scoring non-edge, and
-bring the preprocessed state forward (Update). They differ along two axes:
+bring the preprocessed state forward (Update; after the last insertion only
+the cheap bookkeeping runs, since no round reads the rebuilt state). They
+differ along two axes:
 
   candidate choice   - full universe (StGreedy), uniform pair samples
                        (SimplStoch, SimplStochJLT, SpecStoch), or vertex
@@ -320,8 +322,14 @@ class _Strategy:
     def estimate_gain(self, a: int, b: int) -> float:
         raise NotImplementedError
 
-    def after_insert(self, a: int, b: int, round_idx: int) -> None:
-        raise NotImplementedError
+    # Update step, split in two. ``note_insertion`` keeps the state in step
+    # with the graph after every insertion; ``refresh`` rebuilds what the next
+    # round reads, so the loop skips it after the last insertion.
+    def note_insertion(self, a: int, b: int) -> None:
+        pass
+
+    def refresh(self, round_idx: int) -> None:
+        pass
 
     # helpers shared by the uniform-pair heuristics
     def _pair_sample_size(self) -> int:
@@ -351,7 +359,7 @@ class _DensePinvMixin:
     def estimate_gain(self, a: int, b: int) -> float:
         return gain_exact(self.state, a, b)
 
-    def after_insert(self, a: int, b: int, round_idx: int) -> None:
+    def note_insertion(self, a: int, b: int) -> None:
         self.state.apply_insertion(a, b)
 
 
@@ -512,8 +520,10 @@ class _ColStoch(_DiagSampledMixin, _Strategy):
     def estimate_gain(self, a: int, b: int) -> float:
         return gain_exact(self.cache, a, b)
 
-    def after_insert(self, a: int, b: int, round_idx: int) -> None:
+    def note_insertion(self, a: int, b: int) -> None:
         self.cache.note_insertion(a, b)
+
+    def refresh(self, round_idx: int) -> None:
         self._update_diag(round_idx)
 
 
@@ -568,7 +578,7 @@ class _SimplStochJLT(_JltMixin, _Strategy):
         picked = sample_candidates_uniform(pool, self.sample_size, self._rng(_CAND_STREAM, round_idx))
         return self._focus_pairs(picked)
 
-    def after_insert(self, a: int, b: int, round_idx: int) -> None:
+    def refresh(self, round_idx: int) -> None:
         self._build_sketch(self._rng(_UPDATE_STREAM, round_idx))
 
 
@@ -603,7 +613,7 @@ class _ColStochJLT(_JltMixin, _DiagSampledMixin, _Strategy):
     def _focus_candidates(self, round_idx: int) -> list[Edge]:
         return self._focus_pairs(self._sampled_focus_vertices(round_idx))
 
-    def after_insert(self, a: int, b: int, round_idx: int) -> None:
+    def refresh(self, round_idx: int) -> None:
         self._update_diag(round_idx)
         self._build_sketch(self._rng(_UPDATE_STREAM, round_idx))
 
@@ -648,7 +658,7 @@ class _SpecStoch(_Strategy):
     def estimate_gain(self, a: int, b: int) -> float:
         return spectral.gain_spectral(self.state, a, b)
 
-    def after_insert(self, a: int, b: int, round_idx: int) -> None:
+    def refresh(self, round_idx: int) -> None:
         self.state = spectral.compute_low_spectrum(
             self.graph, self._cutoff(), self.params.eig_tol, warm_start=self.state
         )
@@ -769,7 +779,9 @@ def _run_rounds(
 
         graph.insert_edge(a, b)
         t0 = time.perf_counter()
-        strategy.after_insert(a, b, r)
+        strategy.note_insertion(a, b)
+        if r + 1 < k:  # nothing reads the refreshed state after the last insertion
+            strategy.refresh(r)
         timings["update"] += time.perf_counter() - t0
 
         picked.append((a, b))

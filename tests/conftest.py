@@ -1,11 +1,14 @@
-"""Shared fixtures: small named graphs and seeded random connected graphs."""
+"""Shared fixtures: small named graphs, seeded random connected graphs, tree samples."""
 
 from __future__ import annotations
+
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from kgrip.graphs import Graph, generate
+from kgrip.ust import SpanningTree, sample_trees
 
 
 def path_graph(n: int) -> Graph:
@@ -34,6 +37,28 @@ def random_tree(n: int, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return Graph(n, edges)
+
+
+def sampled_edge_sets(graph: Graph, roots: tuple[int, ...], samples: int, seed: int) -> Counter:
+    """Edge sets of ``samples`` trees from the batched sampler, counted by tree.
+
+    One root draws uniform spanning trees; two roots (a, b) draw uniformly
+    from the spanning trees containing {a,b}.
+    """
+    counts: Counter = Counter()
+    for parents in sample_trees(graph, roots, samples, np.random.default_rng(seed)):
+        for row in parents:
+            counts[SpanningTree(row.tolist(), roots[0]).edges()] += 1
+    return counts
+
+
+def edge_frequencies(tree_counts: Counter) -> Counter:
+    """Number of sampled trees containing each edge."""
+    member: Counter = Counter()
+    for edges, c in tree_counts.items():
+        for e in edges:
+            member[e] += c
+    return member
 
 
 @pytest.fixture

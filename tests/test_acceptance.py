@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 
 import numpy as np
 
@@ -28,9 +27,9 @@ from kgrip.jlt import build_sketch
 from kgrip.linalg import DenseState, gain_exact, pseudoinverse_dense, sherman_morrison_update
 from kgrip.seeds import derive_rng
 from kgrip.spectral import compute_low_spectrum, gain_bounds
-from kgrip.ust import approx_diag_lpinv, approx_update_diag, sample_ust, sample_ust_with_edge
+from kgrip.ust import approx_diag_lpinv, approx_update_diag
 
-from conftest import complete_graph, cycle_graph, path_graph
+from conftest import complete_graph, cycle_graph, edge_frequencies, path_graph, sampled_edge_sets
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -117,9 +116,7 @@ def test_criterion_04_ust_distributions():
     ]:
         trees = oracles.spanning_trees(g)
         assert len(trees) <= 16
-        counts = Counter()
-        for stream in np.random.default_rng(seed).spawn(samples):
-            counts[sample_ust(g, 0, stream).edges()] += 1
+        counts = sampled_edge_sets(g, (0,), samples, seed)
         assert set(counts) <= set(trees)
         for t in trees:
             dev = abs(counts[t] / samples - 1 / len(trees))
@@ -131,9 +128,7 @@ def test_criterion_04_ust_distributions():
         (complete_graph(4), (0, 1), 80000, 15),
     ]:
         qualifying = [t for t in oracles.spanning_trees(g) if edge in t]
-        counts = Counter()
-        for stream in np.random.default_rng(seed).spawn(samples):
-            counts[sample_ust_with_edge(g, *edge, stream).edges()] += 1
+        counts = sampled_edge_sets(g, edge, samples, seed)
         assert set(counts) <= set(qualifying)
         for t in qualifying:
             dev = abs(counts[t] / samples - 1 / len(qualifying))
@@ -145,10 +140,7 @@ def test_criterion_04_ust_distributions():
         (complete_graph(4), 30000, 17),
     ]:
         p = pseudoinverse_dense(g)
-        member = Counter()
-        for stream in np.random.default_rng(seed).spawn(samples):
-            for e in sample_ust(g, 0, stream).edges():
-                member[e] += 1
+        member = edge_frequencies(sampled_edge_sets(g, (0,), samples, seed))
         for a, b in g.edges():
             resistance = p[a, a] + p[b, b] - 2 * p[a, b]
             dev = abs(member[(a, b)] / samples - resistance)

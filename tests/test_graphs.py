@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import io
 
+import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +137,34 @@ def test_insertion_sequences_keep_invariants(pairs):
         g.insert_edge(a, b)
     g.check_invariants()
     assert g.round == g.m
+
+
+def _laplacian_from_triples(g: Graph) -> sp.csr_matrix:
+    """Reference build: (row, col, value) triples through scipy's COO conversion."""
+    rows, cols, vals = [], [], []
+    for a in range(g.n):
+        rows.append(a)
+        cols.append(a)
+        vals.append(float(g.degree(a)))
+        for b in g.neighbors(a):
+            rows.append(a)
+            cols.append(b)
+            vals.append(-1.0)
+    return sp.csr_matrix((vals, (rows, cols)), shape=(g.n, g.n))
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_laplacian_arrays_match_triple_build(seed):
+    g = generate("er", {"n": 20 + 9 * seed, "p": 0.25}, seed)
+    rng = np.random.default_rng(seed)
+    for _ in range(4):  # before and after insertions
+        lap, ref = g.laplacian(), _laplacian_from_triples(g)
+        for name in ("indptr", "indices", "data"):
+            got, want = getattr(lap, name), getattr(ref, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        free = [(a, b) for a in range(g.n) for b in range(a + 1, g.n) if not g.has_edge(a, b)]
+        g.insert_edge(*free[rng.integers(len(free))])
+    assert Graph(1).laplacian().toarray().tolist() == [[0.0]]
 
 
 # -- generators ----------------------------------------------------------------

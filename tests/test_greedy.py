@@ -284,6 +284,55 @@ def test_colstoch_cached_columns_stay_consistent_over_long_runs():
         assert np.max(np.abs(refreshed - fresh)) <= 10 * params.solver.residual_tol
 
 
+# which preprocessing each heuristic rebuilds between rounds
+_REFRESHED_BY = {
+    Heuristic.ST_GREEDY: set(),
+    Heuristic.SIMPL_STOCH: set(),
+    Heuristic.COL_STOCH: {"approx_update_diag"},
+    Heuristic.SIMPL_STOCH_JLT: {"build_sketch"},
+    Heuristic.COL_STOCH_JLT: {"approx_update_diag", "build_sketch"},
+    Heuristic.SPEC_STOCH: {"compute_low_spectrum"},
+}
+
+
+@pytest.mark.parametrize("kind", list(Heuristic))
+def test_refresh_skipped_after_last_insertion(kind, monkeypatch):
+    # state is rebuilt only for a round that reads it: k-1 times per run and
+    # per focus node; the pseudoinverse bookkeeping still follows every insertion
+    from kgrip import jlt, linalg, spectral, ust
+
+    calls = []
+    for module, name in (
+        (ust, "approx_update_diag"),
+        (jlt, "build_sketch"),
+        (spectral, "compute_low_spectrum"),
+        (linalg.DenseState, "apply_insertion"),
+    ):
+        original = getattr(module, name)
+
+        def counted(first, *args, _name=name, _original=original, **kwargs):
+            graph = first.graph if isinstance(first, linalg.DenseState) else first
+            calls.append((_name, graph.round))
+            return _original(first, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    g = generate("ba", {"n": 40, "m_attach": 2, "m0": 2}, seed=3)
+    k, focus = 3, [0, 9]
+    for runs, run in ((1, lambda: run_kgrip(g, k, kind, seed=5)),
+                      (len(focus), lambda: run_klrip(g, focus, k, kind, seed=5))):
+        calls.clear()
+        run()
+        # compute runs on the unmodified graph (round 0); refreshes follow insertions
+        for name in _REFRESHED_BY[kind]:
+            after_compute = sorted(r for f, r in calls if f == name and r > 0)
+            assert after_compute == sorted(list(range(1, k)) * runs), (kind, name)
+        refreshed = {f for f, r in calls if r > 0 and f != "apply_insertion"}
+        assert refreshed == _REFRESHED_BY[kind]
+        dense = kind in (Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH)
+        assert sum(f == "apply_insertion" for f, _ in calls) == (k * runs if dense else 0)
+
+
 def test_quality_on_scale_free_instances():
     # heavy-tailed instances have the flat-topped gain distributions the
     # stochastic sampling math relies on: sampled quality should sit close to

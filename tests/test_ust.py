@@ -1,18 +1,20 @@
 """Spanning-tree sampling distributions and the UST diagonal estimator.
 
-Distributional checks compare empirical frequencies against full enumeration
-of spanning trees (tiny graphs); the diagonal estimates compare against the
-eigendecomposition pseudoinverse oracle.
+Distributional checks draw their trees through the batched sampler and
+compare empirical frequencies against full enumeration of spanning trees
+(tiny graphs); the batched aggregation is compared with a per-tree loop
+reference; the diagonal estimates compare against the eigendecomposition
+pseudoinverse oracle.
 """
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 
 import numpy as np
 import pytest
 
-from kgrip import oracles
+from kgrip import oracles, ust
 from kgrip.errors import ConfigError, InvariantError, StaleStateError
 from kgrip.graphs import Graph, generate
 from kgrip.linalg import pseudoinverse_dense, solve_lpinv_column
@@ -20,15 +22,24 @@ from kgrip.ust import (
     BfsTree,
     SpanningTree,
     aggregate_tree,
+    aggregate_trees,
     approx_diag_lpinv,
     approx_update_diag,
     choose_pivot,
+    sample_trees,
     sample_ust,
     sample_ust_with_edge,
     tree_budget,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph, random_connected
+from conftest import (
+    complete_graph,
+    cycle_graph,
+    edge_frequencies,
+    path_graph,
+    random_connected,
+    sampled_edge_sets,
+)
 
 
 def tree_from_edges(n: int, edges, root: int = 0) -> SpanningTree:
@@ -50,17 +61,51 @@ def tree_from_edges(n: int, edges, root: int = 0) -> SpanningTree:
     return SpanningTree(parent, root)
 
 
+def reference_aggregate(tree: SpanningTree, acc: np.ndarray, bfs: BfsTree) -> np.ndarray:
+    """Per-tree loop: re-root at the pivot by DFS, then walk every BFS path."""
+    n = len(tree.parent)
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for v, p in enumerate(tree.parent):
+        if p >= 0:
+            nbrs[v].append(p)
+            nbrs[p].append(v)
+    tparent, tin, tout = [-2] * n, [0] * n, [0] * n
+    tparent[bfs.pivot] = -1
+    clock = 0
+    stack = [(bfs.pivot, False)]
+    while stack:
+        v, done = stack.pop()
+        if done:
+            tout[v] = clock
+            continue
+        tin[v] = clock
+        clock += 1
+        stack.append((v, True))
+        for w in nbrs[v]:
+            if tparent[w] == -2:
+                tparent[w] = v
+                stack.append((w, False))
+    for v in range(n):
+        score, c = 0, v
+        while c != bfs.pivot:
+            p = bfs.parent[c]
+            if tparent[c] == p and tin[c] <= tin[v] < tout[c]:
+                score += 1
+            elif tparent[p] == c and tin[p] <= tin[v] < tout[p]:
+                score -= 1
+            c = p
+        acc[v] += score
+    return acc
+
+
 # -- sample_ust -------------------------------------------------------------------
 
 
 def test_ust_uniform_on_triangle(k3):
     trees = oracles.spanning_trees(k3)
     assert len(trees) == oracles.spanning_tree_count(k3) == 3
-    rng = np.random.default_rng(100)
-    counts = Counter()
     samples = 30000
-    for stream in rng.spawn(samples):
-        counts[sample_ust(k3, 0, stream).edges()] += 1
+    counts = sampled_edge_sets(k3, (0,), samples, 100)
     assert set(counts) == set(trees)
     for c in counts.values():
         assert abs(c / samples - 1 / 3) <= 0.02
@@ -69,11 +114,8 @@ def test_ust_uniform_on_triangle(k3):
 def test_ust_uniform_on_c4(c4):
     trees = oracles.spanning_trees(c4)
     assert len(trees) == 4
-    rng = np.random.default_rng(101)
-    counts = Counter()
     samples = 40000
-    for stream in rng.spawn(samples):
-        counts[sample_ust(c4, 2, stream).edges()] += 1
+    counts = sampled_edge_sets(c4, (2,), samples, 101)
     for c in counts.values():
         assert abs(c / samples - 1 / 4) <= 0.02
 
@@ -88,6 +130,19 @@ def test_ust_samples_are_spanning():
     g = random_connected(25, 0.15, seed=8)
     for stream in np.random.default_rng(9).spawn(20):
         sample_ust(g, 3, stream).check_spanning(g)
+    for parents in sample_trees(g, (3,), 200, np.random.default_rng(10)):
+        for row in parents:
+            assert row[3] == -1
+            SpanningTree(row.tolist(), 3).check_spanning(g)
+
+
+def test_sampler_blocks_cover_the_count(monkeypatch):
+    g = random_connected(30, 0.2, seed=11)
+    monkeypatch.setattr(ust, "_BLOCK_ELEMENTS", 7 * g.n)
+    blocks = list(sample_trees(g, (0,), 30, np.random.default_rng(12)))
+    assert [len(b) for b in blocks] == [7, 7, 7, 7, 2]
+    for parents in blocks:
+        assert parents.shape[1] == g.n and parents.dtype == np.int32
 
 
 # -- sample_ust_with_edge ------------------------------------------------------------
@@ -96,13 +151,9 @@ def test_ust_samples_are_spanning():
 def test_fixed_edge_uniform_on_triangle(k3):
     qualifying = [t for t in oracles.spanning_trees(k3) if (0, 1) in t]
     assert len(qualifying) == 2
-    rng = np.random.default_rng(102)
-    counts = Counter()
     samples = 20000
-    for stream in rng.spawn(samples):
-        tree = sample_ust_with_edge(k3, 0, 1, stream)
-        assert (0, 1) in tree.edges()
-        counts[tree.edges()] += 1
+    counts = sampled_edge_sets(k3, (0, 1), samples, 102)
+    assert all((0, 1) in t for t in counts)
     assert set(counts) == set(qualifying)
     for c in counts.values():
         assert abs(c / samples - 1 / 2) <= 0.02
@@ -111,14 +162,24 @@ def test_fixed_edge_uniform_on_triangle(k3):
 def test_fixed_edge_uniform_on_k4(k4):
     qualifying = [t for t in oracles.spanning_trees(k4) if (0, 1) in t]
     assert len(qualifying) == 8
-    rng = np.random.default_rng(103)
-    counts = Counter()
     samples = 20000
-    for stream in rng.spawn(samples):
-        counts[sample_ust_with_edge(k4, 0, 1, stream).edges()] += 1
+    counts = sampled_edge_sets(k4, (0, 1), samples, 103)
     assert set(counts) == set(qualifying)
     for c in counts.values():
         assert abs(c / samples - 1 / 8) <= 0.02
+
+
+def test_fixed_edge_trees_contain_the_edge_and_span():
+    g = random_connected(40, 0.12, seed=13)
+    a, b = sorted(g.edges())[len(list(g.edges())) // 2]
+    for parents in sample_trees(g, (a, b), 300, np.random.default_rng(14)):
+        for row in parents:
+            tree = SpanningTree(row.tolist(), a)
+            assert (a, b) in tree.edges()
+            tree.check_spanning(g)
+    tree = sample_ust_with_edge(g, b, a, np.random.default_rng(15))
+    assert tree.parent[a] == b and tree.parent[b] == -1
+    tree.check_spanning(g)
 
 
 def test_fixed_edge_on_tree_returns_the_tree():
@@ -130,16 +191,24 @@ def test_fixed_edge_on_tree_returns_the_tree():
 def test_fixed_edge_requires_edge(p3):
     with pytest.raises(InvariantError):
         sample_ust_with_edge(p3, 0, 2, np.random.default_rng(0))
+    with pytest.raises(InvariantError):
+        next(sample_trees(p3, (0, 2), 5, np.random.default_rng(0)))
+
+
+def test_check_spanning_rejects_non_trees(p3):
+    with pytest.raises(InvariantError):
+        SpanningTree([-1, 0, 0], 0).check_spanning(p3)  # (2,0) is no edge of P3
+    with pytest.raises(InvariantError):
+        SpanningTree([-1, 2, 1], 0).check_spanning(p3)  # 1 <-> 2 cycle
+    with pytest.raises(InvariantError):
+        SpanningTree([-1, 2, 3, 1], 0).check_spanning(complete_graph(4))  # cycle 1->2->3->1
 
 
 def test_edge_membership_probability_matches_resistance():
     g = Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (1, 3)])
     p = pseudoinverse_dense(g)
     samples = 30000
-    member = Counter()
-    for stream in np.random.default_rng(104).spawn(samples):
-        for e in sample_ust(g, 0, stream).edges():
-            member[e] += 1
+    member = edge_frequencies(sampled_edge_sets(g, (0,), samples, 104))
     for a, b in g.edges():
         expected = p[a, a] + p[b, b] - 2 * p[a, b]
         assert abs(member[(a, b)] / samples - expected) <= 0.02
@@ -178,6 +247,52 @@ def test_aggregate_over_all_trees_reproduces_resistance():
         for v in range(g.n):
             expected = 0.0 if v == pivot else p[pivot, pivot] + p[v, v] - 2 * p[pivot, v]
             assert mean[v] == pytest.approx(expected, abs=1e-9)
+
+
+def test_batched_aggregate_matches_loop_on_enumerated_trees():
+    # every spanning tree, rooted at every vertex, against every pivot
+    for g in (complete_graph(4), cycle_graph(5), Graph(4, [(0, 1), (1, 2), (2, 3), (0, 2)])):
+        trees = oracles.spanning_trees(g)
+        for pivot in range(g.n):
+            bfs = BfsTree(g, pivot)
+            for root in range(g.n):
+                rooted = [tree_from_edges(g.n, t, root=root) for t in trees]
+                acc = aggregate_trees(np.array([t.parent for t in rooted], dtype=np.int32), np.zeros(g.n), bfs)
+                ref = np.zeros(g.n)
+                for tree in rooted:
+                    single = aggregate_tree(tree, np.zeros(g.n), bfs)
+                    assert np.array_equal(single, reference_aggregate(tree, np.zeros(g.n), bfs))
+                    reference_aggregate(tree, ref, bfs)
+                assert np.array_equal(acc, ref)
+
+
+def test_batched_aggregate_matches_loop_on_sampled_trees():
+    g = random_connected(60, 0.1, seed=59)
+    a, b = next(g.edges())
+    rng = np.random.default_rng(60)
+    for roots in ((choose_pivot(g),), (a, b)):
+        for pivot in (choose_pivot(g), 7):
+            bfs = BfsTree(g, pivot)
+            for parents in sample_trees(g, roots, 150, rng):
+                acc = aggregate_trees(parents, np.zeros(g.n), bfs)
+                ref = np.zeros(g.n)
+                for row in parents:
+                    reference_aggregate(SpanningTree(row.tolist(), roots[0]), ref, bfs)
+                assert np.array_equal(acc, ref)
+
+
+def test_rooted_at_reroots_with_euler_intervals():
+    g = random_connected(30, 0.15, seed=61)
+    tree = sample_ust(g, 0, np.random.default_rng(62))
+    rooted = tree.rooted_at(5)
+    assert rooted.parent[5] == -1 and rooted.order[0] == 5 and len(rooted.order) == g.n
+    assert sorted(rooted.order) == list(range(g.n))
+    assert SpanningTree(rooted.parent, 5).edges() == tree.edges()
+    for v in range(g.n):
+        assert rooted.order[rooted.tin[v]] == v
+        p = rooted.parent[v]
+        if p >= 0:  # a child's interval nests inside its parent's
+            assert rooted.tin[p] < rooted.tin[v] and rooted.tout[v] <= rooted.tout[p]
 
 
 # -- approx_diag_lpinv -------------------------------------------------------------------
@@ -252,7 +367,7 @@ def test_update_round_bookkeeping():
     for i in range(4):
         g.insert_edge(*oracles.all_non_edges(g)[i])
         diag, repo = approx_update_diag(g, repo, diag, rng.spawn(1)[0])
-        assert len(repo.weights) == len(repo.rounds) == i + 2  # initial round + updates
+        assert len(repo.weights) == i + 2  # initial round + updates
         assert sum(np.ceil(w * repo.total) for w in repo.weights) <= repo.total + len(repo.weights)
         assert sum(np.ceil(w * repo.total) for w in repo.weights) >= repo.total
         assert all(w > 0 for w in repo.weights)
