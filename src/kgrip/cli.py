@@ -121,9 +121,6 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _params_from_args(args) -> GreedyParams:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("KGRIP_THREADS", "1"))
     return GreedyParams(
         delta=args.delta,
         eta=args.eta,
@@ -132,7 +129,6 @@ def _params_from_args(args) -> GreedyParams:
         diag_epsilon=args.diag_eps,
         c_ust=getattr(args, "c_ust", 1.0),
         c_jlt=getattr(args, "c_jlt", 4.0),
-        threads=threads,
     )
 
 
@@ -365,7 +361,6 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--c-ust", type=float, default=1.0, help="spanning-tree budget multiplier")
     parser.add_argument("--c-jlt", type=float, default=4.0, help="sketch width multiplier")
     parser.add_argument("--seed", type=int, default=0, help="master seed (echoed in results)")
-    parser.add_argument("--threads", type=int, default=None, help="worker threads (default: KGRIP_THREADS or 1)")
     parser.add_argument("--output", "-o", help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
 
@@ -407,7 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--solver-eps", type=float, default=1e-6)
     p_bench.add_argument("--diag-eps", type=float, default=0.1)
     p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.add_argument("--threads", type=int, default=None)
     p_bench.add_argument("--output", "-o")
     p_bench.set_defaults(func=cmd_bench)
 

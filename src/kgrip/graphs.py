@@ -30,9 +30,13 @@ def canonical_edge(a: int, b: int) -> Edge:
 
 
 class Graph:
-    """Undirected simple graph with sorted neighbor lists and an insertion log."""
+    """Undirected simple graph with sorted neighbor lists and an insertion log.
 
-    __slots__ = ("_adj", "_m", "_log")
+    The sparse Laplacian is built on first use and cached until the next
+    edge insertion.
+    """
+
+    __slots__ = ("_adj", "_m", "_log", "_lap")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n <= 0:
@@ -40,6 +44,7 @@ class Graph:
         self._adj: list[list[int]] = [[] for _ in range(n)]
         self._m = 0
         self._log: list[Edge] = []
+        self._lap: sp.csr_matrix | None = None
         for a, b in edges:
             self._add_edge_unlogged(a, b)
 
@@ -95,6 +100,7 @@ class Graph:
         g._adj = [list(a) for a in self._adj]
         g._m = self._m
         g._log = list(self._log)
+        g._lap = None
         return g
 
     # -- mutation ----------------------------------------------------------
@@ -108,6 +114,7 @@ class Graph:
         insort(self._adj[a], b)
         insort(self._adj[b], a)
         self._m += 1
+        self._lap = None
 
     def insert_edge(self, a: int, b: int) -> None:
         """Insert a new edge and stamp it with the current round."""
@@ -124,8 +131,38 @@ class Graph:
         indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.int32, count=2 * self._m)
         return indptr, indices
 
+    def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`has_edge` over two equally long vertex arrays.
+
+        Reads the sparsity pattern of the cached Laplacian: {a,b} is an edge
+        when a != b and entry (a, b) is stored.
+        """
+        n = self.n
+        lap = self.laplacian()
+        # keys u*n + w of the stored entries, ascending (rows in order, sorted columns)
+        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(lap.indptr)) * n + lap.indices
+        a = np.asarray(a, dtype=np.int64)
+        query = a * n + b
+        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
+        return (keys[pos] == query) & (a != b)
+
+    def non_edges(self) -> np.ndarray:
+        """Every non-edge as an (N, 2) array of pairs a < b, in sorted order."""
+        a, b = np.triu_indices(self.n, 1)
+        keep = ~self.has_edges(a, b)
+        return np.column_stack([a[keep], b[keep]])
+
     def laplacian(self) -> sp.csr_matrix:
-        """Sparse Laplacian L = D - A, CSR with sorted column indices."""
+        """Sparse Laplacian L = D - A, CSR with sorted column indices.
+
+        The matrix is cached for the current round and shared by every
+        caller, so it must not be modified in place.
+        """
+        if self._lap is None:
+            self._lap = self._build_laplacian()
+        return self._lap
+
+    def _build_laplacian(self) -> sp.csr_matrix:
         n = self.n
         adj_ptr, nbrs = self.adjacency_arrays()
         deg = np.diff(adj_ptr)

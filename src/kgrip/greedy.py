@@ -16,9 +16,10 @@ differ along two axes:
 All heuristics share one persistent max-queue whose entries carry the round
 in which their gain was computed: StGreedy seeds it with every non-edge up
 front, the stochastic heuristics push a fresh sample each round, and the
-lazy pop revalidates stale tops until the best entry is current. Regardless
-of the scoring path, the reported per-edge gain of every accepted edge is
-recomputed exactly from two linear solves, and total resistance must
+lazy pop revalidates stale tops until the best entry is current. A round's
+sample is scored in one batched call; a stale top is re-scored on its own.
+Regardless of the scoring path, the reported per-edge gain of every accepted
+edge is recomputed exactly from two linear solves, and total resistance must
 strictly decrease on every insertion.
 
 The local variant (one focus node v) restricts candidates to non-neighbors of
@@ -32,7 +33,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Sequence
@@ -41,13 +41,14 @@ import numpy as np
 
 from . import jlt, spectral, ust
 from .errors import ConfigError, InvariantError
-from .graphs import Edge, Graph, assert_connected, canonical_edge
+from .graphs import Edge, Graph, assert_connected
 from .linalg import (
     DENSE_CAP_DEFAULT,
     ColumnCache,
     DenseState,
     SolverConfig,
     gain_exact,
+    gains_exact,
     total_resistance,
     true_gain,
 )
@@ -93,7 +94,6 @@ class GreedyParams:
     c_ust: float = 1.0
     c_jlt: float = 4.0
     dense_cap: int = DENSE_CAP_DEFAULT
-    threads: int = 1
 
     def validate(self) -> None:
         if not 0.0 < self.delta < 1.0:
@@ -104,8 +104,6 @@ class GreedyParams:
             raise ConfigError(f"cutoff must be >= 2, got {self.cutoff}")
         if self.diag_epsilon <= 0:
             raise ConfigError(f"diag epsilon must be positive, got {self.diag_epsilon}")
-        if self.threads < 1:
-            raise ConfigError(f"threads must be >= 1, got {self.threads}")
 
     def to_dict(self) -> dict:
         return {
@@ -117,7 +115,6 @@ class GreedyParams:
             "eig_tol": self.eig_tol,
             "c_ust": self.c_ust,
             "c_jlt": self.c_jlt,
-            "threads": self.threads,
         }
 
 
@@ -160,30 +157,32 @@ def sample_candidates_uniform(universe: Sequence, s: int, rng: np.random.Generat
     return [universe[i] for i in idx]
 
 
-def sample_nonedge_pairs(graph: Graph, s: int, rng: np.random.Generator) -> list[Edge]:
-    """s distinct non-edges, uniform; rejection-samples pairs against the edge set."""
+def sample_nonedge_pairs(graph: Graph, s: int, rng: np.random.Generator) -> np.ndarray:
+    """s distinct non-edges, uniform, as an (s, 2) array of pairs a < b.
+
+    Rejection sampling: successive ``rng.integers(n)`` draws form the pairs
+    (a, b), and a pair is kept unless a == b, {a,b} is an edge, or it was
+    drawn before. The draws are taken in blocks, so the result equals that
+    of drawing one pair at a time; only the number of surplus draws differs.
+    """
     universe = graph.non_edge_count()
     if s >= universe:
-        return [
-            (a, b)
-            for a in range(graph.n)
-            for b in range(a + 1, graph.n)
-            if not graph.has_edge(a, b)
-        ]
-    picked: set[Edge] = set()
-    out: list[Edge] = []
+        return graph.non_edges()
     n = graph.n
-    while len(out) < s:
-        a = int(rng.integers(n))
-        b = int(rng.integers(n))
-        if a == b:
-            continue
-        e = (a, b) if a < b else (b, a)
-        if e in picked or graph.has_edge(*e):
-            continue
-        picked.add(e)
-        out.append(e)
-    return out
+    # share of uniform vertex-pair draws that land on a non-edge
+    hit_rate = universe / (n * n / 2)
+    keys = np.empty(0, dtype=np.int64)  # kept pairs a*n + b, in draw order
+    while len(keys) < s:
+        fresh_share = 1.0 - len(keys) / universe
+        block = math.ceil(1.2 * (s - len(keys)) / (hit_rate * fresh_share)) + 16
+        draws = rng.integers(n, size=2 * block).reshape(block, 2)
+        a, b = draws.min(axis=1), draws.max(axis=1)
+        ok = (a != b) & ~graph.has_edges(a, b)
+        keys = np.concatenate([keys, a[ok] * n + b[ok]])
+        _, first = np.unique(keys, return_index=True)
+        keys = keys[np.sort(first)]
+    keys = keys[:s]
+    return np.column_stack([keys // n, keys % n])
 
 
 def sample_candidates_diag_weighted(
@@ -270,6 +269,9 @@ class LazyQueue:
         raise ConfigError("candidate queue exhausted: no non-edges left to insert")
 
 
+_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+
+
 # -- heuristic strategies -------------------------------------------------------------
 
 _PRE_STREAM = "pre"
@@ -308,15 +310,21 @@ class _Strategy:
     def hydrate(self, snap) -> None:
         raise NotImplementedError
 
-    def round_candidates(self, round_idx: int) -> list[Edge]:
+    def round_candidates(self, round_idx: int) -> np.ndarray:
+        """This round's candidate non-edges as an (s, 2) array of pairs a < b."""
         if self.focus is None:
             return self._global_candidates(round_idx)
         return self._focus_candidates(round_idx)
 
-    def _global_candidates(self, round_idx: int) -> list[Edge]:
+    def _global_candidates(self, round_idx: int) -> np.ndarray:
         raise NotImplementedError
 
-    def _focus_candidates(self, round_idx: int) -> list[Edge]:
+    def _focus_candidates(self, round_idx: int) -> np.ndarray:
+        raise NotImplementedError
+
+    # Eval step: ``estimate_gains`` scores a round's whole (s, 2) pair sample;
+    # ``estimate_gain`` re-scores one stale queue entry.
+    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
     def estimate_gain(self, a: int, b: int) -> float:
@@ -340,8 +348,9 @@ class _Strategy:
         g = self.graph
         return candidate_size("lrip", g.n, g.degree(self.focus), self.k, self.params.delta)
 
-    def _focus_pairs(self, vertices: Sequence[int]) -> list[Edge]:
-        return [canonical_edge(self.focus, b) for b in vertices]
+    def _focus_pairs(self, vertices: Sequence[int]) -> np.ndarray:
+        b = np.asarray(vertices, dtype=np.int64)
+        return np.column_stack([np.minimum(b, self.focus), np.maximum(b, self.focus)])
 
 
 class _DensePinvMixin:
@@ -355,6 +364,9 @@ class _DensePinvMixin:
 
     def hydrate(self, snap) -> None:
         self.state = DenseState(self.graph, snap.copy(), self.graph.round)
+
+    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
+        return gains_exact(self.state, pairs)
 
     def estimate_gain(self, a: int, b: int) -> float:
         return gain_exact(self.state, a, b)
@@ -395,11 +407,11 @@ class _StGreedy(_DensePinvMixin, _Strategy):
                     entries.append((a, b, float(gains[b])))
         return entries
 
-    def _global_candidates(self, round_idx: int) -> list[Edge]:
-        return []  # queue was seeded with the whole universe at round 0
+    def _global_candidates(self, round_idx: int) -> np.ndarray:
+        return _NO_PAIRS  # queue was seeded with the whole universe at round 0
 
-    def _focus_candidates(self, round_idx: int) -> list[Edge]:
-        return []
+    def _focus_candidates(self, round_idx: int) -> np.ndarray:
+        return _NO_PAIRS
 
 
 class _SimplStoch(_DensePinvMixin, _Strategy):
@@ -417,10 +429,10 @@ class _SimplStoch(_DensePinvMixin, _Strategy):
             self._pair_sample_size() if self.focus is None else self._lrip_sample_size()
         )
 
-    def _global_candidates(self, round_idx: int) -> list[Edge]:
+    def _global_candidates(self, round_idx: int) -> np.ndarray:
         return sample_nonedge_pairs(self.graph, self.sample_size, self._rng(_CAND_STREAM, round_idx))
 
-    def _focus_candidates(self, round_idx: int) -> list[Edge]:
+    def _focus_candidates(self, round_idx: int) -> np.ndarray:
         pool = self.graph.non_neighbors(self.focus)
         picked = sample_candidates_uniform(pool, self.sample_size, self._rng(_CAND_STREAM, round_idx))
         return self._focus_pairs(picked)
@@ -473,14 +485,13 @@ class _DiagSampledMixin:
             self.vertex_sample_size = self._lrip_sample_size()
 
     @staticmethod
-    def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> list[Edge]:
-        pairs: list[Edge] = []
-        ordered = sorted(set(vertices))
-        for i, a in enumerate(ordered):
-            for b in ordered[i + 1 :]:
-                if not graph.has_edge(a, b):
-                    pairs.append((a, b))
-        return pairs
+    def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:
+        """Non-edges among the vertices, as pairs a < b in sorted order."""
+        ordered = np.unique(np.asarray(vertices, dtype=np.int64))
+        i, j = np.triu_indices(len(ordered), 1)
+        a, b = ordered[i], ordered[j]
+        keep = ~graph.has_edges(a, b)
+        return np.column_stack([a[keep], b[keep]])
 
 
 class _ColStoch(_DiagSampledMixin, _Strategy):
@@ -499,23 +510,14 @@ class _ColStoch(_DiagSampledMixin, _Strategy):
         self.cache = ColumnCache(self.graph, self.params.solver)
         self._init_sample_size()
 
-    def _global_candidates(self, round_idx: int) -> list[Edge]:
-        vertices = self._sampled_vertices(round_idx)
-        self._ensure_columns(vertices)
-        return self._pairs_from_vertices(self.graph, vertices)
+    def _global_candidates(self, round_idx: int) -> np.ndarray:
+        return self._pairs_from_vertices(self.graph, self._sampled_vertices(round_idx))
 
-    def _focus_candidates(self, round_idx: int) -> list[Edge]:
-        vertices = self._sampled_focus_vertices(round_idx)
-        self._ensure_columns(vertices + [self.focus])
-        return self._focus_pairs(vertices)
+    def _focus_candidates(self, round_idx: int) -> np.ndarray:
+        return self._focus_pairs(self._sampled_focus_vertices(round_idx))
 
-    def _ensure_columns(self, vertices: list[int]) -> None:
-        if self.params.threads > 1:
-            with ThreadPoolExecutor(max_workers=self.params.threads) as pool:
-                list(pool.map(self.cache.column, vertices))
-        else:
-            for v in vertices:
-                self.cache.column(v)
+    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
+        return gains_exact(self.cache, pairs)
 
     def estimate_gain(self, a: int, b: int) -> float:
         return gain_exact(self.cache, a, b)
@@ -532,6 +534,9 @@ class _JltMixin:
 
     def _build_sketch(self, rng: np.random.Generator) -> None:
         self.sketch = jlt.build_sketch(self.graph, self.sketch_width, rng, self.params.solver)
+
+    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
+        return jlt.gains_jlt(self.sketch, pairs, current_round=self.graph.round)
 
     def estimate_gain(self, a: int, b: int) -> float:
         return jlt.gain_jlt(self.sketch, a, b, current_round=self.graph.round)
@@ -570,10 +575,10 @@ class _SimplStochJLT(_JltMixin, _Strategy):
             round=self.graph.round,
         )
 
-    def _global_candidates(self, round_idx: int) -> list[Edge]:
+    def _global_candidates(self, round_idx: int) -> np.ndarray:
         return sample_nonedge_pairs(self.graph, self.sample_size, self._rng(_CAND_STREAM, round_idx))
 
-    def _focus_candidates(self, round_idx: int) -> list[Edge]:
+    def _focus_candidates(self, round_idx: int) -> np.ndarray:
         pool = self.graph.non_neighbors(self.focus)
         picked = sample_candidates_uniform(pool, self.sample_size, self._rng(_CAND_STREAM, round_idx))
         return self._focus_pairs(picked)
@@ -606,11 +611,11 @@ class _ColStochJLT(_JltMixin, _DiagSampledMixin, _Strategy):
             round=self.graph.round,
         )
 
-    def _global_candidates(self, round_idx: int) -> list[Edge]:
+    def _global_candidates(self, round_idx: int) -> np.ndarray:
         vertices = self._sampled_vertices(round_idx)
         return self._pairs_from_vertices(self.graph, vertices)
 
-    def _focus_candidates(self, round_idx: int) -> list[Edge]:
+    def _focus_candidates(self, round_idx: int) -> np.ndarray:
         return self._focus_pairs(self._sampled_focus_vertices(round_idx))
 
     def refresh(self, round_idx: int) -> None:
@@ -647,13 +652,16 @@ class _SpecStoch(_Strategy):
             round=self.graph.round,
         )
 
-    def _global_candidates(self, round_idx: int) -> list[Edge]:
+    def _global_candidates(self, round_idx: int) -> np.ndarray:
         return sample_nonedge_pairs(self.graph, self.sample_size, self._rng(_CAND_STREAM, round_idx))
 
-    def _focus_candidates(self, round_idx: int) -> list[Edge]:
+    def _focus_candidates(self, round_idx: int) -> np.ndarray:
         pool = self.graph.non_neighbors(self.focus)
         picked = sample_candidates_uniform(pool, self.sample_size, self._rng(_CAND_STREAM, round_idx))
         return self._focus_pairs(picked)
+
+    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
+        return spectral.gains_spectral(self.state, pairs)
 
     def estimate_gain(self, a: int, b: int) -> float:
         return spectral.gain_spectral(self.state, a, b)
@@ -723,16 +731,6 @@ class Solution:
         }
 
 
-def _evaluate_pairs(
-    strategy: _Strategy, pairs: list[Edge], threads: int
-) -> list[tuple[int, int, float]]:
-    if threads > 1 and len(pairs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            gains = list(pool.map(lambda e: strategy.estimate_gain(*e), pairs))
-        return [(a, b, g) for (a, b), g in zip(pairs, gains)]
-    return [(a, b, strategy.estimate_gain(a, b)) for a, b in pairs]
-
-
 def _run_rounds(
     graph: Graph,
     strategy: _Strategy,
@@ -758,9 +756,10 @@ def _run_rounds(
         t0 = time.perf_counter()
         pairs = strategy.round_candidates(r)
         timings["compute"] += time.perf_counter() - t0
-        if pairs:
+        if len(pairs):
             t0 = time.perf_counter()
-            queue.push_many(_evaluate_pairs(strategy, pairs, params.threads), stamp=r)
+            scores = strategy.estimate_gains(pairs).tolist()
+            queue.push_many(list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), scores)), stamp=r)
             timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -26,11 +26,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, SolverError, StaleStateError
+from .errors import ConfigError, StaleStateError
 from .graphs import Graph
-from .linalg import DEFAULT_SOLVER, SolverConfig
+from .linalg import DEFAULT_SOLVER, SolverConfig, solve
 
 
 def default_sketch_width(universe_size: int, c_jlt: float = 4.0) -> int:
@@ -99,43 +98,34 @@ def build_sketch(
     n = graph.n
     biharm = np.empty((q, n))
     for j in range(q):
-        biharm[j, :] = _solve_projected(graph, p[j, :] - p[j, :].mean(), config)
+        biharm[j, :] = solve(graph, p[j, :] - p[j, :].mean(), config)
     qb = np.asarray(qm @ _incidence(graph))  # q x n, rows orthogonal to ones
     resist = np.empty((q, n))
     for j in range(q):
-        resist[j, :] = _solve_projected(graph, qb[j, :] - qb[j, :].mean(), config)
+        resist[j, :] = solve(graph, qb[j, :] - qb[j, :].mean(), config)
     return JltSketch(q=q, biharm=biharm, resist=resist, round=graph.round)
 
 
-def _solve_projected(graph: Graph, rhs: np.ndarray, config: SolverConfig) -> np.ndarray:
-    lap = graph.laplacian()
-    maxiter = config.max_iters if config.max_iters is not None else 10 * graph.n
-    precond = sp.diags(1.0 / np.maximum(lap.diagonal(), 1.0))
-    x, info = spla.cg(lap, rhs, rtol=0.1 * config.residual_tol, atol=0.0, maxiter=maxiter, M=precond)
-    x -= x.mean()
-    if info != 0:
-        achieved = float(np.linalg.norm(lap @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
-        raise SolverError("CG did not converge on a projected right-hand side", achieved)
-    return x
-
-
-def gain_jlt(sketch: JltSketch, a: int, b: int, current_round: int | None = None) -> float:
-    """Approximate gain n * ||biharm d||^2 / (1 + ||resist d||^2), d = e_a - e_b."""
+def _check_round(sketch: JltSketch, current_round: int | None) -> None:
     if current_round is not None and current_round != sketch.round:
         raise StaleStateError(
             f"sketch built at round {sketch.round}, graph at round {current_round}; refresh it"
         )
+
+
+def gain_jlt(sketch: JltSketch, a: int, b: int, current_round: int | None = None) -> float:
+    """Approximate gain n * ||biharm d||^2 / (1 + ||resist d||^2), d = e_a - e_b."""
+    _check_round(sketch, current_round)
     if a == b:
         return 0.0
     return sketch.n * sketch.biharmonic_sq(a, b) / (1.0 + sketch.resistance_sq(a, b))
 
 
-def refresh_sketch(
-    graph: Graph,
-    q: int,
-    rng: np.random.Generator,
-    config: SolverConfig = DEFAULT_SOLVER,
-    projection: str = "gaussian",
-) -> JltSketch:
-    """Fresh independent projections for the current graph round."""
-    return build_sketch(graph, q, rng, config, projection)
+def gains_jlt(sketch: JltSketch, pairs: np.ndarray, current_round: int | None = None) -> np.ndarray:
+    """:func:`gain_jlt` of every row (a, b) of an (s, 2) pair array."""
+    _check_round(sketch, current_round)
+    a, b = pairs[:, 0], pairs[:, 1]
+    d_bi = sketch.biharm[:, a] - sketch.biharm[:, b]
+    d_res = sketch.resist[:, a] - sketch.resist[:, b]
+    b2 = np.einsum("ij,ij->j", d_bi, d_bi)
+    return sketch.n * b2 / (1.0 + np.einsum("ij,ij->j", d_res, d_res))

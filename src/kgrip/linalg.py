@@ -13,7 +13,8 @@ pseudoinverse P = L^+ (all implemented below):
 Columns of P can also be obtained one at a time by solving L x = e_a - 1/n
 with a conjugate-gradient solver and re-centering x against the all-ones
 null space; cached columns are brought forward across insertions by chaining
-the rank-one update.
+the rank-one update. A batch of gains reads B2 off the Gram matrix of the
+columns it touches: B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
 """
 
 from __future__ import annotations
@@ -60,32 +61,39 @@ def pseudoinverse_dense(graph: Graph, cap: int = DENSE_CAP_DEFAULT) -> np.ndarra
     return inv - shift
 
 
-def solve_lpinv_column(
-    graph: Graph, a: int, config: SolverConfig = DEFAULT_SOLVER, x0: np.ndarray | None = None
+def solve(
+    graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER, x0: np.ndarray | None = None
 ) -> np.ndarray:
-    """Column a of the pseudoinverse, from L x = e_a - 1/n via preconditioned CG.
+    """Solution of L x = rhs orthogonal to the all-ones vector, via Jacobi-preconditioned CG.
 
-    The solution is re-centered (x -= mean(x)) so that x is orthogonal to the
-    all-ones vector; raises :class:`SolverError` with the achieved residual if
-    the relative residual stays above ``config.residual_tol``.
+    Every iterative solve of the package goes through here. It runs on the
+    graph's cached Laplacian, so a round's solves share one build. ``rhs``
+    must sum to zero. Raises :class:`SolverError` carrying the achieved
+    relative residual if CG stops early or that residual exceeds
+    ``config.residual_tol``.
     """
-    n = graph.n
     lap = graph.laplacian()
-    b = np.full(n, -1.0 / n)
-    b[a] += 1.0
-    maxiter = config.max_iters if config.max_iters is not None else 10 * n
-    degrees = lap.diagonal()
-    precond = sp.diags(1.0 / np.maximum(degrees, 1.0))
+    maxiter = config.max_iters if config.max_iters is not None else 10 * graph.n
+    precond = sp.diags(1.0 / np.maximum(lap.diagonal(), 1.0))
     # solve one notch tighter than requested: the CG recurrence residual can
     # drift slightly from the true residual, and the contract is on the latter
     x, info = spla.cg(
-        lap, b, x0=x0, rtol=0.1 * config.residual_tol, atol=0.0, maxiter=maxiter, M=precond
+        lap, rhs, x0=x0, rtol=0.1 * config.residual_tol, atol=0.0, maxiter=maxiter, M=precond
     )
     x -= x.mean()
-    achieved = float(np.linalg.norm(lap @ x - b) / np.linalg.norm(b))
+    achieved = float(np.linalg.norm(lap @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
     if info != 0 or achieved > config.residual_tol:
-        raise SolverError(f"CG did not converge for column {a} within {maxiter} iterations", achieved)
+        raise SolverError(f"CG did not converge within {maxiter} iterations", achieved)
     return x
+
+
+def solve_lpinv_column(
+    graph: Graph, a: int, config: SolverConfig = DEFAULT_SOLVER, x0: np.ndarray | None = None
+) -> np.ndarray:
+    """Column a of the pseudoinverse, from L x = e_a - 1/n (see :func:`solve`)."""
+    b = np.full(graph.n, -1.0 / graph.n)
+    b[a] += 1.0
+    return solve(graph, b, config, x0)
 
 
 def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -> float:
@@ -175,20 +183,13 @@ class DenseState:
     def column(self, v: int) -> np.ndarray:
         return self.matrix[:, v]
 
-    def diagonal(self) -> np.ndarray:
-        return np.diag(self.matrix).copy()
+    def columns(self, vertices: np.ndarray) -> np.ndarray:
+        return self.matrix[:, vertices]
 
     def apply_insertion(self, a: int, b: int) -> None:
         """Sherman-Morrison update after the graph gained edge {a,b}."""
         self.matrix = sherman_morrison_update(self.matrix, a, b)
         self.round += 1
-
-    def check_round(self) -> None:
-        if self.round != self.graph.round:
-            raise StaleStateError(f"dense state at round {self.round}, graph at {self.graph.round}")
-
-    def snapshot(self) -> np.ndarray:
-        return self.matrix.copy()
 
 
 class ColumnCache:
@@ -228,6 +229,10 @@ class ColumnCache:
         self._cols[v] = (col, self.round)
         return col
 
+    def columns(self, vertices: np.ndarray) -> np.ndarray:
+        """Columns of the given vertices side by side (n x len(vertices))."""
+        return np.column_stack([self.column(v) for v in vertices.tolist()])
+
     def note_insertion(self, a: int, b: int) -> None:
         """Record the just-inserted edge {a,b} from cached pre-insertion columns.
 
@@ -254,6 +259,28 @@ def gain_exact(state, a: int, b: int) -> float:
     if graph.has_edge(a, b):
         raise InvariantError(f"edge ({a},{b}) already exists; gain undefined")
     return gain_from_columns(state.column(a), state.column(b), a, b, graph.n)
+
+
+def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
+    """Exact gains of many non-edges at once; ``pairs`` is an (s, 2) int array.
+
+    ``state`` is a :class:`DenseState` or a :class:`ColumnCache`. The columns
+    C of every vertex the pairs touch are gathered once, and the squared
+    biharmonic distances come from the Gram identity
+    ||c_a - c_b||^2 = G[a,a] + G[b,b] - 2 G[a,b] with G = C^T C.
+    """
+    graph: Graph = state.graph
+    a, b = pairs[:, 0], pairs[:, 1]
+    if np.any(a == b) or np.any(graph.has_edges(a, b)):
+        raise InvariantError("gains are defined for non-edges only")
+    vertices, slot = np.unique(pairs, return_inverse=True)
+    slot_a, slot_b = slot.reshape(pairs.shape).T
+    cols = state.columns(vertices)
+    gram = cols.T @ cols
+    sq = np.diagonal(gram)
+    b2 = sq[slot_a] + sq[slot_b] - 2.0 * gram[slot_a, slot_b]
+    resistance = cols[a, slot_a] + cols[b, slot_b] - 2.0 * cols[b, slot_a]
+    return graph.n * b2 / (1.0 + resistance)
 
 
 def true_gain(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> float:

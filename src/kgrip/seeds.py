@@ -2,7 +2,7 @@
 
 Every randomized component draws from a stream derived from one master seed
 and a path of tokens (strings or ints), so results are reproducible no matter
-how work is split across rounds, focus nodes, or worker threads.
+how work is split across rounds or focus nodes.
 """
 
 from __future__ import annotations

@@ -111,19 +111,18 @@ def compute_low_spectrum(
     )
 
 
-def gain_bounds(state: SpectralState, a: int, b: int) -> tuple[float, float]:
-    """Two-sided bracket around the exact gain of inserting {a,b} (factor n included)."""
-    dsq = (state.vectors[a, :] - state.vectors[b, :]) ** 2
+def _bracket(state: SpectralState, dsq: np.ndarray):
+    """Gain bracket from squared eigenvector differences, one row per pair."""
     lam = state.eigenvalues
     lam_c = float(lam[-1])
     lam_n = state.lambda_max
     inv1 = 1.0 / lam
     inv2 = inv1 * inv1
 
-    num_hi = 2.0 / lam_c**2 + float(np.dot(inv2 - 1.0 / lam_c**2, dsq))
-    num_lo = 2.0 / lam_n**2 + float(np.dot(inv2 - 1.0 / lam_n**2, dsq))
-    den_hi = 2.0 / lam_c + float(np.dot(inv1 - 1.0 / lam_c, dsq))
-    den_lo = 2.0 / lam_n + float(np.dot(inv1 - 1.0 / lam_n, dsq))
+    num_hi = 2.0 / lam_c**2 + dsq @ (inv2 - 1.0 / lam_c**2)
+    num_lo = 2.0 / lam_n**2 + dsq @ (inv2 - 1.0 / lam_n**2)
+    den_hi = 2.0 / lam_c + dsq @ (inv1 - 1.0 / lam_c)
+    den_lo = 2.0 / lam_n + dsq @ (inv1 - 1.0 / lam_n)
 
     n = state.n
     lower = n * num_lo / (1.0 + den_hi)
@@ -131,7 +130,20 @@ def gain_bounds(state: SpectralState, a: int, b: int) -> tuple[float, float]:
     return lower, upper
 
 
+def gain_bounds(state: SpectralState, a: int, b: int) -> tuple[float, float]:
+    """Two-sided bracket around the exact gain of inserting {a,b} (factor n included)."""
+    lower, upper = _bracket(state, (state.vectors[a, :] - state.vectors[b, :]) ** 2)
+    return float(lower), float(upper)
+
+
 def gain_spectral(state: SpectralState, a: int, b: int) -> float:
     """Bracket midpoint, the scalar the spectral heuristic ranks by."""
     lower, upper = gain_bounds(state, a, b)
+    return 0.5 * (lower + upper)
+
+
+def gains_spectral(state: SpectralState, pairs: np.ndarray) -> np.ndarray:
+    """:func:`gain_spectral` of every row (a, b) of an (s, 2) pair array."""
+    dsq = (state.vectors[pairs[:, 0]] - state.vectors[pairs[:, 1]]) ** 2
+    lower, upper = _bracket(state, dsq)
     return 0.5 * (lower + upper)

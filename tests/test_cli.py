@@ -118,14 +118,6 @@ def test_optimize_output_file(tmp_path, capsys):
     assert json.loads(out_path.read_text())["inserted_edges"] == [[0, 2]]
 
 
-def test_threads_env_fallback(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("KGRIP_THREADS", "2")
-    path = write_graph(tmp_path, P3_EDGES)
-    code, out, _ = run_cli(capsys, ["optimize", "--input", path, "--k", "1"])
-    assert code == 0
-    assert json.loads(out)["params"]["threads"] == 2
-
-
 # -- lrip -----------------------------------------------------------------------
 
 

@@ -167,6 +167,24 @@ def test_laplacian_arrays_match_triple_build(seed):
     assert Graph(1).laplacian().toarray().tolist() == [[0.0]]
 
 
+def test_laplacian_cache_follows_insertions():
+    g = generate("ba", {"n": 50, "m_attach": 2, "m0": 2}, seed=3)
+    lap = g.laplacian()
+    assert g.laplacian() is lap  # one build per round
+    dup = g.copy()
+    assert dup.laplacian() is not lap
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        free = g.non_edges()
+        g.insert_edge(*free[rng.integers(len(free))].tolist())
+        fresh = Graph(g.n, g.edges()).laplacian()
+        assert (g.laplacian() != fresh).nnz == 0
+        assert g.laplacian().has_sorted_indices
+    # neither the copy nor the first matrix saw the insertions
+    assert (dup.laplacian() != lap).nnz == 0
+    assert (lap != _laplacian_from_triples(dup)).nnz == 0
+
+
 # -- generators ----------------------------------------------------------------
 
 

@@ -71,15 +71,68 @@ def test_uniform_sampler_deterministic():
 
 
 def test_nonedge_pair_sampler_p3(p3):
-    assert sample_nonedge_pairs(p3, 1, np.random.default_rng(1)) == [(0, 2)]
+    assert sample_nonedge_pairs(p3, 1, np.random.default_rng(1)).tolist() == [[0, 2]]
 
 
 def test_nonedge_pair_sampler_excludes_edges():
     g = generate("er", {"n": 30, "p": 0.2}, seed=3)
-    pairs = sample_nonedge_pairs(g, 40, np.random.default_rng(2))
-    assert len(pairs) == len(set(pairs)) == 40
+    pairs = sample_nonedge_pairs(g, 40, np.random.default_rng(2)).tolist()
+    assert len(pairs) == len(set(map(tuple, pairs))) == 40
     for a, b in pairs:
         assert a < b and not g.has_edge(a, b)
+
+
+def _nonedge_pairs_reference(graph, s, rng):
+    """The sampler one pair at a time: the behaviour the vectorised one must keep."""
+    universe = graph.non_edge_count()
+    if s >= universe:
+        return [
+            (a, b) for a in range(graph.n) for b in range(a + 1, graph.n) if not graph.has_edge(a, b)
+        ]
+    picked, out = set(), []
+    while len(out) < s:
+        a = int(rng.integers(graph.n))
+        b = int(rng.integers(graph.n))
+        if a == b:
+            continue
+        e = (a, b) if a < b else (b, a)
+        if e in picked or graph.has_edge(*e):
+            continue
+        picked.add(e)
+        out.append(e)
+    return out
+
+
+@pytest.mark.parametrize(
+    "model,params,seed",
+    [
+        ("er", {"n": 30, "p": 0.2}, 3),
+        ("er", {"n": 12, "p": 0.6}, 4),
+        ("ba", {"n": 60, "m_attach": 3, "m0": 3}, 5),
+        ("ws", {"n": 40, "degree": 6, "rewire_prob": 0.1}, 6),
+    ],
+)
+def test_nonedge_pair_sampler_equals_pair_by_pair_reference(model, params, seed):
+    g = generate(model, params, seed)
+    universe = g.non_edge_count()
+    for s in sorted({1, 7, universe // 10, universe // 2, universe - 3, universe - 1, universe}):
+        for rng_seed in range(4):
+            got = sample_nonedge_pairs(g, s, np.random.default_rng(rng_seed))
+            want = _nonedge_pairs_reference(g, s, np.random.default_rng(rng_seed))
+            assert got.shape == (len(want), 2)
+            assert [tuple(p) for p in got.tolist()] == want, (s, rng_seed)
+
+
+def test_pairs_from_vertices_are_sorted_non_edges():
+    from kgrip.greedy import _DiagSampledMixin
+
+    g = generate("er", {"n": 30, "p": 0.3}, seed=8)
+    vertices = [17, 3, 25, 3, 0, 11, 29, 8, 17, 21]
+    ordered = sorted(set(vertices))
+    want = [
+        [a, b] for i, a in enumerate(ordered) for b in ordered[i + 1 :] if not g.has_edge(a, b)
+    ]
+    assert _DiagSampledMixin._pairs_from_vertices(g, vertices).tolist() == want
 
 
 def test_diag_weighted_sampler_favors_heavy_vertices():
@@ -233,14 +286,6 @@ def test_kgrip_deterministic_given_seed(kind):
     first = run_kgrip(g, 2, kind, seed=11)
     second = run_kgrip(g, 2, kind, seed=11)
     assert first.inserted_edges == second.inserted_edges
-
-
-@pytest.mark.parametrize("kind", [Heuristic.SIMPL_STOCH, Heuristic.COL_STOCH])
-def test_parallel_evaluation_does_not_change_selection(kind):
-    g = generate("er", {"n": 40, "p": 0.15}, seed=14)
-    serial = run_kgrip(g, 3, kind, GreedyParams(threads=1), seed=6)
-    threaded = run_kgrip(g, 3, kind, GreedyParams(threads=4), seed=6)
-    assert serial.inserted_edges == threaded.inserted_edges
 
 
 def test_simplstoch_full_universe_degenerates_to_stgreedy():
@@ -450,3 +495,31 @@ def test_solution_serialization_roundtrip(p3):
     assert doc["inserted_edges"] == [[0, 2]]
     assert doc["total_gain"] == pytest.approx(2.0, rel=1e-6)
     assert set(doc["timings"]) >= {"compute", "eval", "update"}
+
+
+# -- seeded outputs ------------------------------------------------------------------
+
+# inserted edges of k=3 runs with seed 5, global and with focus node 7, on
+# ER(60, 0.1) seed 21 and BA(80, 3) seed 22; fixed since before batched scoring
+_SEEDED_EDGES = {
+    ("er", "stgreedy"): ([(11, 56), (11, 55), (28, 56)], [(7, 11), (7, 56), (7, 28)]),
+    ("er", "simplstoch"): ([(5, 11), (55, 56), (6, 56)], [(7, 50), (7, 11), (7, 48)]),
+    ("er", "simplstochjlt"): ([(11, 41), (9, 56), (28, 29)], [(7, 50), (7, 29), (7, 55)]),
+    ("er", "specstoch"): ([(11, 16), (53, 56), (28, 55)], [(7, 22), (7, 9), (7, 55)]),
+    ("ba", "stgreedy"): ([(73, 76), (59, 65), (68, 69)], [(7, 73), (7, 76), (7, 65)]),
+    ("ba", "simplstoch"): ([(48, 65), (70, 73), (66, 69)], [(7, 67), (7, 56), (7, 57)]),
+    ("ba", "simplstochjlt"): ([(28, 59), (26, 71), (40, 65)], [(7, 68), (7, 35), (7, 75)]),
+    ("ba", "specstoch"): ([(65, 68), (66, 73), (71, 76)], [(7, 30), (7, 64), (7, 76)]),
+}
+
+
+@pytest.mark.parametrize("family,name", sorted(_SEEDED_EDGES))
+def test_seeded_inserted_edges_unchanged(family, name):
+    if family == "er":
+        g = generate("er", {"n": 60, "p": 0.1}, seed=21)
+    else:
+        g = generate("ba", {"n": 80, "m_attach": 3, "m0": 3}, seed=22)
+    kind = Heuristic.parse(name)
+    global_edges, focus_edges = _SEEDED_EDGES[(family, name)]
+    assert run_kgrip(g, 3, kind, seed=5).inserted_edges == global_edges
+    assert run_klrip(g, [7], 3, kind, seed=5)[0].inserted_edges == focus_edges

@@ -11,7 +11,7 @@ from scipy.stats import spearmanr
 from kgrip import oracles
 from kgrip.errors import ConfigError, StaleStateError
 from kgrip.graphs import Graph, generate
-from kgrip.jlt import build_sketch, default_sketch_width, gain_jlt, refresh_sketch
+from kgrip.jlt import build_sketch, default_sketch_width, gain_jlt
 from kgrip.linalg import DenseState, gain_exact, pseudoinverse_dense
 
 from conftest import path_graph
@@ -37,7 +37,7 @@ def test_identity_hook_exact_on_p3(p3):
 
 def test_identity_hook_after_refresh_triangle(p3):
     p3.insert_edge(0, 2)  # now a triangle
-    sk = refresh_sketch(p3, 3, np.random.default_rng(1), projection="identity")
+    sk = build_sketch(p3, 3, np.random.default_rng(1), projection="identity")
     assert sk.round == 1
     assert sk.resistance_sq(0, 1) == pytest.approx(2.0 / 3.0, abs=1e-6)
 
@@ -129,8 +129,8 @@ def test_stale_sketch_rejected(p3):
 
 def test_refresh_draws_new_projections():
     g = path_graph(6)
-    a = refresh_sketch(g, 6, np.random.default_rng(10))
-    b = refresh_sketch(g, 6, np.random.default_rng(11))
+    a = build_sketch(g, 6, np.random.default_rng(10))
+    b = build_sketch(g, 6, np.random.default_rng(11))
     assert np.max(np.abs(a.biharm - b.biharm)) > 0
     assert np.max(np.abs(a.resist - b.resist)) > 0
 
@@ -139,7 +139,7 @@ def test_refresh_keeps_fidelity():
     g = generate("er", {"n": 150, "p": 0.07}, seed=8)
     g.insert_edge(*oracles.all_non_edges(g)[0])
     q = math.ceil(4 * math.log(g.n))
-    sk = refresh_sketch(g, q, np.random.default_rng(16))
+    sk = build_sketch(g, q, np.random.default_rng(16))
     assert sk.round == 1
     r = exact_resistance_matrix(g)
     rng = np.random.default_rng(14)
