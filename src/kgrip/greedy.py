@@ -667,9 +667,7 @@ class _SpecStoch(_Strategy):
         return spectral.gain_spectral(self.state, a, b)
 
     def refresh(self, round_idx: int) -> None:
-        self.state = spectral.compute_low_spectrum(
-            self.graph, self._cutoff(), self.params.eig_tol, warm_start=self.state
-        )
+        self.state = spectral.compute_low_spectrum(self.graph, self._cutoff(), self.params.eig_tol)
 
 
 _STRATEGIES = {

@@ -24,9 +24,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import ConfigError, InvariantError, SolverError, StaleStateError
-from .graphs import Graph, canonical_edge
+from .graphs import Graph, canonical_edge, is_connected
 
 
 @dataclass(frozen=True)
@@ -110,12 +111,29 @@ def biharmonic_sq(col_a: np.ndarray, col_b: np.ndarray) -> float:
 
 
 def total_resistance(obj, cap: int = DENSE_CAP_DEFAULT) -> float:
-    """n * trace(pseudoinverse), from a Graph or an existing DenseState."""
+    """n * trace(pseudoinverse), from a Graph or an existing DenseState.
+
+    For a Graph no inverse is formed: with the Cholesky factor R of
+    L + J/n (upper, R^T R), trace((L + J/n)^(-1)) = ||R^(-1)||_F^2, and the
+    J/n term contributes 1 to it, so R_tot = n * (||R^(-1)||_F^2 - 1).
+    """
     if isinstance(obj, DenseState):
         return obj.graph.n * float(np.trace(obj.matrix))
-    if isinstance(obj, Graph):
-        return obj.n * float(np.trace(pseudoinverse_dense(obj, cap)))
-    raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
+    if not isinstance(obj, Graph):
+        raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
+    n = obj.n
+    if n > cap:
+        raise ConfigError(f"n={n} exceeds the dense total-resistance cap {cap}")
+    # L + J/n is singular exactly when the graph is disconnected, but rounding
+    # can leave the Cholesky factorization a tiny positive pivot instead of failing
+    if not is_connected(obj):
+        raise SolverError("L + J/n is singular: the graph is disconnected")
+    factor, info = lapack.dpotrf(obj.laplacian_dense() + 1.0 / n, lower=0, clean=1, overwrite_a=1)
+    if info == 0:
+        factor, info = lapack.dtrtri(factor, lower=0, overwrite_c=1)
+    if info != 0:
+        raise SolverError(f"Cholesky factorization of L + J/n failed (LAPACK info {info})")
+    return n * (float(np.einsum("ij,ij->", factor, factor)) - 1.0)
 
 
 def gain_from_columns(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int, n: int) -> float:

@@ -17,6 +17,13 @@ for each sum, hence a bracket around the exact gain n*B2/(1+R):
 with d_i = (u_i[a]-u_i[b])^2, lc = lambda_c, ln = lambda_n. The tail bound
 for the numerator needs lambda_c >= 1; at c = n both sides collapse to the
 exact gain. Estimates ranked by heuristics use the bracket midpoint.
+
+The eigenpairs come from a dense symmetric eigensolve up to
+``_DENSE_EIG_LIMIT`` vertices. Above it, L^+ is applied exactly through a
+sparse factor of the grounded Laplacian L[1:,1:] (centre the right-hand
+side, solve with vertex 0 grounded, centre the result), and shift-invert
+Lanczos (ARPACK) finds the c-1 largest eigenvalues 1/lambda_i of L^+; the
+largest eigenvalue lambda_n comes from a second ARPACK call on L itself.
 """
 
 from __future__ import annotations
@@ -53,41 +60,72 @@ def _low_spectrum_dense(graph: Graph, k: int) -> tuple[np.ndarray, np.ndarray, f
     return vals[1 : k + 1], vecs[:, 1 : k + 1], float(vals[-1])
 
 
-def _low_spectrum_lobpcg(
-    graph: Graph, k: int, eig_tol: float, warm: SpectralState | None, maxiter: int
+def _low_spectrum_shift_invert(
+    graph: Graph, k: int, maxiter: int
 ) -> tuple[np.ndarray, np.ndarray, float]:
     n = graph.n
-    lap = graph.laplacian().astype(float)
+    lap = graph.laplacian()
+    # the grounded Laplacian L[1:,1:] is SPD for a connected graph; a symmetric
+    # fill-reducing ordering without pivoting keeps its LU factor nearly as
+    # sparse as a Cholesky factor (COLAMD stores ~10x more entries on BA graphs)
+    try:
+        factor = spla.splu(
+            lap[1:, 1:].tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
+        )
+    except RuntimeError as exc:  # exactly singular: the graph is disconnected
+        raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
+
+    def apply_pinv(x: np.ndarray) -> np.ndarray:
+        # L^+ x: centre, solve with vertex 0 grounded, centre again
+        x = np.ravel(x)
+        y = np.zeros(n)
+        y[1:] = factor.solve(x[1:] - x.mean())
+        return y - y.mean()
+
+    op = spla.LinearOperator((n, n), matvec=apply_pinv, dtype=float)
+    # deterministic start vectors: ARPACK's default draws from global random state
     seed_rng = np.random.default_rng(0)
-    x = seed_rng.standard_normal((n, k))
-    if warm is not None and warm.vectors.shape[0] == n:
-        reuse = min(k, warm.vectors.shape[1])
-        x[:, :reuse] = warm.vectors[:, :reuse]
-    ones = np.ones((n, 1))
-    vals, vecs = spla.lobpcg(
-        lap, x, Y=ones, largest=False, tol=eig_tol, maxiter=maxiter, verbosityLevel=0
+    start = seed_rng.standard_normal(n)
+    start -= start.mean()
+    try:
+        mu, vecs = spla.eigsh(op, k=k, which="LA", v0=start, maxiter=maxiter)
+    except spla.ArpackNoConvergence as exc:
+        vals, vecs = 1.0 / exc.eigenvalues, exc.eigenvectors
+        if not vals.size:  # nothing converged: judge the start vector's Rayleigh pair
+            vecs = start[:, None] / np.linalg.norm(start)
+            vals = np.ravel(vecs.T @ (lap @ vecs))
+        worst = np.linalg.norm(lap @ vecs - vecs * vals, axis=0).max()
+        raise SolverError(
+            f"shift-invert Lanczos converged {len(exc.eigenvalues)} of {k} eigenpairs"
+            f" within {maxiter} restarts",
+            float(worst),
+        ) from exc
+    order = np.argsort(mu)[::-1]
+    top = spla.eigsh(
+        lap, k=1, which="LA", tol=1e-10, v0=seed_rng.standard_normal(n), return_eigenvectors=False
     )
-    order = np.argsort(vals)
-    vals, vecs = vals[order], vecs[:, order]
-    # deterministic start vector: ARPACK's default draws from global random state
-    v0 = seed_rng.standard_normal(n)
-    top = spla.eigsh(lap, k=1, which="LA", tol=1e-10, v0=v0, return_eigenvectors=False)
-    return vals, vecs, float(top[0])
+    return 1.0 / mu[order], vecs[:, order], float(top[0])
 
 
 def compute_low_spectrum(
     graph: Graph,
     c: int,
     eig_tol: float = 1e-7,
-    warm_start: SpectralState | None = None,
     maxiter: int = 500,
     force_iterative: bool = False,
 ) -> SpectralState:
     """Eigenpairs lambda_2..lambda_c (plus lambda_n) with residuals <= eig_tol.
 
-    Small graphs use a dense symmetric eigensolve; larger ones run LOBPCG
-    constrained orthogonal to the all-ones null vector, seeded from
-    ``warm_start`` when given (the post-insertion bootstrap).
+    Graphs up to ``_DENSE_EIG_LIMIT`` vertices use a dense symmetric
+    eigensolve. Larger ones (or ``force_iterative``) factor the grounded
+    Laplacian once and run shift-invert Lanczos (ARPACK, at most ``maxiter``
+    restarts) for the c-1 largest eigenvalues 1/lambda of L^+, from a start
+    vector orthogonal to the all-ones null vector. Raises
+    :class:`SolverError` carrying the worst true residual if ARPACK stops
+    early or a residual ||L u - lambda u|| exceeds ``eig_tol``.
     """
     n = graph.n
     if not 2 <= c <= n:
@@ -96,7 +134,7 @@ def compute_low_spectrum(
     if n <= _DENSE_EIG_LIMIT and not force_iterative:
         vals, vecs, lam_max = _low_spectrum_dense(graph, k)
     else:
-        vals, vecs, lam_max = _low_spectrum_lobpcg(graph, k, eig_tol, warm_start, maxiter)
+        vals, vecs, lam_max = _low_spectrum_shift_invert(graph, k, maxiter)
 
     lap = graph.laplacian()
     residuals = np.linalg.norm(lap @ vecs - vecs * vals, axis=0)

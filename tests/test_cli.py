@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 
@@ -78,6 +79,18 @@ def test_optimize_disconnected_input_exit2(tmp_path, capsys):
     code, _, err = run_cli(capsys, ["optimize", "--input", path, "--k", "1"])
     assert code == 2
     assert "disconnected" in err
+
+
+def test_optimize_eigensolver_stop_exit4(monkeypatch, capsys):
+    # an ARPACK stop inside specstoch surfaces as SolverError: exit 4 with its residual
+    from kgrip import spectral
+
+    stopping = functools.partial(spectral.compute_low_spectrum, force_iterative=True, maxiter=1)
+    monkeypatch.setattr(spectral, "compute_low_spectrum", stopping)
+    code, _, err = run_cli(capsys, ["optimize", "--generate", "ba:n=200,m=3,seed=1", "--k", "1",
+                                    "--heuristic", "specstoch"])
+    assert code == 4
+    assert "achieved residual" in err
 
 
 def test_optimize_csv_json_same_numbers(tmp_path, capsys):

@@ -329,6 +329,24 @@ def test_colstoch_cached_columns_stay_consistent_over_long_runs():
         assert np.max(np.abs(refreshed - fresh)) <= 10 * params.solver.residual_tol
 
 
+@pytest.mark.parametrize(
+    "model, params, k",
+    [
+        ("ba", {"n": 700, "m_attach": 3, "m0": 3}, 3),
+        ("er", {"n": 700, "p": 0.02}, 3),
+        ("ba", {"n": 2000, "m_attach": 3, "m0": 3}, 5),
+    ],
+    ids=["ba700", "er700", "ba2000"],
+)
+def test_specstoch_resolves_after_insertions(model, params, k):
+    # above the dense eigensolver limit every round after the first re-solves the
+    # low spectrum of the grown graph at default parameters
+    g = generate(model, params, seed=1)
+    sol = run_kgrip(g, k, Heuristic.SPEC_STOCH, seed=7)
+    assert len(sol.inserted_edges) == k
+    assert all(gain > 0 for gain in sol.per_edge_true_gain)
+
+
 # which preprocessing each heuristic rebuilds between rounds
 _REFRESHED_BY = {
     Heuristic.ST_GREEDY: set(),

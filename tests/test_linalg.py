@@ -7,7 +7,7 @@ import pytest
 
 from kgrip import oracles
 from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
-from kgrip.graphs import bfs_parents
+from kgrip.graphs import Graph, bfs_parents, generate
 from kgrip.linalg import (
     ColumnCache,
     DenseState,
@@ -184,6 +184,36 @@ def test_total_resistance_p3(p3):
 def test_total_resistance_equals_pairsum():
     g = random_connected(30, 0.2, seed=13)
     assert total_resistance(g) == pytest.approx(oracles.resistance_pairsum(g), rel=1e-6)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        path_graph(40),
+        star_graph(25),
+        random_tree(60, seed=3),
+        random_connected(80, 0.1, seed=4),
+        generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=1),
+    ],
+    ids=["path40", "star25", "tree60", "er80", "ba650"],
+)
+def test_total_resistance_matches_dense_trace(graph):
+    # the Cholesky route equals n * trace(L^+) from the dense pseudoinverse
+    expected = graph.n * float(np.trace(pseudoinverse_dense(graph)))
+    assert total_resistance(graph) == pytest.approx(expected, rel=1e-12)
+
+
+@pytest.mark.parametrize("n, split", [(4, 2), (6, 1), (6, 3), (9, 4), (40, 13)])
+def test_total_resistance_disconnected_raises(n, split):
+    # two paths; several of these leave dpotrf a tiny positive pivot instead of failing
+    edges = [(i, i + 1) for i in range(split - 1)] + [(i, i + 1) for i in range(split, n - 1)]
+    with pytest.raises(SolverError):
+        total_resistance(Graph(n, edges))
+
+
+def test_total_resistance_cap():
+    with pytest.raises(ConfigError):
+        total_resistance(path_graph(30), cap=10)
 
 
 # -- gain_exact -------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import time
 import warnings
 
 import numpy as np
@@ -67,14 +68,14 @@ def test_iterative_path_matches_dense():
     assert st.lambda_max == pytest.approx(vals[-1], abs=1e-8)
 
 
-def test_iterative_warm_start_converges():
+def test_iterative_resolve_after_insertion():
     g = generate("ws", {"n": 700, "degree": 8, "rewire_prob": 0.05}, seed=4)
-    st = compute_low_spectrum(g, 12, eig_tol=1e-6, maxiter=2000)
+    compute_low_spectrum(g, 12, eig_tol=1e-6, maxiter=2000)
     g.insert_edge(0, 350)
-    warm = compute_low_spectrum(g, 12, eig_tol=1e-6, warm_start=st, maxiter=2000)
+    after = compute_low_spectrum(g, 12, eig_tol=1e-6, maxiter=2000)
     vals = scipy.linalg.eigh(g.laplacian_dense(), eigvals_only=True)
-    assert np.max(np.abs(warm.eigenvalues - vals[1:12])) < 1e-8
-    assert warm.round == 1
+    assert np.max(np.abs(after.eigenvalues - vals[1:12])) < 1e-8
+    assert after.round == 1
 
 
 def test_nonconvergence_raises_with_residual():
@@ -84,6 +85,51 @@ def test_nonconvergence_raises_with_residual():
         with pytest.raises(SolverError) as err:
             compute_low_spectrum(g, 8, eig_tol=1e-30, force_iterative=True, maxiter=3)
     assert err.value.achieved_residual is not None
+
+
+def test_arpack_stop_reports_partial_residual():
+    # one restart leaves ARPACK short of 7 pairs; the error carries the true
+    # residual of the pairs it did return, a finite number
+    g = random_connected(200, 0.05, seed=6)
+    with pytest.raises(SolverError, match="converged 1 of 7") as err:
+        compute_low_spectrum(g, 8, force_iterative=True, maxiter=1)
+    assert 0.0 <= err.value.achieved_residual < 1e-7
+
+
+def _grid(side: int) -> Graph:
+    right = [(v, v + 1) for v in range(side * side) if (v + 1) % side]
+    down = [(v, v + side) for v in range(side * (side - 1))]
+    return Graph(side * side, right + down)
+
+
+# default cutoff 50, eig_tol 1e-7 and maxiter, all above the dense limit of 600;
+# the ring lattice and the grid have doubled eigenvalues
+_DEFAULT_PARAM_GRAPHS = {
+    "ba2000": (lambda: generate("ba", {"n": 2000, "m_attach": 3, "m0": 3}, seed=1), 30.0),
+    "er700": (lambda: generate("er", {"n": 700, "p": 0.02}, seed=1), 15.0),
+    "er1000": (lambda: generate("er", {"n": 1000, "p": 0.01}, seed=1), 15.0),
+    "ring700": (lambda: generate("ws", {"n": 700, "degree": 8, "rewire_prob": 0.0}, seed=1), 15.0),
+    "grid26": (lambda: _grid(26), 15.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DEFAULT_PARAM_GRAPHS))
+def test_iterative_default_parameters(name):
+    build, seconds = _DEFAULT_PARAM_GRAPHS[name]
+    g = build()
+    assert g.n > 600
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        start = time.perf_counter()
+        st = compute_low_spectrum(g, 50)
+        elapsed = time.perf_counter() - start
+    assert elapsed < seconds
+    vals = scipy.linalg.eigh(g.laplacian_dense(), eigvals_only=True)
+    assert np.max(np.abs(st.eigenvalues - vals[1:50])) < 1e-8
+    assert st.lambda_max == pytest.approx(vals[-1], abs=1e-8)
+    residuals = np.linalg.norm(g.laplacian() @ st.vectors - st.vectors * st.eigenvalues, axis=0)
+    assert residuals.max() <= 1e-7
+    assert np.max(np.abs(st.vectors.sum(axis=0))) < 1e-7
 
 
 # -- gain bracket ----------------------------------------------------------------
