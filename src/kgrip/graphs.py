@@ -16,8 +16,9 @@ from typing import IO, Iterable, Iterator
 import networkx as nx
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, DisconnectedError, InvariantError, ParseError
+from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, SolverError
 
 Edge = tuple[int, int]
 
@@ -32,11 +33,11 @@ def canonical_edge(a: int, b: int) -> Edge:
 class Graph:
     """Undirected simple graph with sorted neighbor lists and an insertion log.
 
-    The sparse Laplacian is built on first use and cached until the next
-    edge insertion.
+    The sparse Laplacian and the factor of its grounded block are built on
+    first use and cached until the next edge insertion.
     """
 
-    __slots__ = ("_adj", "_m", "_log", "_lap")
+    __slots__ = ("_adj", "_m", "_log", "_lap", "_factor")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n <= 0:
@@ -45,6 +46,7 @@ class Graph:
         self._m = 0
         self._log: list[Edge] = []
         self._lap: sp.csr_matrix | None = None
+        self._factor: spla.SuperLU | None = None
         for a, b in edges:
             self._add_edge_unlogged(a, b)
 
@@ -100,7 +102,7 @@ class Graph:
         g._adj = [list(a) for a in self._adj]
         g._m = self._m
         g._log = list(self._log)
-        g._lap = None
+        g._lap = g._factor = None
         return g
 
     # -- mutation ----------------------------------------------------------
@@ -114,7 +116,7 @@ class Graph:
         insort(self._adj[a], b)
         insort(self._adj[b], a)
         self._m += 1
-        self._lap = None
+        self._lap = self._factor = None
 
     def insert_edge(self, a: int, b: int) -> None:
         """Insert a new edge and stamp it with the current round."""
@@ -179,6 +181,30 @@ class Graph:
         indices[nbr_pos] = nbrs
         data[nbr_pos] = -1.0
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+
+    @property
+    def has_grounded_factor(self) -> bool:
+        """Whether :meth:`grounded_factor` was already built this round."""
+        return self._factor is not None
+
+    def grounded_factor(self) -> spla.SuperLU:
+        """Sparse LU factor of the grounded Laplacian L[1:,1:], cached like :meth:`laplacian`.
+
+        L[1:,1:] is SPD for a connected graph; a symmetric fill-reducing
+        ordering without pivoting keeps its LU factor nearly as sparse as a
+        Cholesky factor (COLAMD stores ~10x more entries on BA graphs).
+        """
+        if self._factor is None:
+            try:
+                self._factor = spla.splu(
+                    self.laplacian()[1:, 1:].tocsc(),
+                    permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0,
+                    options={"SymmetricMode": True},
+                )
+            except RuntimeError as exc:  # exactly singular: the graph is disconnected
+                raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
+        return self._factor
 
     def laplacian_dense(self) -> np.ndarray:
         return self.laplacian().toarray()

@@ -296,12 +296,16 @@ class _Strategy:
         self.focus = focus
         self.scope = "global" if focus is None else focus
 
-    def _rng(self, stream: str, round_idx: int) -> np.random.Generator:
-        return derive_rng(self.seed, stream, self.kind.value, self.scope, round_idx)
+    def _rng(self, stream: str, round_idx: int, *tokens) -> np.random.Generator:
+        return derive_rng(self.seed, stream, self.kind.value, self.scope, round_idx, *tokens)
 
     # Compute step: build preprocessing state.
     def compute(self) -> None:
         raise NotImplementedError
+
+    def total_resistance(self) -> float:
+        """Exact total resistance of the graph as :meth:`compute` left it."""
+        return total_resistance(self.graph, self.params.dense_cap)
 
     # Snapshot/hydrate support the amortized multi-focus runs.
     def snapshot(self):
@@ -340,9 +344,11 @@ class _Strategy:
         pass
 
     # helpers shared by the uniform-pair heuristics
-    def _pair_sample_size(self) -> int:
+    def _uniform_sample_size(self) -> int:
         g = self.graph
-        return candidate_size("grip-simpl", g.n, g.m, self.k, self.params.delta)
+        if self.focus is None:
+            return candidate_size("grip-simpl", g.n, g.m, self.k, self.params.delta)
+        return self._lrip_sample_size()
 
     def _lrip_sample_size(self) -> int:
         g = self.graph
@@ -358,6 +364,9 @@ class _DensePinvMixin:
 
     def compute(self) -> None:
         self.state = DenseState.compute(self.graph, self.params.dense_cap)
+
+    def total_resistance(self) -> float:
+        return total_resistance(self.state)  # n * trace, no second factorisation
 
     def snapshot(self):
         return self.state.matrix.copy()
@@ -419,15 +428,11 @@ class _SimplStoch(_DensePinvMixin, _Strategy):
 
     def compute(self) -> None:
         super().compute()
-        self.sample_size = (
-            self._pair_sample_size() if self.focus is None else self._lrip_sample_size()
-        )
+        self.sample_size = self._uniform_sample_size()
 
     def hydrate(self, snap) -> None:
         super().hydrate(snap)
-        self.sample_size = (
-            self._pair_sample_size() if self.focus is None else self._lrip_sample_size()
-        )
+        self.sample_size = self._uniform_sample_size()
 
     def _global_candidates(self, round_idx: int) -> np.ndarray:
         return sample_nonedge_pairs(self.graph, self.sample_size, self._rng(_CAND_STREAM, round_idx))
@@ -541,22 +546,19 @@ class _JltMixin:
     def estimate_gain(self, a: int, b: int) -> float:
         return jlt.gain_jlt(self.sketch, a, b, current_round=self.graph.round)
 
+    @staticmethod
+    def _copied_sketch(sketch: jlt.JltSketch, round_: int) -> jlt.JltSketch:
+        return jlt.JltSketch(sketch.q, sketch.biharm.copy(), sketch.resist.copy(), round_)
+
     def _sketch_snapshot(self):
-        return jlt.JltSketch(
-            q=self.sketch.q,
-            biharm=self.sketch.biharm.copy(),
-            resist=self.sketch.resist.copy(),
-            round=self.sketch.round,
-        )
+        return self._copied_sketch(self.sketch, self.sketch.round)
 
 
 class _SimplStochJLT(_JltMixin, _Strategy):
     kind = Heuristic.SIMPL_STOCH_JLT
 
     def compute(self) -> None:
-        self.sample_size = (
-            self._pair_sample_size() if self.focus is None else self._lrip_sample_size()
-        )
+        self.sample_size = self._uniform_sample_size()
         self.sketch_width = jlt.default_sketch_width(self.graph.n, self.params.c_jlt)
         self._build_sketch(derive_rng(self.seed, _PRE_STREAM, self.kind.value))
 
@@ -564,16 +566,9 @@ class _SimplStochJLT(_JltMixin, _Strategy):
         return (self.sketch_width, self._sketch_snapshot())
 
     def hydrate(self, snap) -> None:
-        self.sample_size = (
-            self._pair_sample_size() if self.focus is None else self._lrip_sample_size()
-        )
+        self.sample_size = self._uniform_sample_size()
         self.sketch_width, sketch = snap
-        self.sketch = jlt.JltSketch(
-            q=sketch.q,
-            biharm=sketch.biharm.copy(),
-            resist=sketch.resist.copy(),
-            round=self.graph.round,
-        )
+        self.sketch = self._copied_sketch(sketch, self.graph.round)
 
     def _global_candidates(self, round_idx: int) -> np.ndarray:
         return sample_nonedge_pairs(self.graph, self.sample_size, self._rng(_CAND_STREAM, round_idx))
@@ -604,12 +599,7 @@ class _ColStochJLT(_JltMixin, _DiagSampledMixin, _Strategy):
         self._diag_hydrate(diag_snap)
         self._init_sample_size()
         self.sketch_width = width
-        self.sketch = jlt.JltSketch(
-            q=sketch.q,
-            biharm=sketch.biharm.copy(),
-            resist=sketch.resist.copy(),
-            round=self.graph.round,
-        )
+        self.sketch = self._copied_sketch(sketch, self.graph.round)
 
     def _global_candidates(self, round_idx: int) -> np.ndarray:
         vertices = self._sampled_vertices(round_idx)
@@ -620,7 +610,7 @@ class _ColStochJLT(_JltMixin, _DiagSampledMixin, _Strategy):
 
     def refresh(self, round_idx: int) -> None:
         self._update_diag(round_idx)
-        self._build_sketch(self._rng(_UPDATE_STREAM, round_idx))
+        self._build_sketch(self._rng(_UPDATE_STREAM, round_idx, "sketch"))
 
 
 class _SpecStoch(_Strategy):
@@ -630,9 +620,7 @@ class _SpecStoch(_Strategy):
         return max(2, min(self.params.cutoff, self.graph.n - 1))
 
     def compute(self) -> None:
-        self.sample_size = (
-            self._pair_sample_size() if self.focus is None else self._lrip_sample_size()
-        )
+        self.sample_size = self._uniform_sample_size()
         self.state = spectral.compute_low_spectrum(
             self.graph, self._cutoff(), self.params.eig_tol
         )
@@ -641,9 +629,7 @@ class _SpecStoch(_Strategy):
         return self.state
 
     def hydrate(self, snap) -> None:
-        self.sample_size = (
-            self._pair_sample_size() if self.focus is None else self._lrip_sample_size()
-        )
+        self.sample_size = self._uniform_sample_size()
         self.state = spectral.SpectralState(
             cutoff=snap.cutoff,
             eigenvalues=snap.eigenvalues.copy(),
@@ -804,10 +790,10 @@ def run_kgrip(
     strategy = _STRATEGIES[kind](work, k, params, seed, focus=None)
     timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
 
-    r_initial = total_resistance(graph, params.dense_cap)
     t0 = time.perf_counter()
     strategy.compute()
     timings["compute"] += time.perf_counter() - t0
+    r_initial = strategy.total_resistance()
 
     picked, gains = _run_rounds(work, strategy, k, params, timings)
     r_final = total_resistance(work, params.dense_cap)
@@ -870,7 +856,7 @@ def run_klrip(
     pre_strategy.compute()
     snap = pre_strategy.snapshot()
     pre_seconds = time.perf_counter() - t0
-    r_initial = total_resistance(graph, params.dense_cap)
+    r_initial = pre_strategy.total_resistance()
 
     solutions: list[Solution] = []
     for v in focus_nodes:

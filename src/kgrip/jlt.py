@@ -5,9 +5,10 @@ P (q x n) and Q (q x m) with entries N(0,1)/sqrt(q):
 
   biharm = Y^T with L Y = P^T - (1/n) 1 1^T P^T, i.e. Y = pinv(L) P^T,
            so ||biharm (e_a - e_b)||^2 tracks the squared biharmonic distance;
-  resist = rows of (Q B) pinv(L), one solve per row (B is the signed
-           edge-vertex incidence), so ||resist (e_a - e_b)||^2 tracks the
-           effective resistance.
+  resist = (Q B) pinv(L) (B is the signed edge-vertex incidence), so
+           ||resist (e_a - e_b)||^2 tracks the effective resistance.
+
+All 2q right-hand sides go to the Laplacian solver as one block.
 
 Each distance estimate uses its projection exactly once, which keeps it
 unbiased with chi-square concentration in q. Composing the resistance sketch
@@ -58,13 +59,17 @@ class JltSketch:
 
 
 def _incidence(graph: Graph) -> sp.csr_matrix:
-    """Signed m x n incidence; row e=(u,v) with u<v carries -1 at u, +1 at v."""
-    rows, cols, vals = [], [], []
-    for e, (u, v) in enumerate(graph.edges()):
-        rows.extend((e, e))
-        cols.extend((u, v))
-        vals.extend((-1.0, 1.0))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(graph.m, graph.n))
+    """Signed m x n incidence; row e=(u,v) with u<v carries -1 at u, +1 at v.
+
+    Edges are numbered in sorted order, read off the strict upper triangle
+    of the cached Laplacian.
+    """
+    lap = graph.laplacian()
+    rows = np.repeat(np.arange(graph.n), np.diff(lap.indptr))
+    upper = lap.indices > rows
+    m = int(upper.sum())
+    ends = np.column_stack([rows[upper], lap.indices[upper]]).ravel()
+    return sp.csr_matrix((np.tile([-1.0, 1.0], m), ends, np.arange(0, 2 * m + 1, 2)), shape=(m, graph.n))
 
 
 def _projections(graph: Graph, q: int, rng, projection: str) -> tuple[np.ndarray, np.ndarray, int]:
@@ -93,17 +98,12 @@ def build_sketch(
     config: SolverConfig = DEFAULT_SOLVER,
     projection: str = "gaussian",
 ) -> JltSketch:
-    """Solve the 2q projected Laplacian systems and assemble both sketches."""
+    """Solve the 2q projected Laplacian systems in one block and assemble both sketches."""
     p, qm, q = _projections(graph, q, rng, projection)
-    n = graph.n
-    biharm = np.empty((q, n))
-    for j in range(q):
-        biharm[j, :] = solve(graph, p[j, :] - p[j, :].mean(), config)
     qb = np.asarray(qm @ _incidence(graph))  # q x n, rows orthogonal to ones
-    resist = np.empty((q, n))
-    for j in range(q):
-        resist[j, :] = solve(graph, qb[j, :] - qb[j, :].mean(), config)
-    return JltSketch(q=q, biharm=biharm, resist=resist, round=graph.round)
+    rhs = np.vstack([p, qb])
+    rows = solve(graph, (rhs - rhs.mean(axis=1, keepdims=True)).T, config).T
+    return JltSketch(q=q, biharm=rows[:q], resist=rows[q:], round=graph.round)
 
 
 def _check_round(sketch: JltSketch, current_round: int | None) -> None:

@@ -10,10 +10,11 @@ pseudoinverse P = L^+ (all implemented below):
   gain(a,b)    = n * B2(a,b) / (1 + R(a,b))            (drop of R_tot when {a,b} is inserted)
   P'           = P - v v^T / (1 + R(a,b)),  v = P (e_a - e_b)   (rank-one insertion update)
 
-Columns of P can also be obtained one at a time by solving L x = e_a - 1/n
-with a conjugate-gradient solver and re-centering x against the all-ones
-null space; cached columns are brought forward across insertions by chaining
-the rank-one update. A batch of gains reads B2 off the Gram matrix of the
+Columns of P can also be obtained by solving L X = E - 1/n for a block of unit
+vectors E (all at once through a sparse grounded-Laplacian factor, or by one
+conjugate-gradient solve each) and re-centering X against the all-ones null
+space; cached columns are brought forward across insertions by chaining the
+rank-one update. A batch of gains reads B2 off the Gram matrix of the
 columns it touches: B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
 """
 
@@ -44,6 +45,9 @@ class SolverConfig:
 
 DEFAULT_SOLVER = SolverConfig()
 DENSE_CAP_DEFAULT = 20000
+# where solve() factors: a factor pays from ~16 columns, its fill outgrows CG above n ~ 1000
+_FACTOR_MAX_N = 1000
+_FACTOR_MIN_COLUMNS = 16
 
 
 def pseudoinverse_dense(graph: Graph, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
@@ -62,39 +66,55 @@ def pseudoinverse_dense(graph: Graph, cap: int = DENSE_CAP_DEFAULT) -> np.ndarra
     return inv - shift
 
 
-def solve(
-    graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER, x0: np.ndarray | None = None
-) -> np.ndarray:
-    """Solution of L x = rhs orthogonal to the all-ones vector, via Jacobi-preconditioned CG.
+def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+    """Solutions of L x = rhs orthogonal to the all-ones vector, one per column of ``rhs``.
 
-    Every iterative solve of the package goes through here. It runs on the
-    graph's cached Laplacian, so a round's solves share one build. ``rhs``
-    must sum to zero. Raises :class:`SolverError` carrying the achieved
-    relative residual if CG stops early or that residual exceeds
-    ``config.residual_tol``.
+    Every linear solve of the package goes through here. ``rhs`` is a vector
+    or an n x s block whose columns sum to zero. All columns are solved
+    through the graph's sparse factor of the grounded Laplacian when the
+    graph already holds one for this round, or when n <= 1000 and s >= 16
+    (the factor is then built and kept for the round). Otherwise each column
+    runs Jacobi-preconditioned CG on the graph's cached Laplacian. Raises
+    :class:`SolverError` carrying the worst achieved relative residual if CG
+    stops early or any column's residual exceeds ``config.residual_tol``.
     """
     lap = graph.laplacian()
-    maxiter = config.max_iters if config.max_iters is not None else 10 * graph.n
-    precond = sp.diags(1.0 / np.maximum(lap.diagonal(), 1.0))
-    # solve one notch tighter than requested: the CG recurrence residual can
-    # drift slightly from the true residual, and the contract is on the latter
-    x, info = spla.cg(
-        lap, rhs, x0=x0, rtol=0.1 * config.residual_tol, atol=0.0, maxiter=maxiter, M=precond
-    )
-    x -= x.mean()
-    achieved = float(np.linalg.norm(lap @ x - rhs) / max(np.linalg.norm(rhs), 1e-300))
-    if info != 0 or achieved > config.residual_tol:
-        raise SolverError(f"CG did not converge within {maxiter} iterations", achieved)
-    return x
+    block = rhs.reshape(graph.n, -1)
+    stopped_early = False
+    if graph.has_grounded_factor or (graph.n <= _FACTOR_MAX_N and block.shape[1] >= _FACTOR_MIN_COLUMNS):
+        x = np.zeros_like(block)  # vertex 0 grounded
+        x[1:] = graph.grounded_factor().solve(block[1:])
+        x -= x.mean(axis=0)
+        failure = "grounded-Laplacian factor solve missed the residual tolerance"
+    else:
+        maxiter = config.max_iters if config.max_iters is not None else 10 * graph.n
+        precond = sp.diags(1.0 / np.maximum(lap.diagonal(), 1.0))
+        x = np.empty_like(block)
+        for j, column in enumerate(np.ascontiguousarray(block.T)):
+            # solve one notch tighter than requested: the CG recurrence residual can
+            # drift slightly from the true residual, and the contract is on the latter
+            xj, info = spla.cg(
+                lap, column, rtol=0.1 * config.residual_tol, atol=0.0, maxiter=maxiter, M=precond
+            )
+            x[:, j] = xj - xj.mean()
+            stopped_early |= info != 0
+        failure = f"CG did not converge within {maxiter} iterations"
+    achieved = np.linalg.norm(lap @ x - block, axis=0) / np.maximum(np.linalg.norm(block, axis=0), 1e-300)
+    if stopped_early or not achieved.max() <= config.residual_tol:  # NaN fails too
+        raise SolverError(failure, float(achieved.max()))
+    return x.reshape(rhs.shape)
 
 
-def solve_lpinv_column(
-    graph: Graph, a: int, config: SolverConfig = DEFAULT_SOLVER, x0: np.ndarray | None = None
-) -> np.ndarray:
-    """Column a of the pseudoinverse, from L x = e_a - 1/n (see :func:`solve`)."""
-    b = np.full(graph.n, -1.0 / graph.n)
-    b[a] += 1.0
-    return solve(graph, b, config, x0)
+def solve_lpinv_columns(graph: Graph, vertices, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+    """Columns of the pseudoinverse at ``vertices`` (n x len), from L X = E - 1/n in one :func:`solve`."""
+    rhs = np.full((graph.n, len(vertices)), -1.0 / graph.n)
+    rhs[vertices, np.arange(len(vertices))] += 1.0
+    return solve(graph, rhs, config)
+
+
+def solve_lpinv_column(graph: Graph, a: int, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+    """Column a of the pseudoinverse (see :func:`solve_lpinv_columns`)."""
+    return solve_lpinv_columns(graph, [a], config)[:, 0]
 
 
 def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -> float:
@@ -236,20 +256,20 @@ class ColumnCache:
         return col
 
     def column(self, v: int) -> np.ndarray:
-        if v in self._cols:
-            return self._refresh_entry(v)
-        if self.graph.round != self._base_graph_round + self.round:
-            raise StaleStateError(
-                "cache round out of sync with the graph; record insertions before new solves"
-            )
-        col = solve_lpinv_column(self.graph, v, self.config)
-        self.solve_count += 1
-        self._cols[v] = (col, self.round)
-        return col
+        return self.columns(np.array([v]))[:, 0]
 
     def columns(self, vertices: np.ndarray) -> np.ndarray:
-        """Columns of the given vertices side by side (n x len(vertices))."""
-        return np.column_stack([self.column(v) for v in vertices.tolist()])
+        """Columns of the given vertices side by side (n x len); missing ones are solved as one block."""
+        missing = [v for v in dict.fromkeys(vertices.tolist()) if v not in self._cols]
+        if missing:
+            if self.graph.round != self._base_graph_round + self.round:
+                raise StaleStateError(
+                    "cache round out of sync with the graph; record insertions before new solves"
+                )
+            solved = solve_lpinv_columns(self.graph, missing, self.config)
+            self.solve_count += len(missing)
+            self._cols.update((v, (solved[:, j], self.round)) for j, v in enumerate(missing))
+        return np.column_stack([self._refresh_entry(v) for v in vertices.tolist()])
 
     def note_insertion(self, a: int, b: int) -> None:
         """Record the just-inserted edge {a,b} from cached pre-insertion columns.
@@ -302,10 +322,9 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
 
 
 def true_gain(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Exact gain via two fresh linear solves (heuristic-independent reporting path)."""
+    """Exact gain via a fresh two-column solve (heuristic-independent reporting path)."""
     a, b = canonical_edge(a, b)
     if graph.has_edge(a, b):
         raise InvariantError(f"edge ({a},{b}) already exists; gain undefined")
-    col_a = solve_lpinv_column(graph, a, config)
-    col_b = solve_lpinv_column(graph, b, config)
-    return gain_from_columns(col_a, col_b, a, b, graph.n)
+    cols = solve_lpinv_columns(graph, [a, b], config)
+    return gain_from_columns(cols[:, 0], cols[:, 1], a, b, graph.n)

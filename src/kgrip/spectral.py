@@ -19,9 +19,9 @@ for the numerator needs lambda_c >= 1; at c = n both sides collapse to the
 exact gain. Estimates ranked by heuristics use the bracket midpoint.
 
 The eigenpairs come from a dense symmetric eigensolve up to
-``_DENSE_EIG_LIMIT`` vertices. Above it, L^+ is applied exactly through a
-sparse factor of the grounded Laplacian L[1:,1:] (centre the right-hand
-side, solve with vertex 0 grounded, centre the result), and shift-invert
+``_DENSE_EIG_LIMIT`` vertices. Above it, L^+ is applied exactly through the
+graph's cached factor of the grounded Laplacian L[1:,1:] (centre, solve with
+vertex 0 grounded, centre again; the round's solves reuse it), and shift-invert
 Lanczos (ARPACK) finds the c-1 largest eigenvalues 1/lambda_i of L^+; the
 largest eigenvalue lambda_n comes from a second ARPACK call on L itself.
 """
@@ -65,18 +65,7 @@ def _low_spectrum_shift_invert(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     n = graph.n
     lap = graph.laplacian()
-    # the grounded Laplacian L[1:,1:] is SPD for a connected graph; a symmetric
-    # fill-reducing ordering without pivoting keeps its LU factor nearly as
-    # sparse as a Cholesky factor (COLAMD stores ~10x more entries on BA graphs)
-    try:
-        factor = spla.splu(
-            lap[1:, 1:].tocsc(),
-            permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0,
-            options={"SymmetricMode": True},
-        )
-    except RuntimeError as exc:  # exactly singular: the graph is disconnected
-        raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
+    factor = graph.grounded_factor()  # shared with this round's linear solves
 
     def apply_pinv(x: np.ndarray) -> np.ndarray:
         # L^+ x: centre, solve with vertex 0 grounded, centre again

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, SolverError, StaleStateError
 from .graphs import Graph, assert_connected, bfs_parents, canonical_edge
-from .linalg import DEFAULT_SOLVER, SolverConfig, effective_resistance, solve_lpinv_column
+from .linalg import DEFAULT_SOLVER, SolverConfig, effective_resistance, solve_lpinv_columns
 
 _WALK_STEP_GUARD = 10**9
 # trees x vertices per lockstep block: bounds the block's working arrays
@@ -405,7 +405,7 @@ def approx_diag_lpinv(
     tau = tree_budget(graph.n, epsilon, c_ust)
     bfs = BfsTree(graph, pivot)
     resistance = _mean_counts(graph, (pivot,), tau, bfs, rng)
-    col = solve_lpinv_column(graph, pivot, config)
+    col = solve_lpinv_columns(graph, [pivot], config)[:, 0]
     diag = resistance - col[pivot] + 2.0 * col
     repo = UstRepository(
         pivot=pivot,
@@ -427,10 +427,10 @@ def approx_update_diag(
 ) -> tuple[DiagEstimate, UstRepository]:
     """Refresh the diagonal estimate after exactly one edge insertion.
 
-    Computes the inserted edge's new-graph resistance w from two solved
-    columns, downweights every stored round by (1-w), samples ceil(w*total)
-    trees forced to contain the new edge, mixes the resistance estimates, and
-    re-solves the pivot column on the new graph.
+    Solves the new graph's columns at a, b and the pivot as one block, reads
+    the edge's resistance w off the first two, downweights every stored round
+    by (1-w), samples ceil(w*total) trees forced to contain the new edge, and
+    mixes the resistance estimates before converting them with the pivot column.
     """
     if graph.round != repo.expected_graph_round() + 1:
         raise StaleStateError(
@@ -438,9 +438,8 @@ def approx_update_diag(
         )
     a, b = graph.insertion_log[-1]
 
-    col_a = solve_lpinv_column(graph, a, config)
-    col_b = solve_lpinv_column(graph, b, config)
-    omega = effective_resistance(col_a, col_b, a, b)  # equals R_old/(1+R_old) in (0,1)
+    cols = solve_lpinv_columns(graph, [a, b, repo.pivot], config)
+    omega = effective_resistance(cols[:, 0], cols[:, 1], a, b)  # equals R_old/(1+R_old) in (0,1)
 
     repo.weights = [w * (1.0 - omega) for w in repo.weights] + [omega]
     fresh = max(1, math.ceil(omega * repo.total))
@@ -450,11 +449,6 @@ def approx_update_diag(
     while len(repo.weights) > repo.max_rounds:
         repo.weights[:2] = [repo.weights[0] + repo.weights[1]]
 
-    if repo.pivot == a:
-        col_u = col_a
-    elif repo.pivot == b:
-        col_u = col_b
-    else:
-        col_u = solve_lpinv_column(graph, repo.pivot, config)
+    col_u = cols[:, 2]
     values = repo.resistance - col_u[repo.pivot] + 2.0 * col_u
     return DiagEstimate(values, diag.epsilon), repo

@@ -185,6 +185,31 @@ def test_laplacian_cache_follows_insertions():
     assert (lap != _laplacian_from_triples(dup)).nnz == 0
 
 
+def test_grounded_factor_cache_follows_insertions():
+    g = generate("ba", {"n": 50, "m_attach": 2, "m0": 2}, seed=3)
+    assert not g.has_grounded_factor
+    factor = g.grounded_factor()
+    assert g.grounded_factor() is factor and g.has_grounded_factor  # one build per round
+    dup = g.copy()
+    assert not dup.has_grounded_factor
+    assert dup.grounded_factor() is not factor
+
+    def solves_grounded(graph, f):
+        rhs = np.random.default_rng(graph.round).standard_normal(graph.n - 1)
+        return np.allclose(graph.laplacian()[1:, 1:] @ f.solve(rhs), rhs, atol=1e-9)
+
+    rng = np.random.default_rng(3)
+    for _ in range(3):
+        free = g.non_edges()
+        g.insert_edge(*free[rng.integers(len(free))].tolist())
+        assert not g.has_grounded_factor
+        assert solves_grounded(g, g.grounded_factor())
+    # neither the copy nor the first factor saw the insertions
+    assert dup.grounded_factor() is not g.grounded_factor()
+    assert solves_grounded(dup, dup.grounded_factor()) and solves_grounded(dup, factor)
+    assert not solves_grounded(g, factor)
+
+
 # -- generators ----------------------------------------------------------------
 
 

@@ -8,9 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kgrip import oracles
+from kgrip import jlt, oracles, ust
 from kgrip.errors import ConfigError
 from kgrip.graphs import generate
+from kgrip.linalg import total_resistance
 from kgrip.greedy import (
     GreedyParams,
     Heuristic,
@@ -513,6 +514,45 @@ def test_solution_serialization_roundtrip(p3):
     assert doc["inserted_edges"] == [[0, 2]]
     assert doc["total_gain"] == pytest.approx(2.0, rel=1e-6)
     assert set(doc["timings"]) >= {"compute", "eval", "update"}
+
+
+@pytest.mark.parametrize(
+    "model, params, seed",
+    [
+        ("ba", {"n": 120, "m_attach": 3, "m0": 3}, 1),
+        ("ws", {"n": 90, "degree": 6, "rewire_prob": 0.05}, 2),
+        ("er", {"n": 70, "p": 0.1}, 3),
+    ],
+)
+@pytest.mark.parametrize("kind", [Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH])
+def test_dense_runs_read_initial_resistance_off_the_pseudoinverse(model, params, seed, kind):
+    # n * trace of the state compute builds agrees with the Cholesky route
+    g = generate(model, params, seed=seed)
+    expected = total_resistance(g)
+    assert run_kgrip(g, 2, kind, seed=4).r_initial == pytest.approx(expected, rel=1e-12)
+    assert run_klrip(g, [3], 2, kind, seed=4)[0].r_initial == pytest.approx(expected, rel=1e-12)
+
+
+def test_colstochjlt_refresh_draws_trees_and_sketch_from_separate_streams(monkeypatch):
+    states = {"trees": [], "sketch": []}
+    update_diag, build_sketch = ust.approx_update_diag, jlt.build_sketch
+
+    def spy_update(graph, repo, diag, rng, *args):
+        states["trees"].append(rng.bit_generator.state)
+        return update_diag(graph, repo, diag, rng, *args)
+
+    def spy_sketch(graph, q, rng, *args, **kwargs):
+        states["sketch"].append(rng.bit_generator.state)
+        return build_sketch(graph, q, rng, *args, **kwargs)
+
+    monkeypatch.setattr(ust, "approx_update_diag", spy_update)
+    monkeypatch.setattr(jlt, "build_sketch", spy_sketch)
+    g = generate("ba", {"n": 60, "m_attach": 3, "m0": 3}, seed=8)
+    run_kgrip(g, 3, Heuristic.COL_STOCH_JLT, seed=2)
+    # compute builds the first sketch; each of the two refreshes draws one of each
+    assert len(states["trees"]) == 2 and len(states["sketch"]) == 3
+    for trees, sketch in zip(states["trees"], states["sketch"][1:]):
+        assert trees != sketch
 
 
 # -- seeded outputs ------------------------------------------------------------------

@@ -6,15 +6,16 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import spearmanr
 
 from kgrip import oracles
 from kgrip.errors import ConfigError, StaleStateError
 from kgrip.graphs import Graph, generate
-from kgrip.jlt import build_sketch, default_sketch_width, gain_jlt
+from kgrip.jlt import _incidence, build_sketch, default_sketch_width, gain_jlt
 from kgrip.linalg import DenseState, gain_exact, pseudoinverse_dense
 
-from conftest import path_graph
+from conftest import path_graph, star_graph
 
 ETA = 0.55
 
@@ -23,6 +24,40 @@ def exact_resistance_matrix(g: Graph) -> np.ndarray:
     p = pseudoinverse_dense(g)
     d = np.diag(p)
     return d[:, None] + d[None, :] - 2 * p
+
+
+# -- incidence -----------------------------------------------------------------------
+
+
+def _incidence_loop(graph: Graph) -> sp.csr_matrix:
+    """Reference: one row per edge of ``graph.edges()``, built in a Python loop."""
+    rows, cols, vals = [], [], []
+    for e, (u, v) in enumerate(graph.edges()):
+        rows.extend((e, e))
+        cols.extend((u, v))
+        vals.extend((-1.0, 1.0))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(graph.m, graph.n))
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        path_graph(7),
+        star_graph(9),
+        generate("ba", {"n": 80, "m_attach": 3, "m0": 3}, seed=1),
+        generate("ws", {"n": 60, "degree": 4, "rewire_prob": 0.1}, seed=2),
+        generate("er", {"n": 50, "p": 0.1}, seed=3),
+    ],
+    ids=["path7", "star9", "ba80", "ws60", "er50"],
+)
+def test_incidence_matches_edge_loop(graph):
+    rng = np.random.default_rng(graph.n)
+    for _ in range(3):  # before and after insertions
+        got, want = _incidence(graph), _incidence_loop(graph)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got.toarray(), want.toarray())
+        free = graph.non_edges()
+        graph.insert_edge(*free[rng.integers(len(free))].tolist())
 
 
 # -- identity projection hook -----------------------------------------------------

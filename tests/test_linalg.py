@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from kgrip import oracles
 from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
 from kgrip.graphs import Graph, bfs_parents, generate
+from kgrip.greedy import Heuristic, run_kgrip
 from kgrip.linalg import (
     ColumnCache,
     DenseState,
@@ -18,12 +20,28 @@ from kgrip.linalg import (
     pseudoinverse_dense,
     refresh_column,
     sherman_morrison_update,
+    solve,
     solve_lpinv_column,
+    solve_lpinv_columns,
     total_resistance,
     true_gain,
 )
 
 from conftest import complete_graph, path_graph, random_connected, random_tree, star_graph
+
+
+@pytest.fixture
+def cg_calls(monkeypatch):
+    """Number of scipy CG calls made so far, read as ``cg_calls[0]``."""
+    calls = [0]
+    cg = spla.cg
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counted)
+    return calls
 
 
 # -- pseudoinverse_dense ---------------------------------------------------------
@@ -99,6 +117,98 @@ def test_column_nonconvergence_reports_residual():
         solve_lpinv_column(g, 0, SolverConfig(residual_tol=1e-12, max_iters=1))
     assert err.value.achieved_residual is not None
     assert err.value.achieved_residual > 1e-12
+
+
+# -- block solves: grounded factor and per-column CG -------------------------------
+
+_SOLVE_GRAPHS = {
+    "ba": lambda: generate("ba", {"n": 200, "m_attach": 3, "m0": 3}, seed=2),
+    "ws": lambda: generate("ws", {"n": 150, "degree": 6, "rewire_prob": 0.05}, seed=3),
+    "er": lambda: random_connected(150, 0.05, seed=4),
+    "path": lambda: path_graph(60),
+    "star": lambda: star_graph(50),
+}
+
+
+@pytest.mark.parametrize("s", [1, 2, 16, 40])
+@pytest.mark.parametrize("family", sorted(_SOLVE_GRAPHS))
+def test_factor_and_cg_paths_match_dense_columns(family, s, cg_calls):
+    g = _SOLVE_GRAPHS[family]()
+    vertices = np.random.default_rng(s).choice(g.n, s, replace=False)
+    expected = pseudoinverse_dense(g)[:, vertices]
+    tight = SolverConfig(residual_tol=1e-10)
+    # one column at a time on a graph without a factor runs CG
+    plain = g.copy()
+    by_cg = np.column_stack([solve_lpinv_column(plain, v, tight) for v in vertices])
+    assert cg_calls[0] == s and not plain.has_grounded_factor
+    # a graph holding a factor solves every block through it
+    g.grounded_factor()
+    by_factor = solve_lpinv_columns(g, vertices)
+    assert cg_calls[0] == s
+    for got in (by_cg, by_factor):
+        err = np.linalg.norm(got - expected, axis=0) / np.linalg.norm(expected, axis=0)
+        assert err.max() <= 1e-6
+        assert np.abs(got.sum(axis=0)).max() <= 1e-9
+
+
+def test_solve_takes_vectors_and_blocks():
+    g = random_connected(60, 0.1, seed=9)
+    rhs = np.random.default_rng(1).standard_normal((g.n, 3))
+    rhs -= rhs.mean(axis=0)
+    block = solve(g, rhs)
+    assert block.shape == rhs.shape
+    assert np.allclose(solve(g, rhs[:, 1]), block[:, 1], atol=1e-6)
+
+
+@pytest.mark.parametrize(
+    "n, s, factor", [(300, 16, True), (300, 15, False), (1000, 16, True), (1001, 16, False)]
+)
+def test_factor_selection_rule(n, s, factor, cg_calls):
+    # the factor is built at n <= 1000 with s >= 16 columns, then kept for the round
+    g = generate("ba", {"n": n, "m_attach": 2, "m0": 2}, seed=5)
+    solve_lpinv_columns(g, list(range(s)))
+    assert g.has_grounded_factor is factor
+    assert cg_calls[0] == (0 if factor else s)
+    solve_lpinv_column(g, s)
+    assert cg_calls[0] == (0 if factor else s + 1)
+
+
+def test_factor_path_unattainable_tolerance_raises():
+    g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=6)
+    g.grounded_factor()
+    with pytest.raises(SolverError) as err:
+        solve_lpinv_columns(g, [0, 5, 9], SolverConfig(residual_tol=1e-300))
+    assert np.isfinite(err.value.achieved_residual) and err.value.achieved_residual > 1e-300
+    assert "CG" not in str(err.value)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # CG divides by a zero curvature
+@pytest.mark.parametrize("s", [1, 16])
+@pytest.mark.parametrize("n, split", [(6, 3), (40, 13), (60, 30)])
+def test_solve_on_disconnected_graph_raises(n, split, s):
+    # two paths: s = 16 takes the factor path, s = 1 per-column CG
+    edges = [(i, i + 1) for i in range(split - 1)] + [(i, i + 1) for i in range(split, n - 1)]
+    g = Graph(n, edges)
+    with pytest.raises(SolverError):
+        solve_lpinv_columns(g, [v % n for v in range(s)])
+
+
+def test_colstoch_k1_solves_its_columns_by_factor(cg_calls):
+    # the pivot column is one CG solve; the sampled columns and the report share one factor
+    g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=1)
+    run_kgrip(g, 1, Heuristic.COL_STOCH, seed=7)
+    assert cg_calls[0] <= 1
+
+
+def test_column_cache_solves_missing_columns_once():
+    g = random_connected(60, 0.1, seed=12)
+    cache = ColumnCache(g)
+    cols = cache.columns(np.array([4, 9, 4, 20]))
+    assert cache.solve_count == 3
+    assert np.array_equal(cols[:, 0], cols[:, 2])
+    assert np.allclose(cols, pseudoinverse_dense(g)[:, [4, 9, 4, 20]], atol=5e-6)
+    cache.columns(np.array([9, 20]))
+    assert cache.solve_count == 3
 
 
 # -- effective_resistance / biharmonic -------------------------------------------
