@@ -123,7 +123,6 @@ def _write_output(text: str, path: str | None) -> None:
 def _params_from_args(args) -> GreedyParams:
     return GreedyParams(
         delta=args.delta,
-        eta=args.eta,
         cutoff=args.cutoff,
         solver=SolverConfig(residual_tol=args.solver_eps),
         diag_epsilon=args.diag_eps,
@@ -354,7 +353,6 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, required=True, help="number of edges to insert")
     parser.add_argument("--heuristic", default="stgreedy", help="stgreedy|simplstoch|colstoch|simplstochjlt|colstochjlt|specstoch")
     parser.add_argument("--delta", type=float, default=0.9, help="stochastic sampling accuracy (0,1)")
-    parser.add_argument("--eta", type=float, default=0.55, help="projection distortion parameter")
     parser.add_argument("--cutoff", type=int, default=50, help="eigenpair cutoff for specstoch")
     parser.add_argument("--solver-eps", type=float, default=1e-6, help="linear solver residual tolerance")
     parser.add_argument("--diag-eps", type=float, default=0.1, help="diagonal estimate accuracy")
@@ -397,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--time-budget", type=float, default=None,
                          help="soft per-cell budget in seconds")
     p_bench.add_argument("--delta", type=float, default=0.9)
-    p_bench.add_argument("--eta", type=float, default=0.55)
     p_bench.add_argument("--cutoff", type=int, default=50)
     p_bench.add_argument("--solver-eps", type=float, default=1e-6)
     p_bench.add_argument("--diag-eps", type=float, default=0.1)

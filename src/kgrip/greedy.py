@@ -1,35 +1,37 @@
 """Greedy edge-insertion framework: lazy queue, samplers, and six heuristics.
 
-Every heuristic follows the same loop: preprocess (Compute), then per round
+Every heuristic runs the same loop: preprocess (Compute), then per round
 pick candidates, score them (Eval), insert the best-scoring non-edge, and
 bring the preprocessed state forward (Update; after the last insertion only
-the cheap bookkeeping runs, since no round reads the rebuilt state). They
-differ along two axes:
+the cheap bookkeeping runs, since no round reads the rebuilt state). A
+heuristic is one candidate source paired with one gain scorer
+(``HEURISTIC_PARTS``):
 
-  candidate choice   - full universe (StGreedy), uniform pair samples
-                       (SimplStoch, SimplStochJLT, SpecStoch), or vertex
-                       samples weighted by the estimated pseudoinverse
-                       diagonal (ColStoch, ColStochJLT);
-  gain scoring       - exact pseudoinverse columns, random-projection
-                       sketches, or the spectral bracket midpoint.
+  candidate sources  - the universe of non-edges, queued once (StGreedy);
+                       uniform non-edge samples; or vertex samples weighted
+                       by the UST estimate of the pseudoinverse diagonal;
+  gain scorers       - the dense pseudoinverse, cached pseudoinverse
+                       columns, random-projection sketches, or the spectral
+                       bracket midpoint.
 
 All heuristics share one persistent max-queue whose entries carry the round
-in which their gain was computed: StGreedy seeds it with every non-edge up
-front, the stochastic heuristics push a fresh sample each round, and the
-lazy pop revalidates stale tops until the best entry is current. A round's
-sample is scored in one batched call; a stale top is re-scored on its own.
-Regardless of the scoring path, the reported per-edge gain of every accepted
-edge is recomputed exactly from two linear solves, and total resistance must
-strictly decrease on every insertion.
+in which their gain was computed: the universe source seeds it with every
+non-edge up front, the sampling sources push a fresh sample each round, and
+the lazy pop revalidates stale tops until the best entry is current. A
+round's sample is scored in one batched call; a stale top is re-scored on
+its own. Regardless of the scorer, the reported per-edge gain of every
+accepted edge is recomputed exactly from two linear solves, and total
+resistance must strictly decrease on every insertion.
 
 The local variant (one focus node v) restricts candidates to non-neighbors of
-v and inserts edges (v, b); preprocessing artifacts are computed once,
-snapshotted, and rehydrated per focus node so a multi-focus run reproduces
-independent single-focus runs bit for bit.
+v and inserts edges (v, b). A multi-focus run preprocesses once and gives
+each focus node a deep copy of the source and scorer, bound to its own copy
+of the graph, so it reproduces independent single-focus runs bit for bit.
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import time
@@ -86,7 +88,6 @@ class GreedyParams:
     """Knobs shared by all heuristics; defaults follow the CLI defaults."""
 
     delta: float = 0.9
-    eta: float = 0.55  # recorded with results; sketch width is driven by c_jlt
     cutoff: int = 50
     solver: SolverConfig = field(default_factory=SolverConfig)
     diag_epsilon: float = 0.1
@@ -98,17 +99,19 @@ class GreedyParams:
     def validate(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie strictly inside (0,1), got {self.delta}")
-        if self.eta <= 0:
-            raise ConfigError(f"eta must be positive, got {self.eta}")
         if self.cutoff < 2:
             raise ConfigError(f"cutoff must be >= 2, got {self.cutoff}")
-        if self.diag_epsilon <= 0:
-            raise ConfigError(f"diag epsilon must be positive, got {self.diag_epsilon}")
+        for name, value in (
+            ("diag epsilon", self.diag_epsilon),
+            ("c_ust", self.c_ust),
+            ("c_jlt", self.c_jlt),
+        ):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
 
     def to_dict(self) -> dict:
         return {
             "delta": self.delta,
-            "eta": self.eta,
             "cutoff": self.cutoff,
             "solver_eps": self.solver.residual_tol,
             "diag_eps": self.diag_epsilon,
@@ -225,6 +228,15 @@ def sample_candidates_diag_weighted(
     return out
 
 
+def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:
+    """Non-edges among the vertices, as pairs a < b in sorted order."""
+    ordered = np.unique(np.asarray(vertices, dtype=np.int64))
+    i, j = np.triu_indices(len(ordered), 1)
+    a, b = ordered[i], ordered[j]
+    keep = ~graph.has_edges(a, b)
+    return np.column_stack([a[keep], b[keep]])
+
+
 # -- lazy priority queue ------------------------------------------------------------
 
 
@@ -272,7 +284,7 @@ class LazyQueue:
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
 
 
-# -- heuristic strategies -------------------------------------------------------------
+# -- candidate sources and gain scorers -------------------------------------------
 
 _PRE_STREAM = "pre"
 _CAND_STREAM = "cand"
@@ -283,116 +295,75 @@ _UPDATE_STREAM = "upd"
 MONOTONICITY_AUDIT = {"accepted": 0, "violations": 0}
 
 
-class _Strategy:
-    """One Compute/Candidates/Eval/Update bundle bound to a working graph."""
+class _Part:
+    """A candidate source or a gain scorer bound to a working graph.
 
-    kind: Heuristic
+    ``compute`` builds the preprocessing state. The Update step is split in
+    two: ``note_insertion`` keeps the state in step with the graph after
+    every insertion, and ``refresh`` rebuilds what the next round reads, so
+    the loop skips it after the last insertion. ``focus`` is None in a
+    global run.
+    """
 
-    def __init__(self, graph: Graph, k: int, params: GreedyParams, seed: int, focus: int | None):
+    def __init__(self, graph: Graph, k: int, params: GreedyParams, seed: int, kind: Heuristic):
         self.graph = graph
         self.k = k
         self.params = params
         self.seed = seed
-        self.focus = focus
-        self.scope = "global" if focus is None else focus
+        self.kind = kind
+        self.focus: int | None = None
 
     def _rng(self, stream: str, round_idx: int, *tokens) -> np.random.Generator:
-        return derive_rng(self.seed, stream, self.kind.value, self.scope, round_idx, *tokens)
+        scope = "global" if self.focus is None else self.focus
+        return derive_rng(self.seed, stream, self.kind.value, scope, round_idx, *tokens)
 
-    # Compute step: build preprocessing state.
-    def compute(self) -> None:
-        raise NotImplementedError
-
-    def total_resistance(self) -> float:
-        """Exact total resistance of the graph as :meth:`compute` left it."""
-        return total_resistance(self.graph, self.params.dense_cap)
-
-    # Snapshot/hydrate support the amortized multi-focus runs.
-    def snapshot(self):
-        raise NotImplementedError
-
-    def hydrate(self, snap) -> None:
-        raise NotImplementedError
-
-    def round_candidates(self, round_idx: int) -> np.ndarray:
-        """This round's candidate non-edges as an (s, 2) array of pairs a < b."""
-        if self.focus is None:
-            return self._global_candidates(round_idx)
-        return self._focus_candidates(round_idx)
-
-    def _global_candidates(self, round_idx: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def _focus_candidates(self, round_idx: int) -> np.ndarray:
-        raise NotImplementedError
-
-    # Eval step: ``estimate_gains`` scores a round's whole (s, 2) pair sample;
-    # ``estimate_gain`` re-scores one stale queue entry.
-    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def estimate_gain(self, a: int, b: int) -> float:
-        raise NotImplementedError
-
-    # Update step, split in two. ``note_insertion`` keeps the state in step
-    # with the graph after every insertion; ``refresh`` rebuilds what the next
-    # round reads, so the loop skips it after the last insertion.
     def note_insertion(self, a: int, b: int) -> None:
         pass
 
     def refresh(self, round_idx: int) -> None:
         pass
 
-    # helpers shared by the uniform-pair heuristics
-    def _uniform_sample_size(self) -> int:
-        g = self.graph
-        if self.focus is None:
-            return candidate_size("grip-simpl", g.n, g.m, self.k, self.params.delta)
-        return self._lrip_sample_size()
 
-    def _lrip_sample_size(self) -> int:
-        g = self.graph
-        return candidate_size("lrip", g.n, g.degree(self.focus), self.k, self.params.delta)
+class _Source(_Part):
+    """Picks a round's candidate non-edges: a sample drawn from the whole graph
+    in a global run, or non-neighbors of the focus paired with it."""
+
+    global_mode = "grip-simpl"  # candidate_size mode of the global form
+
+    def compute(self) -> None:
+        self.size_sample()
+
+    def size_sample(self) -> None:
+        """Per-round sample size of the global form, or of the focus form once ``focus`` is set."""
+        g, delta = self.graph, self.params.delta
+        if self.focus is None:
+            self.sample_size = candidate_size(self.global_mode, g.n, g.m, self.k, delta)
+        else:
+            self.sample_size = candidate_size("lrip", g.n, g.degree(self.focus), self.k, delta)
+
+    def initial_entries(self, scorer: "_Scorer") -> list[tuple[int, int, float]]:
+        """Queue entries scored before the first round; sampling sources have none."""
+        return []
+
+    def candidates(self, round_idx: int) -> np.ndarray:
+        """This round's candidate non-edges as an (s, 2) array of pairs a < b."""
+        raise NotImplementedError
 
     def _focus_pairs(self, vertices: Sequence[int]) -> np.ndarray:
         b = np.asarray(vertices, dtype=np.int64)
         return np.column_stack([np.minimum(b, self.focus), np.maximum(b, self.focus)])
 
 
-class _DensePinvMixin:
-    """Shared Compute/Update for the heuristics holding the full pseudoinverse."""
+class _StGreedy(_Source):
+    """The universe source: every candidate enters the queue at round 0, none later."""
 
-    def compute(self) -> None:
-        self.state = DenseState.compute(self.graph, self.params.dense_cap)
+    def size_sample(self) -> None:
+        pass
 
-    def total_resistance(self) -> float:
-        return total_resistance(self.state)  # n * trace, no second factorisation
-
-    def snapshot(self):
-        return self.state.matrix.copy()
-
-    def hydrate(self, snap) -> None:
-        self.state = DenseState(self.graph, snap.copy(), self.graph.round)
-
-    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
-        return gains_exact(self.state, pairs)
-
-    def estimate_gain(self, a: int, b: int) -> float:
-        return gain_exact(self.state, a, b)
-
-    def note_insertion(self, a: int, b: int) -> None:
-        self.state.apply_insertion(a, b)
-
-
-class _StGreedy(_DensePinvMixin, _Strategy):
-    """Exhaustive lazy greedy: the whole universe enters the queue at round 0."""
-
-    kind = Heuristic.ST_GREEDY
-
-    def initial_entries(self) -> list[tuple[int, int, float]]:
-        """Gains of every candidate, vectorized from the dense pseudoinverse."""
+    def initial_entries(self, scorer: "_DenseP") -> list[tuple[int, int, float]]:
+        """Gains of every candidate, vectorized from the scorer's dense pseudoinverse."""
         g = self.graph
-        p = self.state.matrix
+        p = scorer.state.matrix
         d = np.diag(p)
         sq = np.sum(p * p, axis=0)
         n = g.n
@@ -416,254 +387,169 @@ class _StGreedy(_DensePinvMixin, _Strategy):
                     entries.append((a, b, float(gains[b])))
         return entries
 
-    def _global_candidates(self, round_idx: int) -> np.ndarray:
-        return _NO_PAIRS  # queue was seeded with the whole universe at round 0
-
-    def _focus_candidates(self, round_idx: int) -> np.ndarray:
+    def candidates(self, round_idx: int) -> np.ndarray:
         return _NO_PAIRS
 
 
-class _SimplStoch(_DensePinvMixin, _Strategy):
-    kind = Heuristic.SIMPL_STOCH
+class _UniformPairs(_Source):
+    """Uniform non-edges, or uniform non-neighbors of the focus."""
+
+    def candidates(self, round_idx: int) -> np.ndarray:
+        rng = self._rng(_CAND_STREAM, round_idx)
+        if self.focus is None:
+            return sample_nonedge_pairs(self.graph, self.sample_size, rng)
+        pool = self.graph.non_neighbors(self.focus)
+        return self._focus_pairs(sample_candidates_uniform(pool, self.sample_size, rng))
+
+
+class _DiagVertices(_Source):
+    """Vertices drawn with probability proportional to the UST estimate of
+    diag(L+): the non-edges among them, or each paired with the focus."""
+
+    global_mode = "grip-col"
 
     def compute(self) -> None:
-        super().compute()
-        self.sample_size = self._uniform_sample_size()
-
-    def hydrate(self, snap) -> None:
-        super().hydrate(snap)
-        self.sample_size = self._uniform_sample_size()
-
-    def _global_candidates(self, round_idx: int) -> np.ndarray:
-        return sample_nonedge_pairs(self.graph, self.sample_size, self._rng(_CAND_STREAM, round_idx))
-
-    def _focus_candidates(self, round_idx: int) -> np.ndarray:
-        pool = self.graph.non_neighbors(self.focus)
-        picked = sample_candidates_uniform(pool, self.sample_size, self._rng(_CAND_STREAM, round_idx))
-        return self._focus_pairs(picked)
-
-
-class _DiagSampledMixin:
-    """Shared Compute/Update for the column-sampling heuristics (UST diagonal)."""
-
-    def _compute_diag(self) -> None:
         rng = derive_rng(self.seed, _PRE_STREAM, self.kind.value)
         self.diag, self.repo = ust.approx_diag_lpinv(
             self.graph, self.params.diag_epsilon, rng, self.params.solver, self.params.c_ust
         )
+        self.size_sample()
 
-    def _diag_snapshot(self):
-        import copy
+    def candidates(self, round_idx: int) -> np.ndarray:
+        rng = self._rng(_CAND_STREAM, round_idx)
+        if self.focus is None:
+            vertices = sample_candidates_diag_weighted(self.diag.values, self.sample_size, rng)
+            return _pairs_from_vertices(self.graph, vertices)
+        pool = self.graph.non_neighbors(self.focus)
+        vertices = sample_candidates_diag_weighted(self.diag.values, self.sample_size, rng, allowed=pool)
+        return self._focus_pairs(vertices)
 
-        return (self.diag.values.copy(), copy.deepcopy(self.repo))
-
-    def _diag_hydrate(self, snap) -> None:
-        import copy
-
-        values, repo = snap
-        self.diag = ust.DiagEstimate(values.copy(), self.params.diag_epsilon)
-        self.repo = copy.deepcopy(repo)
-        self.repo.base_round = self.graph.round - self.repo.update_count
-
-    def _update_diag(self, round_idx: int) -> None:
+    def refresh(self, round_idx: int) -> None:
         self.diag, self.repo = ust.approx_update_diag(
             self.graph, self.repo, self.diag, self._rng(_UPDATE_STREAM, round_idx), self.params.solver
         )
 
-    def _sampled_vertices(self, round_idx: int) -> list[int]:
-        return sample_candidates_diag_weighted(
-            self.diag.values, self.vertex_sample_size, self._rng(_CAND_STREAM, round_idx)
-        )
 
-    def _sampled_focus_vertices(self, round_idx: int) -> list[int]:
-        pool = self.graph.non_neighbors(self.focus)
-        return sample_candidates_diag_weighted(
-            self.diag.values, self.vertex_sample_size, self._rng(_CAND_STREAM, round_idx), allowed=pool
-        )
+class _Scorer(_Part):
+    """Estimates gains: ``gains`` scores a round's whole (s, 2) pair sample,
+    ``gain`` re-scores one stale queue entry."""
 
-    def _init_sample_size(self) -> None:
-        if self.focus is None:
-            self.vertex_sample_size = candidate_size(
-                "grip-col", self.graph.n, self.graph.n, self.k, self.params.delta
-            )
-        else:
-            self.vertex_sample_size = self._lrip_sample_size()
+    def compute(self, source: _Source) -> None:
+        raise NotImplementedError
 
-    @staticmethod
-    def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:
-        """Non-edges among the vertices, as pairs a < b in sorted order."""
-        ordered = np.unique(np.asarray(vertices, dtype=np.int64))
-        i, j = np.triu_indices(len(ordered), 1)
-        a, b = ordered[i], ordered[j]
-        keep = ~graph.has_edges(a, b)
-        return np.column_stack([a[keep], b[keep]])
+    def total_resistance(self) -> float:
+        """Exact total resistance of the graph as :meth:`compute` left it."""
+        return total_resistance(self.graph, self.params.dense_cap)
+
+    def gains(self, pairs: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def gain(self, a: int, b: int) -> float:
+        raise NotImplementedError
 
 
-class _ColStoch(_DiagSampledMixin, _Strategy):
-    kind = Heuristic.COL_STOCH
+class _DenseP(_Scorer):
+    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison."""
 
-    def compute(self) -> None:
-        self._compute_diag()
+    def compute(self, source: _Source) -> None:
+        self.state = DenseState.compute(self.graph, self.params.dense_cap)
+
+    def total_resistance(self) -> float:
+        return total_resistance(self.state)  # n * trace, no second factorisation
+
+    def gains(self, pairs: np.ndarray) -> np.ndarray:
+        return gains_exact(self.state, pairs)
+
+    def gain(self, a: int, b: int) -> float:
+        return gain_exact(self.state, a, b)
+
+    def note_insertion(self, a: int, b: int) -> None:
+        self.state.apply_insertion(a, b)
+
+
+class _Columns(_Scorer):
+    """Exact gains from pseudoinverse columns, solved on demand and brought forward."""
+
+    def compute(self, source: _Source) -> None:
         self.cache = ColumnCache(self.graph, self.params.solver)
-        self._init_sample_size()
 
-    def snapshot(self):
-        return self._diag_snapshot()
-
-    def hydrate(self, snap) -> None:
-        self._diag_hydrate(snap)
-        self.cache = ColumnCache(self.graph, self.params.solver)
-        self._init_sample_size()
-
-    def _global_candidates(self, round_idx: int) -> np.ndarray:
-        return self._pairs_from_vertices(self.graph, self._sampled_vertices(round_idx))
-
-    def _focus_candidates(self, round_idx: int) -> np.ndarray:
-        return self._focus_pairs(self._sampled_focus_vertices(round_idx))
-
-    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
+    def gains(self, pairs: np.ndarray) -> np.ndarray:
         return gains_exact(self.cache, pairs)
 
-    def estimate_gain(self, a: int, b: int) -> float:
+    def gain(self, a: int, b: int) -> float:
         return gain_exact(self.cache, a, b)
 
     def note_insertion(self, a: int, b: int) -> None:
         self.cache.note_insertion(a, b)
 
-    def refresh(self, round_idx: int) -> None:
-        self._update_diag(round_idx)
 
+class _Sketch(_Scorer):
+    """Gains from random-projection sketches, rebuilt with fresh projections every round."""
 
-class _JltMixin:
-    """Sketch construction shared by the two projection-based heuristics."""
+    def compute(self, source: _Source) -> None:
+        # Beside the diag source, whose trees draw from the plain streams, the
+        # sketch takes a stream token of its own and is sized by the vertex
+        # sample instead of by n.
+        beside_diag = isinstance(source, _DiagVertices)
+        self.tokens = ("sketch",) if beside_diag else ()
+        universe = source.sample_size if beside_diag else self.graph.n
+        self.width = jlt.default_sketch_width(universe, self.params.c_jlt)
+        self._build(derive_rng(self.seed, _PRE_STREAM, self.kind.value, *self.tokens))
 
-    def _build_sketch(self, rng: np.random.Generator) -> None:
-        self.sketch = jlt.build_sketch(self.graph, self.sketch_width, rng, self.params.solver)
+    def _build(self, rng: np.random.Generator) -> None:
+        self.sketch = jlt.build_sketch(self.graph, self.width, rng, self.params.solver)
 
-    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
+    def gains(self, pairs: np.ndarray) -> np.ndarray:
         return jlt.gains_jlt(self.sketch, pairs, current_round=self.graph.round)
 
-    def estimate_gain(self, a: int, b: int) -> float:
+    def gain(self, a: int, b: int) -> float:
         return jlt.gain_jlt(self.sketch, a, b, current_round=self.graph.round)
 
-    @staticmethod
-    def _copied_sketch(sketch: jlt.JltSketch, round_: int) -> jlt.JltSketch:
-        return jlt.JltSketch(sketch.q, sketch.biharm.copy(), sketch.resist.copy(), round_)
-
-    def _sketch_snapshot(self):
-        return self._copied_sketch(self.sketch, self.sketch.round)
-
-
-class _SimplStochJLT(_JltMixin, _Strategy):
-    kind = Heuristic.SIMPL_STOCH_JLT
-
-    def compute(self) -> None:
-        self.sample_size = self._uniform_sample_size()
-        self.sketch_width = jlt.default_sketch_width(self.graph.n, self.params.c_jlt)
-        self._build_sketch(derive_rng(self.seed, _PRE_STREAM, self.kind.value))
-
-    def snapshot(self):
-        return (self.sketch_width, self._sketch_snapshot())
-
-    def hydrate(self, snap) -> None:
-        self.sample_size = self._uniform_sample_size()
-        self.sketch_width, sketch = snap
-        self.sketch = self._copied_sketch(sketch, self.graph.round)
-
-    def _global_candidates(self, round_idx: int) -> np.ndarray:
-        return sample_nonedge_pairs(self.graph, self.sample_size, self._rng(_CAND_STREAM, round_idx))
-
-    def _focus_candidates(self, round_idx: int) -> np.ndarray:
-        pool = self.graph.non_neighbors(self.focus)
-        picked = sample_candidates_uniform(pool, self.sample_size, self._rng(_CAND_STREAM, round_idx))
-        return self._focus_pairs(picked)
-
     def refresh(self, round_idx: int) -> None:
-        self._build_sketch(self._rng(_UPDATE_STREAM, round_idx))
+        self._build(self._rng(_UPDATE_STREAM, round_idx, *self.tokens))
 
 
-class _ColStochJLT(_JltMixin, _DiagSampledMixin, _Strategy):
-    kind = Heuristic.COL_STOCH_JLT
+class _Spectral(_Scorer):
+    """Midpoints of the spectral gain bracket over the low Laplacian spectrum."""
 
-    def compute(self) -> None:
-        self._compute_diag()
-        self._init_sample_size()
-        self.sketch_width = jlt.default_sketch_width(self.vertex_sample_size, self.params.c_jlt)
-        self._build_sketch(derive_rng(self.seed, _PRE_STREAM, self.kind.value, "sketch"))
+    def compute(self, source: _Source) -> None:
+        self._solve()
 
-    def snapshot(self):
-        return (self._diag_snapshot(), self.sketch_width, self._sketch_snapshot())
+    def _solve(self) -> None:
+        cutoff = max(2, min(self.params.cutoff, self.graph.n - 1))
+        self.state = spectral.compute_low_spectrum(self.graph, cutoff, self.params.eig_tol)
 
-    def hydrate(self, snap) -> None:
-        diag_snap, width, sketch = snap
-        self._diag_hydrate(diag_snap)
-        self._init_sample_size()
-        self.sketch_width = width
-        self.sketch = self._copied_sketch(sketch, self.graph.round)
-
-    def _global_candidates(self, round_idx: int) -> np.ndarray:
-        vertices = self._sampled_vertices(round_idx)
-        return self._pairs_from_vertices(self.graph, vertices)
-
-    def _focus_candidates(self, round_idx: int) -> np.ndarray:
-        return self._focus_pairs(self._sampled_focus_vertices(round_idx))
-
-    def refresh(self, round_idx: int) -> None:
-        self._update_diag(round_idx)
-        self._build_sketch(self._rng(_UPDATE_STREAM, round_idx, "sketch"))
-
-
-class _SpecStoch(_Strategy):
-    kind = Heuristic.SPEC_STOCH
-
-    def _cutoff(self) -> int:
-        return max(2, min(self.params.cutoff, self.graph.n - 1))
-
-    def compute(self) -> None:
-        self.sample_size = self._uniform_sample_size()
-        self.state = spectral.compute_low_spectrum(
-            self.graph, self._cutoff(), self.params.eig_tol
-        )
-
-    def snapshot(self):
-        return self.state
-
-    def hydrate(self, snap) -> None:
-        self.sample_size = self._uniform_sample_size()
-        self.state = spectral.SpectralState(
-            cutoff=snap.cutoff,
-            eigenvalues=snap.eigenvalues.copy(),
-            vectors=snap.vectors.copy(),
-            lambda_max=snap.lambda_max,
-            round=self.graph.round,
-        )
-
-    def _global_candidates(self, round_idx: int) -> np.ndarray:
-        return sample_nonedge_pairs(self.graph, self.sample_size, self._rng(_CAND_STREAM, round_idx))
-
-    def _focus_candidates(self, round_idx: int) -> np.ndarray:
-        pool = self.graph.non_neighbors(self.focus)
-        picked = sample_candidates_uniform(pool, self.sample_size, self._rng(_CAND_STREAM, round_idx))
-        return self._focus_pairs(picked)
-
-    def estimate_gains(self, pairs: np.ndarray) -> np.ndarray:
+    def gains(self, pairs: np.ndarray) -> np.ndarray:
         return spectral.gains_spectral(self.state, pairs)
 
-    def estimate_gain(self, a: int, b: int) -> float:
+    def gain(self, a: int, b: int) -> float:
         return spectral.gain_spectral(self.state, a, b)
 
     def refresh(self, round_idx: int) -> None:
-        self.state = spectral.compute_low_spectrum(self.graph, self._cutoff(), self.params.eig_tol)
+        self._solve()
 
 
-_STRATEGIES = {
-    Heuristic.ST_GREEDY: _StGreedy,
-    Heuristic.SIMPL_STOCH: _SimplStoch,
-    Heuristic.COL_STOCH: _ColStoch,
-    Heuristic.SIMPL_STOCH_JLT: _SimplStochJLT,
-    Heuristic.COL_STOCH_JLT: _ColStochJLT,
-    Heuristic.SPEC_STOCH: _SpecStoch,
+# Each heuristic is one candidate source paired with one gain scorer.
+HEURISTIC_PARTS: dict[Heuristic, tuple[type[_Source], type[_Scorer]]] = {
+    Heuristic.ST_GREEDY: (_StGreedy, _DenseP),
+    Heuristic.SIMPL_STOCH: (_UniformPairs, _DenseP),
+    Heuristic.COL_STOCH: (_DiagVertices, _Columns),
+    Heuristic.SIMPL_STOCH_JLT: (_UniformPairs, _Sketch),
+    Heuristic.COL_STOCH_JLT: (_DiagVertices, _Sketch),
+    Heuristic.SPEC_STOCH: (_UniformPairs, _Spectral),
 }
+
+
+def _computed_parts(
+    graph: Graph, k: int, kind: Heuristic, params: GreedyParams, seed: int
+) -> tuple[_Source, _Scorer]:
+    """The heuristic's source and scorer on ``graph``, preprocessed for a global run."""
+    source_cls, scorer_cls = HEURISTIC_PARTS[kind]
+    source = source_cls(graph, k, params, seed, kind)
+    scorer = scorer_cls(graph, k, params, seed, kind)
+    source.compute()
+    scorer.compute(source)
+    return source, scorer
 
 
 # -- solutions and runners ---------------------------------------------------------
@@ -717,7 +603,7 @@ class Solution:
 
 def _run_rounds(
     graph: Graph,
-    strategy: _Strategy,
+    parts: tuple[_Source, _Scorer],
     k: int,
     params: GreedyParams,
     timings: dict[str, float],
@@ -727,27 +613,27 @@ def _run_rounds(
     One queue persists across rounds; entries pushed in earlier rounds stay
     available and are lazily re-scored when they surface as the stale top.
     """
+    source, scorer = parts
     picked: list[Edge] = []
     gains: list[float] = []
     queue = LazyQueue()
 
-    if strategy.kind is Heuristic.ST_GREEDY:
-        t0 = time.perf_counter()
-        queue.push_many(strategy.initial_entries(), stamp=0)
-        timings["eval"] += time.perf_counter() - t0
+    t0 = time.perf_counter()
+    queue.push_many(source.initial_entries(scorer), stamp=0)
+    timings["eval"] += time.perf_counter() - t0
 
     for r in range(k):
         t0 = time.perf_counter()
-        pairs = strategy.round_candidates(r)
+        pairs = source.candidates(r)
         timings["compute"] += time.perf_counter() - t0
         if len(pairs):
             t0 = time.perf_counter()
-            scores = strategy.estimate_gains(pairs).tolist()
+            scores = scorer.gains(pairs).tolist()
             queue.push_many(list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), scores)), stamp=r)
             timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        a, b, _ = queue.lazy_next(strategy.estimate_gain, r, graph)
+        a, b, _ = queue.lazy_next(scorer.gain, r, graph)
         timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -762,9 +648,13 @@ def _run_rounds(
 
         graph.insert_edge(a, b)
         t0 = time.perf_counter()
-        strategy.note_insertion(a, b)
+        for part in parts:
+            part.note_insertion(a, b)
         if r + 1 < k:  # nothing reads the refreshed state after the last insertion
-            strategy.refresh(r)
+            # the source first: a sketch's block solve would leave a factor on
+            # the graph that the tree update's solve would then pick up
+            source.refresh(r)
+            scorer.refresh(r)
         timings["update"] += time.perf_counter() - t0
 
         picked.append((a, b))
@@ -787,15 +677,14 @@ def run_kgrip(
         )
 
     work = graph.copy()
-    strategy = _STRATEGIES[kind](work, k, params, seed, focus=None)
     timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
 
     t0 = time.perf_counter()
-    strategy.compute()
+    parts = _computed_parts(work, k, kind, params, seed)
     timings["compute"] += time.perf_counter() - t0
-    r_initial = strategy.total_resistance()
+    r_initial = parts[1].total_resistance()
 
-    picked, gains = _run_rounds(work, strategy, k, params, timings)
+    picked, gains = _run_rounds(work, parts, k, params, timings)
     r_final = total_resistance(work, params.dense_cap)
 
     solution = Solution(
@@ -836,9 +725,10 @@ def run_klrip(
 ) -> list[Solution]:
     """Solve the focus-node variant for every node in ``focus_nodes``.
 
-    Preprocessing runs once on the input graph and is snapshotted; each focus
-    node then starts from a rehydrated copy with the graph reset, so the
-    results equal independent single-focus runs with the same seed.
+    Preprocessing runs once on a copy of the input graph; each focus node
+    then starts from a deep copy of the source and scorer bound to a fresh
+    copy of the graph, so the results equal independent single-focus runs
+    with the same seed.
     """
     params = params or GreedyParams()
     params.validate()
@@ -851,23 +741,24 @@ def run_klrip(
         check_focus_feasible(graph, v, k)
 
     pre_graph = graph.copy()
-    pre_strategy = _STRATEGIES[kind](pre_graph, k, params, seed, focus=None)
     t0 = time.perf_counter()
-    pre_strategy.compute()
-    snap = pre_strategy.snapshot()
+    pre_parts = _computed_parts(pre_graph, k, kind, params, seed)
     pre_seconds = time.perf_counter() - t0
-    r_initial = pre_strategy.total_resistance()
+    r_initial = pre_parts[1].total_resistance()
 
     solutions: list[Solution] = []
     for v in focus_nodes:
         work = graph.copy()
-        strategy = _STRATEGIES[kind](work, k, params, seed, focus=v)
         timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
         t0 = time.perf_counter()
-        strategy.hydrate(snap)
+        # the memo swaps the pre-graph for this run's graph; all state is copied
+        parts = copy.deepcopy(pre_parts, {id(pre_graph): work})
+        for part in parts:
+            part.focus = v
+        parts[0].size_sample()
         timings["compute"] += time.perf_counter() - t0
 
-        picked, gains = _run_rounds(work, strategy, k, params, timings)
+        picked, gains = _run_rounds(work, parts, k, params, timings)
         r_final = total_resistance(work, params.dense_cap)
         timings["preprocess_shared"] = pre_seconds
         timings["preprocess_amortized"] = pre_seconds / len(focus_nodes)

@@ -20,6 +20,7 @@ columns it touches: B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,8 +40,8 @@ class SolverConfig:
     max_iters: int | None = None  # default 10*n, resolved per solve
 
     def __post_init__(self):
-        if self.residual_tol <= 0:
-            raise ConfigError(f"residual_tol must be positive, got {self.residual_tol}")
+        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
+            raise ConfigError(f"residual_tol must be finite and positive, got {self.residual_tol}")
 
 
 DEFAULT_SOLVER = SolverConfig()
@@ -93,9 +94,11 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
         for j, column in enumerate(np.ascontiguousarray(block.T)):
             # solve one notch tighter than requested: the CG recurrence residual can
             # drift slightly from the true residual, and the contract is on the latter
-            xj, info = spla.cg(
-                lap, column, rtol=0.1 * config.residual_tol, atol=0.0, maxiter=maxiter, M=precond
-            )
+            # on a singular system CG divides by zero; the residual check below reports it
+            with np.errstate(divide="ignore", invalid="ignore"):
+                xj, info = spla.cg(
+                    lap, column, rtol=0.1 * config.residual_tol, atol=0.0, maxiter=maxiter, M=precond
+                )
             x[:, j] = xj - xj.mean()
             stopped_early |= info != 0
         failure = f"CG did not converge within {maxiter} iterations"

@@ -49,6 +49,26 @@ def test_optimize_invalid_delta_exit2(tmp_path, capsys):
     assert "delta" in err
 
 
+@pytest.mark.parametrize(
+    "flag, value, name",
+    [
+        ("--c-jlt", "nan", "c_jlt"),
+        ("--c-jlt", "inf", "c_jlt"),
+        ("--c-jlt", "0", "c_jlt"),
+        ("--c-ust", "nan", "c_ust"),
+        ("--c-ust", "-1", "c_ust"),
+        ("--diag-eps", "nan", "diag epsilon"),
+        ("--solver-eps", "nan", "residual_tol"),
+    ],
+)
+def test_optimize_non_finite_or_non_positive_knob_exit2(tmp_path, capsys, flag, value, name):
+    path = write_graph(tmp_path, P3_EDGES)
+    argv = ["optimize", "--input", path, "--k", "1", "--heuristic", "colstochjlt", flag, value]
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert name in err
+
+
 def test_optimize_k_too_large_exit2(tmp_path, capsys):
     path = write_graph(tmp_path, "0 1\n1 2\n0 2\n")  # K3: no non-edges
     code, _, err = run_cli(capsys, ["optimize", "--input", path, "--k", "1"])

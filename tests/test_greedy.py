@@ -125,7 +125,7 @@ def test_nonedge_pair_sampler_equals_pair_by_pair_reference(model, params, seed)
 
 
 def test_pairs_from_vertices_are_sorted_non_edges():
-    from kgrip.greedy import _DiagSampledMixin
+    from kgrip.greedy import _pairs_from_vertices
 
     g = generate("er", {"n": 30, "p": 0.3}, seed=8)
     vertices = [17, 3, 25, 3, 0, 11, 29, 8, 17, 21]
@@ -133,7 +133,7 @@ def test_pairs_from_vertices_are_sorted_non_edges():
     want = [
         [a, b] for i, a in enumerate(ordered) for b in ordered[i + 1 :] if not g.has_edge(a, b)
     ]
-    assert _DiagSampledMixin._pairs_from_vertices(g, vertices).tolist() == want
+    assert _pairs_from_vertices(g, vertices).tolist() == want
 
 
 def test_diag_weighted_sampler_favors_heavy_vertices():
@@ -311,19 +311,17 @@ def test_colstoch_cached_columns_stay_consistent_over_long_runs():
     # match a fresh solve on the final graph
     import numpy as np
 
-    from kgrip.greedy import _ColStoch
+    from kgrip.greedy import _computed_parts, _run_rounds
     from kgrip.linalg import solve_lpinv_column
 
     g = generate("er", {"n": 50, "p": 0.15}, seed=15)
     work = g.copy()
     params = GreedyParams()
-    strategy = _ColStoch(work, 8, params, seed=2, focus=None)
-    strategy.compute()
-    from kgrip.greedy import _run_rounds
+    parts = _computed_parts(work, 8, Heuristic.COL_STOCH, params, seed=2)
 
     timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
-    _run_rounds(work, strategy, 8, params, timings)
-    cache = strategy.cache
+    _run_rounds(work, parts, 8, params, timings)
+    cache = parts[1].cache
     for v in list(cache._cols):
         refreshed = cache.column(v)
         fresh = solve_lpinv_column(work, v)
@@ -564,10 +562,14 @@ _SEEDED_EDGES = {
     ("er", "simplstoch"): ([(5, 11), (55, 56), (6, 56)], [(7, 50), (7, 11), (7, 48)]),
     ("er", "simplstochjlt"): ([(11, 41), (9, 56), (28, 29)], [(7, 50), (7, 29), (7, 55)]),
     ("er", "specstoch"): ([(11, 16), (53, 56), (28, 55)], [(7, 22), (7, 9), (7, 55)]),
+    ("er", "colstoch"): ([(16, 28), (11, 56), (11, 55)], [(7, 58), (7, 28), (7, 11)]),
+    ("er", "colstochjlt"): ([(55, 56), (9, 43), (11, 47)], [(6, 7), (7, 20), (7, 21)]),
     ("ba", "stgreedy"): ([(73, 76), (59, 65), (68, 69)], [(7, 73), (7, 76), (7, 65)]),
     ("ba", "simplstoch"): ([(48, 65), (70, 73), (66, 69)], [(7, 67), (7, 56), (7, 57)]),
     ("ba", "simplstochjlt"): ([(28, 59), (26, 71), (40, 65)], [(7, 68), (7, 35), (7, 75)]),
     ("ba", "specstoch"): ([(65, 68), (66, 73), (71, 76)], [(7, 30), (7, 64), (7, 76)]),
+    ("ba", "colstoch"): ([(59, 73), (68, 76), (69, 74)], [(7, 59), (7, 79), (7, 68)]),
+    ("ba", "colstochjlt"): ([(44, 77), (57, 70), (73, 78)], [(7, 68), (7, 35), (7, 77)]),
 }
 
 

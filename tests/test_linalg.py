@@ -182,7 +182,7 @@ def test_factor_path_unattainable_tolerance_raises():
     assert "CG" not in str(err.value)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # CG divides by a zero curvature
+@pytest.mark.filterwarnings("error")  # the singular solve reports through SolverError alone
 @pytest.mark.parametrize("s", [1, 16])
 @pytest.mark.parametrize("n, split", [(6, 3), (40, 13), (60, 30)])
 def test_solve_on_disconnected_graph_raises(n, split, s):
