@@ -74,15 +74,6 @@ class Heuristic(Enum):
             raise ConfigError(f"unknown heuristic {name!r} (expected one of: {options})") from None
 
 
-STOCHASTIC = {
-    Heuristic.SIMPL_STOCH,
-    Heuristic.COL_STOCH,
-    Heuristic.SIMPL_STOCH_JLT,
-    Heuristic.COL_STOCH_JLT,
-    Heuristic.SPEC_STOCH,
-}
-
-
 @dataclass
 class GreedyParams:
     """Knobs shared by all heuristics; defaults follow the CLI defaults."""
@@ -341,7 +332,7 @@ class _Source(_Part):
         else:
             self.sample_size = candidate_size("lrip", g.n, g.degree(self.focus), self.k, delta)
 
-    def initial_entries(self, scorer: "_Scorer") -> list[tuple[int, int, float]]:
+    def initial_entries(self, scorer: _Scorer) -> list[tuple[int, int, float]]:
         """Queue entries scored before the first round; sampling sources have none."""
         return []
 
@@ -360,7 +351,7 @@ class _StGreedy(_Source):
     def size_sample(self) -> None:
         pass
 
-    def initial_entries(self, scorer: "_DenseP") -> list[tuple[int, int, float]]:
+    def initial_entries(self, scorer: _DenseP) -> list[tuple[int, int, float]]:
         """Gains of every candidate, vectorized from the scorer's dense pseudoinverse."""
         g = self.graph
         p = scorer.state.matrix
