@@ -15,18 +15,19 @@ heuristic is one candidate source paired with one gain scorer
                        bracket midpoint.
 
 All heuristics share one persistent max-queue whose entries carry the round
-in which their gain was computed: the universe source seeds it with every
-non-edge up front, the sampling sources push a fresh sample each round, and
-the lazy pop revalidates stale tops until the best entry is current. A
-round's sample is scored in one batched call; a stale top is re-scored on
-its own. Regardless of the scorer, the reported per-edge gain of every
-accepted edge is recomputed exactly from two linear solves, and total
-resistance must strictly decrease on every insertion.
+in which their gain was computed. Each round the source yields a batch of
+pairs (the universe source: every non-edge in round 0, none later; the
+sampling sources: a fresh sample), the scorer scores it in one call, and the
+queue takes both arrays. The lazy pop re-scores stale tops one at a time
+until the best entry is current. Regardless of the scorer, the reported
+per-edge gain of every accepted edge is recomputed exactly from two linear
+solves, and total resistance must strictly decrease on every insertion.
 
 The local variant (one focus node v) restricts candidates to non-neighbors of
-v and inserts edges (v, b). A multi-focus run preprocesses once and gives
-each focus node a deep copy of the source and scorer, bound to its own copy
-of the graph, so it reproduces independent single-focus runs bit for bit.
+v and inserts edges (v, b). One runner serves both variants: it preprocesses
+once, then runs the global problem on those parts, or gives each focus node
+a deep copy of them bound to its own copy of the graph, so a multi-focus run
+reproduces independent single-focus runs bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -45,7 +47,6 @@ from . import jlt, spectral, ust
 from .errors import ConfigError, InvariantError
 from .graphs import Edge, Graph, assert_connected
 from .linalg import (
-    DENSE_CAP_DEFAULT,
     ColumnCache,
     DenseState,
     SolverConfig,
@@ -82,10 +83,8 @@ class GreedyParams:
     cutoff: int = 50
     solver: SolverConfig = field(default_factory=SolverConfig)
     diag_epsilon: float = 0.1
-    eig_tol: float = 1e-7
     c_ust: float = 1.0
     c_jlt: float = 4.0
-    dense_cap: int = DENSE_CAP_DEFAULT
 
     def validate(self) -> None:
         if not 0.0 < self.delta < 1.0:
@@ -106,7 +105,6 @@ class GreedyParams:
             "cutoff": self.cutoff,
             "solver_eps": self.solver.residual_tol,
             "diag_eps": self.diag_epsilon,
-            "eig_tol": self.eig_tol,
             "c_ust": self.c_ust,
             "c_jlt": self.c_jlt,
         }
@@ -204,15 +202,15 @@ def sample_candidates_diag_weighted(
     out: list[int] = []
     chosen = np.zeros(n, dtype=bool)
     for _ in range(s):
-        total = float(weights.sum())
-        if total <= 0.0:
+        cum = np.cumsum(weights)
+        if cum[-1] <= 0.0:
             rest = [v for v in pool if not chosen[v]]
             fill = rng.choice(len(rest), size=s - len(out), replace=False)
             out.extend(rest[i] for i in fill)
             break
-        r = rng.random() * total
-        j = int(np.searchsorted(np.cumsum(weights), r, side="right"))
-        j = min(j, n - 1)
+        # r < cum[-1], so the search lands on a vertex whose weight is positive
+        r = rng.random() * cum[-1]
+        j = int(np.searchsorted(cum, r, side="right"))
         out.append(j)
         chosen[j] = True
         weights[j] = 0.0
@@ -246,8 +244,11 @@ class LazyQueue:
     def push(self, a: int, b: int, gain: float, stamp: int) -> None:
         heapq.heappush(self._heap, (-gain, a, b, stamp))
 
-    def push_many(self, entries: list[tuple[int, int, float]], stamp: int) -> None:
-        self._heap.extend((-gain, a, b, stamp) for a, b, gain in entries)
+    def push_many(self, pairs: np.ndarray, gains: np.ndarray, stamp: int) -> None:
+        """Push an (s, 2) array of pairs a < b with their s gains, all stamped ``stamp``."""
+        self._heap.extend(
+            zip((-gains).tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist(), repeat(stamp))
+        )
         heapq.heapify(self._heap)
 
     def lazy_next(
@@ -332,10 +333,6 @@ class _Source(_Part):
         else:
             self.sample_size = candidate_size("lrip", g.n, g.degree(self.focus), self.k, delta)
 
-    def initial_entries(self, scorer: _Scorer) -> list[tuple[int, int, float]]:
-        """Queue entries scored before the first round; sampling sources have none."""
-        return []
-
     def candidates(self, round_idx: int) -> np.ndarray:
         """This round's candidate non-edges as an (s, 2) array of pairs a < b."""
         raise NotImplementedError
@@ -346,40 +343,19 @@ class _Source(_Part):
 
 
 class _StGreedy(_Source):
-    """The universe source: every candidate enters the queue at round 0, none later."""
+    """The universe source: every candidate is in the round-0 batch, none later."""
 
     def size_sample(self) -> None:
         pass
 
-    def initial_entries(self, scorer: _DenseP) -> list[tuple[int, int, float]]:
-        """Gains of every candidate, vectorized from the scorer's dense pseudoinverse."""
-        g = self.graph
-        p = scorer.state.matrix
-        d = np.diag(p)
-        sq = np.sum(p * p, axis=0)
-        n = g.n
-        entries: list[tuple[int, int, float]] = []
-        if self.focus is not None:
-            a = self.focus
-            b2 = sq[a] + sq - 2.0 * (p[:, a] @ p)
-            res = d[a] + d - 2.0 * p[a]
-            gains = n * b2 / (1.0 + res)
-            return [
-                (min(a, b), max(a, b), float(gains[b])) for b in g.non_neighbors(a)
-            ]
-        gram = p.T @ p
-        for a in range(n):
-            nbrs = set(g.neighbors(a))
-            b2 = sq[a] + sq - 2.0 * gram[a]
-            res = d[a] + d - 2.0 * p[a]
-            gains = n * b2 / (1.0 + res)
-            for b in range(a + 1, n):
-                if b not in nbrs:
-                    entries.append((a, b, float(gains[b])))
-        return entries
+    def initial_entries(self) -> np.ndarray:
+        """Every non-edge, or every non-neighbor of the focus paired with it."""
+        if self.focus is None:
+            return self.graph.non_edges()
+        return self._focus_pairs(self.graph.non_neighbors(self.focus))
 
     def candidates(self, round_idx: int) -> np.ndarray:
-        return _NO_PAIRS
+        return self.initial_entries() if round_idx == 0 else _NO_PAIRS
 
 
 class _UniformPairs(_Source):
@@ -430,7 +406,7 @@ class _Scorer(_Part):
 
     def total_resistance(self) -> float:
         """Exact total resistance of the graph as :meth:`compute` left it."""
-        return total_resistance(self.graph, self.params.dense_cap)
+        return total_resistance(self.graph)
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -443,7 +419,7 @@ class _DenseP(_Scorer):
     """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison."""
 
     def compute(self, source: _Source) -> None:
-        self.state = DenseState.compute(self.graph, self.params.dense_cap)
+        self.state = DenseState.compute(self.graph)
 
     def total_resistance(self) -> float:
         return total_resistance(self.state)  # n * trace, no second factorisation
@@ -508,7 +484,7 @@ class _Spectral(_Scorer):
 
     def _solve(self) -> None:
         cutoff = max(2, min(self.params.cutoff, self.graph.n - 1))
-        self.state = spectral.compute_low_spectrum(self.graph, cutoff, self.params.eig_tol)
+        self.state = spectral.compute_low_spectrum(self.graph, cutoff)
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         return spectral.gains_spectral(self.state, pairs)
@@ -609,18 +585,13 @@ def _run_rounds(
     gains: list[float] = []
     queue = LazyQueue()
 
-    t0 = time.perf_counter()
-    queue.push_many(source.initial_entries(scorer), stamp=0)
-    timings["eval"] += time.perf_counter() - t0
-
     for r in range(k):
         t0 = time.perf_counter()
         pairs = source.candidates(r)
         timings["compute"] += time.perf_counter() - t0
         if len(pairs):
             t0 = time.perf_counter()
-            scores = scorer.gains(pairs).tolist()
-            queue.push_many(list(zip(pairs[:, 0].tolist(), pairs[:, 1].tolist(), scores)), stamp=r)
+            queue.push_many(pairs, scorer.gains(pairs), r)
             timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -653,6 +624,61 @@ def _run_rounds(
     return picked, gains
 
 
+def _runs(
+    graph: Graph,
+    focus_nodes: Sequence[int] | None,
+    k: int,
+    kind: Heuristic,
+    params: GreedyParams,
+    seed: int,
+) -> list[Solution]:
+    """Preprocess once, then solve the global problem (``focus_nodes`` None) or each focus node."""
+    pre_graph = graph.copy()
+    t0 = time.perf_counter()
+    pre_parts = _computed_parts(pre_graph, k, kind, params, seed)
+    pre_seconds = time.perf_counter() - t0
+    r_initial = pre_parts[1].total_resistance()
+
+    solutions: list[Solution] = []
+    for v in [None] if focus_nodes is None else focus_nodes:
+        timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
+        if v is None:
+            work, parts = pre_graph, pre_parts
+            timings["compute"] += pre_seconds
+        else:
+            work = graph.copy()
+            t0 = time.perf_counter()
+            # the memo swaps the pre-graph for this run's graph; the rest is copied
+            parts = copy.deepcopy(pre_parts, {id(pre_graph): work})
+            for part in parts:
+                part.focus = v
+            parts[0].size_sample()
+            timings["compute"] += time.perf_counter() - t0
+            timings["preprocess_shared"] = pre_seconds
+            timings["preprocess_amortized"] = pre_seconds / len(focus_nodes)
+
+        picked, gains = _run_rounds(work, parts, k, params, timings)
+        r_final = total_resistance(work)
+
+        solution = Solution(
+            heuristic=kind.value,
+            seed=seed,
+            k=k,
+            n=graph.n,
+            m_initial=graph.m,
+            focus=v,
+            inserted_edges=picked,
+            per_edge_true_gain=gains,
+            r_initial=r_initial,
+            r_final=r_final,
+            timings=timings,
+            params=params.to_dict(),
+        )
+        solution.validate()
+        solutions.append(solution)
+    return solutions
+
+
 def run_kgrip(
     graph: Graph, k: int, kind: Heuristic, params: GreedyParams | None = None, seed: int = 0
 ) -> Solution:
@@ -666,34 +692,7 @@ def run_kgrip(
         raise ConfigError(
             f"k={k} exceeds the {graph.non_edge_count()} available non-edges"
         )
-
-    work = graph.copy()
-    timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
-
-    t0 = time.perf_counter()
-    parts = _computed_parts(work, k, kind, params, seed)
-    timings["compute"] += time.perf_counter() - t0
-    r_initial = parts[1].total_resistance()
-
-    picked, gains = _run_rounds(work, parts, k, params, timings)
-    r_final = total_resistance(work, params.dense_cap)
-
-    solution = Solution(
-        heuristic=kind.value,
-        seed=seed,
-        k=k,
-        n=graph.n,
-        m_initial=graph.m,
-        focus=None,
-        inserted_edges=picked,
-        per_edge_true_gain=gains,
-        r_initial=r_initial,
-        r_final=r_final,
-        timings=timings,
-        params=params.to_dict(),
-    )
-    solution.validate()
-    return solution
+    return _runs(graph, None, k, kind, params, seed)[0]
 
 
 def check_focus_feasible(graph: Graph, focus: int, k: int) -> None:
@@ -716,9 +715,7 @@ def run_klrip(
 ) -> list[Solution]:
     """Solve the focus-node variant for every node in ``focus_nodes``.
 
-    Preprocessing runs once on a copy of the input graph; each focus node
-    then starts from a deep copy of the source and scorer bound to a fresh
-    copy of the graph, so the results equal independent single-focus runs
+    Preprocessing runs once; the results equal independent single-focus runs
     with the same seed.
     """
     params = params or GreedyParams()
@@ -730,44 +727,4 @@ def run_klrip(
         raise ConfigError("focus node list is empty")
     for v in focus_nodes:
         check_focus_feasible(graph, v, k)
-
-    pre_graph = graph.copy()
-    t0 = time.perf_counter()
-    pre_parts = _computed_parts(pre_graph, k, kind, params, seed)
-    pre_seconds = time.perf_counter() - t0
-    r_initial = pre_parts[1].total_resistance()
-
-    solutions: list[Solution] = []
-    for v in focus_nodes:
-        work = graph.copy()
-        timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
-        t0 = time.perf_counter()
-        # the memo swaps the pre-graph for this run's graph; all state is copied
-        parts = copy.deepcopy(pre_parts, {id(pre_graph): work})
-        for part in parts:
-            part.focus = v
-        parts[0].size_sample()
-        timings["compute"] += time.perf_counter() - t0
-
-        picked, gains = _run_rounds(work, parts, k, params, timings)
-        r_final = total_resistance(work, params.dense_cap)
-        timings["preprocess_shared"] = pre_seconds
-        timings["preprocess_amortized"] = pre_seconds / len(focus_nodes)
-
-        solution = Solution(
-            heuristic=kind.value,
-            seed=seed,
-            k=k,
-            n=graph.n,
-            m_initial=graph.m,
-            focus=v,
-            inserted_edges=picked,
-            per_edge_true_gain=gains,
-            r_initial=r_initial,
-            r_final=r_final,
-            timings=timings,
-            params=params.to_dict(),
-        )
-        solution.validate()
-        solutions.append(solution)
-    return solutions
+    return _runs(graph, focus_nodes, k, kind, params, seed)

@@ -308,7 +308,9 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
     ``state`` is a :class:`DenseState` or a :class:`ColumnCache`. The columns
     C of every vertex the pairs touch are gathered once, and the squared
     biharmonic distances come from the Gram identity
-    ||c_a - c_b||^2 = G[a,a] + G[b,b] - 2 G[a,b] with G = C^T C.
+    ||c_a - c_b||^2 = G[a,a] + G[b,b] - 2 G[a,b] with G = C^T C. A star
+    batch (one vertex in every pair, as in a focus node's candidates) reads
+    G[a,b] off the hub's row C^T c_hub and the diagonal off the column norms.
     """
     graph: Graph = state.graph
     a, b = pairs[:, 0], pairs[:, 1]
@@ -317,9 +319,16 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
     vertices, slot = np.unique(pairs, return_inverse=True)
     slot_a, slot_b = slot.reshape(pairs.shape).T
     cols = state.columns(vertices)
-    gram = cols.T @ cols
-    sq = np.diagonal(gram)
-    b2 = sq[slot_a] + sq[slot_b] - 2.0 * gram[slot_a, slot_b]
+    hub = next((h for h in pairs[0] if np.all((a == h) | (b == h))), None)
+    if hub is None:
+        gram = cols.T @ cols
+        sq = np.diagonal(gram)
+        cross = gram[slot_a, slot_b]
+    else:
+        h = int(np.searchsorted(vertices, hub))
+        sq = np.einsum("ij,ij->j", cols, cols)
+        cross = (cols.T @ cols[:, h])[slot_a + slot_b - h]  # the slot of the pair's other end
+    b2 = sq[slot_a] + sq[slot_b] - 2.0 * cross
     resistance = cols[a, slot_a] + cols[b, slot_b] - 2.0 * cols[b, slot_a]
     return graph.n * b2 / (1.0 + resistance)
 

@@ -30,8 +30,8 @@ After an edge {a,b} is inserted, the tree sample is not re-drawn from
 scratch.  With w = R_new(a,b) (the resistance of the inserted edge in the new
 graph), a UST of the new graph contains {a,b} with probability w, so the new
 estimate mixes freshly sampled trees that contain {a,b} (weight w) with the
-running estimate (weight 1-w).  Only the running resistance vector and the
-per-round weights are kept, not the trees.
+running estimate (weight 1-w).  Only the running resistance vector is kept,
+not the trees.
 
 A block draws its walk steps from one generator in lockstep order, so the
 trees of a seeded run depend on the block layout as well as on the seed.
@@ -140,6 +140,9 @@ class BfsTree:
             self.levels.append((vs, c, p))
             deeper = p != pivot
             vs, c = vs[deeper], p[deeper]
+
+    def __deepcopy__(self, memo) -> "BfsTree":
+        return self  # read-only once built, so copies of a repository share it
 
 
 # -- lockstep Wilson sampling -------------------------------------------------------
@@ -354,22 +357,19 @@ class DiagEstimate:
 
 @dataclass
 class UstRepository:
-    """Running UST resistance estimate with its round weights (dynamic updates).
+    """Running UST resistance estimate, brought forward across insertions.
 
-    Trees sampled at round i entered ``resistance`` with weight ``weights[i]``
-    (the weights sum to one); ``total`` is the tree budget of a full
-    resample. ``resistance[v]`` estimates R(pivot, v) for the graph of the
-    latest round. The trees themselves are not kept.
+    ``resistance[v]`` estimates R(pivot, v) for the graph of the latest
+    round; ``total`` is the tree budget of a full resample. The trees
+    themselves are not kept.
     """
 
     pivot: int
     bfs: BfsTree
     total: int
-    weights: list[float]
     resistance: np.ndarray
     base_round: int
     update_count: int = 0
-    max_rounds: int = 64
 
     def expected_graph_round(self) -> int:
         return self.base_round + self.update_count
@@ -411,7 +411,6 @@ def approx_diag_lpinv(
         pivot=pivot,
         bfs=bfs,
         total=tau,
-        weights=[1.0],
         resistance=resistance,
         base_round=graph.round,
     )
@@ -428,9 +427,9 @@ def approx_update_diag(
     """Refresh the diagonal estimate after exactly one edge insertion.
 
     Solves the new graph's columns at a, b and the pivot as one block, reads
-    the edge's resistance w off the first two, downweights every stored round
-    by (1-w), samples ceil(w*total) trees forced to contain the new edge, and
-    mixes the resistance estimates before converting them with the pivot column.
+    the edge's resistance w off the first two, samples ceil(w*total) trees
+    forced to contain the new edge, and mixes their resistance estimate (weight
+    w) with the running one (weight 1-w) before converting with the pivot column.
     """
     if graph.round != repo.expected_graph_round() + 1:
         raise StaleStateError(
@@ -441,13 +440,10 @@ def approx_update_diag(
     cols = solve_lpinv_columns(graph, [a, b, repo.pivot], config)
     omega = effective_resistance(cols[:, 0], cols[:, 1], a, b)  # equals R_old/(1+R_old) in (0,1)
 
-    repo.weights = [w * (1.0 - omega) for w in repo.weights] + [omega]
     fresh = max(1, math.ceil(omega * repo.total))
     counts = _mean_counts(graph, (a, b), fresh, repo.bfs, rng)
     repo.resistance = omega * counts + (1.0 - omega) * repo.resistance
     repo.update_count += 1
-    while len(repo.weights) > repo.max_rounds:
-        repo.weights[:2] = [repo.weights[0] + repo.weights[1]]
 
     col_u = cols[:, 2]
     values = repo.resistance - col_u[repo.pivot] + 2.0 * col_u

@@ -177,6 +177,20 @@ def test_diag_weighted_sampler_respects_allowed():
     assert sorted(picked) == [1, 2]
 
 
+def test_diag_weighted_sampler_never_picks_a_zero_weight_vertex():
+    # the pairwise sum of the weights exceeds their sequential cumsum here, so a
+    # draw near the top of the sum's range used to run past the last vertex
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        diag = rng.random(200)
+
+    class TopDraw:
+        def random(self):
+            return np.nextafter(1.0, 0.0)
+
+    assert sample_candidates_diag_weighted(diag, 1, TopDraw(), allowed=range(199)) == [198]
+
+
 # -- lazy queue ---------------------------------------------------------------------
 
 
@@ -214,6 +228,29 @@ def test_queue_discards_inserted_edges(p3):
     q.push(0, 2, 1.0, stamp=0)
     a, b, _ = q.lazy_next(lambda *_: 0.0, current_round=0, graph=p3)
     assert (a, b) == (0, 2)
+
+
+def test_queue_push_many_pops_like_single_pushes():
+    rng = np.random.default_rng(21)
+    pairs = np.array([(a, b) for a in range(8) for b in range(a + 1, 8)])
+    gains = rng.integers(0, 4, size=len(pairs)).astype(float)  # many ties
+    batched, single = LazyQueue(), LazyQueue()
+    batched.push_many(pairs, gains, 0)
+    for (a, b), gain in zip(pairs.tolist(), gains.tolist()):
+        single.push(a, b, gain, stamp=0)
+
+    def revalidate(a, b):  # stale entries come back with a new, tied gain
+        return float((a + b) % 3)
+
+    popped = {}
+    for name, q in (("batched", batched), ("single", single)):
+        popped[name] = [q.lazy_next(revalidate, current_round=0)]
+        popped[name] += [q.lazy_next(revalidate, current_round=1) for _ in range(len(pairs) - 1)]
+    assert popped["batched"] == popped["single"]
+    top = gains.max()
+    smallest_tied = min(tuple(p) for p, g in zip(pairs.tolist(), gains) if g == top)
+    assert popped["batched"][0] == (*smallest_tied, top)
+    assert all(gain == revalidate(a, b) for a, b, gain in popped["batched"][1:])
 
 
 def test_queue_matches_full_rescan_argmax():

@@ -9,6 +9,7 @@ pseudoinverse oracle.
 
 from __future__ import annotations
 
+import copy
 from collections import deque
 
 import numpy as np
@@ -329,24 +330,31 @@ def test_tree_budget_formula():
 # -- approx_update_diag -------------------------------------------------------------------
 
 
-def test_update_omega_p3(p3):
-    diag, repo = approx_diag_lpinv(p3, 0.3, np.random.default_rng(300))
-    p3.insert_edge(0, 2)
-    _, repo = approx_update_diag(p3, repo, diag, np.random.default_rng(301))
-    assert repo.weights[-1] == pytest.approx(2 / 3, abs=1e-6)
+def update_omega(graph, edge, rng_seed, monkeypatch) -> float:
+    """Weight of the fresh trees in one update, read off the running estimate.
+
+    With the fresh trees' counts stubbed to zero the update leaves
+    resistance_after = (1 - omega) * resistance_before.
+    """
+    diag, repo = approx_diag_lpinv(graph, 0.3, np.random.default_rng(rng_seed))
+    before = repo.resistance.copy()
+    graph.insert_edge(*edge)
+    with monkeypatch.context() as patch:
+        patch.setattr(ust, "_mean_counts", lambda g, *_: np.zeros(g.n))
+        _, repo = approx_update_diag(graph, repo, diag, np.random.default_rng(rng_seed + 1))
+    far = int(np.argmax(before))
+    return 1.0 - repo.resistance[far] / before[far]
 
 
-def test_update_omega_long_path_bridge():
-    g = path_graph(10)  # R(0,9) = 9, so the new edge's weight is 9/10
-    diag, repo = approx_diag_lpinv(g, 0.3, np.random.default_rng(302))
-    g.insert_edge(0, 9)
-    _, repo = approx_update_diag(g, repo, diag, np.random.default_rng(303))
-    assert repo.weights[-1] == pytest.approx(0.9, abs=1e-6)
-    g2 = path_graph(12)  # longer detour -> weight pushes toward 1
-    diag2, repo2 = approx_diag_lpinv(g2, 0.3, np.random.default_rng(304))
-    g2.insert_edge(0, 11)
-    _, repo2 = approx_update_diag(g2, repo2, diag2, np.random.default_rng(305))
-    assert repo2.weights[-1] >= 0.9
+def test_update_omega_p3(p3, monkeypatch):
+    assert update_omega(p3, (0, 2), 300, monkeypatch) == pytest.approx(2 / 3, abs=1e-6)
+
+
+def test_update_omega_long_path_bridge(monkeypatch):
+    # R(0,9) = 9 on the path, so the new edge's weight is 9/10
+    assert update_omega(path_graph(10), (0, 9), 302, monkeypatch) == pytest.approx(0.9, abs=1e-6)
+    # longer detour -> weight pushes toward 1
+    assert update_omega(path_graph(12), (0, 11), 304, monkeypatch) >= 0.9
 
 
 def test_update_er200_accuracy():
@@ -367,11 +375,7 @@ def test_update_round_bookkeeping():
     for i in range(4):
         g.insert_edge(*oracles.all_non_edges(g)[i])
         diag, repo = approx_update_diag(g, repo, diag, rng.spawn(1)[0])
-        assert len(repo.weights) == i + 2  # initial round + updates
-        assert sum(np.ceil(w * repo.total) for w in repo.weights) <= repo.total + len(repo.weights)
-        assert sum(np.ceil(w * repo.total) for w in repo.weights) >= repo.total
-        assert all(w > 0 for w in repo.weights)
-        assert sum(repo.weights) == pytest.approx(1.0, abs=1e-9)
+        assert repo.expected_graph_round() == g.round
 
 
 def test_diag_pivot_entry_matches_solved_column():
@@ -391,16 +395,13 @@ def test_update_rejects_round_skew():
         approx_update_diag(g, repo, diag, np.random.default_rng(49))
 
 
-def test_update_merges_rounds_beyond_cap():
-    g = random_connected(25, 0.25, seed=50)
-    diag, repo = approx_diag_lpinv(g, 0.3, np.random.default_rng(51))
-    repo.max_rounds = 3
-    rng = np.random.default_rng(52)
-    for i in range(6):
-        g.insert_edge(*oracles.all_non_edges(g)[0])
-        diag, repo = approx_update_diag(g, repo, diag, rng.spawn(1)[0])
-    assert len(repo.weights) <= 3
-    assert sum(repo.weights) == pytest.approx(1.0, abs=1e-9)
+def test_repository_copy_shares_the_bfs_tree():
+    g = random_connected(30, 0.2, seed=59)
+    _, repo = approx_diag_lpinv(g, 0.3, np.random.default_rng(60))
+    clone = copy.deepcopy(repo)
+    assert clone.bfs is repo.bfs
+    assert clone.resistance is not repo.resistance
+    assert np.array_equal(clone.resistance, repo.resistance)
 
 
 def test_repository_diag_close_to_scratch():
