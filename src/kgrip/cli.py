@@ -38,6 +38,7 @@ _GENERATOR_KEYS = {
     "ws": {"n": int, "degree": int, "rewire_prob": float},
 }
 _KEY_ALIASES = {"m": "m_attach", "beta": "rewire_prob", "deg": "degree"}
+_DEFAULTS = GreedyParams()  # the single source of every parameter flag's default
 
 
 def parse_generator_spec(spec: str) -> tuple[str, dict, int | None]:
@@ -126,8 +127,8 @@ def _params_from_args(args) -> GreedyParams:
         cutoff=args.cutoff,
         solver=SolverConfig(residual_tol=args.solver_eps),
         diag_epsilon=args.diag_eps,
-        c_ust=getattr(args, "c_ust", 1.0),
-        c_jlt=getattr(args, "c_jlt", 4.0),
+        c_ust=getattr(args, "c_ust", _DEFAULTS.c_ust),
+        c_jlt=getattr(args, "c_jlt", _DEFAULTS.c_jlt),
     )
 
 
@@ -347,17 +348,22 @@ def cmd_bench(args) -> int:
 # -- argument parsing ---------------------------------------------------------------
 
 
+def _add_param_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--delta", type=float, default=_DEFAULTS.delta, help="stochastic sampling accuracy (0,1)")
+    parser.add_argument("--cutoff", type=int, default=_DEFAULTS.cutoff, help="eigenpair cutoff for specstoch")
+    parser.add_argument("--solver-eps", type=float, default=_DEFAULTS.solver.residual_tol,
+                        help="linear solver residual tolerance")
+    parser.add_argument("--diag-eps", type=float, default=_DEFAULTS.diag_epsilon, help="diagonal estimate accuracy")
+
+
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="edge-list file ('u v' per line)")
     parser.add_argument("--generate", help="generator spec, e.g. er:n=300,p=0.05")
     parser.add_argument("--k", type=int, required=True, help="number of edges to insert")
     parser.add_argument("--heuristic", default="stgreedy", help="stgreedy|simplstoch|colstoch|simplstochjlt|colstochjlt|specstoch")
-    parser.add_argument("--delta", type=float, default=0.9, help="stochastic sampling accuracy (0,1)")
-    parser.add_argument("--cutoff", type=int, default=50, help="eigenpair cutoff for specstoch")
-    parser.add_argument("--solver-eps", type=float, default=1e-6, help="linear solver residual tolerance")
-    parser.add_argument("--diag-eps", type=float, default=0.1, help="diagonal estimate accuracy")
-    parser.add_argument("--c-ust", type=float, default=1.0, help="spanning-tree budget multiplier")
-    parser.add_argument("--c-jlt", type=float, default=4.0, help="sketch width multiplier")
+    _add_param_flags(parser)
+    parser.add_argument("--c-ust", type=float, default=_DEFAULTS.c_ust, help="spanning-tree budget multiplier")
+    parser.add_argument("--c-jlt", type=float, default=_DEFAULTS.c_jlt, help="sketch width multiplier")
     parser.add_argument("--seed", type=int, default=0, help="master seed (echoed in results)")
     parser.add_argument("--output", "-o", help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")
@@ -394,10 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k", dest="k_list", default="2", help="comma-separated k values")
     p_bench.add_argument("--time-budget", type=float, default=None,
                          help="soft per-cell budget in seconds")
-    p_bench.add_argument("--delta", type=float, default=0.9)
-    p_bench.add_argument("--cutoff", type=int, default=50)
-    p_bench.add_argument("--solver-eps", type=float, default=1e-6)
-    p_bench.add_argument("--diag-eps", type=float, default=0.1)
+    _add_param_flags(p_bench)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--output", "-o")
     p_bench.set_defaults(func=cmd_bench)

@@ -2,8 +2,8 @@
 
 Every heuristic runs the same loop: preprocess (Compute), then per round
 pick candidates, score them (Eval), insert the best-scoring non-edge, and
-bring the preprocessed state forward (Update; after the last insertion only
-the cheap bookkeeping runs, since no round reads the rebuilt state). A
+bring the preprocessed state forward (Update, skipped after the last
+insertion, since no round reads it). A
 heuristic is one candidate source paired with one gain scorer
 (``HEURISTIC_PARTS``):
 
@@ -77,7 +77,7 @@ class Heuristic(Enum):
 
 @dataclass
 class GreedyParams:
-    """Knobs shared by all heuristics; defaults follow the CLI defaults."""
+    """Knobs shared by all heuristics; the CLI flags take their defaults from here."""
 
     delta: float = 0.9
     cutoff: int = 50
@@ -290,11 +290,9 @@ MONOTONICITY_AUDIT = {"accepted": 0, "violations": 0}
 class _Part:
     """A candidate source or a gain scorer bound to a working graph.
 
-    ``compute`` builds the preprocessing state. The Update step is split in
-    two: ``note_insertion`` keeps the state in step with the graph after
-    every insertion, and ``refresh`` rebuilds what the next round reads, so
-    the loop skips it after the last insertion. ``focus`` is None in a
-    global run.
+    ``compute`` builds the preprocessing state and ``update`` brings it
+    across an insertion for the next round, so the loop skips it after the
+    last insertion. ``focus`` is None in a global run.
     """
 
     def __init__(self, graph: Graph, k: int, params: GreedyParams, seed: int, kind: Heuristic):
@@ -309,11 +307,8 @@ class _Part:
         scope = "global" if self.focus is None else self.focus
         return derive_rng(self.seed, stream, self.kind.value, scope, round_idx, *tokens)
 
-    def note_insertion(self, a: int, b: int) -> None:
-        pass
-
-    def refresh(self, round_idx: int) -> None:
-        pass
+    def update(self, a: int, b: int, round_idx: int) -> None:
+        """Bring the state across the insertion of {a,b} in round ``round_idx``."""
 
 
 class _Source(_Part):
@@ -385,15 +380,17 @@ class _DiagVertices(_Source):
     def candidates(self, round_idx: int) -> np.ndarray:
         rng = self._rng(_CAND_STREAM, round_idx)
         if self.focus is None:
-            vertices = sample_candidates_diag_weighted(self.diag.values, self.sample_size, rng)
-            return _pairs_from_vertices(self.graph, vertices)
+            vertices = sample_candidates_diag_weighted(self.diag, self.sample_size, rng)
+            pairs = _pairs_from_vertices(self.graph, vertices)
+            # on a dense graph the sampled vertices may span no non-edge at all
+            return pairs if len(pairs) else sample_nonedge_pairs(self.graph, len(vertices), rng)
         pool = self.graph.non_neighbors(self.focus)
-        vertices = sample_candidates_diag_weighted(self.diag.values, self.sample_size, rng, allowed=pool)
+        vertices = sample_candidates_diag_weighted(self.diag, self.sample_size, rng, allowed=pool)
         return self._focus_pairs(vertices)
 
-    def refresh(self, round_idx: int) -> None:
-        self.diag, self.repo = ust.approx_update_diag(
-            self.graph, self.repo, self.diag, self._rng(_UPDATE_STREAM, round_idx), self.params.solver
+    def update(self, a: int, b: int, round_idx: int) -> None:
+        self.diag = ust.approx_update_diag(
+            self.graph, self.repo, self._rng(_UPDATE_STREAM, round_idx), self.params.solver
         )
 
 
@@ -430,7 +427,7 @@ class _DenseP(_Scorer):
     def gain(self, a: int, b: int) -> float:
         return gain_exact(self.state, a, b)
 
-    def note_insertion(self, a: int, b: int) -> None:
+    def update(self, a: int, b: int, round_idx: int) -> None:
         self.state.apply_insertion(a, b)
 
 
@@ -446,7 +443,7 @@ class _Columns(_Scorer):
     def gain(self, a: int, b: int) -> float:
         return gain_exact(self.cache, a, b)
 
-    def note_insertion(self, a: int, b: int) -> None:
+    def update(self, a: int, b: int, round_idx: int) -> None:
         self.cache.note_insertion(a, b)
 
 
@@ -472,7 +469,7 @@ class _Sketch(_Scorer):
     def gain(self, a: int, b: int) -> float:
         return jlt.gain_jlt(self.sketch, a, b, current_round=self.graph.round)
 
-    def refresh(self, round_idx: int) -> None:
+    def update(self, a: int, b: int, round_idx: int) -> None:
         self._build(self._rng(_UPDATE_STREAM, round_idx, *self.tokens))
 
 
@@ -492,7 +489,7 @@ class _Spectral(_Scorer):
     def gain(self, a: int, b: int) -> float:
         return spectral.gain_spectral(self.state, a, b)
 
-    def refresh(self, round_idx: int) -> None:
+    def update(self, a: int, b: int, round_idx: int) -> None:
         self._solve()
 
 
@@ -609,15 +606,13 @@ def _run_rounds(
         MONOTONICITY_AUDIT["accepted"] += 1
 
         graph.insert_edge(a, b)
-        t0 = time.perf_counter()
-        for part in parts:
-            part.note_insertion(a, b)
-        if r + 1 < k:  # nothing reads the refreshed state after the last insertion
+        if r + 1 < k:  # nothing reads the updated state after the last insertion
+            t0 = time.perf_counter()
             # the source first: a sketch's block solve would leave a factor on
             # the graph that the tree update's solve would then pick up
-            source.refresh(r)
-            scorer.refresh(r)
-        timings["update"] += time.perf_counter() - t0
+            source.update(a, b, r)
+            scorer.update(a, b, r)
+            timings["update"] += time.perf_counter() - t0
 
         picked.append((a, b))
         gains.append(exact_gain)

@@ -40,7 +40,6 @@ def default_sketch_width(universe_size: int, c_jlt: float = 4.0) -> int:
 
 @dataclass
 class JltSketch:
-    q: int
     biharm: np.ndarray  # q x n
     resist: np.ndarray  # q x n
     round: int
@@ -103,7 +102,7 @@ def build_sketch(
     qb = np.asarray(qm @ _incidence(graph))  # q x n, rows orthogonal to ones
     rhs = np.vstack([p, qb])
     rows = solve(graph, (rhs - rhs.mean(axis=1, keepdims=True)).T, config).T
-    return JltSketch(q=q, biharm=rows[:q], resist=rows[q:], round=graph.round)
+    return JltSketch(biharm=rows[:q], resist=rows[q:], round=graph.round)
 
 
 def _check_round(sketch: JltSketch, current_round: int | None) -> None:

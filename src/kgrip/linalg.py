@@ -13,9 +13,11 @@ pseudoinverse P = L^+ (all implemented below):
 Columns of P can also be obtained by solving L X = E - 1/n for a block of unit
 vectors E (all at once through a sparse grounded-Laplacian factor, or by one
 conjugate-gradient solve each) and re-centering X against the all-ones null
-space; cached columns are brought forward across insertions by chaining the
-rank-one update. A batch of gains reads B2 off the Gram matrix of the
-columns it touches: B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
+space. Restricted to a block C of columns, the rank-one update reads
+C' = C - v (C[a] - C[b]) / (1 + R(a,b)); one function applies it both to
+the stored columns and to the whole dense matrix. A batch of gains reads B2
+off the Gram matrix of the columns it touches:
+B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
 """
 
 from __future__ import annotations
@@ -34,10 +36,9 @@ from .graphs import Graph, canonical_edge, is_connected
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Accuracy knobs of the iterative column solver."""
+    """Accuracy of the column solver: the relative residual every solve must reach."""
 
     residual_tol: float = 1e-6
-    max_iters: int | None = None  # default 10*n, resolved per solve
 
     def __post_init__(self):
         if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
@@ -51,12 +52,12 @@ _FACTOR_MAX_N = 1000
 _FACTOR_MIN_COLUMNS = 16
 
 
-def pseudoinverse_dense(graph: Graph, cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
+def pseudoinverse_dense(graph: Graph) -> np.ndarray:
     """Dense pseudoinverse via the exact identity (L + J/n)^(-1) - J/n."""
     n = graph.n
-    if n > cap:
+    if n > DENSE_CAP_DEFAULT:
         raise ConfigError(
-            f"n={n} exceeds the dense pseudoinverse cap {cap}; use column solves instead"
+            f"n={n} exceeds the dense pseudoinverse cap {DENSE_CAP_DEFAULT}; use column solves instead"
         )
     shift = 1.0 / n
     m = graph.laplacian_dense() + shift
@@ -88,7 +89,7 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
         x -= x.mean(axis=0)
         failure = "grounded-Laplacian factor solve missed the residual tolerance"
     else:
-        maxiter = config.max_iters if config.max_iters is not None else 10 * graph.n
+        maxiter = 10 * graph.n
         precond = sp.diags(1.0 / np.maximum(lap.diagonal(), 1.0))
         x = np.empty_like(block)
         for j, column in enumerate(np.ascontiguousarray(block.T)):
@@ -133,7 +134,7 @@ def biharmonic_sq(col_a: np.ndarray, col_b: np.ndarray) -> float:
     return float(d @ d)
 
 
-def total_resistance(obj, cap: int = DENSE_CAP_DEFAULT) -> float:
+def total_resistance(obj) -> float:
     """n * trace(pseudoinverse), from a Graph or an existing DenseState.
 
     For a Graph no inverse is formed: with the Cholesky factor R of
@@ -145,8 +146,8 @@ def total_resistance(obj, cap: int = DENSE_CAP_DEFAULT) -> float:
     if not isinstance(obj, Graph):
         raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
     n = obj.n
-    if n > cap:
-        raise ConfigError(f"n={n} exceeds the dense total-resistance cap {cap}")
+    if n > DENSE_CAP_DEFAULT:
+        raise ConfigError(f"n={n} exceeds the dense total-resistance cap {DENSE_CAP_DEFAULT}")
     # L + J/n is singular exactly when the graph is disconnected, but rounding
     # can leave the Cholesky factorization a tiny positive pivot instead of failing
     if not is_connected(obj):
@@ -163,50 +164,21 @@ def gain_from_columns(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int, n: i
     return n * biharmonic_sq(col_a, col_b) / (1.0 + effective_resistance(col_a, col_b, a, b))
 
 
+def refresh_column(columns: np.ndarray, col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Pseudoinverse columns of G + {a,b} from the same columns of G (rank-one update).
+
+    ``columns`` is one column or an n x s block of G's pseudoinverse, and
+    ``col_a``, ``col_b`` are G's columns at the endpoints. By symmetry of the
+    pseudoinverse, row a of the block holds the entries of column a at the
+    block's own vertices, so C - (c_a - c_b)(C[a] - C[b]) / (1 + R(a,b)).
+    """
+    scale = (columns[a] - columns[b]) / (1.0 + effective_resistance(col_a, col_b, a, b))
+    return columns - np.multiply.outer(col_a - col_b, scale)
+
+
 def sherman_morrison_update(lpinv: np.ndarray, a: int, b: int) -> np.ndarray:
     """Pseudoinverse of G + {a,b} from the pseudoinverse of G (rank-one update)."""
-    v = lpinv[:, a] - lpinv[:, b]
-    resistance = float(v[a] - v[b])
-    return lpinv - np.outer(v, v) / (1.0 + resistance)
-
-
-@dataclass(frozen=True)
-class InsertionRecord:
-    """Columns of the inserted edge's endpoints, taken just before insertion."""
-
-    a: int
-    b: int
-    col_a: np.ndarray
-    col_b: np.ndarray
-
-    @property
-    def resistance(self) -> float:
-        return effective_resistance(self.col_a, self.col_b, self.a, self.b)
-
-
-def refresh_column(
-    column: np.ndarray, stale_round: int, records: list[InsertionRecord], target_round: int | None = None
-) -> np.ndarray:
-    """Bring a cached column forward by chaining the rank-one update per round.
-
-    ``records[i]`` must describe the edge inserted at round i; the entry of the
-    update direction v at the column's own vertex equals col[a] - col[b] by
-    symmetry of the pseudoinverse, so the vertex id is not needed.
-    """
-    if target_round is None:
-        target_round = len(records)
-    if stale_round > target_round:
-        raise StaleStateError(f"column stamped round {stale_round} is ahead of round {target_round}")
-    if target_round > len(records):
-        raise StaleStateError(
-            f"missing insertion records for rounds {len(records)}..{target_round - 1}; re-solve the column"
-        )
-    col = column
-    for i in range(stale_round, target_round):
-        rec = records[i]
-        v = rec.col_a - rec.col_b
-        col = col - ((col[rec.a] - col[rec.b]) / (1.0 + rec.resistance)) * v
-    return col
+    return refresh_column(lpinv, lpinv[:, a], lpinv[:, b], a, b)
 
 
 class DenseState:
@@ -218,8 +190,8 @@ class DenseState:
         self.round = round_
 
     @classmethod
-    def compute(cls, graph: Graph, cap: int = DENSE_CAP_DEFAULT) -> "DenseState":
-        return cls(graph, pseudoinverse_dense(graph, cap), graph.round)
+    def compute(cls, graph: Graph) -> "DenseState":
+        return cls(graph, pseudoinverse_dense(graph), graph.round)
 
     def column(self, v: int) -> np.ndarray:
         return self.matrix[:, v]
@@ -234,62 +206,53 @@ class DenseState:
 
 
 class ColumnCache:
-    """On-demand pseudoinverse columns with lazy refresh across insertions.
+    """On-demand pseudoinverse columns, kept current across insertions.
 
-    Columns are solved when first requested and stamped with the cache round;
-    a stale column is brought forward through the stored per-round insertion
-    records instead of being re-solved.
+    Columns are solved when first requested and stored side by side in one
+    n x s ``block``; ``slot[v]`` is v's column in it, -1 if v was never
+    solved. Each insertion brings the whole block forward in one rank-one
+    update; ``round`` is the round of the graph the block belongs to.
     """
 
     def __init__(self, graph: Graph, config: SolverConfig = DEFAULT_SOLVER):
         self.graph = graph
         self.config = config
-        self.round = 0
-        self.records: list[InsertionRecord] = []
-        self._cols: dict[int, tuple[np.ndarray, int]] = {}
-        self._base_graph_round = graph.round
+        self.round = graph.round
+        self.block = np.empty((graph.n, 0))
+        self.slot = np.full(graph.n, -1, dtype=np.int64)
         self.solve_count = 0
-
-    def _refresh_entry(self, v: int) -> np.ndarray:
-        """Bring a cached column to the cache round without touching the graph."""
-        col, stamp = self._cols[v]
-        if stamp < self.round:
-            col = refresh_column(col, stamp, self.records, self.round)
-            self._cols[v] = (col, self.round)
-        return col
 
     def column(self, v: int) -> np.ndarray:
         return self.columns(np.array([v]))[:, 0]
 
     def columns(self, vertices: np.ndarray) -> np.ndarray:
         """Columns of the given vertices side by side (n x len); missing ones are solved as one block."""
-        missing = [v for v in dict.fromkeys(vertices.tolist()) if v not in self._cols]
+        missing = [v for v in dict.fromkeys(vertices.tolist()) if self.slot[v] < 0]
         if missing:
-            if self.graph.round != self._base_graph_round + self.round:
+            if self.graph.round != self.round:
                 raise StaleStateError(
                     "cache round out of sync with the graph; record insertions before new solves"
                 )
             solved = solve_lpinv_columns(self.graph, missing, self.config)
             self.solve_count += len(missing)
-            self._cols.update((v, (solved[:, j], self.round)) for j, v in enumerate(missing))
-        return np.column_stack([self._refresh_entry(v) for v in vertices.tolist()])
+            self.slot[missing] = np.arange(self.block.shape[1], self.block.shape[1] + len(missing))
+            self.block = np.hstack([self.block, solved])
+        return self.block[:, self.slot[vertices]]
 
     def note_insertion(self, a: int, b: int) -> None:
-        """Record the just-inserted edge {a,b} from cached pre-insertion columns.
+        """Bring every stored column across the just-inserted edge {a,b}.
 
-        Both endpoint columns must already be cached (they were evaluated in
+        Both endpoint columns must already be stored (they were evaluated in
         the round that chose the edge); solving here would read the mutated
-        graph and corrupt the refresh chain.
+        graph instead of the one the stored columns belong to.
         """
         a, b = canonical_edge(a, b)
         for v in (a, b):
-            if v not in self._cols:
+            if self.slot[v] < 0:
                 raise StaleStateError(
                     f"column {v} was never solved; cannot record insertion ({a},{b})"
                 )
-        col_a = self._refresh_entry(a)
-        col_b = self._refresh_entry(b)
-        self.records.append(InsertionRecord(a, b, col_a.copy(), col_b.copy()))
+        self.block = refresh_column(self.block, self.block[:, self.slot[a]], self.block[:, self.slot[b]], a, b)
         self.round += 1
 
 

@@ -44,7 +44,6 @@ _DENSE_EIG_LIMIT = 600
 class SpectralState:
     """c-1 smallest nonzero eigenpairs plus the largest eigenvalue, round-stamped."""
 
-    cutoff: int
     eigenvalues: np.ndarray  # lambda_2..lambda_c, ascending
     vectors: np.ndarray  # n x (c-1), orthonormal, each orthogonal to ones
     lambda_max: float
@@ -133,9 +132,7 @@ def compute_low_spectrum(
             f" (or nonpositive eigenvalue); worst pair index {int(residuals.argmax())}",
             float(residuals.max()),
         )
-    return SpectralState(
-        cutoff=c, eigenvalues=vals, vectors=vecs, lambda_max=lam_max, round=graph.round
-    )
+    return SpectralState(eigenvalues=vals, vectors=vecs, lambda_max=lam_max, round=graph.round)
 
 
 def _bracket(state: SpectralState, dsq: np.ndarray):

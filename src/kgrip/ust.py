@@ -348,31 +348,19 @@ def _mean_counts(graph: Graph, roots: Sequence[int], count: int, bfs: BfsTree, r
 
 
 @dataclass
-class DiagEstimate:
-    """Per-vertex estimate of the pseudoinverse diagonal."""
-
-    values: np.ndarray
-    epsilon: float
-
-
-@dataclass
 class UstRepository:
     """Running UST resistance estimate, brought forward across insertions.
 
-    ``resistance[v]`` estimates R(pivot, v) for the graph of the latest
-    round; ``total`` is the tree budget of a full resample. The trees
-    themselves are not kept.
+    ``resistance[v]`` estimates R(pivot, v) for the graph at ``round``;
+    ``total`` is the tree budget of a full resample. The trees themselves
+    are not kept.
     """
 
     pivot: int
     bfs: BfsTree
     total: int
     resistance: np.ndarray
-    base_round: int
-    update_count: int = 0
-
-    def expected_graph_round(self) -> int:
-        return self.base_round + self.update_count
+    round: int
 
 
 def tree_budget(n: int, epsilon: float, c_ust: float = 1.0) -> int:
@@ -393,7 +381,7 @@ def approx_diag_lpinv(
     rng: np.random.Generator,
     config: SolverConfig = DEFAULT_SOLVER,
     c_ust: float = 1.0,
-) -> tuple[DiagEstimate, UstRepository]:
+) -> tuple[np.ndarray, UstRepository]:
     """UST-sampled diagonal of the pseudoinverse plus the repository for updates.
 
     Samples ceil(c_ust*ln(n)/eps^2) trees from the pivot, averages the signed
@@ -407,34 +395,25 @@ def approx_diag_lpinv(
     resistance = _mean_counts(graph, (pivot,), tau, bfs, rng)
     col = solve_lpinv_columns(graph, [pivot], config)[:, 0]
     diag = resistance - col[pivot] + 2.0 * col
-    repo = UstRepository(
-        pivot=pivot,
-        bfs=bfs,
-        total=tau,
-        resistance=resistance,
-        base_round=graph.round,
-    )
-    return DiagEstimate(diag, epsilon), repo
+    repo = UstRepository(pivot=pivot, bfs=bfs, total=tau, resistance=resistance, round=graph.round)
+    return diag, repo
 
 
 def approx_update_diag(
     graph: Graph,
     repo: UstRepository,
-    diag: DiagEstimate,
     rng: np.random.Generator,
     config: SolverConfig = DEFAULT_SOLVER,
-) -> tuple[DiagEstimate, UstRepository]:
-    """Refresh the diagonal estimate after exactly one edge insertion.
+) -> np.ndarray:
+    """The diagonal estimate after exactly one edge insertion; ``repo`` moves forward in place.
 
     Solves the new graph's columns at a, b and the pivot as one block, reads
     the edge's resistance w off the first two, samples ceil(w*total) trees
     forced to contain the new edge, and mixes their resistance estimate (weight
     w) with the running one (weight 1-w) before converting with the pivot column.
     """
-    if graph.round != repo.expected_graph_round() + 1:
-        raise StaleStateError(
-            f"repository expects graph round {repo.expected_graph_round() + 1}, got {graph.round}"
-        )
+    if graph.round != repo.round + 1:
+        raise StaleStateError(f"repository expects graph round {repo.round + 1}, got {graph.round}")
     a, b = graph.insertion_log[-1]
 
     cols = solve_lpinv_columns(graph, [a, b, repo.pivot], config)
@@ -443,8 +422,7 @@ def approx_update_diag(
     fresh = max(1, math.ceil(omega * repo.total))
     counts = _mean_counts(graph, (a, b), fresh, repo.bfs, rng)
     repo.resistance = omega * counts + (1.0 - omega) * repo.resistance
-    repo.update_count += 1
+    repo.round += 1
 
     col_u = cols[:, 2]
-    values = repo.resistance - col_u[repo.pivot] + 2.0 * col_u
-    return DiagEstimate(values, diag.epsilon), repo
+    return repo.resistance - col_u[repo.pivot] + 2.0 * col_u

@@ -9,8 +9,9 @@ import json
 
 import pytest
 
-from kgrip.cli import main, parse_generator_spec
+from kgrip.cli import _params_from_args, build_parser, main, parse_generator_spec
 from kgrip.errors import ConfigError
+from kgrip.greedy import GreedyParams
 
 P3_EDGES = "0 1\n1 2\n"
 
@@ -290,3 +291,13 @@ def test_bench_accepts_edge_list_files(tmp_path, capsys):
 def test_bench_needs_instances(capsys):
     code, _, _ = run_cli(capsys, ["bench", "--heuristics", "stgreedy", "--k", "2"])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["optimize", "--k", "1"], ["lrip", "--k", "1"], ["bench"]],
+    ids=["optimize", "lrip", "bench"],
+)
+def test_parameter_flag_defaults_are_greedy_params_defaults(argv):
+    args = build_parser().parse_args(argv)
+    assert _params_from_args(args).to_dict() == GreedyParams().to_dict()

@@ -10,7 +10,7 @@ import pytest
 
 from kgrip import jlt, oracles, ust
 from kgrip.errors import ConfigError
-from kgrip.graphs import generate
+from kgrip.graphs import Graph, generate
 from kgrip.linalg import total_resistance
 from kgrip.greedy import (
     GreedyParams,
@@ -343,9 +343,25 @@ def test_colstoch_candidates_never_include_edges():
         work.insert_edge(a, b)
 
 
+@pytest.mark.parametrize("kind", [Heuristic.COL_STOCH, Heuristic.COL_STOCH_JLT])
+@pytest.mark.parametrize("n", [6, 8, 10, 20])
+def test_diag_source_completes_on_complete_graph_minus_an_edge(kind, n):
+    # the vertex sample mostly spans only edges; such a round falls back to
+    # uniform non-edges instead of running out of candidates
+    g = Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if (a, b) != (0, 1)])
+    for seed in range(20):
+        assert run_kgrip(g, 1, kind, seed=seed).inserted_edges == [(0, 1)]
+
+
+def test_colstoch_completes_on_dense_er():
+    g = generate("er", {"n": 30, "p": 0.9}, seed=1)  # 41 non-edges
+    for seed in range(10):
+        assert len(run_kgrip(g, 5, Heuristic.COL_STOCH, seed=seed).inserted_edges) == 5
+
+
 def test_colstoch_cached_columns_stay_consistent_over_long_runs():
-    # after many rounds of on-demand refreshes, every cached column must still
-    # match a fresh solve on the final graph
+    # after many rounds of block updates, every stored column must still
+    # match a fresh solve on the graph it was last brought forward to
     import numpy as np
 
     from kgrip.greedy import _computed_parts, _run_rounds
@@ -357,11 +373,15 @@ def test_colstoch_cached_columns_stay_consistent_over_long_runs():
     parts = _computed_parts(work, 8, Heuristic.COL_STOCH, params, seed=2)
 
     timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
-    _run_rounds(work, parts, 8, params, timings)
+    picked, _ = _run_rounds(work, parts, 8, params, timings)
     cache = parts[1].cache
-    for v in list(cache._cols):
+    stored_for = g.copy()  # nothing brings the columns across the last insertion
+    for a, b in picked[:-1]:
+        stored_for.insert_edge(a, b)
+    assert cache.round == stored_for.round
+    for v in np.flatnonzero(cache.slot >= 0):
         refreshed = cache.column(v)
-        fresh = solve_lpinv_column(work, v)
+        fresh = solve_lpinv_column(stored_for, v)
         assert np.max(np.abs(refreshed - fresh)) <= 10 * params.solver.residual_tol
 
 
@@ -396,8 +416,8 @@ _REFRESHED_BY = {
 
 @pytest.mark.parametrize("kind", list(Heuristic))
 def test_refresh_skipped_after_last_insertion(kind, monkeypatch):
-    # state is rebuilt only for a round that reads it: k-1 times per run and
-    # per focus node; the pseudoinverse bookkeeping still follows every insertion
+    # state is brought forward only for a round that reads it: k-1 times per
+    # run and per focus node, the dense pseudoinverse included
     from kgrip import jlt, linalg, spectral, ust
 
     calls = []
@@ -429,7 +449,7 @@ def test_refresh_skipped_after_last_insertion(kind, monkeypatch):
         refreshed = {f for f, r in calls if r > 0 and f != "apply_insertion"}
         assert refreshed == _REFRESHED_BY[kind]
         dense = kind in (Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH)
-        assert sum(f == "apply_insertion" for f, _ in calls) == (k * runs if dense else 0)
+        assert sum(f == "apply_insertion" for f, _ in calls) == ((k - 1) * runs if dense else 0)
 
 
 def test_quality_on_scale_free_instances():
@@ -572,9 +592,9 @@ def test_colstochjlt_refresh_draws_trees_and_sketch_from_separate_streams(monkey
     states = {"trees": [], "sketch": []}
     update_diag, build_sketch = ust.approx_update_diag, jlt.build_sketch
 
-    def spy_update(graph, repo, diag, rng, *args):
+    def spy_update(graph, repo, rng, *args):
         states["trees"].append(rng.bit_generator.state)
-        return update_diag(graph, repo, diag, rng, *args)
+        return update_diag(graph, repo, rng, *args)
 
     def spy_sketch(graph, q, rng, *args, **kwargs):
         states["sketch"].append(rng.bit_generator.state)

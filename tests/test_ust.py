@@ -304,12 +304,12 @@ def test_diag_estimate_p3(p3):
     diag, repo = approx_diag_lpinv(p3, eps, np.random.default_rng(200))
     assert repo.pivot == 1  # highest degree
     assert np.allclose(repo.resistance, [1.0, 0.0, 1.0])  # unique tree, exact
-    assert np.max(np.abs(diag.values - np.array([5 / 9, 2 / 9, 5 / 9]))) <= 2 * eps
+    assert np.max(np.abs(diag - np.array([5 / 9, 2 / 9, 5 / 9]))) <= 2 * eps
 
 
 def test_diag_estimate_k2_exact():
     diag, _ = approx_diag_lpinv(complete_graph(2), 0.3, np.random.default_rng(201))
-    assert np.allclose(diag.values, [0.25, 0.25], atol=1e-6)
+    assert np.allclose(diag, [0.25, 0.25], atol=1e-6)
 
 
 def test_diag_estimate_er200():
@@ -318,7 +318,7 @@ def test_diag_estimate_er200():
     diag, repo = approx_diag_lpinv(g, eps, np.random.default_rng(42))
     assert repo.total == tree_budget(g.n, eps)
     exact = np.diag(oracles.pinv_eig(g))
-    assert np.max(np.abs(diag.values - exact)) <= 2 * eps
+    assert np.max(np.abs(diag - exact)) <= 2 * eps
 
 
 def test_tree_budget_formula():
@@ -341,7 +341,7 @@ def update_omega(graph, edge, rng_seed, monkeypatch) -> float:
     graph.insert_edge(*edge)
     with monkeypatch.context() as patch:
         patch.setattr(ust, "_mean_counts", lambda g, *_: np.zeros(g.n))
-        _, repo = approx_update_diag(graph, repo, diag, np.random.default_rng(rng_seed + 1))
+        approx_update_diag(graph, repo, np.random.default_rng(rng_seed + 1))
     far = int(np.argmax(before))
     return 1.0 - repo.resistance[far] / before[far]
 
@@ -362,9 +362,9 @@ def test_update_er200_accuracy():
     eps = 0.1
     diag, repo = approx_diag_lpinv(g, eps, np.random.default_rng(42))
     g.insert_edge(*oracles.all_non_edges(g)[17])
-    diag, repo = approx_update_diag(g, repo, diag, np.random.default_rng(43))
+    diag = approx_update_diag(g, repo, np.random.default_rng(43))
     exact = np.diag(oracles.pinv_eig(g))
-    assert np.max(np.abs(diag.values - exact)) <= 3 * eps
+    assert np.max(np.abs(diag - exact)) <= 3 * eps
 
 
 def test_update_round_bookkeeping():
@@ -374,16 +374,16 @@ def test_update_round_bookkeeping():
     rng = np.random.default_rng(46)
     for i in range(4):
         g.insert_edge(*oracles.all_non_edges(g)[i])
-        diag, repo = approx_update_diag(g, repo, diag, rng.spawn(1)[0])
-        assert repo.expected_graph_round() == g.round
+        diag = approx_update_diag(g, repo, rng.spawn(1)[0])
+        assert repo.round == g.round
 
 
 def test_diag_pivot_entry_matches_solved_column():
     g = random_connected(60, 0.1, seed=57)
     diag, repo = approx_diag_lpinv(g, 0.2, np.random.default_rng(58))
     col = solve_lpinv_column(g, repo.pivot)
-    assert diag.values[repo.pivot] == pytest.approx(col[repo.pivot], abs=1e-6)
-    assert np.all(np.isfinite(diag.values))
+    assert diag[repo.pivot] == pytest.approx(col[repo.pivot], abs=1e-6)
+    assert np.all(np.isfinite(diag))
 
 
 def test_update_rejects_round_skew():
@@ -392,7 +392,7 @@ def test_update_rejects_round_skew():
     g.insert_edge(*oracles.all_non_edges(g)[0])
     g.insert_edge(*oracles.all_non_edges(g)[0])
     with pytest.raises(StaleStateError):
-        approx_update_diag(g, repo, diag, np.random.default_rng(49))
+        approx_update_diag(g, repo, np.random.default_rng(49))
 
 
 def test_repository_copy_shares_the_bfs_tree():
@@ -411,6 +411,6 @@ def test_repository_diag_close_to_scratch():
     rng = np.random.default_rng(55)
     for i in range(3):
         g.insert_edge(*oracles.all_non_edges(g)[2 * i])
-        diag, repo = approx_update_diag(g, repo, diag, rng.spawn(1)[0])
+        diag = approx_update_diag(g, repo, rng.spawn(1)[0])
     scratch, _ = approx_diag_lpinv(g, eps, np.random.default_rng(56))
-    assert np.max(np.abs(diag.values - scratch.values)) <= 4 * eps
+    assert np.max(np.abs(diag - scratch)) <= 4 * eps
