@@ -274,15 +274,21 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
     ||c_a - c_b||^2 = G[a,a] + G[b,b] - 2 G[a,b] with G = C^T C. A star
     batch (one vertex in every pair, as in a focus node's candidates) reads
     G[a,b] off the hub's row C^T c_hub and the diagonal off the column norms.
+    A dense state is read in place when the batch touches every vertex, or
+    is a star touching more than half of them.
     """
     graph: Graph = state.graph
     a, b = pairs[:, 0], pairs[:, 1]
     if np.any(a == b) or np.any(graph.has_edges(a, b)):
         raise InvariantError("gains are defined for non-edges only")
     vertices, slot = np.unique(pairs, return_inverse=True)
-    slot_a, slot_b = slot.reshape(pairs.shape).T
-    cols = state.columns(vertices)
     hub = next((h for h in pairs[0] if np.all((a == h) | (b == h))), None)
+    touched = len(vertices) / graph.n
+    if isinstance(state, DenseState) and (touched == 1 or hub is not None and touched > 0.5):
+        vertices, slot, cols = np.arange(graph.n), pairs, state.matrix  # every vertex its own slot
+    else:
+        cols = state.columns(vertices)
+    slot_a, slot_b = slot.reshape(pairs.shape).T
     if hub is None:
         gram = cols.T @ cols
         sq = np.diagonal(gram)

@@ -43,12 +43,14 @@ def sampled_edge_sets(graph: Graph, roots: tuple[int, ...], samples: int, seed: 
     """Edge sets of ``samples`` trees from the batched sampler, counted by tree.
 
     One root draws uniform spanning trees; two roots (a, b) draw uniformly
-    from the spanning trees containing {a,b}.
+    from the spanning trees containing {a,b}. Each tree's root is read off its
+    parent array.
     """
     counts: Counter = Counter()
     for parents in sample_trees(graph, roots, samples, np.random.default_rng(seed)):
         for row in parents:
-            counts[SpanningTree(row.tolist(), roots[0]).edges()] += 1
+            parent = row.tolist()
+            counts[SpanningTree(parent, parent.index(-1)).edges()] += 1
     return counts
 
 

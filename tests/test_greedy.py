@@ -619,14 +619,14 @@ _SEEDED_EDGES = {
     ("er", "simplstoch"): ([(5, 11), (55, 56), (6, 56)], [(7, 50), (7, 11), (7, 48)]),
     ("er", "simplstochjlt"): ([(11, 41), (9, 56), (28, 29)], [(7, 50), (7, 29), (7, 55)]),
     ("er", "specstoch"): ([(11, 16), (53, 56), (28, 55)], [(7, 22), (7, 9), (7, 55)]),
-    ("er", "colstoch"): ([(16, 28), (11, 56), (11, 55)], [(7, 58), (7, 28), (7, 11)]),
+    ("er", "colstoch"): ([(16, 28), (11, 56), (11, 55)], [(7, 58), (7, 37), (7, 11)]),
     ("er", "colstochjlt"): ([(55, 56), (9, 43), (11, 47)], [(6, 7), (7, 20), (7, 21)]),
     ("ba", "stgreedy"): ([(73, 76), (59, 65), (68, 69)], [(7, 73), (7, 76), (7, 65)]),
     ("ba", "simplstoch"): ([(48, 65), (70, 73), (66, 69)], [(7, 67), (7, 56), (7, 57)]),
     ("ba", "simplstochjlt"): ([(28, 59), (26, 71), (40, 65)], [(7, 68), (7, 35), (7, 75)]),
     ("ba", "specstoch"): ([(65, 68), (66, 73), (71, 76)], [(7, 30), (7, 64), (7, 76)]),
-    ("ba", "colstoch"): ([(59, 73), (68, 76), (69, 74)], [(7, 59), (7, 79), (7, 68)]),
-    ("ba", "colstochjlt"): ([(44, 77), (57, 70), (73, 78)], [(7, 68), (7, 35), (7, 77)]),
+    ("ba", "colstoch"): ([(59, 73), (76, 78), (68, 69)], [(7, 59), (7, 79), (7, 68)]),
+    ("ba", "colstochjlt"): ([(44, 77), (57, 70), (27, 30)], [(7, 68), (7, 35), (7, 77)]),
 }
 
 

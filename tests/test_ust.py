@@ -10,6 +10,7 @@ pseudoinverse oracle.
 from __future__ import annotations
 
 import copy
+import hashlib
 from collections import deque
 
 import numpy as np
@@ -175,12 +176,64 @@ def test_fixed_edge_trees_contain_the_edge_and_span():
     a, b = sorted(g.edges())[len(list(g.edges())) // 2]
     for parents in sample_trees(g, (a, b), 300, np.random.default_rng(14)):
         for row in parents:
-            tree = SpanningTree(row.tolist(), a)
+            parent = row.tolist()
+            tree = SpanningTree(parent, parent.index(-1))
             assert (a, b) in tree.edges()
             tree.check_spanning(g)
     tree = sample_ust_with_edge(g, b, a, np.random.default_rng(15))
-    assert tree.parent[a] == b and tree.parent[b] == -1
+    assert tree.parent[tree.root] == -1 and tree.parent.count(-1) == 1
+    assert (a, b) in tree.edges()
     tree.check_spanning(g)
+
+
+def test_fixed_edge_uniform_with_hub_root():
+    # hub 0 (degree 6) outranks the merged vertex of {1,2} (degree 3 + 3 - 2),
+    # and 1, 2 share the neighbours 0 and 3 (parallel edges in the contraction)
+    g = Graph(7, [(0, i) for i in range(1, 7)] + [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)])
+    qualifying = [t for t in oracles.spanning_trees(g) if (1, 2) in t]
+    assert len(qualifying) == 136
+    samples = 80000
+    assert np.all(next(sample_trees(g, (1, 2), 50, np.random.default_rng(105)))[:, 0] == -1)
+    counts = sampled_edge_sets(g, (1, 2), samples, 105)
+    assert set(counts) == set(qualifying)
+    expected = samples / len(qualifying)
+    for t in qualifying:
+        assert abs(counts[t] / samples - 1 / len(qualifying)) <= 0.25 / len(qualifying)
+    chi2 = sum((counts[t] - expected) ** 2 / expected for t in qualifying)
+    dof = len(qualifying) - 1
+    assert chi2 <= dof + 5 * (2 * dof) ** 0.5
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_fixed_edge_trees_span_with_one_root_under_both_rootings(seed):
+    g = random_connected(30, 0.15, seed=seed)
+    deg = np.array([g.degree(v) for v in range(g.n)])
+    rootings = set()
+    for edge in sorted(g.edges()):
+        a, b = edge[::-1] if seed % 2 else edge  # the merged vertex takes the first id
+        others = deg.copy()
+        others[[a, b]] = -1
+        merged_root = deg[a] + deg[b] - 2 >= others.max()
+        rootings.add(merged_root)
+        expected_root = a if merged_root else int(np.argmax(others))
+        for parents in sample_trees(g, (a, b), 4, np.random.default_rng(seed)):
+            for row in parents:
+                assert np.flatnonzero(row == -1).tolist() == [expected_root]
+                tree = SpanningTree(row.tolist(), expected_root)
+                assert edge in tree.edges()
+                tree.check_spanning(g)
+    assert rootings == {True, False}
+
+
+def test_fixed_edge_trees_rooted_at_merged_vertex_are_pinned():
+    # every vertex of this ring lattice has degree about 10, so the merged vertex
+    # (degree about 18) is the root; these trees are pinned bit for bit
+    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=3)
+    digest = hashlib.sha256()
+    for parents in sample_trees(g, (36, 41), 300, np.random.default_rng(7)):
+        assert np.all(parents[:, 36] == -1) and np.all(parents[:, 41] == 36)
+        digest.update(parents.astype("<i4").tobytes())
+    assert digest.hexdigest() == "c004a6dfe43a9c0b61da493690d73e2c4d0691ba58a9dff2d388c3a2c218b63d"
 
 
 def test_fixed_edge_on_tree_returns_the_tree():
