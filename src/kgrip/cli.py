@@ -127,7 +127,6 @@ def _params_from_args(args) -> GreedyParams:
         cutoff=args.cutoff,
         solver=SolverConfig(residual_tol=args.solver_eps),
         diag_epsilon=args.diag_eps,
-        c_ust=getattr(args, "c_ust", _DEFAULTS.c_ust),
         c_jlt=getattr(args, "c_jlt", _DEFAULTS.c_jlt),
     )
 
@@ -362,7 +361,6 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, required=True, help="number of edges to insert")
     parser.add_argument("--heuristic", default="stgreedy", help="stgreedy|simplstoch|colstoch|simplstochjlt|colstochjlt|specstoch")
     _add_param_flags(parser)
-    parser.add_argument("--c-ust", type=float, default=_DEFAULTS.c_ust, help="spanning-tree budget multiplier")
     parser.add_argument("--c-jlt", type=float, default=_DEFAULTS.c_jlt, help="sketch width multiplier")
     parser.add_argument("--seed", type=int, default=0, help="master seed (echoed in results)")
     parser.add_argument("--output", "-o", help="output path (default stdout)")

@@ -83,7 +83,6 @@ class GreedyParams:
     cutoff: int = 50
     solver: SolverConfig = field(default_factory=SolverConfig)
     diag_epsilon: float = 0.1
-    c_ust: float = 1.0
     c_jlt: float = 4.0
 
     def validate(self) -> None:
@@ -93,7 +92,6 @@ class GreedyParams:
             raise ConfigError(f"cutoff must be >= 2, got {self.cutoff}")
         for name, value in (
             ("diag epsilon", self.diag_epsilon),
-            ("c_ust", self.c_ust),
             ("c_jlt", self.c_jlt),
         ):
             if not (math.isfinite(value) and value > 0):
@@ -105,7 +103,6 @@ class GreedyParams:
             "cutoff": self.cutoff,
             "solver_eps": self.solver.residual_tol,
             "diag_eps": self.diag_epsilon,
-            "c_ust": self.c_ust,
             "c_jlt": self.c_jlt,
         }
 
@@ -373,7 +370,7 @@ class _DiagVertices(_Source):
     def compute(self) -> None:
         rng = derive_rng(self.seed, _PRE_STREAM, self.kind.value)
         self.diag, self.repo = ust.approx_diag_lpinv(
-            self.graph, self.params.diag_epsilon, rng, self.params.solver, self.params.c_ust
+            self.graph, self.params.diag_epsilon, rng, self.params.solver
         )
         self.size_sample()
 
@@ -389,9 +386,7 @@ class _DiagVertices(_Source):
         return self._focus_pairs(vertices)
 
     def update(self, a: int, b: int, round_idx: int) -> None:
-        self.diag = ust.approx_update_diag(
-            self.graph, self.repo, self._rng(_UPDATE_STREAM, round_idx), self.params.solver
-        )
+        self.diag = ust.approx_update_diag(self.graph, self.repo, self.params.solver)
 
 
 class _Scorer(_Part):
@@ -451,7 +446,7 @@ class _Sketch(_Scorer):
     """Gains from random-projection sketches, rebuilt with fresh projections every round."""
 
     def compute(self, source: _Source) -> None:
-        # Beside the diag source, whose trees draw from the plain streams, the
+        # Beside the diag source, whose trees draw from the plain stream, the
         # sketch takes a stream token of its own and is sized by the vertex
         # sample instead of by n.
         beside_diag = isinstance(source, _DiagVertices)
@@ -609,7 +604,7 @@ def _run_rounds(
         if r + 1 < k:  # nothing reads the updated state after the last insertion
             t0 = time.perf_counter()
             # the source first: a sketch's block solve would leave a factor on
-            # the graph that the tree update's solve would then pick up
+            # the graph that the diagonal update's solve would then pick up
             source.update(a, b, r)
             scorer.update(a, b, r)
             timings["update"] += time.perf_counter() - t0

@@ -27,12 +27,11 @@ A block of trees is aggregated with array passes: Euler intervals of every
 tree come from one pointer-jumping depth pass plus one pass per tree level,
 and the signed counts take one vector pass per BFS depth.
 
-After an edge {a,b} is inserted, the tree sample is not re-drawn from
-scratch.  With w = R_new(a,b) (the resistance of the inserted edge in the new
-graph), a UST of the new graph contains {a,b} with probability w, so the new
-estimate mixes freshly sampled trees that contain {a,b} (weight w) with the
-running estimate (weight 1-w).  Only the running resistance vector is kept,
-not the trees.
+After an edge {a,b} is inserted, the estimate moves by the exact rank-one
+term of the Sherman-Morrison identity, read off the new graph's two solved
+columns at a and b: diag' = diag - v*v / (1 - R'), with v = c'_a - c'_b and
+R' = v[a] - v[b]. No trees are drawn for an update; the fixed-edge sampler
+serves the sampling checks only.
 
 A block draws its walk steps from one generator in lockstep order, so the
 trees of a seeded run depend on the block layout as well as on the seed.
@@ -48,7 +47,7 @@ import numpy as np
 
 from .errors import ConfigError, InvariantError, SolverError, StaleStateError
 from .graphs import Graph, assert_connected, bfs_parents, canonical_edge
-from .linalg import DEFAULT_SOLVER, SolverConfig, effective_resistance, solve_lpinv_columns
+from .linalg import DEFAULT_SOLVER, SolverConfig, solve_lpinv_columns
 
 _WALK_STEP_GUARD = 10**9
 # trees x vertices per lockstep block: bounds the block's working arrays
@@ -141,9 +140,6 @@ class BfsTree:
             self.levels.append((vs, c, p))
             deeper = p != pivot
             vs, c = vs[deeper], p[deeper]
-
-    def __deepcopy__(self, memo) -> "BfsTree":
-        return self  # read-only once built, so copies of a repository share it
 
 
 # -- lockstep Wilson sampling -------------------------------------------------------
@@ -380,25 +376,17 @@ def _mean_counts(graph: Graph, roots: Sequence[int], count: int, bfs: BfsTree, r
 
 @dataclass
 class UstRepository:
-    """Running UST resistance estimate, brought forward across insertions.
+    """The running diagonal estimate and the graph round it belongs to."""
 
-    ``resistance[v]`` estimates R(pivot, v) for the graph at ``round``;
-    ``total`` is the tree budget of a full resample. The trees themselves
-    are not kept.
-    """
-
-    pivot: int
-    bfs: BfsTree
-    total: int
-    resistance: np.ndarray
+    diag: np.ndarray
     round: int
 
 
-def tree_budget(n: int, epsilon: float, c_ust: float = 1.0) -> int:
-    """Sample size ceil(c_ust * ln(n) / epsilon^2), at least 1."""
+def tree_budget(n: int, epsilon: float) -> int:
+    """Sample size ceil(ln(n) / epsilon^2), at least 1."""
     if epsilon <= 0:
         raise ConfigError(f"epsilon must be positive, got {epsilon}")
-    return max(1, math.ceil(c_ust * math.log(max(n, 2)) / (epsilon * epsilon)))
+    return max(1, math.ceil(math.log(max(n, 2)) / (epsilon * epsilon)))
 
 
 def choose_pivot(graph: Graph) -> int:
@@ -411,49 +399,35 @@ def approx_diag_lpinv(
     epsilon: float,
     rng: np.random.Generator,
     config: SolverConfig = DEFAULT_SOLVER,
-    c_ust: float = 1.0,
 ) -> tuple[np.ndarray, UstRepository]:
     """UST-sampled diagonal of the pseudoinverse plus the repository for updates.
 
-    Samples ceil(c_ust*ln(n)/eps^2) trees from the pivot, averages the signed
+    Samples ceil(ln(n)/eps^2) trees from the pivot, averages the signed
     BFS-path counts into resistance estimates R(pivot, .), then converts them
     with one solved pivot column.
     """
     assert_connected(graph)
     pivot = choose_pivot(graph)
-    tau = tree_budget(graph.n, epsilon, c_ust)
-    bfs = BfsTree(graph, pivot)
-    resistance = _mean_counts(graph, (pivot,), tau, bfs, rng)
+    resistance = _mean_counts(graph, (pivot,), tree_budget(graph.n, epsilon), BfsTree(graph, pivot), rng)
     col = solve_lpinv_columns(graph, [pivot], config)[:, 0]
     diag = resistance - col[pivot] + 2.0 * col
-    repo = UstRepository(pivot=pivot, bfs=bfs, total=tau, resistance=resistance, round=graph.round)
-    return diag, repo
+    return diag, UstRepository(diag=diag, round=graph.round)
 
 
 def approx_update_diag(
-    graph: Graph,
-    repo: UstRepository,
-    rng: np.random.Generator,
-    config: SolverConfig = DEFAULT_SOLVER,
+    graph: Graph, repo: UstRepository, config: SolverConfig = DEFAULT_SOLVER
 ) -> np.ndarray:
     """The diagonal estimate after exactly one edge insertion; ``repo`` moves forward in place.
 
-    Solves the new graph's columns at a, b and the pivot as one block, reads
-    the edge's resistance w off the first two, samples ceil(w*total) trees
-    forced to contain the new edge, and mixes their resistance estimate (weight
-    w) with the running one (weight 1-w) before converting with the pivot column.
+    Solves the new graph's columns at the inserted edge's ends a, b as one
+    block and subtracts the rank-one term v*v / (1 - R'), v = c'_a - c'_b,
+    R' = v[a] - v[b]: exact when the estimate it starts from is.
     """
     if graph.round != repo.round + 1:
         raise StaleStateError(f"repository expects graph round {repo.round + 1}, got {graph.round}")
     a, b = graph.insertion_log[-1]
-
-    cols = solve_lpinv_columns(graph, [a, b, repo.pivot], config)
-    omega = effective_resistance(cols[:, 0], cols[:, 1], a, b)  # equals R_old/(1+R_old) in (0,1)
-
-    fresh = max(1, math.ceil(omega * repo.total))
-    counts = _mean_counts(graph, (a, b), fresh, repo.bfs, rng)
-    repo.resistance = omega * counts + (1.0 - omega) * repo.resistance
+    cols = solve_lpinv_columns(graph, [a, b], config)
+    v = cols[:, 0] - cols[:, 1]
+    repo.diag = repo.diag - v * v / (1.0 - (v[a] - v[b]))
     repo.round += 1
-
-    col_u = cols[:, 2]
-    return repo.resistance - col_u[repo.pivot] + 2.0 * col_u
+    return repo.diag

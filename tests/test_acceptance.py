@@ -166,14 +166,13 @@ def test_criterion_05_dynamic_diag_updates():
     eps = 0.1
     g = generate("er", {"n": 200, "p": 0.05}, seed=42)
     diag, repo = approx_diag_lpinv(g, eps, derive_rng(42, "diag"))
-    rng = derive_rng(42, "updates")
     picker = derive_rng(42, "edges")
     worst = 0.0
     for step in range(5):
         non_edges = oracles.all_non_edges(g)
         a, b = non_edges[picker.integers(len(non_edges))]
         g.insert_edge(a, b)
-        diag = approx_update_diag(g, repo, rng.spawn(1)[0])
+        diag = approx_update_diag(g, repo)
         exact = np.diag(oracles.pinv_eig(g))
         worst = max(worst, float(np.max(np.abs(diag - exact))))
     elapsed = time.time() - started

@@ -56,8 +56,6 @@ def test_optimize_invalid_delta_exit2(tmp_path, capsys):
         ("--c-jlt", "nan", "c_jlt"),
         ("--c-jlt", "inf", "c_jlt"),
         ("--c-jlt", "0", "c_jlt"),
-        ("--c-ust", "nan", "c_ust"),
-        ("--c-ust", "-1", "c_ust"),
         ("--diag-eps", "nan", "diag epsilon"),
         ("--solver-eps", "nan", "residual_tol"),
     ],

@@ -588,26 +588,48 @@ def test_dense_runs_read_initial_resistance_off_the_pseudoinverse(model, params,
     assert run_klrip(g, [3], 2, kind, seed=4)[0].r_initial == pytest.approx(expected, rel=1e-12)
 
 
-def test_colstochjlt_refresh_draws_trees_and_sketch_from_separate_streams(monkeypatch):
+def test_colstochjlt_draws_trees_and_sketch_from_separate_streams(monkeypatch):
     states = {"trees": [], "sketch": []}
-    update_diag, build_sketch = ust.approx_update_diag, jlt.build_sketch
+    approx_diag, build_sketch = ust.approx_diag_lpinv, jlt.build_sketch
 
-    def spy_update(graph, repo, rng, *args):
+    def spy_diag(graph, epsilon, rng, *args):
         states["trees"].append(rng.bit_generator.state)
-        return update_diag(graph, repo, rng, *args)
+        return approx_diag(graph, epsilon, rng, *args)
 
     def spy_sketch(graph, q, rng, *args, **kwargs):
         states["sketch"].append(rng.bit_generator.state)
         return build_sketch(graph, q, rng, *args, **kwargs)
 
-    monkeypatch.setattr(ust, "approx_update_diag", spy_update)
+    monkeypatch.setattr(ust, "approx_diag_lpinv", spy_diag)
     monkeypatch.setattr(jlt, "build_sketch", spy_sketch)
     g = generate("ba", {"n": 60, "m_attach": 3, "m0": 3}, seed=8)
     run_kgrip(g, 3, Heuristic.COL_STOCH_JLT, seed=2)
-    # compute builds the first sketch; each of the two refreshes draws one of each
-    assert len(states["trees"]) == 2 and len(states["sketch"]) == 3
-    for trees, sketch in zip(states["trees"], states["sketch"][1:]):
-        assert trees != sketch
+    # compute draws the initial trees and builds the first sketch; two refreshes rebuild it
+    assert len(states["trees"]) == 1 and len(states["sketch"]) == 3
+    assert states["trees"][0] != states["sketch"][0]
+
+
+def test_colstoch_samples_trees_only_for_the_initial_diagonal(monkeypatch):
+    # the initial estimate draws one tree sample; the per-round updates draw none
+    events = []
+    approx_diag, sample = ust.approx_diag_lpinv, ust.sample_trees
+
+    def spy_diag(*args):
+        events.append("approx_diag_lpinv")
+        return approx_diag(*args)
+
+    def spy_sample(*args):
+        events.append("sample_trees")
+        return sample(*args)
+
+    monkeypatch.setattr(ust, "approx_diag_lpinv", spy_diag)
+    monkeypatch.setattr(ust, "sample_trees", spy_sample)
+    g = generate("ba", {"n": 60, "m_attach": 3, "m0": 3}, seed=8)
+    run_kgrip(g, 3, Heuristic.COL_STOCH, seed=2)
+    assert events == ["approx_diag_lpinv", "sample_trees"]
+    events.clear()
+    run_klrip(g, [0, 9], 3, Heuristic.COL_STOCH, seed=2)
+    assert events == ["approx_diag_lpinv", "sample_trees"]
 
 
 # -- seeded outputs ------------------------------------------------------------------
@@ -619,14 +641,14 @@ _SEEDED_EDGES = {
     ("er", "simplstoch"): ([(5, 11), (55, 56), (6, 56)], [(7, 50), (7, 11), (7, 48)]),
     ("er", "simplstochjlt"): ([(11, 41), (9, 56), (28, 29)], [(7, 50), (7, 29), (7, 55)]),
     ("er", "specstoch"): ([(11, 16), (53, 56), (28, 55)], [(7, 22), (7, 9), (7, 55)]),
-    ("er", "colstoch"): ([(16, 28), (11, 56), (11, 55)], [(7, 58), (7, 37), (7, 11)]),
-    ("er", "colstochjlt"): ([(55, 56), (9, 43), (11, 47)], [(6, 7), (7, 20), (7, 21)]),
+    ("er", "colstoch"): ([(16, 28), (11, 56), (11, 55)], [(7, 58), (7, 28), (7, 11)]),
+    ("er", "colstochjlt"): ([(55, 56), (10, 43), (11, 14)], [(6, 7), (7, 20), (7, 21)]),
     ("ba", "stgreedy"): ([(73, 76), (59, 65), (68, 69)], [(7, 73), (7, 76), (7, 65)]),
     ("ba", "simplstoch"): ([(48, 65), (70, 73), (66, 69)], [(7, 67), (7, 56), (7, 57)]),
     ("ba", "simplstochjlt"): ([(28, 59), (26, 71), (40, 65)], [(7, 68), (7, 35), (7, 75)]),
     ("ba", "specstoch"): ([(65, 68), (66, 73), (71, 76)], [(7, 30), (7, 64), (7, 76)]),
     ("ba", "colstoch"): ([(59, 73), (76, 78), (68, 69)], [(7, 59), (7, 79), (7, 68)]),
-    ("ba", "colstochjlt"): ([(44, 77), (57, 70), (27, 30)], [(7, 68), (7, 35), (7, 77)]),
+    ("ba", "colstochjlt"): ([(44, 77), (57, 70), (73, 78)], [(7, 68), (7, 35), (7, 77)]),
 }
 
 
