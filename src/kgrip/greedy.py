@@ -18,8 +18,9 @@ All heuristics share one persistent max-queue whose entries carry the round
 in which their gain was computed. Each round the source yields a batch of
 pairs (the universe source: every non-edge in round 0, none later; the
 sampling sources: a fresh sample), the scorer scores it in one call, and the
-queue takes both arrays. The lazy pop re-scores stale tops one at a time
-until the best entry is current. Regardless of the scorer, the reported
+queue keeps both arrays, turning only the best of them into heap tuples.
+The lazy pop re-scores stale tops one at a time until the best entry is
+current. Regardless of the scorer, the reported
 per-edge gain of every accepted edge is recomputed exactly from two linear
 solves, and total resistance must strictly decrease on every insertion.
 
@@ -38,7 +39,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import repeat
+from itertools import count, repeat
 from typing import Callable, Sequence
 
 import numpy as np
@@ -226,27 +227,47 @@ def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:
 # -- lazy priority queue ------------------------------------------------------------
 
 
+_CHUNK = 2048  # best entries a batch moves into the heap at once, with those tied to the last
+
+
 class LazyQueue:
     """Max-queue of (edge, cached gain, round stamp) with lazy revalidation.
 
-    Ties in gain break toward the lexicographically smallest canonical edge.
+    Ties in gain break toward the lexicographically smallest canonical edge,
+    then the older stamp. Each ``push_many`` batch stays as arrays, kept in a
+    heap by its floor (its best negated gain); a small heap of (-gain, a, b,
+    stamp) tuples holds the entries that could come out next. While that heap
+    is empty or its top does not beat the lowest floor strictly, the batch
+    holding it moves its best ``_CHUNK`` entries and all ties of the last one
+    into the heap, so entries pop as from one heap of every tuple.
     """
 
     def __init__(self):
         self._heap: list[tuple[float, int, int, int]] = []
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def push(self, a: int, b: int, gain: float, stamp: int) -> None:
-        heapq.heappush(self._heap, (-gain, a, b, stamp))
+        # heap of batches (floor, push order, negated gains, pairs, stamp)
+        self._batches: list[tuple[float, int, np.ndarray, np.ndarray, int]] = []
+        self._order = count()
 
     def push_many(self, pairs: np.ndarray, gains: np.ndarray, stamp: int) -> None:
         """Push an (s, 2) array of pairs a < b with their s gains, all stamped ``stamp``."""
-        self._heap.extend(
-            zip((-gains).tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist(), repeat(stamp))
-        )
-        heapq.heapify(self._heap)
+        if not np.all(np.isfinite(gains)):
+            raise InvariantError("queued gains must be finite")
+        if len(gains):
+            heapq.heappush(self._batches, (-float(gains.max()), next(self._order), -gains, pairs, stamp))
+
+    def _pop(self) -> tuple[float, int, int, int]:
+        heap, batches = self._heap, self._batches
+        while batches and (not heap or heap[0][0] >= batches[0][0]):
+            _, order, neg, pairs, stamp = heapq.heappop(batches)
+            if len(neg) > _CHUNK:
+                take = neg <= np.partition(neg, _CHUNK - 1)[_CHUNK - 1]
+                if not take.all():
+                    rest = ~take
+                    heapq.heappush(batches, (float(neg[rest].min()), order, neg[rest], pairs[rest], stamp))
+                    neg, pairs = neg[take], pairs[take]
+            heap.extend(zip(neg.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist(), repeat(stamp)))
+            heapq.heapify(heap)
+        return heapq.heappop(heap)
 
     def lazy_next(
         self,
@@ -260,8 +281,8 @@ class LazyQueue:
         whose edge meanwhile exists in the graph (duplicates of an accepted
         edge) are discarded.
         """
-        while self._heap:
-            neg_gain, a, b, stamp = heapq.heappop(self._heap)
+        while self._heap or self._batches:
+            neg_gain, a, b, stamp = self._pop()
             if graph is not None and graph.has_edge(a, b):
                 continue
             if stamp == current_round:

@@ -269,7 +269,9 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
     """Exact gains of many non-edges at once; ``pairs`` is an (s, 2) int array.
 
     ``state`` is a :class:`DenseState` or a :class:`ColumnCache`. The columns
-    C of every vertex the pairs touch are gathered once, and the squared
+    C of every vertex the pairs touch are gathered once, in vertex order; an
+    endpoint's slot in C is its rank among the touched vertices, read off a
+    running count of the touched flags (O(s + n), no sort). The squared
     biharmonic distances come from the Gram identity
     ||c_a - c_b||^2 = G[a,a] + G[b,b] - 2 G[a,b] with G = C^T C. A star
     batch (one vertex in every pair, as in a focus node's candidates) reads
@@ -281,14 +283,16 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
     a, b = pairs[:, 0], pairs[:, 1]
     if np.any(a == b) or np.any(graph.has_edges(a, b)):
         raise InvariantError("gains are defined for non-edges only")
-    vertices, slot = np.unique(pairs, return_inverse=True)
+    counts = np.bincount(pairs.ravel(), minlength=graph.n)
+    vertices = np.flatnonzero(counts)
+    slot = (np.cumsum(counts > 0) - 1)[pairs]  # rank of each endpoint among the touched vertices
     hub = next((h for h in pairs[0] if np.all((a == h) | (b == h))), None)
     touched = len(vertices) / graph.n
     if isinstance(state, DenseState) and (touched == 1 or hub is not None and touched > 0.5):
         vertices, slot, cols = np.arange(graph.n), pairs, state.matrix  # every vertex its own slot
     else:
         cols = state.columns(vertices)
-    slot_a, slot_b = slot.reshape(pairs.shape).T
+    slot_a, slot_b = slot.T
     if hub is None:
         gram = cols.T @ cols
         sq = np.diagonal(gram)

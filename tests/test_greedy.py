@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from kgrip import jlt, oracles, ust
-from kgrip.errors import ConfigError
+from kgrip import greedy, jlt, oracles, ust
+from kgrip.errors import ConfigError, InvariantError
 from kgrip.graphs import Graph, generate
 from kgrip.linalg import total_resistance
 from kgrip.greedy import (
@@ -194,25 +195,29 @@ def test_diag_weighted_sampler_never_picks_a_zero_weight_vertex():
 # -- lazy queue ---------------------------------------------------------------------
 
 
+def _push(q, a, b, gain, stamp):
+    q.push_many(np.array([[a, b]]), np.array([gain]), stamp)
+
+
 def test_queue_returns_max_when_current():
     q = LazyQueue()
-    q.push(0, 1, 5.0, stamp=0)
-    q.push(0, 2, 7.0, stamp=0)
+    _push(q, 0, 1, 5.0, stamp=0)
+    _push(q, 0, 2, 7.0, stamp=0)
     a, b, gain = q.lazy_next(lambda *_: 0.0, current_round=0)
     assert (a, b, gain) == (0, 2, 7.0)
 
 
 def test_queue_revalidates_stale_entry():
     q = LazyQueue()
-    q.push(0, 1, 100.0, stamp=0)
+    _push(q, 0, 1, 100.0, stamp=0)
     a, b, gain = q.lazy_next(lambda a, b: 3.5, current_round=2)
     assert (a, b, gain) == (0, 1, 3.5)
 
 
 def test_queue_tie_break_canonical_order():
     q = LazyQueue()
-    q.push(1, 3, 2.0, stamp=0)
-    q.push(0, 9, 2.0, stamp=0)
+    _push(q, 1, 3, 2.0, stamp=0)
+    _push(q, 0, 9, 2.0, stamp=0)
     a, b, _ = q.lazy_next(lambda *_: 0.0, current_round=0)
     assert (a, b) == (0, 9)
 
@@ -224,8 +229,8 @@ def test_queue_exhaustion_raises():
 
 def test_queue_discards_inserted_edges(p3):
     q = LazyQueue()
-    q.push(0, 1, 9.0, stamp=0)  # already an edge in the path 0-1-2
-    q.push(0, 2, 1.0, stamp=0)
+    _push(q, 0, 1, 9.0, stamp=0)  # already an edge in the path 0-1-2
+    _push(q, 0, 2, 1.0, stamp=0)
     a, b, _ = q.lazy_next(lambda *_: 0.0, current_round=0, graph=p3)
     assert (a, b) == (0, 2)
 
@@ -237,7 +242,7 @@ def test_queue_push_many_pops_like_single_pushes():
     batched, single = LazyQueue(), LazyQueue()
     batched.push_many(pairs, gains, 0)
     for (a, b), gain in zip(pairs.tolist(), gains.tolist()):
-        single.push(a, b, gain, stamp=0)
+        _push(single, a, b, gain, stamp=0)
 
     def revalidate(a, b):  # stale entries come back with a new, tied gain
         return float((a + b) % 3)
@@ -261,10 +266,80 @@ def test_queue_matches_full_rescan_argmax():
         values = {(a, b): float(rng.random()) for a in range(n) for b in range(a + 1, n)}
         q = LazyQueue()
         for (a, b), v in values.items():
-            q.push(a, b, v + 1.0, stamp=0)  # stale, inflated cache
+            _push(q, a, b, v + 1.0, stamp=0)  # stale, inflated cache
         best = q.lazy_next(lambda a, b: values[(a, b)], current_round=1)
         expect = max(values.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
         assert best[:2] == expect[0]
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_queue_rejects_non_finite_gains(bad):
+    q = LazyQueue()
+    with pytest.raises(InvariantError):
+        q.push_many(np.array([[0, 1], [0, 2]]), np.array([1.0, bad]), 0)
+
+
+class _ReferenceQueue:
+    """One heap of every (-gain, a, b, stamp) tuple: the pop order the queue must keep."""
+
+    def __init__(self):
+        self.heap = []
+
+    def push_many(self, pairs, gains, stamp):
+        self.heap.extend((-g, a, b, stamp) for (a, b), g in zip(pairs.tolist(), gains.tolist()))
+        heapq.heapify(self.heap)
+
+    def lazy_next(self, revalidate, current_round, graph=None):
+        while self.heap:
+            neg_gain, a, b, stamp = heapq.heappop(self.heap)
+            if graph is not None and graph.has_edge(a, b):
+                continue
+            if stamp == current_round:
+                return a, b, -neg_gain
+            heapq.heappush(self.heap, (-revalidate(a, b), a, b, current_round))
+        raise ConfigError("candidate queue exhausted")
+
+
+def _drain(q, rng_seed):
+    """Three batches with stamps 0..2 over 120 vertices, gains drawn from five integers
+    (ties straddle every chunk threshold, pairs recur across batches), popped between
+    pushes and then to exhaustion; stale entries re-score to tied gains."""
+    rng = np.random.default_rng(rng_seed)
+    universe = np.array([(a, b) for a in range(120) for b in range(a + 1, 120)])
+    log = []
+
+    def revalidate(a, b):
+        log.append((a, b))
+        return float((a * b) % 4)
+
+    for stamp, size in enumerate((6000, 2500, 3000)):
+        pairs = universe[np.sort(rng.choice(len(universe), size, replace=False))]
+        q.push_many(pairs, rng.integers(0, 5, size).astype(float), stamp)
+        log += [q.lazy_next(revalidate, stamp) for _ in range(300)]
+    while True:
+        try:
+            log.append(q.lazy_next(revalidate, 2))
+        except ConfigError:
+            return log
+
+
+@pytest.mark.parametrize("chunk", [None, 7])
+def test_queue_pops_like_one_heap_of_all_entries(monkeypatch, chunk):
+    if chunk is not None:  # many refills, interleaved with re-scored entries
+        monkeypatch.setattr(greedy, "_CHUNK", chunk)
+    popped = _drain(LazyQueue(), 3)
+    assert len(popped) > 6000 + 2500 + 3000
+    assert popped == _drain(_ReferenceQueue(), 3)
+
+
+@pytest.mark.parametrize("kind", [Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH, Heuristic.SIMPL_STOCH_JLT])
+def test_runs_pick_the_edges_of_one_heap_of_all_entries(monkeypatch, kind):
+    g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=4)
+    chunked = run_kgrip(g, 3, kind, seed=5)
+    monkeypatch.setattr(greedy, "LazyQueue", _ReferenceQueue)
+    reference = run_kgrip(g, 3, kind, seed=5)
+    assert chunked.inserted_edges == reference.inserted_edges
+    assert chunked.per_edge_true_gain == reference.per_edge_true_gain
 
 
 # -- run_kgrip -------------------------------------------------------------------
