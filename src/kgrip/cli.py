@@ -41,6 +41,14 @@ _KEY_ALIASES = {"m": "m_attach", "beta": "rewire_prob", "deg": "degree"}
 _DEFAULTS = GreedyParams()  # the single source of every parameter flag's default
 
 
+def _number(cast, token: str, what: str):
+    """``cast(token)``, or a :class:`ConfigError` naming the token and what it was for."""
+    try:
+        return cast(token)
+    except ValueError:
+        raise ConfigError(f"{what}: {token.strip()!r} is not a number") from None
+
+
 def parse_generator_spec(spec: str) -> tuple[str, dict, int | None]:
     """Parse compact generator specs like "er:n=300,p=0.05,seed=1"."""
     model, _, rest = spec.partition(":")
@@ -48,19 +56,16 @@ def parse_generator_spec(spec: str) -> tuple[str, dict, int | None]:
     if model not in _GENERATOR_KEYS:
         raise ConfigError(f"unknown generator model {model!r} in spec {spec!r}")
     params: dict = {}
-    seed: int | None = None
     for item in filter(None, (s.strip() for s in rest.split(","))):
         key, _, value = item.partition("=")
         if not value:
             raise ConfigError(f"malformed generator parameter {item!r} in spec {spec!r}")
         key = _KEY_ALIASES.get(key.strip(), key.strip())
-        if key == "seed":
-            seed = int(value)
-            continue
-        caster = _GENERATOR_KEYS[model].get(key)
+        caster = {**_GENERATOR_KEYS[model], "seed": int}.get(key)
         if caster is None:
             raise ConfigError(f"parameter {key!r} not valid for model {model!r}")
-        params[key] = caster(value)
+        params[key] = _number(caster, value, f"generator parameter {key!r} in spec {spec!r}")
+    seed = params.pop("seed", None)
     missing = set(_GENERATOR_KEYS[model]) - set(params) - {"m0"}
     if missing:
         raise ConfigError(f"generator spec {spec!r} missing parameters: {sorted(missing)}")
@@ -179,10 +184,8 @@ def cmd_optimize(args) -> int:
 
 def _resolve_focus(args, graph: Graph, k: int) -> tuple[list[int], list[dict]]:
     if args.focus:
-        try:
-            wanted = [int(tok) for tok in args.focus.split(",") if tok.strip() != ""]
-        except ValueError:
-            raise ConfigError(f"--focus expects a comma-separated id list, got {args.focus!r}")
+        what = f"--focus list {args.focus!r}"
+        wanted = [_number(int, tok, what) for tok in args.focus.split(",") if tok.strip()]
         if not wanted:
             raise ConfigError("--focus list is empty")
         for v in wanted:
@@ -263,7 +266,8 @@ def cmd_bench(args) -> int:
     heuristics = [Heuristic.parse(tok) for tok in args.heuristics.split(",") if tok.strip()]
     if not heuristics:
         raise ConfigError("--heuristics list is empty")
-    ks = [int(tok) for tok in args.k_list.split(",") if tok.strip()]
+    what = f"--k list {args.k_list!r}"
+    ks = [_number(int, tok, what) for tok in args.k_list.split(",") if tok.strip()]
     if not ks or any(k < 1 for k in ks):
         raise ConfigError(f"invalid k list {args.k_list!r}")
     if not args.instances:

@@ -390,7 +390,7 @@ class _DiagVertices(_Source):
 
     def compute(self) -> None:
         rng = derive_rng(self.seed, _PRE_STREAM, self.kind.value)
-        self.diag, self.repo = ust.approx_diag_lpinv(
+        _, self.repo = ust.approx_diag_lpinv(
             self.graph, self.params.diag_epsilon, rng, self.params.solver
         )
         self.size_sample()
@@ -398,16 +398,16 @@ class _DiagVertices(_Source):
     def candidates(self, round_idx: int) -> np.ndarray:
         rng = self._rng(_CAND_STREAM, round_idx)
         if self.focus is None:
-            vertices = sample_candidates_diag_weighted(self.diag, self.sample_size, rng)
+            vertices = sample_candidates_diag_weighted(self.repo.diag, self.sample_size, rng)
             pairs = _pairs_from_vertices(self.graph, vertices)
             # on a dense graph the sampled vertices may span no non-edge at all
             return pairs if len(pairs) else sample_nonedge_pairs(self.graph, len(vertices), rng)
         pool = self.graph.non_neighbors(self.focus)
-        vertices = sample_candidates_diag_weighted(self.diag, self.sample_size, rng, allowed=pool)
+        vertices = sample_candidates_diag_weighted(self.repo.diag, self.sample_size, rng, allowed=pool)
         return self._focus_pairs(vertices)
 
     def update(self, a: int, b: int, round_idx: int) -> None:
-        self.diag = ust.approx_update_diag(self.graph, self.repo, self.params.solver)
+        ust.approx_update_diag(self.graph, self.repo, self.params.solver)
 
 
 class _Scorer(_Part):

@@ -3,16 +3,14 @@
 Sampling uses Wilson's loop-erased random walks, run in lockstep for a block
 of trees at once. Every tree of the block keeps its own in-tree marks, its
 own last-exit pointers ``nxt`` and its own start pointer; one numpy pass per
-step moves every walker of the block over the graph's CSR arrays. A walk
-from the start vertex runs until it hits its tree; retracing from the start
-along the last-exit pointers then follows exactly the loop-erased path, so
-loop erasure needs no explicit cycle removal. The plain form yields
-whole-graph USTs. The fixed-edge form draws the spanning trees containing
-e = {a,b} as those of the contraction G/e: it walks G/e's CSR from its
-highest-degree vertex and maps each tree back to G through the CSR slot
-every vertex leaves by, adding e. Blocks hold at most ``_BLOCK_ELEMENTS``
-(trees x vertices) entries, which bounds the working memory independently
-of the number of trees.
+step moves every walker of the block over the graph's CSR arrays. The walks
+grow a forest from a root set: a walk from the start vertex runs until it hits
+the forest, and retracing from the start along ``nxt`` follows exactly the
+loop-erased path, so ``nxt`` ends as the parent array. One root yields USTs;
+the ends {a,b} of an edge e yield uniform two-tree forests, which e joins into
+a uniform draw from the spanning trees containing e. Blocks hold at most
+``_BLOCK_ELEMENTS`` (trees x vertices) entries, which bounds the working
+memory independently of the number of trees.
 
 The diagonal estimate rests on two facts.  First, the resistance R(u,v)
 equals the expected signed number of times the path u->v of a UST traverses
@@ -146,26 +144,25 @@ class BfsTree:
 
 
 def _wilson_block(
-    indptr: np.ndarray, indices: np.ndarray, root: int, count: int, rng
+    indptr: np.ndarray, indices: np.ndarray, roots: Sequence[int], count: int, rng
 ) -> np.ndarray:
-    """Exit slots (count x n, int32) of ``count`` uniform spanning trees rooted at ``root``.
+    """Parent arrays (count x n, int32) of ``count`` uniform spanning forests rooted at ``roots``.
 
-    Entry v is the CSR position through which v leaves toward its parent,
-    -1 at the root and at vertices without a CSR row, which take no part.
-    Each tree seeks its next start vertex in index order, walks from it until
-    the walk hits the tree (recording last exit slots in ``nxt``), then
-    retraces the loop-erased path from the start, one vertex per step. No
-    walk leaves a tree vertex, so its last exit is final once it joins. All
-    trees of the block take their step together; a tree's phase only decides
-    which pass moves it.
+    Every tree of the forest holds one root; entry v is the neighbour v leaves
+    toward, -1 at the roots. Each forest starts with its roots marked and
+    seeks its next start vertex in index order, walks from it until the walk
+    hits the forest (recording in ``nxt`` the neighbour each vertex last left
+    to), then retraces the loop-erased path from the start, one vertex per
+    step. No walk leaves a forest vertex, so its last exit is its parent once
+    it joins, and ``nxt`` ends as the parent array. All forests of the block
+    take their step together; a forest's phase only decides which pass moves it.
     """
     n = len(indptr) - 1
     deg = np.diff(indptr)
-    outside = deg > 0
-    outside[root] = False
     base = np.arange(count, dtype=np.int64) * n
-    in_tree = np.tile(~outside, count)
-    nxt = np.zeros(count * n, dtype=np.int32)
+    in_tree = np.zeros(count * n, dtype=bool)
+    in_tree[base[:, None] + roots] = True
+    nxt = np.full(count * n, -1, dtype=np.int32)
     start = np.zeros(count, dtype=np.int64)
     cur = np.zeros(count, dtype=np.int64)
     phase = np.full(count, _SEEK, dtype=np.int8)
@@ -176,7 +173,7 @@ def _wilson_block(
         if retrace.size:
             at = base[retrace] + cur[retrace]
             in_tree[at] = True
-            to = indices[nxt[at]]
+            to = nxt[at]
             cur[retrace] = to
             joined = retrace[in_tree[base[retrace] + to]]
             phase[joined] = _SEEK
@@ -199,9 +196,8 @@ def _wilson_block(
         walk = np.flatnonzero(phase == _WALK)
         if walk.size:
             u = cur[walk]
-            exits = indptr[u] + (rng.random(walk.size) * deg[u]).astype(np.int64)
-            nxt[base[walk] + u] = exits
-            to = indices[exits]
+            to = indices[indptr[u] + (rng.random(walk.size) * deg[u]).astype(np.int64)]
+            nxt[base[walk] + u] = to
             cur[walk] = to
             hit = walk[in_tree[base[walk] + to]]
             phase[hit] = _RETRACE
@@ -210,24 +206,7 @@ def _wilson_block(
             if steps > _WALK_STEP_GUARD:
                 raise SolverError("random walk exceeded the step guard; graph too large?")
         elif not retrace.size and not seek.size:
-            return np.where(outside, nxt.reshape(count, n), -1)
-
-
-def _contract(indptr: np.ndarray, indices: np.ndarray, a: int, b: int):
-    """CSR of G/e, e = {a,b}: b's row joins a's (the merged vertex), b's is empty, e is dropped.
-
-    Returns ``indptr``, ``indices`` (walk targets, b read as a) and, per slot,
-    the G endpoint ``owner`` it leaves from and the G neighbour ``target``.
-    """
-    n = len(indptr) - 1
-    owner = np.repeat(np.arange(n, dtype=np.int32), np.diff(indptr))
-    keep = ~(((owner == a) & (indices == b)) | ((owner == b) & (indices == a)))
-    row = np.where(owner == b, a, owner)[keep]
-    order = np.argsort(row, kind="stable")
-    owner, target = owner[keep][order], indices[keep][order]
-    new_ptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=n), out=new_ptr[1:])
-    return new_ptr, np.where(target == b, a, target).astype(np.int32), owner, target
+            return nxt.reshape(count, n)
 
 
 def sample_trees(
@@ -236,32 +215,22 @@ def sample_trees(
     """``count`` spanning trees in blocks of parent arrays (trees x n, int32, -1 at the root).
 
     One root r: uniform spanning trees rooted at r. Two roots (a, b), which
-    must be adjacent: uniform over the spanning trees that contain e = {a,b},
-    drawn on the contraction G/e (the merged vertex keeps the id a) from its
-    highest-degree vertex, a on ties, else the smallest id; e is then added.
+    must be adjacent: uniform over the spanning trees that contain e = {a,b}.
+    These are the uniform two-tree forests rooted at {a, b}, joined by e; b
+    hangs off a, so every tree is rooted at a. The graph must be connected.
     Blocks are drawn lazily from ``rng`` in order.
     """
     if len(roots) not in (1, 2):
         raise ConfigError(f"expected one root or one fixed edge, got roots {tuple(roots)}")
+    if len(roots) == 2 and not graph.has_edge(*roots):
+        raise InvariantError(f"fixed edge {tuple(roots)} is not in the graph")
+    assert_connected(graph)
     indptr, indices = graph.adjacency_arrays()
-    root, target = roots[0], indices
-    if len(roots) == 2:
-        a, b = roots
-        if not graph.has_edge(a, b):
-            raise InvariantError(f"fixed edge ({a},{b}) is not in the graph")
-        indptr, indices, owner, target = _contract(indptr, indices, a, b)
-        deg = np.diff(indptr)
-        root = a if deg[a] >= deg.max() else int(np.argmax(deg))
     per_block = max(1, _BLOCK_ELEMENTS // graph.n)
     for first in range(0, count, per_block):
-        slots = _wilson_block(indptr, indices, root, min(per_block, count - first), rng)
-        parents = np.where(slots >= 0, target[slots], -1)
+        parents = _wilson_block(indptr, indices, roots, min(per_block, count - first), rng)
         if len(roots) == 2:
-            # a leaves G/e by an edge of one endpoint (none at the root); e hangs the other off it
-            own = np.where(slots[:, a] >= 0, owner[slots[:, a]], a)
-            rows = np.arange(len(parents))
-            parents[rows, own] = parents[:, a]
-            parents[rows, a + b - own] = own
+            parents[:, roots[1]] = roots[0]
         yield parents
 
 
@@ -272,9 +241,9 @@ def sample_ust(graph: Graph, root: int, rng: np.random.Generator) -> SpanningTre
 
 
 def sample_ust_with_edge(graph: Graph, a: int, b: int, rng: np.random.Generator) -> SpanningTree:
-    """Uniform sample from the spanning trees that contain {a,b}, rooted as in :func:`sample_trees`."""
-    parent = next(sample_trees(graph, (a, b), 1, rng))[0].tolist()
-    return SpanningTree(parent, parent.index(-1))
+    """Uniform sample from the spanning trees that contain {a,b}, rooted at ``a``."""
+    parents = next(sample_trees(graph, (a, b), 1, rng))
+    return SpanningTree(parents[0].tolist(), a)
 
 
 # -- aggregation and the diagonal estimate ---------------------------------------

@@ -242,6 +242,22 @@ def test_generator_spec_parsing():
         parse_generator_spec("er:n=5")  # p missing
 
 
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (["optimize", "--generate", "er:n=abc,p=0.1", "--k", "1"], "'abc'"),
+        (["optimize", "--generate", "er:n=30,p=0.2,seed=x", "--k", "1"], "'x'"),
+        (["bench", "--instance", "er:n=30,p=0.2", "--heuristics", "stgreedy", "--k", "2,x"], "'x'"),
+    ],
+    ids=["generator-parameter", "generator-seed", "bench-k-list"],
+)
+def test_malformed_number_exit2(capsys, argv, token):
+    code, _, err = run_cli(capsys, argv)
+    assert code == 2
+    assert err.startswith("error: ") and token in err
+    assert "Traceback" not in err
+
+
 # -- bench ----------------------------------------------------------------------
 
 
