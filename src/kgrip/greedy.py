@@ -428,25 +428,6 @@ class _Scorer(_Part):
         raise NotImplementedError
 
 
-class _DenseP(_Scorer):
-    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison."""
-
-    def compute(self, source: _Source) -> None:
-        self.state = DenseState.compute(self.graph)
-
-    def total_resistance(self) -> float:
-        return total_resistance(self.state)  # n * trace, no second factorisation
-
-    def gains(self, pairs: np.ndarray) -> np.ndarray:
-        return gains_exact(self.state, pairs)
-
-    def gain(self, a: int, b: int) -> float:
-        return gain_exact(self.state, a, b)
-
-    def update(self, a: int, b: int, round_idx: int) -> None:
-        self.state.apply_insertion(a, b)
-
-
 class _Columns(_Scorer):
     """Exact gains from pseudoinverse columns, solved on demand and brought forward."""
 
@@ -461,6 +442,19 @@ class _Columns(_Scorer):
 
     def update(self, a: int, b: int, round_idx: int) -> None:
         self.cache.note_insertion(a, b)
+
+
+class _DenseP(_Columns):
+    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison."""
+
+    def compute(self, source: _Source) -> None:
+        self.cache = DenseState.compute(self.graph)
+
+    def total_resistance(self) -> float:
+        return total_resistance(self.cache)  # n * trace, no second factorisation
+
+    def update(self, a: int, b: int, round_idx: int) -> None:
+        self.cache.apply_insertion(a, b)
 
 
 class _Sketch(_Scorer):

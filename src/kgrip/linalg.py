@@ -10,13 +10,14 @@ pseudoinverse P = L^+ (all implemented below):
   gain(a,b)    = n * B2(a,b) / (1 + R(a,b))            (drop of R_tot when {a,b} is inserted)
   P'           = P - v v^T / (1 + R(a,b)),  v = P (e_a - e_b)   (rank-one insertion update)
 
-Columns of P can also be obtained by solving L X = E - 1/n for a block of unit
-vectors E (all at once through a sparse grounded-Laplacian factor, or by one
-conjugate-gradient solve each) and re-centering X against the all-ones null
-space. Restricted to a block C of columns, the rank-one update reads
-C' = C - v (C[a] - C[b]) / (1 + R(a,b)); one function applies it both to
-the stored columns and to the whole dense matrix. A batch of gains reads B2
-off the Gram matrix of the columns it touches:
+The dense P and R_tot both come from one Cholesky factor of L + J/n, which
+refuses a disconnected graph. Columns of P can also be obtained by solving
+L X = E - 1/n for a block of unit vectors E (all at once through a sparse
+grounded-Laplacian factor, or by one conjugate-gradient solve each) and
+re-centering X against the all-ones null space. Restricted to a block C of
+columns, the rank-one update reads C' = C - v (C[a] - C[b]) / (1 + R(a,b));
+one column cache applies it, and the dense P is the cache of every column.
+A batch of gains reads B2 off the Gram matrix of the columns it touches:
 B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
 """
 
@@ -52,20 +53,29 @@ _FACTOR_MAX_N = 1000
 _FACTOR_MIN_COLUMNS = 16
 
 
-def pseudoinverse_dense(graph: Graph) -> np.ndarray:
-    """Dense pseudoinverse via the exact identity (L + J/n)^(-1) - J/n."""
+def _shifted_cholesky_inverse(graph: Graph, invert) -> np.ndarray:
+    """``invert`` (LAPACK dpotri or dtrtri) of the upper Cholesky factor of L + J/n, its only factorisation."""
     n = graph.n
     if n > DENSE_CAP_DEFAULT:
-        raise ConfigError(
-            f"n={n} exceeds the dense pseudoinverse cap {DENSE_CAP_DEFAULT}; use column solves instead"
-        )
-    shift = 1.0 / n
-    m = graph.laplacian_dense() + shift
-    try:
-        inv = np.linalg.inv(m)
-    except np.linalg.LinAlgError as exc:  # disconnected graphs land here
-        raise SolverError(f"factorization of L + J/n failed: {exc}") from exc
-    return inv - shift
+        raise ConfigError(f"n={n} exceeds the dense cap {DENSE_CAP_DEFAULT}; use column solves instead")
+    # L + J/n is singular exactly when the graph is disconnected, but rounding
+    # can leave the Cholesky factorization a tiny positive pivot instead of failing
+    if not is_connected(graph):
+        raise SolverError("L + J/n is singular: the graph is disconnected")
+    factor, info = lapack.dpotrf(graph.laplacian_dense() + 1.0 / n, lower=0, clean=1, overwrite_a=1)
+    if info == 0:
+        factor, info = invert(factor, lower=0, overwrite_c=1)
+    if info != 0:
+        raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
+    return factor
+
+
+def pseudoinverse_dense(graph: Graph) -> np.ndarray:
+    """Dense pseudoinverse (L + J/n)^(-1) - J/n; dpotri's upper triangle is mirrored, so P == P.T exactly."""
+    inv = _shifted_cholesky_inverse(graph, lapack.dpotri)
+    inv += np.triu(inv, 1).T
+    inv -= 1.0 / graph.n
+    return inv.T  # the same symmetric matrix, C-contiguous
 
 
 def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
@@ -137,27 +147,17 @@ def biharmonic_sq(col_a: np.ndarray, col_b: np.ndarray) -> float:
 def total_resistance(obj) -> float:
     """n * trace(pseudoinverse), from a Graph or an existing DenseState.
 
-    For a Graph no inverse is formed: with the Cholesky factor R of
-    L + J/n (upper, R^T R), trace((L + J/n)^(-1)) = ||R^(-1)||_F^2, and the
-    J/n term contributes 1 to it, so R_tot = n * (||R^(-1)||_F^2 - 1).
+    For a Graph no inverse is formed: with the Cholesky factor R of L + J/n
+    (upper, R^T R, :class:`SolverError` if the graph is disconnected),
+    trace((L + J/n)^(-1)) = ||R^(-1)||_F^2, and the J/n term contributes 1
+    to it, so R_tot = n * (||R^(-1)||_F^2 - 1).
     """
     if isinstance(obj, DenseState):
-        return obj.graph.n * float(np.trace(obj.matrix))
+        return obj.graph.n * float(np.trace(obj.block))
     if not isinstance(obj, Graph):
         raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
-    n = obj.n
-    if n > DENSE_CAP_DEFAULT:
-        raise ConfigError(f"n={n} exceeds the dense total-resistance cap {DENSE_CAP_DEFAULT}")
-    # L + J/n is singular exactly when the graph is disconnected, but rounding
-    # can leave the Cholesky factorization a tiny positive pivot instead of failing
-    if not is_connected(obj):
-        raise SolverError("L + J/n is singular: the graph is disconnected")
-    factor, info = lapack.dpotrf(obj.laplacian_dense() + 1.0 / n, lower=0, clean=1, overwrite_a=1)
-    if info == 0:
-        factor, info = lapack.dtrtri(factor, lower=0, overwrite_c=1)
-    if info != 0:
-        raise SolverError(f"Cholesky factorization of L + J/n failed (LAPACK info {info})")
-    return n * (float(np.einsum("ij,ij->", factor, factor)) - 1.0)
+    r_inv = _shifted_cholesky_inverse(obj, lapack.dtrtri)
+    return obj.n * (float(np.einsum("ij,ij->", r_inv, r_inv)) - 1.0)
 
 
 def gain_from_columns(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int, n: int) -> float:
@@ -181,30 +181,6 @@ def sherman_morrison_update(lpinv: np.ndarray, a: int, b: int) -> np.ndarray:
     return refresh_column(lpinv, lpinv[:, a], lpinv[:, b], a, b)
 
 
-class DenseState:
-    """Materialized pseudoinverse, kept current across insertions (round-stamped)."""
-
-    def __init__(self, graph: Graph, matrix: np.ndarray, round_: int):
-        self.graph = graph
-        self.matrix = matrix
-        self.round = round_
-
-    @classmethod
-    def compute(cls, graph: Graph) -> "DenseState":
-        return cls(graph, pseudoinverse_dense(graph), graph.round)
-
-    def column(self, v: int) -> np.ndarray:
-        return self.matrix[:, v]
-
-    def columns(self, vertices: np.ndarray) -> np.ndarray:
-        return self.matrix[:, vertices]
-
-    def apply_insertion(self, a: int, b: int) -> None:
-        """Sherman-Morrison update after the graph gained edge {a,b}."""
-        self.matrix = sherman_morrison_update(self.matrix, a, b)
-        self.round += 1
-
-
 class ColumnCache:
     """On-demand pseudoinverse columns, kept current across insertions.
 
@@ -212,6 +188,7 @@ class ColumnCache:
     n x s ``block``; ``slot[v]`` is v's column in it, -1 if v was never
     solved. Each insertion brings the whole block forward in one rank-one
     update; ``round`` is the round of the graph the block belongs to.
+    :class:`DenseState` is the cache that holds every column from the start.
     """
 
     def __init__(self, graph: Graph, config: SolverConfig = DEFAULT_SOLVER):
@@ -256,6 +233,24 @@ class ColumnCache:
         self.round += 1
 
 
+class DenseState(ColumnCache):
+    """The column cache of every column: ``block`` is the dense pseudoinverse, column v at slot v."""
+
+    @classmethod
+    def compute(cls, graph: Graph) -> "DenseState":
+        state = cls(graph)
+        state.block = pseudoinverse_dense(graph)
+        state.slot = np.arange(graph.n)
+        return state
+
+    def column(self, v: int) -> np.ndarray:
+        return self.block[:, v]
+
+    def apply_insertion(self, a: int, b: int) -> None:
+        """Sherman-Morrison update after the graph gained edge {a,b}."""
+        self.note_insertion(a, b)
+
+
 def gain_exact(state, a: int, b: int) -> float:
     """Exact gain of inserting the non-edge {a,b}, including the factor n."""
     a, b = canonical_edge(a, b)
@@ -289,7 +284,7 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
     hub = next((h for h in pairs[0] if np.all((a == h) | (b == h))), None)
     touched = len(vertices) / graph.n
     if isinstance(state, DenseState) and (touched == 1 or hub is not None and touched > 0.5):
-        vertices, slot, cols = np.arange(graph.n), pairs, state.matrix  # every vertex its own slot
+        vertices, slot, cols = np.arange(graph.n), pairs, state.block  # every vertex its own slot
     else:
         cols = state.columns(vertices)
     slot_a, slot_b = slot.T

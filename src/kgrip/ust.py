@@ -43,7 +43,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, InvariantError, SolverError, StaleStateError
+from .errors import ConfigError, DisconnectedError, InvariantError, SolverError, StaleStateError
 from .graphs import Graph, assert_connected, bfs_parents, canonical_edge
 from .linalg import DEFAULT_SOLVER, SolverConfig, solve_lpinv_columns
 
@@ -127,8 +127,9 @@ class BfsTree:
     def __init__(self, graph: Graph, pivot: int):
         self.pivot = pivot
         self.parent, self.depth = bfs_parents(graph, pivot)
-        if any(p == -2 for p in self.parent):
-            raise InvariantError("BFS tree requires a connected graph")
+        unreached = next((v for v, p in enumerate(self.parent) if p == -2), None)
+        if unreached is not None:
+            raise DisconnectedError(pivot, unreached)
         parent = np.asarray(self.parent, dtype=np.int32)
         vs = np.flatnonzero(np.asarray(self.depth) > 0).astype(np.int32)
         c = vs
@@ -373,9 +374,9 @@ def approx_diag_lpinv(
 
     Samples ceil(ln(n)/eps^2) trees from the pivot, averages the signed
     BFS-path counts into resistance estimates R(pivot, .), then converts them
-    with one solved pivot column.
+    with one solved pivot column. The BFS tree from the pivot raises
+    :class:`DisconnectedError` on a disconnected graph before any tree is drawn.
     """
-    assert_connected(graph)
     pivot = choose_pivot(graph)
     resistance = _mean_counts(graph, (pivot,), tree_budget(graph.n, epsilon), BfsTree(graph, pivot), rng)
     col = solve_lpinv_columns(graph, [pivot], config)[:, 0]

@@ -75,7 +75,7 @@ def test_dense_pinv_identities():
     centering = np.eye(n) - np.ones((n, n)) / n
     assert np.max(np.abs(lap @ p - centering)) < 1e-7
     assert np.max(np.abs(lap @ p @ lap - lap)) < 1e-7
-    assert np.max(np.abs(p - p.T)) < 1e-8
+    assert np.array_equal(p, p.T)
     assert np.max(np.abs(p.sum(axis=1))) < 1e-8 * n
 
 
@@ -319,8 +319,9 @@ def test_total_resistance_matches_dense_trace(graph):
 def test_total_resistance_disconnected_raises(n, split):
     # two paths; several of these leave dpotrf a tiny positive pivot instead of failing
     edges = [(i, i + 1) for i in range(split - 1)] + [(i, i + 1) for i in range(split, n - 1)]
-    with pytest.raises(SolverError):
-        total_resistance(Graph(n, edges))
+    for dense in (total_resistance, pseudoinverse_dense, DenseState.compute):
+        with pytest.raises(SolverError):
+            dense(Graph(n, edges))
 
 
 def test_total_resistance_cap(monkeypatch):

@@ -205,7 +205,7 @@ def test_fixed_edge_trees_contain_the_edge_and_span():
     tree.check_spanning(g)
 
 
-def test_fixed_edge_uniform_with_hub_root():
+def test_fixed_edge_uniform_with_shared_neighbours():
     # 1 and 2 share the neighbours 0 (a hub) and 3, so a walk through either
     # may end at either root
     g = Graph(7, [(0, i) for i in range(1, 7)] + [(1, 2), (1, 3), (2, 3), (3, 4), (4, 5), (5, 6)])
@@ -223,7 +223,7 @@ def test_fixed_edge_uniform_with_hub_root():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_fixed_edge_trees_span_with_one_root_under_both_rootings(seed):
+def test_fixed_edge_trees_span_rooted_at_first_end(seed):
     g = random_connected(30, 0.15, seed=seed)
     for edge in sorted(g.edges()):
         a, b = edge[::-1] if seed % 2 else edge  # the tree is rooted at the first id
@@ -235,9 +235,8 @@ def test_fixed_edge_trees_span_with_one_root_under_both_rootings(seed):
                 tree.check_spanning(g)
 
 
-def test_fixed_edge_trees_rooted_at_merged_vertex_are_pinned():
-    # every vertex of this ring lattice has degree about 10, so the merged vertex
-    # (degree about 18) is the root; these trees are pinned bit for bit
+def test_fixed_edge_trees_are_pinned():
+    # every tree is rooted at 36 with 41 hung off it; these trees are pinned bit for bit
     g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=3)
     digest = hashlib.sha256()
     for parents in sample_trees(g, (36, 41), 300, np.random.default_rng(7)):
@@ -274,6 +273,8 @@ def test_sampler_refuses_disconnected_graphs(graph):
         sample_ust(graph, 1, np.random.default_rng(0))
     with pytest.raises(DisconnectedError):
         sample_ust_with_edge(graph, 1, 2, np.random.default_rng(0))
+    with pytest.raises(DisconnectedError):
+        approx_diag_lpinv(graph, 0.5, np.random.default_rng(0))
 
 
 def test_check_spanning_rejects_non_trees(p3):
