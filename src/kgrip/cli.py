@@ -293,7 +293,6 @@ def cmd_bench(args) -> int:
         except _CellTimeout:
             return None, time.perf_counter() - started, "timeout"
 
-    reference: dict[tuple[str, int], tuple[float | None, float]] = {}
     rows: list[dict] = []
     ratios: dict[tuple[Heuristic, int], list[float]] = {}
     speedups: dict[tuple[Heuristic, int], list[float]] = {}
@@ -301,7 +300,6 @@ def cmd_bench(args) -> int:
     for name, graph in instances:
         for k in ks:
             ref_gain, ref_time, ref_status = run_cell(graph, k, Heuristic.ST_GREEDY)
-            reference[(name, k)] = (ref_gain, ref_time)
             if ref_status == "timeout":
                 print(f"warning: stgreedy timed out on {name} k={k}", file=sys.stderr)
             for kind in heuristics:

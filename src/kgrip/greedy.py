@@ -21,8 +21,8 @@ sampling sources: a fresh sample), the scorer scores it in one call, and the
 queue keeps both arrays, turning only the best of them into heap tuples.
 The lazy pop re-scores stale tops one at a time until the best entry is
 current. Regardless of the scorer, the reported
-per-edge gain of every accepted edge is recomputed exactly from two linear
-solves, and total resistance must strictly decrease on every insertion.
+per-edge gain of every accepted edge is recomputed exactly from one linear
+solve, and total resistance must strictly decrease on every insertion.
 
 The local variant (one focus node v) restricts candidates to non-neighbors of
 v and inserts edges (v, b). One runner serves both variants: it preprocesses
@@ -89,8 +89,8 @@ class GreedyParams:
     def validate(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ConfigError(f"delta must lie strictly inside (0,1), got {self.delta}")
-        if self.cutoff < 2:
-            raise ConfigError(f"cutoff must be >= 2, got {self.cutoff}")
+        if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 2:
+            raise ConfigError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
         for name, value in (
             ("diag epsilon", self.diag_epsilon),
             ("c_jlt", self.c_jlt),
@@ -183,36 +183,19 @@ def sample_candidates_diag_weighted(
 ) -> list[int]:
     """s distinct vertices, probability proportional to clamped diagonal values.
 
-    Draws successively without replacement, renormalizing after each pick.
-    Negative estimates clamp to zero; if the positive mass runs out the rest
-    is filled uniformly from the remaining allowed vertices.
+    Successive sampling without replacement, each pick weighted among the
+    vertices not yet picked, drawn as one exponential race (Efraimidis and
+    Spirakis): every pool vertex v (every vertex, or ``allowed``) gets the key
+    E_v / w_v with E_v ~ Exp(1), and the s smallest keys win, in key order.
+    Negative estimates clamp to zero; a zero-weight vertex keys at infinity,
+    after every positive-weight one, and a second uniform key orders those
+    ties uniformly.
     """
-    n = len(diag_values)
-    weights = np.maximum(np.asarray(diag_values, dtype=float), 0.0)
-    if allowed is not None:
-        mask = np.zeros(n, dtype=bool)
-        mask[list(allowed)] = True
-        weights = np.where(mask, weights, 0.0)
-        pool = list(allowed)
-    else:
-        pool = list(range(n))
-    s = min(s, len(pool))
-    out: list[int] = []
-    chosen = np.zeros(n, dtype=bool)
-    for _ in range(s):
-        cum = np.cumsum(weights)
-        if cum[-1] <= 0.0:
-            rest = [v for v in pool if not chosen[v]]
-            fill = rng.choice(len(rest), size=s - len(out), replace=False)
-            out.extend(rest[i] for i in fill)
-            break
-        # r < cum[-1], so the search lands on a vertex whose weight is positive
-        r = rng.random() * cum[-1]
-        j = int(np.searchsorted(cum, r, side="right"))
-        out.append(j)
-        chosen[j] = True
-        weights[j] = 0.0
-    return out
+    pool = np.arange(len(diag_values)) if allowed is None else np.asarray(allowed, dtype=np.int64)
+    weights = np.maximum(np.asarray(diag_values, dtype=float)[pool], 0.0)
+    with np.errstate(divide="ignore"):
+        keys = rng.standard_exponential(len(pool)) / weights
+    return pool[np.lexsort((rng.random(len(pool)), keys))[:s]].tolist()
 
 
 def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:

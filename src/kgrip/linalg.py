@@ -10,6 +10,10 @@ pseudoinverse P = L^+ (all implemented below):
   gain(a,b)    = n * B2(a,b) / (1 + R(a,b))            (drop of R_tot when {a,b} is inserted)
   P'           = P - v v^T / (1 + R(a,b)),  v = P (e_a - e_b)   (rank-one insertion update)
 
+All three pair quantities read off the one vector v = P[:,a] - P[:,b]:
+B2(a,b) = v.v and R(a,b) = v[a] - v[b]. A single pair therefore needs one
+solve, L v = e_a - e_b, not the two columns.
+
 The dense P and R_tot both come from one Cholesky factor of L + J/n, which
 refuses a disconnected graph. Columns of P can also be obtained by solving
 L X = E - 1/n for a block of unit vectors E (all at once through a sparse
@@ -129,6 +133,13 @@ def solve_lpinv_columns(graph: Graph, vertices, config: SolverConfig = DEFAULT_S
 def solve_lpinv_column(graph: Graph, a: int, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
     """Column a of the pseudoinverse (see :func:`solve_lpinv_columns`)."""
     return solve_lpinv_columns(graph, [a], config)[:, 0]
+
+
+def solve_lpinv_difference(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+    """P[:,a] - P[:,b], the pseudoinverse applied to e_a - e_b, from one :func:`solve`."""
+    rhs = np.zeros(graph.n)
+    rhs[a], rhs[b] = 1.0, -1.0
+    return solve(graph, rhs, config)
 
 
 def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -> float:
@@ -302,9 +313,9 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
 
 
 def true_gain(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> float:
-    """Exact gain via a fresh two-column solve (heuristic-independent reporting path)."""
+    """Exact gain via one fresh solve of L x = e_a - e_b (heuristic-independent reporting path)."""
     a, b = canonical_edge(a, b)
     if graph.has_edge(a, b):
         raise InvariantError(f"edge ({a},{b}) already exists; gain undefined")
-    cols = solve_lpinv_columns(graph, [a, b], config)
-    return gain_from_columns(cols[:, 0], cols[:, 1], a, b, graph.n)
+    v = solve_lpinv_difference(graph, a, b, config)
+    return graph.n * float(v @ v) / (1.0 + float(v[a] - v[b]))

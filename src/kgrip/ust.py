@@ -26,10 +26,11 @@ tree come from one pointer-jumping depth pass plus one pass per tree level,
 and the signed counts take one vector pass per BFS depth.
 
 After an edge {a,b} is inserted, the estimate moves by the exact rank-one
-term of the Sherman-Morrison identity, read off the new graph's two solved
-columns at a and b: diag' = diag - v*v / (1 - R'), with v = c'_a - c'_b and
-R' = v[a] - v[b]. No trees are drawn for an update; the fixed-edge sampler
-serves the sampling checks only.
+term of the Sherman-Morrison identity, read off one solve of the new graph's
+L v = e_a - e_b: diag' = diag - v*v / (1 - R'), with v = c'_a - c'_b the
+difference of its pseudoinverse columns at a and b, and R' = v[a] - v[b].
+No trees are drawn for an update; the fixed-edge sampler serves the
+sampling checks only.
 
 A block draws its walk steps from one generator in lockstep order, so the
 trees of a seeded run depend on the block layout as well as on the seed.
@@ -45,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, DisconnectedError, InvariantError, SolverError, StaleStateError
 from .graphs import Graph, assert_connected, bfs_parents, canonical_edge
-from .linalg import DEFAULT_SOLVER, SolverConfig, solve_lpinv_columns
+from .linalg import DEFAULT_SOLVER, SolverConfig, solve_lpinv_columns, solve_lpinv_difference
 
 _WALK_STEP_GUARD = 10**9
 # trees x vertices per lockstep block: bounds the block's working arrays
@@ -389,15 +390,14 @@ def approx_update_diag(
 ) -> np.ndarray:
     """The diagonal estimate after exactly one edge insertion; ``repo`` moves forward in place.
 
-    Solves the new graph's columns at the inserted edge's ends a, b as one
-    block and subtracts the rank-one term v*v / (1 - R'), v = c'_a - c'_b,
+    Solves the new graph's L v = e_a - e_b once for the inserted edge's ends
+    a, b, so v = c'_a - c'_b, and subtracts the rank-one term v*v / (1 - R'),
     R' = v[a] - v[b]: exact when the estimate it starts from is.
     """
     if graph.round != repo.round + 1:
         raise StaleStateError(f"repository expects graph round {repo.round + 1}, got {graph.round}")
     a, b = graph.insertion_log[-1]
-    cols = solve_lpinv_columns(graph, [a, b], config)
-    v = cols[:, 0] - cols[:, 1]
+    v = solve_lpinv_difference(graph, a, b, config)
     repo.diag = repo.diag - v * v / (1.0 - (v[a] - v[b]))
     repo.round += 1
     return repo.diag

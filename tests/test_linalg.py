@@ -23,6 +23,7 @@ from kgrip.linalg import (
     solve,
     solve_lpinv_column,
     solve_lpinv_columns,
+    solve_lpinv_difference,
     total_resistance,
     true_gain,
 )
@@ -366,6 +367,20 @@ def test_true_gain_matches_dense_route():
     state = DenseState.compute(g)
     a, b = oracles.all_non_edges(g)[0]
     assert true_gain(g, a, b) == pytest.approx(gain_exact(state, a, b), rel=1e-6)
+
+
+def test_true_gain_is_a_python_float():
+    g = random_connected(40, 0.12, seed=31)
+    a, b = oracles.all_non_edges(g)[0]
+    assert type(true_gain(g, a, b)) is float
+
+
+def test_lpinv_difference_matches_dense_columns():
+    g = random_connected(40, 0.12, seed=31)
+    lpinv = pseudoinverse_dense(g)
+    for a, b in [(0, 7), (12, 3), (39, 20)]:
+        v = solve_lpinv_difference(g, a, b, SolverConfig(residual_tol=1e-10))
+        assert np.allclose(v, lpinv[:, a] - lpinv[:, b], atol=1e-8)
 
 
 # -- Sherman-Morrison update ------------------------------------------------------
