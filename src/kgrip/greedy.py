@@ -20,9 +20,12 @@ pairs (the universe source: every non-edge in round 0, none later; the
 sampling sources: a fresh sample), the scorer scores it in one call, and the
 queue keeps both arrays, turning only the best of them into heap tuples.
 The lazy pop re-scores stale tops one at a time until the best entry is
-current. Regardless of the scorer, the reported
-per-edge gain of every accepted edge is recomputed exactly from one linear
-solve, and total resistance must strictly decrease on every insertion.
+current; with the exact dense scorer, past a measured share of the live
+entries per round, one batch call re-scores them all instead (StGreedy on a
+ring lattice, where almost every stale gain beats the top). Regardless of
+the scorer, the reported per-edge gain of every accepted edge is recomputed
+exactly from one linear solve, and total resistance must strictly decrease
+on every insertion.
 
 The local variant (one focus node v) restricts candidates to non-neighbors of
 v and inserts edges (v, b). One runner serves both variants: it preprocesses
@@ -211,6 +214,13 @@ def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:
 
 
 _CHUNK = 2048  # best entries a batch moves into the heap at once, with those tied to the last
+# A whole-queue rescan costs about _RESCAN_FIXED + live / _RESCAN_RATIO single lazy
+# re-scores (pop, scalar gain, push). Measured on WS(n, 10, 0.01) StGreedy queues, one
+# BLAS thread, two-core x86-64 VM: a rescan of 30-100 entries costs 30-46 singles at
+# n = 120 and 650; of the round-1 queue, 570 singles at n = 120 (6.5k entries, where
+# moving a chunk into the heap still dominates), 4974 at 650 (208k), 36607 at 2000 (2M).
+_RESCAN_FIXED = 40
+_RESCAN_RATIO = 40
 
 
 class LazyQueue:
@@ -222,13 +232,15 @@ class LazyQueue:
     stamp) tuples holds the entries that could come out next. While that heap
     is empty or its top does not beat the lowest floor strictly, the batch
     holding it moves its best ``_CHUNK`` entries and all ties of the last one
-    into the heap, so entries pop as from one heap of every tuple.
+    into the heap, so entries pop as from one heap of every tuple. A batch's
+    first move is one partition; the remainder it leaves is sorted once, on
+    its next move, and then handed out as slices.
     """
 
     def __init__(self):
         self._heap: list[tuple[float, int, int, int]] = []
-        # heap of batches (floor, push order, negated gains, pairs, stamp)
-        self._batches: list[tuple[float, int, np.ndarray, np.ndarray, int]] = []
+        # heap of batches (floor, push order, negated gains, pairs, stamp, moves so far)
+        self._batches: list[tuple[float, int, np.ndarray, np.ndarray, int, int]] = []
         self._order = count()
 
     def push_many(self, pairs: np.ndarray, gains: np.ndarray, stamp: int) -> None:
@@ -236,18 +248,26 @@ class LazyQueue:
         if not np.all(np.isfinite(gains)):
             raise InvariantError("queued gains must be finite")
         if len(gains):
-            heapq.heappush(self._batches, (-float(gains.max()), next(self._order), -gains, pairs, stamp))
+            heapq.heappush(self._batches, (-float(gains.max()), next(self._order), -gains, pairs, stamp, 0))
 
     def _pop(self) -> tuple[float, int, int, int]:
         heap, batches = self._heap, self._batches
         while batches and (not heap or heap[0][0] >= batches[0][0]):
-            _, order, neg, pairs, stamp = heapq.heappop(batches)
+            _, order, neg, pairs, stamp, moves = heapq.heappop(batches)
             if len(neg) > _CHUNK:
-                take = neg <= np.partition(neg, _CHUNK - 1)[_CHUNK - 1]
-                if not take.all():
+                if moves == 0:
+                    take = neg <= np.partition(neg, _CHUNK - 1)[_CHUNK - 1]
                     rest = ~take
-                    heapq.heappush(batches, (float(neg[rest].min()), order, neg[rest], pairs[rest], stamp))
-                    neg, pairs = neg[take], pairs[take]
+                    neg, pairs, rest_neg, rest_pairs = neg[take], pairs[take], neg[rest], pairs[rest]
+                else:
+                    if moves == 1:
+                        by_gain = np.argsort(neg)  # ties move together, so any order of them will do
+                        neg, pairs = neg[by_gain], pairs[by_gain]
+                    end = int(np.searchsorted(neg, neg[_CHUNK - 1], side="right"))
+                    neg, pairs, rest_neg, rest_pairs = neg[:end], pairs[:end], neg[end:], pairs[end:]
+                if len(rest_neg):
+                    floor = rest_neg[0] if moves else rest_neg.min()  # a sorted remainder starts at its floor
+                    heapq.heappush(batches, (float(floor), order, rest_neg, rest_pairs, stamp, moves + 1))
             heap.extend(zip(neg.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist(), repeat(stamp)))
             heapq.heapify(heap)
         return heapq.heappop(heap)
@@ -257,21 +277,41 @@ class LazyQueue:
         revalidate: Callable[[int, int], float],
         current_round: int,
         graph: Graph | None = None,
+        rescan: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> tuple[int, int, float]:
         """Pop entries until the top carries a current-round stamp; return it.
 
-        Stale tops are re-scored with ``revalidate`` and reinserted. Entries
+        Stale tops are re-scored with ``revalidate`` and reinserted; once
+        they cost as much as a rescan, the batch scorer ``rescan`` (if given,
+        with ``graph``) re-scores every live entry at once instead. Entries
         whose edge meanwhile exists in the graph (duplicates of an accepted
         edge) are discarded.
         """
+        live = len(self._heap) + sum(len(batch[2]) for batch in self._batches)
+        budget = _RESCAN_FIXED + live / _RESCAN_RATIO
         while self._heap or self._batches:
             neg_gain, a, b, stamp = self._pop()
             if graph is not None and graph.has_edge(a, b):
                 continue
             if stamp == current_round:
                 return a, b, -neg_gain
+            if rescan is not None and budget < 0:
+                self._rescan(rescan, current_round, graph, (a, b))
+                continue
+            budget -= 1
             heapq.heappush(self._heap, (-revalidate(a, b), a, b, current_round))
         raise ConfigError("candidate queue exhausted: no non-edges left to insert")
+
+    def _rescan(self, rescan, stamp: int, graph: Graph, held: tuple[int, int]) -> None:
+        """Replace the queue by one batch: every live non-edge (and ``held``), scored by ``rescan``."""
+        heap_pairs = np.array([held, *((a, b) for _, a, b, _ in self._heap)], dtype=np.int64)
+        pairs = np.concatenate([heap_pairs, *(batch[3] for batch in self._batches)])
+        # in pair order, the edge lookups and the scorer's gathers run along rows
+        keys = np.sort(pairs[:, 0] * graph.n + pairs[:, 1])
+        pairs = np.column_stack([keys // graph.n, keys % graph.n])
+        pairs = pairs[~graph.has_edges(pairs[:, 0], pairs[:, 1])]
+        self._heap, self._batches = [], []
+        self.push_many(pairs, rescan(pairs), stamp)
 
 
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
@@ -397,6 +437,8 @@ class _Scorer(_Part):
     """Estimates gains: ``gains`` scores a round's whole (s, 2) pair sample,
     ``gain`` re-scores one stale queue entry."""
 
+    rescan = None  # or a batch scorer that re-scores the whole queue once single re-scores stop paying
+
     def compute(self, source: _Source) -> None:
         raise NotImplementedError
 
@@ -435,6 +477,11 @@ class _DenseP(_Columns):
 
     def total_resistance(self) -> float:
         return total_resistance(self.cache)  # n * trace, no second factorisation
+
+    def rescan(self, pairs: np.ndarray) -> np.ndarray:
+        """The queue's gains: one formula with :meth:`gain`, so a rescan moves no pick;
+        the queue has dropped every edge already."""
+        return self.cache.gains(pairs[:, 0], pairs[:, 1])
 
     def update(self, a: int, b: int, round_idx: int) -> None:
         self.cache.apply_insertion(a, b)
@@ -585,7 +632,7 @@ def _run_rounds(
             timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        a, b, _ = queue.lazy_next(scorer.gain, r, graph)
+        a, b, _ = queue.lazy_next(scorer.gain, r, graph, scorer.rescan)
         timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

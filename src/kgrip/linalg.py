@@ -20,9 +20,12 @@ L X = E - 1/n for a block of unit vectors E (all at once through a sparse
 grounded-Laplacian factor, or by one conjugate-gradient solve each) and
 re-centering X against the all-ones null space. Restricted to a block C of
 columns, the rank-one update reads C' = C - v (C[a] - C[b]) / (1 + R(a,b));
-one column cache applies it, and the dense P is the cache of every column.
-A batch of gains reads B2 off the Gram matrix of the columns it touches:
-B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
+one column cache applies it. A batch of gains reads B2 off the Gram matrix
+of the columns it touches: B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
+The dense state keeps Q = P^2 beside P, reads each gain's B2(a,b) =
+Q[a,a] + Q[b,b] - 2 Q[a,b] in O(1), and updates both in place per insertion:
+  Q' = Q - c (w v^T + v w^T) + c^2 (v.v) v v^T = Q + u v^T + v u^T,
+  w = Q (e_a - e_b), c = 1 / (1 + R(a,b)), u = -c w + (c^2 (v.v) / 2) v.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
+from scipy.linalg import blas, lapack
 
 from .errors import ConfigError, InvariantError, SolverError, StaleStateError
 from .graphs import Graph, canonical_edge, is_connected
@@ -51,7 +54,9 @@ class SolverConfig:
 
 
 DEFAULT_SOLVER = SolverConfig()
-DENSE_CAP_DEFAULT = 20000
+# every dense path's largest n: P, Q = P^2 and the two n x n transients of the
+# r_final Cholesky (run while P and Q are alive) take 32 n^2 bytes, 5.0 GB at 12500
+DENSE_CAP_DEFAULT = 12500
 # where solve() factors: a factor pays from ~16 columns, its fill outgrows CG above n ~ 1000
 _FACTOR_MAX_N = 1000
 _FACTOR_MIN_COLUMNS = 16
@@ -245,21 +250,37 @@ class ColumnCache:
 
 
 class DenseState(ColumnCache):
-    """The column cache of every column: ``block`` is the dense pseudoinverse, column v at slot v."""
+    """The cache of every column: ``block`` is the dense P (column v at slot v), ``square`` is Q = P^2."""
 
     @classmethod
     def compute(cls, graph: Graph) -> "DenseState":
         state = cls(graph)
         state.block = pseudoinverse_dense(graph)
         state.slot = np.arange(graph.n)
+        state.square = state.block @ state.block
         return state
 
-    def column(self, v: int) -> np.ndarray:
-        return self.block[:, v]
+    def gains(self, a, b):
+        """n * B2(a,b) / (1 + R(a,b)) for vertices or index arrays a, b, read off Q and P."""
+        p, q = self.block, self.square
+        b2 = q[a, a] + q[b, b] - 2.0 * q[a, b]
+        return self.graph.n * b2 / (1.0 + (p[a, a] + p[b, b] - 2.0 * p[a, b]))
 
-    def apply_insertion(self, a: int, b: int) -> None:
-        """Sherman-Morrison update after the graph gained edge {a,b}."""
-        self.note_insertion(a, b)
+    def note_insertion(self, a: int, b: int) -> None:
+        """Bring P and Q across the just-inserted edge {a,b}, in place (module docstring)."""
+        a, b = canonical_edge(a, b)
+        p, q = self.block, self.square
+        v = p[:, a] - p[:, b]
+        w = q[:, a] - q[:, b]
+        c = 1.0 / (1.0 + (v[a] - v[b]))
+        u = (0.5 * c * c * float(v @ v)) * v - c * w
+        # P and Q are symmetric, so BLAS overwrites their Fortran-ordered transposes
+        uv, vu = np.array([u, v]).T, np.array([v, u]).T
+        self.block = blas.dger(-c, v, v, a=p.T, overwrite_a=1).T
+        self.square = blas.dgemm(1.0, uv, vu, beta=1.0, c=q.T, trans_b=1, overwrite_c=1).T
+        self.round += 1
+
+    apply_insertion = note_insertion  # the dense scorer's update step
 
 
 def gain_exact(state, a: int, b: int) -> float:
@@ -268,37 +289,35 @@ def gain_exact(state, a: int, b: int) -> float:
     graph: Graph = state.graph
     if graph.has_edge(a, b):
         raise InvariantError(f"edge ({a},{b}) already exists; gain undefined")
+    if isinstance(state, DenseState):
+        return float(state.gains(a, b))
     return gain_from_columns(state.column(a), state.column(b), a, b, graph.n)
 
 
 def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
     """Exact gains of many non-edges at once; ``pairs`` is an (s, 2) int array.
 
-    ``state`` is a :class:`DenseState` or a :class:`ColumnCache`. The columns
-    C of every vertex the pairs touch are gathered once, in vertex order; an
-    endpoint's slot in C is its rank among the touched vertices, read off a
-    running count of the touched flags (O(s + n), no sort). The squared
-    biharmonic distances come from the Gram identity
-    ||c_a - c_b||^2 = G[a,a] + G[b,b] - 2 G[a,b] with G = C^T C. A star
-    batch (one vertex in every pair, as in a focus node's candidates) reads
-    G[a,b] off the hub's row C^T c_hub and the diagonal off the column norms.
-    A dense state is read in place when the batch touches every vertex, or
-    is a star touching more than half of them.
+    A :class:`DenseState` reads every gain off Q and P in place. For a
+    :class:`ColumnCache` the columns C of every vertex the pairs touch are
+    gathered once, in vertex order; an endpoint's slot in C is its rank among
+    the touched vertices, read off a running count of the touched flags
+    (O(s + n), no sort). The squared biharmonic distances come from the Gram
+    identity ||c_a - c_b||^2 = G[a,a] + G[b,b] - 2 G[a,b] with G = C^T C. A
+    star batch (one vertex in every pair, as in a focus node's candidates)
+    reads G[a,b] off the hub's row C^T c_hub and the diagonal off the column
+    norms.
     """
     graph: Graph = state.graph
     a, b = pairs[:, 0], pairs[:, 1]
     if np.any(a == b) or np.any(graph.has_edges(a, b)):
         raise InvariantError("gains are defined for non-edges only")
+    if isinstance(state, DenseState):
+        return state.gains(a, b)
     counts = np.bincount(pairs.ravel(), minlength=graph.n)
     vertices = np.flatnonzero(counts)
-    slot = (np.cumsum(counts > 0) - 1)[pairs]  # rank of each endpoint among the touched vertices
+    slot_a, slot_b = (np.cumsum(counts > 0) - 1)[pairs].T  # rank of each endpoint among the touched vertices
+    cols = state.columns(vertices)
     hub = next((h for h in pairs[0] if np.all((a == h) | (b == h))), None)
-    touched = len(vertices) / graph.n
-    if isinstance(state, DenseState) and (touched == 1 or hub is not None and touched > 0.5):
-        vertices, slot, cols = np.arange(graph.n), pairs, state.block  # every vertex its own slot
-    else:
-        cols = state.columns(vertices)
-    slot_a, slot_b = slot.T
     if hub is None:
         gram = cols.T @ cols
         sq = np.diagonal(gram)

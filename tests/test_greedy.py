@@ -305,7 +305,8 @@ class _ReferenceQueue:
         self.heap.extend((-g, a, b, stamp) for (a, b), g in zip(pairs.tolist(), gains.tolist()))
         heapq.heapify(self.heap)
 
-    def lazy_next(self, revalidate, current_round, graph=None):
+    def lazy_next(self, revalidate, current_round, graph=None, rescan=None):
+        # ignores ``rescan``: every stale top is re-scored one at a time
         while self.heap:
             neg_gain, a, b, stamp = heapq.heappop(self.heap)
             if graph is not None and graph.has_edge(a, b):
@@ -348,14 +349,63 @@ def test_queue_pops_like_one_heap_of_all_entries(monkeypatch, chunk):
     assert popped == _drain(_ReferenceQueue(), 3)
 
 
-@pytest.mark.parametrize("kind", [Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH, Heuristic.SIMPL_STOCH_JLT])
-def test_runs_pick_the_edges_of_one_heap_of_all_entries(monkeypatch, kind):
-    g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=4)
-    chunked = run_kgrip(g, 3, kind, seed=5)
+_BA650 = ("ba", {"n": 650, "m_attach": 3, "m0": 3}, 4, 3)
+_WS120 = ("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, 1, 4)  # rescans the queue every round
+
+
+@pytest.mark.parametrize(
+    "kind,instance",
+    [
+        pytest.param(kind, _BA650, id=str(kind))
+        for kind in (Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH, Heuristic.SIMPL_STOCH_JLT)
+    ]
+    + [pytest.param(Heuristic.ST_GREEDY, _WS120, id="ws120-Heuristic.ST_GREEDY")],
+)
+def test_runs_pick_the_edges_of_one_heap_of_all_entries(monkeypatch, kind, instance):
+    model, params, graph_seed, k = instance
+    g = generate(model, params, seed=graph_seed)
+    chunked = run_kgrip(g, k, kind, seed=5)
     monkeypatch.setattr(greedy, "LazyQueue", _ReferenceQueue)
-    reference = run_kgrip(g, 3, kind, seed=5)
+    reference = run_kgrip(g, k, kind, seed=5)
     assert chunked.inserted_edges == reference.inserted_edges
     assert chunked.per_edge_true_gain == reference.per_edge_true_gain
+
+
+def _count_rescores(monkeypatch):
+    """Per-round counts of StGreedy's scalar re-scores, and the number of queue rescans."""
+    singles, rescans = Counter(), []
+    gain_exact, rescan = greedy.gain_exact, greedy.LazyQueue._rescan
+
+    def counted_gain(state, a, b):
+        singles[state.graph.round] += 1
+        return gain_exact(state, a, b)
+
+    def counted_rescan(queue, *args):
+        rescans.append(args[1])
+        return rescan(queue, *args)
+
+    monkeypatch.setattr(greedy, "gain_exact", counted_gain)
+    monkeypatch.setattr(greedy.LazyQueue, "_rescan", counted_rescan)
+    return singles, rescans
+
+
+@pytest.mark.parametrize(
+    "n,degree,naive_edges",
+    [
+        # oracles.greedy_naive's edges; it takes about 70 s on this graph
+        (120, 10, [(37, 92), (14, 82), (43, 98), (1, 49)]),
+        (50, 6, None),  # the oracle runs here
+    ],
+)
+def test_stgreedy_caps_single_rescores_on_ring_lattices(monkeypatch, n, degree, naive_edges):
+    # after a long-range insertion almost every stale gain beats the top; on
+    # WS(120) the pure lazy pop re-scored 1324-2557 entries a round, one at a time
+    g = generate("ws", {"n": n, "degree": degree, "rewire_prob": 0.01}, seed=1)
+    singles, rescans = _count_rescores(monkeypatch)
+    sol = run_kgrip(g, 4, Heuristic.ST_GREEDY, seed=1)
+    assert max(singles.values()) <= greedy._RESCAN_FIXED + g.non_edge_count() / greedy._RESCAN_RATIO + 1
+    assert rescans  # the rescan path chose some of these edges
+    assert sol.inserted_edges == (naive_edges or oracles.greedy_naive(g, 4))
 
 
 # -- run_kgrip -------------------------------------------------------------------

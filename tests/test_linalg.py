@@ -425,6 +425,48 @@ def test_dense_state_rayleigh_monotone():
         before = after
 
 
+def test_dense_state_square_tracks_fresh_pseudoinverse_in_place():
+    # criterion 2's chain: after every in-place update, Q matches the square
+    # of a fresh pseudoinverse, and P and Q keep their buffers
+    g = generate("er", {"n": 50, "p": 0.2}, seed=42)
+    state = DenseState.compute(g)
+    p, q = state.block, state.square
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        non_edges = oracles.all_non_edges(g)
+        a, b = non_edges[rng.integers(len(non_edges))]
+        g.insert_edge(a, b)
+        state.apply_insertion(a, b)
+        fresh = pseudoinverse_dense(g)
+        square = fresh @ fresh
+        assert np.max(np.abs(state.square - square)) <= 1e-9 * np.max(np.abs(square))
+        assert np.max(np.abs(state.block - fresh)) <= 1e-9 * np.max(np.abs(fresh))
+    assert np.shares_memory(state.block, p) and np.shares_memory(state.square, q)
+    assert state.round == g.round
+
+
+@pytest.mark.parametrize(
+    "model,params",
+    [("ba", {"n": 80, "m_attach": 3, "m0": 3}), ("ws", {"n": 80, "degree": 6, "rewire_prob": 0.05})],
+)
+def test_dense_gains_equal_the_gram_path_of_every_column(model, params):
+    # the O(1) reads of Q and P against the Gram identity on a column cache
+    # holding the same P, before and after insertions brought to both
+    g = generate(model, params, seed=3)
+    dense = DenseState.compute(g)
+    cache = ColumnCache(g)
+    cache.block, cache.slot = dense.block.copy(), np.arange(g.n)
+    rng = np.random.default_rng(5)
+    for _ in range(3):
+        pairs = g.non_edges()
+        from_dense, from_cache = linalg.gains_exact(dense, pairs), linalg.gains_exact(cache, pairs)
+        assert np.max(np.abs(from_dense - from_cache) / from_cache) <= 1e-12
+        a, b = pairs[rng.integers(len(pairs))].tolist()
+        g.insert_edge(a, b)
+        dense.apply_insertion(a, b)
+        cache.note_insertion(a, b)
+
+
 # -- refresh_column and the column cache -------------------------------------------
 
 
