@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import logging
 import math
 import os
 import signal
@@ -39,6 +40,7 @@ _GENERATOR_KEYS = {
 }
 _KEY_ALIASES = {"m": "m_attach", "beta": "rewire_prob", "deg": "degree"}
 _DEFAULTS = GreedyParams()  # the single source of every parameter flag's default
+_LOG = logging.getLogger("kgrip")
 
 
 def _number(cast, token: str, what: str):
@@ -206,7 +208,7 @@ def _resolve_focus(args, graph: Graph, k: int) -> tuple[list[int], list[dict]]:
         try:
             check_focus_feasible(graph, v, k)
         except ConfigError as exc:
-            print(f"warning: skipping focus node {v}: {exc}", file=sys.stderr)
+            _LOG.warning("skipping focus node %d: %s", v, exc)
             skipped.append({"focus": v, "reason": str(exc)})
             continue
         usable.append(v)
@@ -301,7 +303,7 @@ def cmd_bench(args) -> int:
         for k in ks:
             ref_gain, ref_time, ref_status = run_cell(graph, k, Heuristic.ST_GREEDY)
             if ref_status == "timeout":
-                print(f"warning: stgreedy timed out on {name} k={k}", file=sys.stderr)
+                _LOG.warning("stgreedy timed out on %s k=%d", name, k)
             for kind in heuristics:
                 if kind is Heuristic.ST_GREEDY:
                     gain, seconds, status = ref_gain, ref_time, ref_status
@@ -354,7 +356,9 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cutoff", type=int, default=_DEFAULTS.cutoff, help="eigenpair cutoff for specstoch")
     parser.add_argument("--solver-eps", type=float, default=_DEFAULTS.solver.residual_tol,
                         help="linear solver residual tolerance")
-    parser.add_argument("--diag-eps", type=float, default=_DEFAULTS.diag_epsilon, help="diagonal estimate accuracy")
+    parser.add_argument("--diag-eps", type=float, default=_DEFAULTS.diag_epsilon,
+                        help="diagonal estimate accuracy (default %(default)s); the initial sample "
+                        "draws ceil(ln n / eps^2) spanning trees")
 
 
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -408,9 +412,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _LevelPrefix(logging.Formatter):
+    def format(self, record: logging.LogRecord) -> str:
+        return f"{record.levelname.lower()}: {record.getMessage()}"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # bound per call to the current sys.stderr, so a replaced stream gets the lines
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(_LevelPrefix())
+    _LOG.addHandler(handler)
     try:
         return args.func(args)
     except ParseError as exc:
@@ -425,6 +438,8 @@ def main(argv: list[str] | None = None) -> int:
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        _LOG.removeHandler(handler)
 
 
 if __name__ == "__main__":

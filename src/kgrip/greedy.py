@@ -86,7 +86,7 @@ class GreedyParams:
     delta: float = 0.9
     cutoff: int = 50
     solver: SolverConfig = field(default_factory=SolverConfig)
-    diag_epsilon: float = 0.1
+    diag_epsilon: float = 0.3
     c_jlt: float = 4.0
 
     def validate(self) -> None:

@@ -784,24 +784,62 @@ def test_colstoch_samples_trees_only_for_the_initial_diagonal(monkeypatch):
     assert events == ["approx_diag_lpinv", "sample_trees"]
 
 
+def test_default_tree_budget_is_pinned(monkeypatch):
+    # the default diag_epsilon sets the initial sample: ceil(ln 650 / 0.3^2) = 72
+    # trees at n = 650; the CLI flag takes the same default
+    from kgrip.cli import build_parser
+
+    counts = []
+    sample = ust.sample_trees
+
+    def spy(graph, roots, count, rng):
+        counts.append(count)
+        return sample(graph, roots, count, rng)
+
+    monkeypatch.setattr(ust, "sample_trees", spy)
+    g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=1)
+    run_kgrip(g, 1, Heuristic.COL_STOCH, seed=1)
+    eps = GreedyParams().diag_epsilon
+    assert counts == [ust.tree_budget(650, eps)] == [72]
+    assert build_parser().parse_args(["optimize", "--k", "1"]).diag_eps == eps
+
+
+def test_default_tree_budget_keeps_col_quality():
+    # the default initial sample must not cost quality against the larger
+    # sample of diag_epsilon 0.1 on the same graphs and run seeds; the mean
+    # pools colstoch and colstochjlt, whose sketch gains alone spread too
+    # widely over six runs for a 0.02 margin
+    finer = GreedyParams(diag_epsilon=0.1)
+    default, fine = [], []
+    for graph_seed in (1, 2, 3):
+        g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=graph_seed)
+        best = sum(run_kgrip(g, 2, Heuristic.ST_GREEDY).per_edge_true_gain)
+        for kind in (Heuristic.COL_STOCH, Heuristic.COL_STOCH_JLT):
+            for seed in (1, 2):
+                default.append(sum(run_kgrip(g, 2, kind, seed=seed).per_edge_true_gain) / best)
+                fine.append(sum(run_kgrip(g, 2, kind, finer, seed=seed).per_edge_true_gain) / best)
+    assert np.mean(default) >= np.mean(fine) - 0.02, (default, fine)
+
+
 # -- seeded outputs ------------------------------------------------------------------
 
 # inserted edges of k=3 runs with seed 5, global and with focus node 7, on
 # ER(60, 0.1) seed 21 and BA(80, 3) seed 22; fixed since before batched scoring,
 # except col*, re-pinned when the diagonal-weighted draw became one exponential race
+# and again when the default diag_epsilon went from 0.1 to 0.3 (fewer initial trees)
 _SEEDED_EDGES = {
     ("er", "stgreedy"): ([(11, 56), (11, 55), (28, 56)], [(7, 11), (7, 56), (7, 28)]),
     ("er", "simplstoch"): ([(5, 11), (55, 56), (6, 56)], [(7, 50), (7, 11), (7, 48)]),
     ("er", "simplstochjlt"): ([(11, 41), (9, 56), (28, 29)], [(7, 50), (7, 29), (7, 55)]),
     ("er", "specstoch"): ([(11, 16), (53, 56), (28, 55)], [(7, 22), (7, 9), (7, 55)]),
-    ("er", "colstoch"): ([(11, 16), (11, 56), (28, 56)], [(7, 11), (7, 50), (7, 55)]),
-    ("er", "colstochjlt"): ([(11, 28), (11, 31), (38, 56)], [(7, 16), (7, 14), (7, 11)]),
+    ("er", "colstoch"): ([(11, 56), (11, 16), (28, 56)], [(7, 11), (7, 50), (7, 55)]),
+    ("er", "colstochjlt"): ([(11, 28), (11, 26), (54, 56)], [(7, 54), (7, 14), (7, 11)]),
     ("ba", "stgreedy"): ([(73, 76), (59, 65), (68, 69)], [(7, 73), (7, 76), (7, 65)]),
     ("ba", "simplstoch"): ([(48, 65), (70, 73), (66, 69)], [(7, 67), (7, 56), (7, 57)]),
     ("ba", "simplstochjlt"): ([(28, 59), (26, 71), (40, 65)], [(7, 68), (7, 35), (7, 75)]),
     ("ba", "specstoch"): ([(65, 68), (66, 73), (71, 76)], [(7, 30), (7, 64), (7, 76)]),
-    ("ba", "colstoch"): ([(59, 76), (65, 73), (48, 57)], [(7, 73), (7, 75), (7, 70)]),
-    ("ba", "colstochjlt"): ([(68, 77), (30, 32), (54, 78)], [(7, 78), (7, 30), (7, 68)]),
+    ("ba", "colstoch"): ([(59, 76), (65, 73), (68, 69)], [(7, 73), (7, 75), (7, 70)]),
+    ("ba", "colstochjlt"): ([(68, 77), (30, 32), (54, 78)], [(7, 78), (7, 59), (7, 57)]),
 }
 
 
