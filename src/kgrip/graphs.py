@@ -34,10 +34,13 @@ class Graph:
     """Undirected simple graph with sorted neighbor lists and an insertion log.
 
     The sparse Laplacian and the factor of its grounded block are built on
-    first use and cached until the next edge insertion.
+    first use and cached until the next edge insertion. The solve record
+    outlives them through insertions and copies: ``factor_fill``, the
+    entries nnz(L) + nnz(U) of the last grounded factor built (None before
+    the first), and ``solved_columns``, the columns the solver has solved.
     """
 
-    __slots__ = ("_adj", "_m", "_log", "_lap", "_factor")
+    __slots__ = ("_adj", "_m", "_log", "_lap", "_factor", "factor_fill", "solved_columns")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n <= 0:
@@ -47,6 +50,7 @@ class Graph:
         self._log: list[Edge] = []
         self._lap: sp.csr_matrix | None = None
         self._factor: spla.SuperLU | None = None
+        self.clear_solve_record()
         for a, b in edges:
             self._add_edge_unlogged(a, b)
 
@@ -98,12 +102,19 @@ class Graph:
         return [u for u in range(self.n) if u != v and u not in nbrs]
 
     def copy(self) -> "Graph":
+        """Same edges, insertion log and solve record; the copy shares no cached matrix or factor."""
         g = Graph.__new__(Graph)
         g._adj = [list(a) for a in self._adj]
         g._m = self._m
         g._log = list(self._log)
         g._lap = g._factor = None
+        g.factor_fill, g.solved_columns = self.factor_fill, self.solved_columns
         return g
+
+    def clear_solve_record(self) -> None:
+        """Forget the solve record, as if no solve had run on this graph."""
+        self.factor_fill: int | None = None
+        self.solved_columns = 0
 
     # -- mutation ----------------------------------------------------------
 
@@ -192,7 +203,8 @@ class Graph:
 
         L[1:,1:] is SPD for a connected graph; a symmetric fill-reducing
         ordering without pivoting keeps its LU factor nearly as sparse as a
-        Cholesky factor (COLAMD stores ~10x more entries on BA graphs).
+        Cholesky factor (COLAMD stores ~10x more entries on BA graphs). Its
+        entry count is recorded in ``factor_fill``.
         """
         if self._factor is None:
             try:
@@ -204,6 +216,7 @@ class Graph:
                 )
             except RuntimeError as exc:  # exactly singular: the graph is disconnected
                 raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
+            self.factor_fill = self._factor.nnz
         return self._factor
 
     def laplacian_dense(self) -> np.ndarray:

@@ -54,6 +54,7 @@ from .linalg import (
     ColumnCache,
     DenseState,
     SolverConfig,
+    check_dense_budget,
     gain_exact,
     gains_exact,
     total_resistance,
@@ -669,10 +670,13 @@ def _runs(
 ) -> list[Solution]:
     """Preprocess once, then solve the global problem (``focus_nodes`` None) or each focus node."""
     pre_graph = graph.copy()
+    pre_graph.clear_solve_record()  # the solve path follows the input's edges, not the caller's solves
     t0 = time.perf_counter()
     pre_parts = _computed_parts(pre_graph, k, kind, params, seed)
     pre_seconds = time.perf_counter() - t0
+    t0 = time.perf_counter()
     r_initial = pre_parts[1].total_resistance()
+    r_initial_share = (time.perf_counter() - t0) / len(focus_nodes or [None])  # split over a batch
 
     solutions: list[Solution] = []
     for v in [None] if focus_nodes is None else focus_nodes:
@@ -681,7 +685,7 @@ def _runs(
             work, parts = pre_graph, pre_parts
             timings["compute"] += pre_seconds
         else:
-            work = graph.copy()
+            work = pre_graph.copy()  # keeps the fill that preprocessing recorded
             t0 = time.perf_counter()
             # the memo swaps the pre-graph for this run's graph; the rest is copied
             parts = copy.deepcopy(pre_parts, {id(pre_graph): work})
@@ -693,7 +697,9 @@ def _runs(
             timings["preprocess_amortized"] = pre_seconds / len(focus_nodes)
 
         picked, gains = _run_rounds(work, parts, k, params, timings)
+        t0 = time.perf_counter()
         r_final = total_resistance(work)
+        timings["resistance"] = r_initial_share + time.perf_counter() - t0
 
         solution = Solution(
             heuristic=kind.value,
@@ -727,6 +733,8 @@ def run_kgrip(
         raise ConfigError(
             f"k={k} exceeds the {graph.non_edge_count()} available non-edges"
         )
+    if kind is Heuristic.ST_GREEDY:  # its universe queue takes about two n x n arrays more
+        check_dense_budget(graph.n, 6)
     return _runs(graph, None, k, kind, params, seed)[0]
 
 

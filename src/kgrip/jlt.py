@@ -1,14 +1,15 @@
 """Random-projection sketches for O(q)-time approximate gain evaluations.
 
-Two q-row sketches are kept per graph round, built from Gaussian projections
-P (q x n) and Q (q x m) with entries N(0,1)/sqrt(q):
+Two q-column sketches are kept per graph round, built from Gaussian
+projections P (q x n) and Q (q x m) with entries N(0,1)/sqrt(q):
 
-  biharm = Y^T with L Y = P^T - (1/n) 1 1^T P^T, i.e. Y = pinv(L) P^T,
-           so ||biharm (e_a - e_b)||^2 tracks the squared biharmonic distance;
-  resist = (Q B) pinv(L) (B is the signed edge-vertex incidence), so
-           ||resist (e_a - e_b)||^2 tracks the effective resistance.
+  biharm = Y with L Y = P^T - (1/n) 1 1^T P^T, i.e. Y = pinv(L) P^T,
+           so ||biharm[a] - biharm[b]||^2 tracks the squared biharmonic distance;
+  resist = pinv(L) (Q B)^T (B is the signed edge-vertex incidence), so
+           ||resist[a] - resist[b]||^2 tracks the effective resistance.
 
-All 2q right-hand sides go to the Laplacian solver as one block.
+All 2q right-hand sides go to the Laplacian solver as one block. Both
+sketches are stored n x q, so a pair reads two contiguous rows.
 
 Each distance estimate uses its projection exactly once, which keeps it
 unbiased with chi-square concentration in q. Composing the resistance sketch
@@ -32,6 +33,8 @@ from .errors import ConfigError, StaleStateError
 from .graphs import Graph
 from .linalg import DEFAULT_SOLVER, SolverConfig, solve
 
+_CHUNK = 4096  # pairs gathered at once by gains_jlt
+
 
 def default_sketch_width(universe_size: int, c_jlt: float = 4.0) -> int:
     """q = max(4, ceil(c_jlt * ln(universe_size)))."""
@@ -40,20 +43,20 @@ def default_sketch_width(universe_size: int, c_jlt: float = 4.0) -> int:
 
 @dataclass
 class JltSketch:
-    biharm: np.ndarray  # q x n
-    resist: np.ndarray  # q x n
+    biharm: np.ndarray  # n x q
+    resist: np.ndarray  # n x q
     round: int
 
     @property
     def n(self) -> int:
-        return self.biharm.shape[1]
+        return self.biharm.shape[0]
 
     def resistance_sq(self, a: int, b: int) -> float:
-        d = self.resist[:, a] - self.resist[:, b]
+        d = self.resist[a] - self.resist[b]
         return float(d @ d)
 
     def biharmonic_sq(self, a: int, b: int) -> float:
-        d = self.biharm[:, a] - self.biharm[:, b]
+        d = self.biharm[a] - self.biharm[b]
         return float(d @ d)
 
 
@@ -101,8 +104,9 @@ def build_sketch(
     p, qm, q = _projections(graph, q, rng, projection)
     qb = np.asarray(qm @ _incidence(graph))  # q x n, rows orthogonal to ones
     rhs = np.vstack([p, qb])
-    rows = solve(graph, (rhs - rhs.mean(axis=1, keepdims=True)).T, config).T
-    return JltSketch(biharm=rows[:q], resist=rows[q:], round=graph.round)
+    cols = solve(graph, (rhs - rhs.mean(axis=1, keepdims=True)).T, config)
+    biharm, resist = np.ascontiguousarray(cols[:, :q]), np.ascontiguousarray(cols[:, q:])
+    return JltSketch(biharm=biharm, resist=resist, round=graph.round)
 
 
 def _check_round(sketch: JltSketch, current_round: int | None) -> None:
@@ -121,10 +125,13 @@ def gain_jlt(sketch: JltSketch, a: int, b: int, current_round: int | None = None
 
 
 def gains_jlt(sketch: JltSketch, pairs: np.ndarray, current_round: int | None = None) -> np.ndarray:
-    """:func:`gain_jlt` of every row (a, b) of an (s, 2) pair array."""
+    """:func:`gain_jlt` of every row (a, b) of an (s, 2) pair array, gathered in cache-sized chunks."""
     _check_round(sketch, current_round)
-    a, b = pairs[:, 0], pairs[:, 1]
-    d_bi = sketch.biharm[:, a] - sketch.biharm[:, b]
-    d_res = sketch.resist[:, a] - sketch.resist[:, b]
-    b2 = np.einsum("ij,ij->j", d_bi, d_bi)
-    return sketch.n * b2 / (1.0 + np.einsum("ij,ij->j", d_res, d_res))
+    gains = np.empty(len(pairs))
+    for lo in range(0, len(pairs), _CHUNK):
+        a, b = pairs[lo : lo + _CHUNK, 0], pairs[lo : lo + _CHUNK, 1]
+        d_bi = sketch.biharm[a] - sketch.biharm[b]
+        d_res = sketch.resist[a] - sketch.resist[b]
+        b2 = np.einsum("ij,ij->i", d_bi, d_bi)
+        gains[lo : lo + _CHUNK] = sketch.n * b2 / (1.0 + np.einsum("ij,ij->i", d_res, d_res))
+    return gains

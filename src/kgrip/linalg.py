@@ -57,16 +57,23 @@ DEFAULT_SOLVER = SolverConfig()
 # every dense path's largest n: P, Q = P^2 and the two n x n transients of the
 # r_final Cholesky (run while P and Q are alive) take 32 n^2 bytes, 5.0 GB at 12500
 DENSE_CAP_DEFAULT = 12500
-# where solve() factors: a factor pays from ~16 columns, its fill outgrows CG above n ~ 1000
-_FACTOR_MAX_N = 1000
-_FACTOR_MIN_COLUMNS = 16
+# the factor pays for s columns while its work, about fill^2 / n, is within 512 s
+# column solves of about n each (calibrated on BA, WS and ER graphs)
+_FACTOR_COLUMN_RATIO = 512
+# with no fill known, a block this wide, or a second column up to this n, factors to learn it
+_PROBE_COLUMNS, _PROBE_MAX_N = 16, 1000
+
+
+def check_dense_budget(n: int, matrices: int = 4) -> None:
+    """Raise :class:`ConfigError` unless ``matrices`` n x n arrays fit the budget of 4 at ``DENSE_CAP_DEFAULT``."""
+    if matrices * n * n > 4 * DENSE_CAP_DEFAULT**2:
+        raise ConfigError(f"n={n}: {matrices} n x n arrays exceed the dense budget (4 at n={DENSE_CAP_DEFAULT})")
 
 
 def _shifted_cholesky_inverse(graph: Graph, invert) -> np.ndarray:
     """``invert`` (LAPACK dpotri or dtrtri) of the upper Cholesky factor of L + J/n, its only factorisation."""
     n = graph.n
-    if n > DENSE_CAP_DEFAULT:
-        raise ConfigError(f"n={n} exceeds the dense cap {DENSE_CAP_DEFAULT}; use column solves instead")
+    check_dense_budget(n)
     # L + J/n is singular exactly when the graph is disconnected, but rounding
     # can leave the Cholesky factorization a tiny positive pivot instead of failing
     if not is_connected(graph):
@@ -93,16 +100,25 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
     Every linear solve of the package goes through here. ``rhs`` is a vector
     or an n x s block whose columns sum to zero. All columns are solved
     through the graph's sparse factor of the grounded Laplacian when the
-    graph already holds one for this round, or when n <= 1000 and s >= 16
-    (the factor is then built and kept for the round). Otherwise each column
-    runs Jacobi-preconditioned CG on the graph's cached Laplacian. Raises
+    graph already holds one for this round; when its recorded fill says the
+    factorisation costs at most 512 s column solves, (fill / n)^2 <= 512 s;
+    or, with no fill recorded yet, when s >= 16 or n <= 1000 and this call
+    brings the graph's solved columns to 2 (the factor is then built, kept
+    for the round and its fill recorded). Otherwise each column runs
+    Jacobi-preconditioned CG on the graph's cached Laplacian. Raises
     :class:`SolverError` carrying the worst achieved relative residual if CG
     stops early or any column's residual exceeds ``config.residual_tol``.
     """
     lap = graph.laplacian()
     block = rhs.reshape(graph.n, -1)
+    n, s, fill = graph.n, block.shape[1], graph.factor_fill
+    graph.solved_columns += s
+    if fill is None:
+        pays = s >= _PROBE_COLUMNS or (n <= _PROBE_MAX_N and graph.solved_columns >= 2)
+    else:
+        pays = (fill / n) ** 2 <= _FACTOR_COLUMN_RATIO * s
     stopped_early = False
-    if graph.has_grounded_factor or (graph.n <= _FACTOR_MAX_N and block.shape[1] >= _FACTOR_MIN_COLUMNS):
+    if graph.has_grounded_factor or pays:
         x = np.zeros_like(block)  # vertex 0 grounded
         x[1:] = graph.grounded_factor().solve(block[1:])
         x -= x.mean(axis=0)

@@ -40,7 +40,7 @@ def test_optimize_p3_json(tmp_path, capsys):
     assert doc["per_edge_true_gain"][0] == pytest.approx(2.0, rel=1e-6)
     assert doc["r_initial"] == pytest.approx(4.0)
     assert doc["r_final"] == pytest.approx(2.0, rel=1e-6)
-    assert {"compute", "eval", "update"} <= set(doc["timings"])
+    assert {"compute", "eval", "update", "report", "resistance"} <= set(doc["timings"])
 
 
 def test_optimize_invalid_delta_exit2(tmp_path, capsys):

@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kgrip import greedy, jlt, oracles, ust
+from kgrip import greedy, jlt, linalg, oracles, ust
 from kgrip.errors import ConfigError, InvariantError
 from kgrip.graphs import Graph, generate
 from kgrip.linalg import total_resistance
@@ -703,6 +703,22 @@ def test_klrip_batch_reproduces_single_focus_runs(kind):
         assert sol.per_edge_true_gain == single.per_edge_true_gain
 
 
+@pytest.mark.parametrize("kind", list(Heuristic))
+def test_runs_on_one_graph_object_repeat_exactly(kind):
+    # a run's solve path follows its input's edges: neither a run's own solves
+    # nor the caller's, which leave a factor fill on the graph, may carry over
+    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=2)
+    first = run_kgrip(g, 3, kind, seed=4)
+    first_local = run_klrip(g, [5, 60], 2, kind, seed=4)
+    linalg.solve_lpinv_columns(g, list(range(20)))
+    assert g.factor_fill is not None
+    for _ in range(2):
+        again = run_kgrip(g, 3, kind, seed=4)
+        assert (again.inserted_edges, again.per_edge_true_gain) == (first.inserted_edges, first.per_edge_true_gain)
+        local = run_klrip(g, [5, 60], 2, kind, seed=4)
+        assert [s.per_edge_true_gain for s in local] == [s.per_edge_true_gain for s in first_local]
+
+
 def test_klrip_saturated_focus_rejected():
     s4 = star_graph(4)
     with pytest.raises(ConfigError) as err:
@@ -720,7 +736,7 @@ def test_solution_serialization_roundtrip(p3):
     doc = sol.to_dict()
     assert doc["inserted_edges"] == [[0, 2]]
     assert doc["total_gain"] == pytest.approx(2.0, rel=1e-6)
-    assert set(doc["timings"]) >= {"compute", "eval", "update"}
+    assert set(doc["timings"]) >= {"compute", "eval", "update", "report", "resistance"}
 
 
 @pytest.mark.parametrize(

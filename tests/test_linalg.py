@@ -86,6 +86,19 @@ def test_dense_pinv_cap(monkeypatch):
         pseudoinverse_dense(path_graph(30))
 
 
+def test_stgreedy_budget_counts_its_universe_queue(monkeypatch):
+    # P, Q and r_final take 4 n x n arrays, StGreedy's queue two more: 6 n^2 > 4 cap^2 above n ~ 0.816 cap
+    monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", 20)
+    built, dense = [], linalg.pseudoinverse_dense
+    monkeypatch.setattr(linalg, "pseudoinverse_dense", lambda g: built.append(g.n) or dense(g))
+    with pytest.raises(ConfigError, match="6 n x n arrays"):
+        run_kgrip(path_graph(17), 1, Heuristic.ST_GREEDY)
+    assert built == []  # refused before anything was allocated
+    assert run_kgrip(path_graph(16), 1, Heuristic.ST_GREEDY).inserted_edges
+    assert run_kgrip(path_graph(20), 1, Heuristic.SIMPL_STOCH).inserted_edges
+    assert built == [16, 20]
+
+
 # -- solve_lpinv_column ----------------------------------------------------------
 
 
@@ -140,10 +153,10 @@ def test_factor_and_cg_paths_match_dense_columns(family, s, cg_calls):
     vertices = np.random.default_rng(s).choice(g.n, s, replace=False)
     expected = pseudoinverse_dense(g)[:, vertices]
     tight = SolverConfig(residual_tol=1e-10)
-    # one column at a time on a graph without a factor runs CG
-    plain = g.copy()
-    by_cg = np.column_stack([solve_lpinv_column(plain, v, tight) for v in vertices])
-    assert cg_calls[0] == s and not plain.has_grounded_factor
+    # one column on a fresh graph, with no solve recorded, runs CG
+    fresh = [g.copy() for _ in vertices]
+    by_cg = np.column_stack([solve_lpinv_column(h, v, tight) for h, v in zip(fresh, vertices)])
+    assert cg_calls[0] == s and not any(h.has_grounded_factor for h in fresh)
     # a graph holding a factor solves every block through it
     g.grounded_factor()
     by_factor = solve_lpinv_columns(g, vertices)
@@ -163,17 +176,50 @@ def test_solve_takes_vectors_and_blocks():
     assert np.allclose(solve(g, rhs[:, 1]), block[:, 1], atol=1e-6)
 
 
-@pytest.mark.parametrize(
-    "n, s, factor", [(300, 16, True), (300, 15, False), (1000, 16, True), (1001, 16, False)]
-)
-def test_factor_selection_rule(n, s, factor, cg_calls):
-    # the factor is built at n <= 1000 with s >= 16 columns, then kept for the round
-    g = generate("ba", {"n": n, "m_attach": 2, "m0": 2}, seed=5)
-    solve_lpinv_columns(g, list(range(s)))
-    assert g.has_grounded_factor is factor
-    assert cg_calls[0] == (0 if factor else s)
-    solve_lpinv_column(g, s)
-    assert cg_calls[0] == (0 if factor else s + 1)
+def test_solve_record_survives_copy_and_insertion():
+    g = generate("ba", {"n": 200, "m_attach": 3, "m0": 3}, seed=2)
+    assert g.factor_fill is None and g.solved_columns == 0
+    solve_lpinv_columns(g, [0, 1, 2])
+    fill = g.factor_fill
+    assert fill == g.grounded_factor().nnz and g.solved_columns == 3
+    dup = g.copy()
+    a, b = next(map(tuple, g.non_edges()))
+    g.insert_edge(a, b)
+    for h in (dup, g):  # the factor is dropped, its fill and the column count are kept
+        assert not h.has_grounded_factor
+        assert h.factor_fill == fill and h.solved_columns == 3
+    g.clear_solve_record()
+    assert g.factor_fill is None and g.solved_columns == 0
+
+
+def test_single_columns_of_a_large_scale_free_graph_stay_on_cg(cg_calls):
+    # above n = 1000 a lone column never probes, and the probed fill keeps it on CG
+    g = generate("ba", {"n": 2000, "m_attach": 3, "m0": 3}, seed=1)
+    for v in range(3):
+        solve_lpinv_column(g, v)
+    assert cg_calls[0] == 3 and g.factor_fill is None
+    solve_lpinv_columns(g, list(range(16)))  # one probe learns the fill and serves its block
+    assert cg_calls[0] == 3 and g.factor_fill is not None
+    g.insert_edge(0, next(v for v in range(1, g.n) if not g.has_edge(0, v)))
+    solve_lpinv_column(g, 0)
+    assert cg_calls[0] == 4 and not g.has_grounded_factor
+
+
+def test_high_fill_graph_solves_sixteen_columns_by_cg(cg_calls):
+    # ER(1000, 0.01) holds ~280 fill entries per vertex: 16 columns cost less by CG
+    g = generate("er", {"n": 1000, "p": 0.01}, seed=1)
+    g.grounded_factor()
+    probed = g.copy()
+    solve_lpinv_columns(probed, list(range(16)))
+    assert cg_calls[0] == 16 and not probed.has_grounded_factor
+
+
+def test_small_ring_lattice_factors_from_its_second_column(cg_calls):
+    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1)
+    solve_lpinv_column(g, 0)
+    assert cg_calls[0] == 1 and not g.has_grounded_factor
+    solve_lpinv_column(g, 1)
+    assert cg_calls[0] == 1 and g.has_grounded_factor and g.factor_fill is not None
 
 
 def test_factor_path_unattainable_tolerance_raises():
