@@ -24,7 +24,6 @@ from .linalg import (
     ColumnCache,
     DenseState,
     SolverConfig,
-    biharmonic_sq,
     effective_resistance,
     gain_exact,
     pseudoinverse_dense,
@@ -52,7 +51,6 @@ __all__ = [
     "SolverError",
     "StaleStateError",
     "assert_connected",
-    "biharmonic_sq",
     "dump_edge_list",
     "effective_resistance",
     "gain_exact",

@@ -40,7 +40,7 @@ class Graph:
     the first), and ``solved_columns``, the columns the solver has solved.
     """
 
-    __slots__ = ("_adj", "_m", "_log", "_lap", "_factor", "factor_fill", "solved_columns")
+    __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor", "factor_fill", "solved_columns")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n <= 0:
@@ -49,6 +49,7 @@ class Graph:
         self._m = 0
         self._log: list[Edge] = []
         self._lap: sp.csr_matrix | None = None
+        self._keys: np.ndarray | None = None  # has_edges' sorted keys u*n + w of the stored entries
         self._factor: spla.SuperLU | None = None
         self.clear_solve_record()
         for a, b in edges:
@@ -107,7 +108,7 @@ class Graph:
         g._adj = [list(a) for a in self._adj]
         g._m = self._m
         g._log = list(self._log)
-        g._lap = g._factor = None
+        g._lap = g._keys = g._factor = None
         g.factor_fill, g.solved_columns = self.factor_fill, self.solved_columns
         return g
 
@@ -127,7 +128,7 @@ class Graph:
         insort(self._adj[a], b)
         insort(self._adj[b], a)
         self._m += 1
-        self._lap = self._factor = None
+        self._lap = self._keys = self._factor = None
 
     def insert_edge(self, a: int, b: int) -> None:
         """Insert a new edge and stamp it with the current round."""
@@ -151,13 +152,13 @@ class Graph:
         when a != b and entry (a, b) is stored.
         """
         n = self.n
-        lap = self.laplacian()
-        # keys u*n + w of the stored entries, ascending (rows in order, sorted columns)
-        keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(lap.indptr)) * n + lap.indices
+        if self._keys is None:  # ascending: rows in order, sorted columns; kept for the round
+            lap = self.laplacian()
+            self._keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(lap.indptr)) * n + lap.indices
         a = np.asarray(a, dtype=np.int64)
         query = a * n + b
-        pos = np.minimum(np.searchsorted(keys, query), len(keys) - 1)
-        return (keys[pos] == query) & (a != b)
+        pos = np.minimum(np.searchsorted(self._keys, query), len(self._keys) - 1)
+        return (self._keys[pos] == query) & (a != b)
 
     def non_edges(self) -> np.ndarray:
         """Every non-edge as an (N, 2) array of pairs a < b, in sorted order."""

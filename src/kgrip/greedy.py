@@ -19,10 +19,11 @@ in which their gain was computed. Each round the source yields a batch of
 pairs (the universe source: every non-edge in round 0, none later; the
 sampling sources: a fresh sample), the scorer scores it in one call, and the
 queue keeps both arrays, turning only the best of them into heap tuples.
-The lazy pop re-scores stale tops one at a time until the best entry is
-current; with the exact dense scorer, past a measured share of the live
-entries per round, one batch call re-scores them all instead (StGreedy on a
-ring lattice, where almost every stale gain beats the top). Regardless of
+The lazy pop re-scores stale tops through the same ``gains``, in blocks of 1,
+2, 4, ... entries, as popping one at a time would, until the top is current;
+with the exact dense scorer, past a measured share of the live entries per
+round, one call re-scores them all instead (StGreedy on a ring lattice,
+where almost every stale gain beats the top). Regardless of
 the scorer, the reported per-edge gain of every accepted edge is recomputed
 exactly from one linear solve, and total resistance must strictly decrease
 on every insertion.
@@ -55,7 +56,6 @@ from .linalg import (
     DenseState,
     SolverConfig,
     check_dense_budget,
-    gain_exact,
     gains_exact,
     total_resistance,
     true_gain,
@@ -215,11 +215,11 @@ def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:
 
 
 _CHUNK = 2048  # best entries a batch moves into the heap at once, with those tied to the last
-# A whole-queue rescan costs about _RESCAN_FIXED + live / _RESCAN_RATIO single lazy
-# re-scores (pop, scalar gain, push). Measured on WS(n, 10, 0.01) StGreedy queues, one
-# BLAS thread, two-core x86-64 VM: a rescan of 30-100 entries costs 30-46 singles at
-# n = 120 and 650; of the round-1 queue, 570 singles at n = 120 (6.5k entries, where
-# moving a chunk into the heap still dominates), 4974 at 650 (208k), 36607 at 2000 (2M).
+# A queue rescan comes where one-at-a-time re-scores (pop, scalar gain, push) reach its
+# measured cost, _RESCAN_FIXED + live / _RESCAN_RATIO of them, on WS(n, 10, 0.01) StGreedy
+# queues, one BLAS thread, two-core x86-64 VM: a rescan of 30-100 entries cost 30-46 at
+# n = 120 and 650; of the round-1 queue, 570 at n = 120 (6.5k entries, where moving a
+# chunk into the heap still dominates), 4974 at 650 (208k), 36607 at 2000 (2M).
 _RESCAN_FIXED = 40
 _RESCAN_RATIO = 40
 
@@ -275,36 +275,74 @@ class LazyQueue:
 
     def lazy_next(
         self,
-        revalidate: Callable[[int, int], float],
+        revalidate: Callable[[np.ndarray, np.ndarray], np.ndarray],
         current_round: int,
         graph: Graph | None = None,
-        rescan: Callable[[np.ndarray], np.ndarray] | None = None,
+        rescan: bool = False,
     ) -> tuple[int, int, float]:
         """Pop entries until the top carries a current-round stamp; return it.
 
-        Stale tops are re-scored with ``revalidate`` and reinserted; once
-        they cost as much as a rescan, the batch scorer ``rescan`` (if given,
-        with ``graph``) re-scores every live entry at once instead. Entries
-        whose edge meanwhile exists in the graph (duplicates of an accepted
-        edge) are discarded.
+        Stale tops are re-scored in blocks of 1, 2, 4, ... entries, one batch
+        call ``revalidate(a, b)`` on index arrays each, popping and scoring as
+        one stale top at a time would (:meth:`_rescore`). With ``rescan``, where
+        those re-scores reach a rescan's cost, one call re-scores every live
+        entry instead. Entries whose edge exists in ``graph`` are discarded.
         """
         live = len(self._heap) + sum(len(batch[2]) for batch in self._batches)
         budget = _RESCAN_FIXED + live / _RESCAN_RATIO
+        size = 1
         while self._heap or self._batches:
-            neg_gain, a, b, stamp = self._pop()
+            neg_gain, a, b, stamp = top = self._pop()
             if graph is not None and graph.has_edge(a, b):
                 continue
             if stamp == current_round:
                 return a, b, -neg_gain
-            if rescan is not None and budget < 0:
-                self._rescan(rescan, current_round, graph, (a, b))
+            if rescan and budget < 0:
+                self._rescan(revalidate, current_round, graph, (a, b))
                 continue
-            budget -= 1
-            heapq.heappush(self._heap, (-revalidate(a, b), a, b, current_round))
+            cap = min(size, math.floor(budget) + 1) if rescan else size
+            budget -= self._rescore(top, cap, revalidate, current_round, graph)
+            size *= 2
         raise ConfigError("candidate queue exhausted: no non-edges left to insert")
 
-    def _rescan(self, rescan, stamp: int, graph: Graph, held: tuple[int, int]) -> None:
-        """Replace the queue by one batch: every live non-edge (and ``held``), scored by ``rescan``."""
+    def _rescore(self, top, size: int, revalidate, stamp: int, graph: Graph | None) -> int:
+        """Re-score the stale ``top`` and up to ``size - 1`` stale entries below it in one call.
+
+        One stale top at a time would reach the next entry only while its key
+        beats every re-scored entry, so from the first that loses (or is
+        current) the block goes back unchanged. Returns the entries re-scored.
+        """
+        block, ends, edges = [top], [top[1:3]], set()  # stale entries popped in order; pairs to score; edge slots
+        while len(ends) < size and (self._heap or self._batches):
+            entry = self._pop()
+            if entry[3] == stamp:  # it pops before every entry below it
+                heapq.heappush(self._heap, entry)
+                break
+            block.append(entry)
+            if graph is not None and graph.has_edge(entry[1], entry[2]):
+                edges.add(len(block) - 1)
+            else:
+                ends.append(entry[1:3])
+        a, b = np.array(ends).T
+        gains = revalidate(a, b)
+        if not np.isfinite(gains).all():
+            raise InvariantError("re-scored gains must be finite")
+        fresh = zip((-gains).tolist(), a.tolist(), b.tolist(), repeat(stamp))
+        heap, best, kept = self._heap, None, 0
+        for i, entry in enumerate(block):
+            if best is not None and best < entry:
+                for rest in block[i:]:
+                    heapq.heappush(heap, rest)
+                break
+            if i not in edges:  # an edge is dropped
+                new = next(fresh)
+                heapq.heappush(heap, new)
+                best = new if best is None else min(best, new)
+                kept += 1
+        return kept
+
+    def _rescan(self, revalidate, stamp: int, graph: Graph, held: tuple[int, int]) -> None:
+        """Replace the queue by one batch: every live non-edge (and ``held``), scored by ``revalidate``."""
         heap_pairs = np.array([held, *((a, b) for _, a, b, _ in self._heap)], dtype=np.int64)
         pairs = np.concatenate([heap_pairs, *(batch[3] for batch in self._batches)])
         # in pair order, the edge lookups and the scorer's gathers run along rows
@@ -312,7 +350,7 @@ class LazyQueue:
         pairs = np.column_stack([keys // graph.n, keys % graph.n])
         pairs = pairs[~graph.has_edges(pairs[:, 0], pairs[:, 1])]
         self._heap, self._batches = [], []
-        self.push_many(pairs, rescan(pairs), stamp)
+        self.push_many(pairs, revalidate(pairs[:, 0], pairs[:, 1]), stamp)
 
 
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
@@ -435,10 +473,9 @@ class _DiagVertices(_Source):
 
 
 class _Scorer(_Part):
-    """Estimates gains: ``gains`` scores a round's whole (s, 2) pair sample,
-    ``gain`` re-scores one stale queue entry."""
+    """Estimates gains: ``gains`` scores (s, 2) pair arrays, a round's sample or a block of stale entries."""
 
-    rescan = None  # or a batch scorer that re-scores the whole queue once single re-scores stop paying
+    rescan = False  # whether the queue may re-score all of itself at once (stale keys bound the gains)
 
     def compute(self, source: _Source) -> None:
         raise NotImplementedError
@@ -448,9 +485,6 @@ class _Scorer(_Part):
         return total_resistance(self.graph)
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def gain(self, a: int, b: int) -> float:
         raise NotImplementedError
 
 
@@ -463,9 +497,6 @@ class _Columns(_Scorer):
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         return gains_exact(self.cache, pairs)
 
-    def gain(self, a: int, b: int) -> float:
-        return gain_exact(self.cache, a, b)
-
     def update(self, a: int, b: int, round_idx: int) -> None:
         self.cache.note_insertion(a, b)
 
@@ -473,16 +504,13 @@ class _Columns(_Scorer):
 class _DenseP(_Columns):
     """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison."""
 
+    rescan = True
+
     def compute(self, source: _Source) -> None:
         self.cache = DenseState.compute(self.graph)
 
     def total_resistance(self) -> float:
         return total_resistance(self.cache)  # n * trace, no second factorisation
-
-    def rescan(self, pairs: np.ndarray) -> np.ndarray:
-        """The queue's gains: one formula with :meth:`gain`, so a rescan moves no pick;
-        the queue has dropped every edge already."""
-        return self.cache.gains(pairs[:, 0], pairs[:, 1])
 
     def update(self, a: int, b: int, round_idx: int) -> None:
         self.cache.apply_insertion(a, b)
@@ -507,9 +535,6 @@ class _Sketch(_Scorer):
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         return jlt.gains_jlt(self.sketch, pairs, current_round=self.graph.round)
 
-    def gain(self, a: int, b: int) -> float:
-        return jlt.gain_jlt(self.sketch, a, b, current_round=self.graph.round)
-
     def update(self, a: int, b: int, round_idx: int) -> None:
         self._build(self._rng(_UPDATE_STREAM, round_idx, *self.tokens))
 
@@ -526,9 +551,6 @@ class _Spectral(_Scorer):
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         return spectral.gains_spectral(self.state, pairs)
-
-    def gain(self, a: int, b: int) -> float:
-        return spectral.gain_spectral(self.state, a, b)
 
     def update(self, a: int, b: int, round_idx: int) -> None:
         self._solve()
@@ -633,7 +655,7 @@ def _run_rounds(
             timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        a, b, _ = queue.lazy_next(scorer.gain, r, graph, scorer.rescan)
+        a, b, _ = queue.lazy_next(lambda u, v: scorer.gains(np.column_stack([u, v])), r, graph, scorer.rescan)
         timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

@@ -109,24 +109,16 @@ def build_sketch(
     return JltSketch(biharm=biharm, resist=resist, round=graph.round)
 
 
-def _check_round(sketch: JltSketch, current_round: int | None) -> None:
-    if current_round is not None and current_round != sketch.round:
-        raise StaleStateError(
-            f"sketch built at round {sketch.round}, graph at round {current_round}; refresh it"
-        )
-
-
 def gain_jlt(sketch: JltSketch, a: int, b: int, current_round: int | None = None) -> float:
-    """Approximate gain n * ||biharm d||^2 / (1 + ||resist d||^2), d = e_a - e_b."""
-    _check_round(sketch, current_round)
-    if a == b:
-        return 0.0
-    return sketch.n * sketch.biharmonic_sq(a, b) / (1.0 + sketch.resistance_sq(a, b))
+    """The approximate gain of {a,b}: one row of :func:`gains_jlt`."""
+    return float(gains_jlt(sketch, np.array([[a, b]]), current_round)[0])
 
 
 def gains_jlt(sketch: JltSketch, pairs: np.ndarray, current_round: int | None = None) -> np.ndarray:
-    """:func:`gain_jlt` of every row (a, b) of an (s, 2) pair array, gathered in cache-sized chunks."""
-    _check_round(sketch, current_round)
+    """Approximate gains n * ||biharm d||^2 / (1 + ||resist d||^2), d = e_a - e_b, of every
+    row (a, b) of an (s, 2) pair array, gathered in cache-sized chunks."""
+    if current_round is not None and current_round != sketch.round:
+        raise StaleStateError(f"sketch built at round {sketch.round}, graph at round {current_round}; refresh it")
     gains = np.empty(len(pairs))
     for lo in range(0, len(pairs), _CHUNK):
         a, b = pairs[lo : lo + _CHUNK, 0], pairs[lo : lo + _CHUNK, 1]

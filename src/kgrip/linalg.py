@@ -170,12 +170,6 @@ def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -
     return float(col_a[a] + col_b[b] - 2.0 * col_a[b])
 
 
-def biharmonic_sq(col_a: np.ndarray, col_b: np.ndarray) -> float:
-    """Squared biharmonic distance, the gain numerator."""
-    d = col_a - col_b
-    return float(d @ d)
-
-
 def total_resistance(obj) -> float:
     """n * trace(pseudoinverse), from a Graph or an existing DenseState.
 
@@ -190,10 +184,6 @@ def total_resistance(obj) -> float:
         raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
     r_inv = _shifted_cholesky_inverse(obj, lapack.dtrtri)
     return obj.n * (float(np.einsum("ij,ij->", r_inv, r_inv)) - 1.0)
-
-
-def gain_from_columns(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int, n: int) -> float:
-    return n * biharmonic_sq(col_a, col_b) / (1.0 + effective_resistance(col_a, col_b, a, b))
 
 
 def refresh_column(columns: np.ndarray, col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -276,11 +266,13 @@ class DenseState(ColumnCache):
         state.square = state.block @ state.block
         return state
 
-    def gains(self, a, b):
-        """n * B2(a,b) / (1 + R(a,b)) for vertices or index arrays a, b, read off Q and P."""
-        p, q = self.block, self.square
-        b2 = q[a, a] + q[b, b] - 2.0 * q[a, b]
-        return self.graph.n * b2 / (1.0 + (p[a, a] + p[b, b] - 2.0 * p[a, b]))
+    def gains(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """n * B2(a,b) / (1 + R(a,b)) for index arrays a, b, read off Q and P (flat: one index per entry)."""
+        n = self.graph.n
+        aa, bb, ab = a * (n + 1), b * (n + 1), a * n + b
+        p, q = self.block.reshape(-1), self.square.reshape(-1)  # views: both stay C-ordered
+        b2 = q[aa] + q[bb] - 2.0 * q[ab]
+        return n * b2 / (1.0 + (p[aa] + p[bb] - 2.0 * p[ab]))
 
     def note_insertion(self, a: int, b: int) -> None:
         """Bring P and Q across the just-inserted edge {a,b}, in place (module docstring)."""
@@ -300,14 +292,8 @@ class DenseState(ColumnCache):
 
 
 def gain_exact(state, a: int, b: int) -> float:
-    """Exact gain of inserting the non-edge {a,b}, including the factor n."""
-    a, b = canonical_edge(a, b)
-    graph: Graph = state.graph
-    if graph.has_edge(a, b):
-        raise InvariantError(f"edge ({a},{b}) already exists; gain undefined")
-    if isinstance(state, DenseState):
-        return float(state.gains(a, b))
-    return gain_from_columns(state.column(a), state.column(b), a, b, graph.n)
+    """Exact gain of inserting the non-edge {a,b}, including the factor n: one row of :func:`gains_exact`."""
+    return float(gains_exact(state, np.array([[a, b]]))[0])
 
 
 def gains_exact(state, pairs: np.ndarray) -> np.ndarray:

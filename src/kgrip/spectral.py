@@ -161,13 +161,13 @@ def gain_bounds(state: SpectralState, a: int, b: int) -> tuple[float, float]:
 
 
 def gain_spectral(state: SpectralState, a: int, b: int) -> float:
-    """Bracket midpoint, the scalar the spectral heuristic ranks by."""
-    lower, upper = gain_bounds(state, a, b)
-    return 0.5 * (lower + upper)
+    """The bracket midpoint of {a,b}: one row of :func:`gains_spectral`."""
+    return float(gains_spectral(state, np.array([[a, b]]))[0])
 
 
 def gains_spectral(state: SpectralState, pairs: np.ndarray) -> np.ndarray:
-    """:func:`gain_spectral` of every row (a, b) of an (s, 2) pair array."""
+    """Bracket midpoints, the estimates the spectral heuristic ranks by, of every row (a, b)
+    of an (s, 2) pair array."""
     dsq = (state.vectors[pairs[:, 0]] - state.vectors[pairs[:, 1]]) ** 2
     lower, upper = _bracket(state, dsq)
     return 0.5 * (lower + upper)

@@ -226,8 +226,17 @@ def test_queue_returns_max_when_current():
 def test_queue_revalidates_stale_entry():
     q = LazyQueue()
     _push(q, 0, 1, 100.0, stamp=0)
-    a, b, gain = q.lazy_next(lambda a, b: 3.5, current_round=2)
+    a, b, gain = q.lazy_next(lambda a, b: np.full(len(a), 3.5), current_round=2)
     assert (a, b, gain) == (0, 1, 3.5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_queue_rejects_non_finite_rescores(bad):
+    q = LazyQueue()
+    _push(q, 0, 1, 2.0, stamp=0)
+    _push(q, 0, 2, 1.0, stamp=0)
+    with pytest.raises(InvariantError):
+        q.lazy_next(lambda a, b: np.full(len(a), bad), current_round=1)
 
 
 def test_queue_tie_break_canonical_order():
@@ -261,7 +270,7 @@ def test_queue_push_many_pops_like_single_pushes():
         _push(single, a, b, gain, stamp=0)
 
     def revalidate(a, b):  # stale entries come back with a new, tied gain
-        return float((a + b) % 3)
+        return ((a + b) % 3).astype(float)
 
     popped = {}
     for name, q in (("batched", batched), ("single", single)):
@@ -271,7 +280,7 @@ def test_queue_push_many_pops_like_single_pushes():
     top = gains.max()
     smallest_tied = min(tuple(p) for p, g in zip(pairs.tolist(), gains) if g == top)
     assert popped["batched"][0] == (*smallest_tied, top)
-    assert all(gain == revalidate(a, b) for a, b, gain in popped["batched"][1:])
+    assert all(gain == (a + b) % 3 for a, b, gain in popped["batched"][1:])
 
 
 def test_queue_matches_full_rescan_argmax():
@@ -283,7 +292,7 @@ def test_queue_matches_full_rescan_argmax():
         q = LazyQueue()
         for (a, b), v in values.items():
             _push(q, a, b, v + 1.0, stamp=0)  # stale, inflated cache
-        best = q.lazy_next(lambda a, b: values[(a, b)], current_round=1)
+        best = q.lazy_next(lambda a, b: np.array([values[p] for p in zip(a.tolist(), b.tolist())]), current_round=1)
         expect = max(values.items(), key=lambda kv: (kv[1], (-kv[0][0], -kv[0][1])))
         assert best[:2] == expect[0]
 
@@ -305,48 +314,63 @@ class _ReferenceQueue:
         self.heap.extend((-g, a, b, stamp) for (a, b), g in zip(pairs.tolist(), gains.tolist()))
         heapq.heapify(self.heap)
 
-    def lazy_next(self, revalidate, current_round, graph=None, rescan=None):
-        # ignores ``rescan``: every stale top is re-scored one at a time
+    def lazy_next(self, revalidate, current_round, graph=None, rescan=False):
+        # ignores ``rescan``: every stale top is re-scored on its own, as a one-entry batch
         while self.heap:
             neg_gain, a, b, stamp = heapq.heappop(self.heap)
             if graph is not None and graph.has_edge(a, b):
                 continue
             if stamp == current_round:
                 return a, b, -neg_gain
-            heapq.heappush(self.heap, (-revalidate(a, b), a, b, current_round))
+            gain = float(revalidate(np.array([a]), np.array([b]))[0])
+            heapq.heappush(self.heap, (-gain, a, b, current_round))
         raise ConfigError("candidate queue exhausted")
 
 
-def _drain(q, rng_seed):
+def _drain(q, rng_seed, graph=None):
     """Three batches with stamps 0..2 over 120 vertices, gains drawn from five integers
     (ties straddle every chunk threshold, pairs recur across batches), popped between
-    pushes and then to exhaustion; stale entries re-score to tied gains."""
+    pushes and then to exhaustion; stale entries re-score to tied gains. With ``graph``,
+    the pairs popped between pushes become its edges. Returns the pops and the number
+    of entries re-scored."""
     rng = np.random.default_rng(rng_seed)
     universe = np.array([(a, b) for a in range(120) for b in range(a + 1, 120)])
-    log = []
+    log, rescored = [], []
 
     def revalidate(a, b):
-        log.append((a, b))
-        return float((a * b) % 4)
+        rescored.append(len(a))
+        return ((a * b) % 4).astype(float)
 
     for stamp, size in enumerate((6000, 2500, 3000)):
         pairs = universe[np.sort(rng.choice(len(universe), size, replace=False))]
         q.push_many(pairs, rng.integers(0, 5, size).astype(float), stamp)
-        log += [q.lazy_next(revalidate, stamp) for _ in range(300)]
+        log += [q.lazy_next(revalidate, stamp, graph) for _ in range(300)]
+        for a, b, _ in log[-300:] if graph is not None else ():
+            if not graph.has_edge(a, b):
+                graph.insert_edge(a, b)
     while True:
         try:
-            log.append(q.lazy_next(revalidate, 2))
+            log.append(q.lazy_next(revalidate, 2, graph))
         except ConfigError:
-            return log
+            return log, sum(rescored)
 
 
 @pytest.mark.parametrize("chunk", [None, 7])
 def test_queue_pops_like_one_heap_of_all_entries(monkeypatch, chunk):
     if chunk is not None:  # many refills, interleaved with re-scored entries
         monkeypatch.setattr(greedy, "_CHUNK", chunk)
-    popped = _drain(LazyQueue(), 3)
-    assert len(popped) > 6000 + 2500 + 3000
-    assert popped == _drain(_ReferenceQueue(), 3)
+    popped, rescored = _drain(LazyQueue(), 3)
+    assert len(popped) == 6000 + 2500 + 3000  # every entry pops once
+    assert rescored > 1000
+    assert popped == _drain(_ReferenceQueue(), 3)[0]
+
+
+def test_queue_drops_edges_like_one_heap_of_all_entries():
+    # later copies of the popped pairs are edges, dropped where they surface, also
+    # between the stale entries of one re-scored block
+    popped, _ = _drain(LazyQueue(), 4, Graph(120))
+    assert len(popped) < 6000 + 2500 + 3000 - 100
+    assert popped == _drain(_ReferenceQueue(), 4, Graph(120))[0]
 
 
 _BA650 = ("ba", {"n": 650, "m_attach": 3, "m0": 3}, 4, 3)
@@ -371,22 +395,34 @@ def test_runs_pick_the_edges_of_one_heap_of_all_entries(monkeypatch, kind, insta
     assert chunked.per_edge_true_gain == reference.per_edge_true_gain
 
 
-def _count_rescores(monkeypatch):
-    """Per-round counts of StGreedy's scalar re-scores, and the number of queue rescans."""
-    singles, rescans = Counter(), []
-    gain_exact, rescan = greedy.gain_exact, greedy.LazyQueue._rescan
+def _count_rescores(monkeypatch, queue=LazyQueue):
+    """Run the rounds on ``queue``; per round, count the entries its lazy pop passes to
+    the scorer outside a rescan and its scorer calls (a rescan's included), and list
+    the rounds that rescanned."""
+    entries, calls, rescans = Counter(), Counter(), []
+    lazy_next = queue.lazy_next
 
-    def counted_gain(state, a, b):
-        singles[state.graph.round] += 1
-        return gain_exact(state, a, b)
+    def counted_lazy_next(self, revalidate, current_round, *args):
+        def counted(a, b):
+            entries[current_round] += len(a)
+            calls[current_round] += 1
+            return revalidate(a, b)
 
-    def counted_rescan(queue, *args):
-        rescans.append(args[1])
-        return rescan(queue, *args)
+        counted.plain = revalidate
+        return lazy_next(self, counted, current_round, *args)
 
-    monkeypatch.setattr(greedy, "gain_exact", counted_gain)
-    monkeypatch.setattr(greedy.LazyQueue, "_rescan", counted_rescan)
-    return singles, rescans
+    monkeypatch.setattr(queue, "lazy_next", counted_lazy_next)
+    monkeypatch.setattr(greedy, "LazyQueue", queue)
+    if queue is LazyQueue:
+        rescan = queue._rescan
+
+        def counted_rescan(self, revalidate, stamp, *args):
+            rescans.append(stamp)
+            calls[stamp] += 1
+            return rescan(self, revalidate.plain, stamp, *args)
+
+        monkeypatch.setattr(queue, "_rescan", counted_rescan)
+    return entries, calls, rescans
 
 
 @pytest.mark.parametrize(
@@ -401,11 +437,30 @@ def test_stgreedy_caps_single_rescores_on_ring_lattices(monkeypatch, n, degree, 
     # after a long-range insertion almost every stale gain beats the top; on
     # WS(120) the pure lazy pop re-scored 1324-2557 entries a round, one at a time
     g = generate("ws", {"n": n, "degree": degree, "rewire_prob": 0.01}, seed=1)
-    singles, rescans = _count_rescores(monkeypatch)
+    rescored, _, rescans = _count_rescores(monkeypatch)
     sol = run_kgrip(g, 4, Heuristic.ST_GREEDY, seed=1)
-    assert max(singles.values()) <= greedy._RESCAN_FIXED + g.non_edge_count() / greedy._RESCAN_RATIO + 1
+    assert max(rescored.values()) <= greedy._RESCAN_FIXED + g.non_edge_count() / greedy._RESCAN_RATIO + 1
     assert rescans  # the rescan path chose some of these edges
     assert sol.inserted_edges == (naive_edges or oracles.greedy_naive(g, 4))
+
+
+@pytest.mark.parametrize("kind", [Heuristic.ST_GREEDY, Heuristic.SPEC_STOCH])
+def test_lazy_pop_rescores_in_doubling_blocks(monkeypatch, kind):
+    # blocks of 1, 2, 4, ... entries: a round's scorer calls grow with the log of its
+    # re-scores, and a block scores at most as many entries as the pop kept before it
+    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1)
+    with monkeypatch.context() as m:
+        entries, calls, _ = _count_rescores(m)
+        sol = run_kgrip(g, 4, kind, seed=1)
+    with monkeypatch.context() as m:
+        reference_entries, _, _ = _count_rescores(m, _ReferenceQueue)
+        reference = run_kgrip(g, 4, kind, seed=1)
+    assert sol.inserted_edges == reference.inserted_edges
+    assert sol.per_edge_true_gain == reference.per_edge_true_gain
+    assert max(reference_entries.values()) > 20
+    for r in range(4):
+        assert calls[r] <= math.ceil(math.log2(max(entries[r], 1))) + 2
+        assert entries[r] <= 2 * reference_entries[r]
 
 
 # -- run_kgrip -------------------------------------------------------------------

@@ -14,7 +14,6 @@ from kgrip.linalg import (
     ColumnCache,
     DenseState,
     SolverConfig,
-    biharmonic_sq,
     effective_resistance,
     gain_exact,
     pseudoinverse_dense,
@@ -313,19 +312,25 @@ def test_tree_resistance_equals_bfs_distance():
                 assert abs(r_row[v] - depth[v]) < 1e-9
 
 
+def _biharmonic_sq(state: DenseState, a: int, b: int) -> float:
+    """B2(a,b) = Q[a,a] + Q[b,b] - 2 Q[a,b], read off the dense state's Q = P^2."""
+    q = state.square
+    return float(q[a, a] + q[b, b] - 2.0 * q[a, b])
+
+
 def test_biharmonic_p3(p3):
     state = DenseState.compute(p3)
-    assert biharmonic_sq(state.column(0), state.column(2)) == pytest.approx(2.0, abs=1e-9)
+    assert _biharmonic_sq(state, 0, 2) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_biharmonic_identical_columns(p3):
     state = DenseState.compute(p3)
-    assert biharmonic_sq(state.column(1), state.column(1)) == 0.0
+    assert _biharmonic_sq(state, 1, 1) == 0.0
 
 
 def test_biharmonic_k2():
     state = DenseState.compute(complete_graph(2))
-    assert biharmonic_sq(state.column(0), state.column(1)) == pytest.approx(0.5, abs=1e-12)
+    assert _biharmonic_sq(state, 0, 1) == pytest.approx(0.5, abs=1e-12)
 
 
 # -- total_resistance -------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Batched gain scorers against their scalar twins, and the shared CG entry point."""
+"""Batched gain scorers against scalar per-pair formulas, and the shared CG entry point."""
 
 from __future__ import annotations
 
@@ -7,17 +7,9 @@ import pytest
 
 from kgrip.errors import InvariantError, SolverError, StaleStateError
 from kgrip.graphs import Graph, generate
-from kgrip.jlt import build_sketch, gain_jlt, gains_jlt
-from kgrip.linalg import (
-    ColumnCache,
-    DenseState,
-    SolverConfig,
-    gain_exact,
-    gains_exact,
-    solve,
-    solve_lpinv_column,
-)
-from kgrip.spectral import compute_low_spectrum, gain_spectral, gains_spectral
+from kgrip.jlt import build_sketch, gains_jlt
+from kgrip.linalg import ColumnCache, DenseState, SolverConfig, gains_exact, solve, solve_lpinv_column
+from kgrip.spectral import compute_low_spectrum, gain_bounds, gains_spectral
 
 REL_TOL = 1e-12
 FOCUS = 5
@@ -39,11 +31,17 @@ def _pair_sets(g: Graph) -> dict[str, np.ndarray]:
 CASES = [(gname, pname) for gname in ("er60", "ba80") for pname in ("global", "focus")]
 
 
-def _assert_matches(batched: np.ndarray, pairs: np.ndarray, scalar) -> None:
-    reference = np.array([scalar(a, b) for a, b in pairs.tolist()])
+def _assert_matches(batched: np.ndarray, pairs: np.ndarray, per_pair) -> None:
+    reference = np.array([per_pair(a, b) for a, b in pairs.tolist()])
     assert batched.shape == reference.shape
     assert np.all(reference > 0)
     assert np.max(np.abs(batched - reference) / reference) <= REL_TOL
+
+
+def _gain_from_columns(n: int, col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -> float:
+    """n * B2 / (1 + R) with d = P[:,a] - P[:,b]: B2 = d.d and R = d[a] - d[b]."""
+    d = col_a - col_b
+    return n * float(d @ d) / (1.0 + d[a] - d[b])
 
 
 @pytest.mark.parametrize("gname,pname", CASES)
@@ -51,7 +49,12 @@ def test_dense_scorer_matches_scalar(gname, pname):
     g = _graphs()[gname]
     pairs = _pair_sets(g)[pname]
     state = DenseState.compute(g)
-    _assert_matches(gains_exact(state, pairs), pairs, lambda a, b: gain_exact(state, a, b))
+    p = state.block
+    _assert_matches(gains_exact(state, pairs), pairs, lambda a, b: _gain_from_columns(g.n, p[:, a], p[:, b], a, b))
+
+
+def _solved_column_gain(g: Graph):
+    return lambda a, b: _gain_from_columns(g.n, solve_lpinv_column(g, a), solve_lpinv_column(g, b), a, b)
 
 
 @pytest.mark.parametrize("gname,pname", CASES)
@@ -59,7 +62,7 @@ def test_column_cache_scorer_matches_scalar(gname, pname):
     g = _graphs()[gname]
     pairs = _pair_sets(g)[pname]
     cache = ColumnCache(g)
-    _assert_matches(gains_exact(cache, pairs), pairs, lambda a, b: gain_exact(cache, a, b))
+    _assert_matches(gains_exact(cache, pairs), pairs, _solved_column_gain(g))
 
 
 @pytest.mark.parametrize("gname", ["er60", "ba80"])
@@ -75,7 +78,7 @@ def test_column_cache_scorer_after_insertions(gname):
         cache.note_insertion(a, b)
     for pairs in _pair_sets(g).values():
         # columns cached before the insertions are refreshed, the rest solved fresh
-        _assert_matches(gains_exact(cache, pairs), pairs, lambda a, b: gain_exact(cache, a, b))
+        _assert_matches(gains_exact(cache, pairs), pairs, _solved_column_gain(g))
 
 
 @pytest.mark.parametrize("gname,pname", CASES)
@@ -86,7 +89,7 @@ def test_sketch_scorer_matches_scalar(gname, pname):
     _assert_matches(
         gains_jlt(sketch, pairs, current_round=g.round),
         pairs,
-        lambda a, b: gain_jlt(sketch, a, b, current_round=g.round),
+        lambda a, b: g.n * sketch.biharmonic_sq(a, b) / (1.0 + sketch.resistance_sq(a, b)),
     )
 
 
@@ -95,7 +98,7 @@ def test_spectral_scorer_matches_scalar(gname, pname):
     g = _graphs()[gname]
     pairs = _pair_sets(g)[pname]
     state = compute_low_spectrum(g, 20)
-    _assert_matches(gains_spectral(state, pairs), pairs, lambda a, b: gain_spectral(state, a, b))
+    _assert_matches(gains_spectral(state, pairs), pairs, lambda a, b: 0.5 * sum(gain_bounds(state, a, b)))
 
 
 def test_batched_scorers_reject_edges_and_stale_sketches():
