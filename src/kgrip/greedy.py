@@ -215,6 +215,9 @@ def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:
 
 
 _CHUNK = 2048  # best entries a batch moves into the heap at once, with those tied to the last
+# A moved chunk is pushed entry by entry into a heap more than _PUSH_RATIO times its size
+# (a push costs about three heapify steps per entry), and heapified with the heap otherwise.
+_PUSH_RATIO = 2
 # A queue rescan comes where one-at-a-time re-scores (pop, scalar gain, push) reach its
 # measured cost, _RESCAN_FIXED + live / _RESCAN_RATIO of them, on WS(n, 10, 0.01) StGreedy
 # queues, one BLAS thread, two-core x86-64 VM: a rescan of 30-100 entries cost 30-46 at
@@ -269,8 +272,13 @@ class LazyQueue:
                 if len(rest_neg):
                     floor = rest_neg[0] if moves else rest_neg.min()  # a sorted remainder starts at its floor
                     heapq.heappush(batches, (float(floor), order, rest_neg, rest_pairs, stamp, moves + 1))
-            heap.extend(zip(neg.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist(), repeat(stamp)))
-            heapq.heapify(heap)
+            moved = zip(neg.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist(), repeat(stamp))
+            if len(neg) * _PUSH_RATIO < len(heap):
+                for entry in moved:
+                    heapq.heappush(heap, entry)
+            else:
+                heap.extend(moved)
+                heapq.heapify(heap)
         return heapq.heappop(heap)
 
     def lazy_next(

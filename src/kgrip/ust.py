@@ -1,16 +1,14 @@
 """Uniform spanning trees and the UST-based estimate of diag(pseudoinverse).
 
-Sampling uses Wilson's loop-erased random walks, run in lockstep for a block
-of trees at once. Every tree of the block keeps its own in-tree marks, its
-own last-exit pointers ``nxt`` and its own start pointer; one numpy pass per
-step moves every walker of the block over the graph's CSR arrays. The walks
-grow a forest from a root set: a walk from the start vertex runs until it hits
-the forest, and retracing from the start along ``nxt`` follows exactly the
-loop-erased path, so ``nxt`` ends as the parent array. One root yields USTs;
-the ends {a,b} of an edge e yield uniform two-tree forests, which e joins into
-a uniform draw from the spanning trees containing e. Blocks hold at most
-``_BLOCK_ELEMENTS`` (trees x vertices) entries, which bounds the working
-memory independently of the number of trees.
+Sampling uses Wilson's cycle popping over a block of trees at once: every
+non-root vertex of every tree draws a random arrow to a neighbour, and round
+by round every vertex on a cycle of arrows draws a fresh one; the arrows left
+when no cycle remains are the parent array of a uniform spanning forest of
+the root set, whatever order the cycles are popped in (Wilson 1996; Propp and
+Wilson 1998). One root yields USTs; the ends {a,b} of an edge e yield uniform
+two-tree forests, which e joins into a uniform draw from the spanning trees
+containing e. Blocks hold at most ``_BLOCK_ELEMENTS`` (trees x vertices)
+entries, which bounds the working memory independently of the number of trees.
 
 The diagonal estimate rests on two facts.  First, the resistance R(u,v)
 equals the expected signed number of times the path u->v of a UST traverses
@@ -32,7 +30,7 @@ difference of its pseudoinverse columns at a and b, and R' = v[a] - v[b].
 No trees are drawn for an update; the fixed-edge sampler serves the
 sampling checks only.
 
-A block draws its walk steps from one generator in lockstep order, so the
+A block draws the arrows of each round from one generator at once, so the
 trees of a seeded run depend on the block layout as well as on the seed.
 """
 
@@ -48,14 +46,11 @@ from .errors import ConfigError, DisconnectedError, InvariantError, SolverError,
 from .graphs import Graph, assert_connected, bfs_parents, canonical_edge
 from .linalg import DEFAULT_SOLVER, SolverConfig, solve_lpinv_columns, solve_lpinv_difference
 
+# arrows drawn per block at most; each is one step of a Wilson walk
 _WALK_STEP_GUARD = 10**9
-# trees x vertices per lockstep block: bounds the block's working arrays
-# (a few bytes per entry for the walk, tens for the aggregation)
+# trees x vertices per block: bounds the block's working arrays
+# (a few int32 arrays for the popping, tens of bytes per entry for the aggregation)
 _BLOCK_ELEMENTS = 1 << 18
-# vertices a seeking tree inspects per lockstep step when looking for its next start
-_SEEK_WINDOW = 16
-
-_WALK, _RETRACE, _SEEK, _DONE = 0, 1, 2, 3
 
 
 class SpanningTree:
@@ -128,10 +123,10 @@ class BfsTree:
     def __init__(self, graph: Graph, pivot: int):
         self.pivot = pivot
         self.parent, self.depth = bfs_parents(graph, pivot)
-        unreached = next((v for v, p in enumerate(self.parent) if p == -2), None)
-        if unreached is not None:
-            raise DisconnectedError(pivot, unreached)
         parent = np.asarray(self.parent, dtype=np.int32)
+        unreached = np.flatnonzero(parent == -2)
+        if unreached.size:
+            raise DisconnectedError(pivot, int(unreached[0]))
         vs = np.flatnonzero(np.asarray(self.depth) > 0).astype(np.int32)
         c = vs
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
@@ -142,73 +137,58 @@ class BfsTree:
             vs, c = vs[deeper], p[deeper]
 
 
-# -- lockstep Wilson sampling -------------------------------------------------------
+# -- cycle popping ---------------------------------------------------------------
 
 
-def _wilson_block(
+def _cycle_pop_block(
     indptr: np.ndarray, indices: np.ndarray, roots: Sequence[int], count: int, rng
 ) -> np.ndarray:
     """Parent arrays (count x n, int32) of ``count`` uniform spanning forests rooted at ``roots``.
 
-    Every tree of the forest holds one root; entry v is the neighbour v leaves
-    toward, -1 at the roots. Each forest starts with its roots marked and
-    seeks its next start vertex in index order, walks from it until the walk
-    hits the forest (recording in ``nxt`` the neighbour each vertex last left
-    to), then retraces the loop-erased path from the start, one vertex per
-    step. No walk leaves a forest vertex, so its last exit is its parent once
-    it joins, and ``nxt`` ends as the parent array. All forests of the block
-    take their step together; a forest's phase only decides which pass moves it.
+    Every tree of the forest holds one root; entry v is the neighbour v points
+    to, -1 at the roots. Every non-root vertex of every forest draws a random
+    arrow to a neighbour; then, round by round, every vertex that lies on a
+    cycle of arrows draws a fresh one. By Wilson's cycle-popping theorem the
+    arrows left when no cycle remains form a uniform forest, whatever order the
+    cycles are popped in. A round pointer-doubles the arrows of the still-open
+    vertices ceil(log2(n+1)) times, settled vertices absorbing: an open vertex
+    whose chain reaches a root settles for good, and the image of the doubling
+    over the rest is exactly the set of vertices on a cycle.
     """
     n = len(indptr) - 1
+    total = count * n
     deg = np.diff(indptr)
-    base = np.arange(count, dtype=np.int64) * n
-    in_tree = np.zeros(count * n, dtype=bool)
-    in_tree[base[:, None] + roots] = True
-    nxt = np.full(count * n, -1, dtype=np.int32)
-    start = np.zeros(count, dtype=np.int64)
-    cur = np.zeros(count, dtype=np.int64)
-    phase = np.full(count, _SEEK, dtype=np.int8)
-    window = np.arange(_SEEK_WINDOW)
-    steps = 0
-    while True:
-        retrace = np.flatnonzero(phase == _RETRACE)
-        if retrace.size:
-            at = base[retrace] + cur[retrace]
-            in_tree[at] = True
-            to = nxt[at]
-            cur[retrace] = to
-            joined = retrace[in_tree[base[retrace] + to]]
-            phase[joined] = _SEEK
-            start[joined] += 1  # the start vertex itself is in the tree now
-
-        seek = np.flatnonzero(phase == _SEEK)
-        if seek.size:
-            cand = start[seek, None] + window
-            free = cand < n
-            free[free] = ~in_tree[(base[seek, None] + cand)[free]]
-            found = free.any(axis=1)
-            go = seek[found]
-            start[go] += free[found].argmax(axis=1)
-            cur[go] = start[go]
-            phase[go] = _WALK
-            later = seek[~found]
-            start[later] += _SEEK_WINDOW
-            phase[later[start[later] >= n]] = _DONE
-
-        walk = np.flatnonzero(phase == _WALK)
-        if walk.size:
-            u = cur[walk]
-            to = indices[indptr[u] + (rng.random(walk.size) * deg[u]).astype(np.int64)]
-            nxt[base[walk] + u] = to
-            cur[walk] = to
-            hit = walk[in_tree[base[walk] + to]]
-            phase[hit] = _RETRACE
-            cur[hit] = start[hit]
-            steps += 1
-            if steps > _WALK_STEP_GUARD:
-                raise SolverError("random walk exceeded the step guard; graph too large?")
-        elif not retrace.size and not seek.size:
-            return nxt.reshape(count, n)
+    base = np.arange(count, dtype=np.int32)[:, None] * n
+    sink = np.zeros(total, dtype=bool)
+    sink[base + np.asarray(roots, dtype=np.int32)] = True
+    open_ = np.flatnonzero(~sink).astype(np.int32)
+    nxt = np.zeros(total, dtype=np.int32)  # flat index of each vertex's arrow head
+    local = np.full(total, -1, dtype=np.int32)  # position among the open vertices, -1 once settled
+    doublings = n.bit_length()  # ceil(log2(n+1)): 2^doublings steps outrun any chain of one tree
+    popped, drawn = open_, 0
+    while popped.size:
+        drawn += popped.size  # one arrow is one step of a Wilson walk
+        if drawn > _WALK_STEP_GUARD:
+            raise SolverError("cycle popping exceeded the step guard; graph too large?")
+        v = popped % n
+        pick = (rng.random(popped.size) * deg[v]).astype(np.int32)
+        nxt[popped] = popped - v + indices[indptr[v] + pick]
+        m = open_.size
+        local[open_] = np.arange(m, dtype=np.int32)
+        jump = np.empty(m + 1, dtype=np.int32)
+        np.take(local, nxt[open_], out=jump[:m])
+        jump[m] = -1  # index -1 reads this slot, so settled vertices absorb
+        for _ in range(doublings):
+            jump = np.take(jump, jump)  # faster than fancy indexing for int32 indices
+        settle = jump[:m] < 0
+        local[open_[settle]] = -1
+        on_cycle = np.zeros(m, dtype=bool)
+        on_cycle[jump[:m][~settle]] = True
+        popped = open_[on_cycle]
+        open_ = open_[~settle]
+    parents = nxt.reshape(count, n) - base
+    parents[:, roots] = -1
+    return parents
 
 
 def sample_trees(
@@ -230,7 +210,7 @@ def sample_trees(
     indptr, indices = graph.adjacency_arrays()
     per_block = max(1, _BLOCK_ELEMENTS // graph.n)
     for first in range(0, count, per_block):
-        parents = _wilson_block(indptr, indices, roots, min(per_block, count - first), rng)
+        parents = _cycle_pop_block(indptr, indices, roots, min(per_block, count - first), rng)
         if len(roots) == 2:
             parents[:, roots[1]] = roots[0]
         yield parents
@@ -362,7 +342,7 @@ def tree_budget(n: int, epsilon: float) -> int:
 
 def choose_pivot(graph: Graph) -> int:
     """Highest-degree vertex, smallest id on ties (short expected BFS paths)."""
-    return max(range(graph.n), key=lambda v: (graph.degree(v), -v))
+    return int(np.argmax(np.diff(graph.adjacency_arrays()[0])))  # the first maximum
 
 
 def approx_diag_lpinv(

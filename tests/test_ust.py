@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from kgrip import oracles, ust
-from kgrip.errors import ConfigError, DisconnectedError, InvariantError, StaleStateError
+from kgrip.errors import ConfigError, DisconnectedError, InvariantError, SolverError, StaleStateError
 from kgrip.graphs import Graph, generate
 from kgrip.linalg import pseudoinverse_dense, solve_lpinv_column
 from kgrip.ust import (
@@ -154,7 +154,53 @@ def test_plain_trees_are_pinned():
             assert np.all(parents[:, pivot] == -1)
             digest.update(parents.astype("<i4").tobytes())
     assert len(blocks) == 2
-    assert digest.hexdigest() == "f22d36542fb1fcc4a0baa69b2ffd9998f257bc4c0395b2e2257f3654b400465e"
+    assert digest.hexdigest() == "0b84cf08f8d16b24052d67e8aa731d25bba5eafc16ac89fd085b53d622bd03d9"
+
+
+def edge_counts(graph: Graph, roots: tuple[int, ...], samples: int, seed: int) -> np.ndarray:
+    """n x n counts of the sampled trees holding each edge (a, b), a < b."""
+    n = graph.n
+    counts = np.zeros(n * n, dtype=np.int64)
+    for parents in sample_trees(graph, roots, samples, np.random.default_rng(seed)):
+        child = parents >= 0
+        v, p = np.broadcast_to(np.arange(n), parents.shape)[child], parents[child]
+        counts += np.bincount(np.minimum(v, p) * n + np.maximum(v, p), minlength=n * n)
+    return counts.reshape(n, n)
+
+
+@pytest.mark.parametrize(
+    "model,params",
+    [("ws", {"n": 40, "degree": 4, "rewire_prob": 0.0}), ("ba", {"n": 40, "m_attach": 2, "m0": 2})],
+    ids=["ring40", "ba40"],
+)
+def test_edge_marginals_match_resistance_over_many_rounds(model, params):
+    # a tree holds e with probability R_eff(e); on the ring lattice popping runs
+    # about a thousand rounds per block, on the BA graph about 150. Over the 80
+    # and 77 edges, |z| <= 4.5 fails a uniform sampler with probability below 1e-3.
+    g = generate(model, params, seed=3)
+    p = pseudoinverse_dense(g)
+    samples = 20000
+    counts = edge_counts(g, (choose_pivot(g),), samples, 3)
+    for a, b in g.edges():
+        r = p[a, a] + p[b, b] - 2 * p[a, b]
+        z = (counts[a, b] / samples - r) / np.sqrt(r * (1 - r) / samples)
+        assert abs(z) <= 4.5, ((a, b), r, counts[a, b])
+    assert counts.sum() == samples * (g.n - 1)
+
+
+def test_sampler_raises_past_the_step_guard(monkeypatch):
+    # every arrow drawn is one Wilson walk step; the first round alone draws 50 x 39
+    monkeypatch.setattr(ust, "_WALK_STEP_GUARD", 1000)
+    g = generate("ws", {"n": 40, "degree": 4, "rewire_prob": 0.0}, seed=3)
+    with pytest.raises(SolverError):
+        next(sample_trees(g, (0,), 50, np.random.default_rng(0)))
+    monkeypatch.setattr(ust, "_WALK_STEP_GUARD", 10**9)
+    assert next(sample_trees(g, (0,), 50, np.random.default_rng(0))).shape == (50, 40)
+
+
+def test_choose_pivot_takes_the_smallest_id_of_highest_degree():
+    assert choose_pivot(cycle_graph(5)) == 0
+    assert choose_pivot(Graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 2), (1, 3)])) == 1
 
 
 def test_sampler_blocks_cover_the_count(monkeypatch):
@@ -205,6 +251,15 @@ def test_fixed_edge_trees_contain_the_edge_and_span():
     tree.check_spanning(g)
 
 
+def assert_uniform(counts, trees, samples: int) -> None:
+    """The sample hits exactly ``trees``, with a chi-square statistic within 5 sd of its mean."""
+    assert set(counts) == set(trees)
+    expected = samples / len(trees)
+    chi2 = sum((counts[t] - expected) ** 2 / expected for t in trees)
+    dof = len(trees) - 1
+    assert chi2 <= dof + 5 * (2 * dof) ** 0.5
+
+
 def test_fixed_edge_uniform_with_shared_neighbours():
     # 1 and 2 share the neighbours 0 (a hub) and 3, so a walk through either
     # may end at either root
@@ -213,13 +268,19 @@ def test_fixed_edge_uniform_with_shared_neighbours():
     assert len(qualifying) == 136
     samples = 80000
     counts = sampled_edge_sets(g, (1, 2), samples, 105)
-    assert set(counts) == set(qualifying)
-    expected = samples / len(qualifying)
+    assert_uniform(counts, qualifying, samples)
     for t in qualifying:
         assert abs(counts[t] / samples - 1 / len(qualifying)) <= 0.25 / len(qualifying)
-    chi2 = sum((counts[t] - expected) ** 2 / expected for t in qualifying)
-    dof = len(qualifying) - 1
-    assert chi2 <= dof + 5 * (2 * dof) ** 0.5
+
+
+def test_fixed_edge_uniform_on_long_cycles():
+    # a 12-cycle with the chord {0,6}: arrows wind round two 7-cycles, so many
+    # rounds pop; 41 of the 48 spanning trees hold {2,3}
+    g = Graph(12, [(i, (i + 1) % 12) for i in range(12)] + [(0, 6)])
+    qualifying = [t for t in oracles.spanning_trees(g) if (2, 3) in t]
+    assert len(qualifying) == 41
+    samples = 41000
+    assert_uniform(sampled_edge_sets(g, (2, 3), samples, 106), qualifying, samples)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -242,7 +303,7 @@ def test_fixed_edge_trees_are_pinned():
     for parents in sample_trees(g, (36, 41), 300, np.random.default_rng(7)):
         assert np.all(parents[:, 36] == -1) and np.all(parents[:, 41] == 36)
         digest.update(parents.astype("<i4").tobytes())
-    assert digest.hexdigest() == "c004a6dfe43a9c0b61da493690d73e2c4d0691ba58a9dff2d388c3a2c218b63d"
+    assert digest.hexdigest() == "3061b762e0f18a743016ae05e86d21c2c2881e488c39753369cfe26d66d1b8b6"
 
 
 def test_fixed_edge_on_tree_returns_the_tree():
