@@ -102,13 +102,13 @@ class Graph:
         nbrs = set(self._adj[v])
         return [u for u in range(self.n) if u != v and u not in nbrs]
 
-    def copy(self) -> "Graph":
-        """Same edges, insertion log and solve record; the copy shares no cached matrix or factor."""
+    def copy(self, share_cache: bool = False) -> "Graph":
+        """Same edges, insertion log and solve record; the cached matrices and factor only with ``share_cache``."""
         g = Graph.__new__(Graph)
         g._adj = [list(a) for a in self._adj]
         g._m = self._m
         g._log = list(self._log)
-        g._lap = g._keys = g._factor = None
+        g._lap, g._keys, g._factor = (self._lap, self._keys, self._factor) if share_cache else (None,) * 3
         g.factor_fill, g.solved_columns = self.factor_fill, self.solved_columns
         return g
 

@@ -26,6 +26,9 @@ The dense state keeps Q = P^2 beside P, reads each gain's B2(a,b) =
 Q[a,a] + Q[b,b] - 2 Q[a,b] in O(1), and updates both in place per insertion:
   Q' = Q - c (w v^T + v w^T) + c^2 (v.v) v v^T = Q + u v^T + v u^T,
   w = Q (e_a - e_b), c = 1 / (1 + R(a,b)), u = -c w + (c^2 (v.v) / 2) v.
+k edges inserted at once form an incidence block B (columns e_a - e_b, B^T 1 = 0);
+with X = P B, one k-column solve, the Woodbury identity gives
+  (L + B B^T)^+ = P - X (I + B^T X)^(-1) X^T,  R_tot' = R_tot - n * trace((I + B^T X)^(-1) X^T X).
 """
 
 from __future__ import annotations
@@ -54,8 +57,8 @@ class SolverConfig:
 
 
 DEFAULT_SOLVER = SolverConfig()
-# every dense path's largest n: P, Q = P^2 and the two n x n transients of the
-# r_final Cholesky (run while P and Q are alive) take 32 n^2 bytes, 5.0 GB at 12500
+# every dense path's largest n: P, Q = P^2 and the transients of building them
+# stay within four n x n arrays, 32 n^2 bytes, 5.0 GB at 12500
 DENSE_CAP_DEFAULT = 12500
 # the factor pays for s columns while its work, about fill^2 / n, is within 512 s
 # column solves of about n each (calibrated on BA, WS and ER graphs)
@@ -184,6 +187,26 @@ def total_resistance(obj) -> float:
         raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
     r_inv = _shifted_cholesky_inverse(obj, lapack.dtrtri)
     return obj.n * (float(np.einsum("ij,ij->", r_inv, r_inv)) - 1.0)
+
+
+def total_resistance_after(
+    graph: Graph, r_total: float, edge_sets, config: SolverConfig = DEFAULT_SOLVER
+) -> list[float]:
+    """R_tot of ``graph`` grown by each edge set, from its R_tot ``r_total`` by the Woodbury form (module
+    docstring); every set's incidence columns are solved as one block by :func:`solve`."""
+    sets = [np.asarray(edges).reshape(-1, 2) for edges in edge_sets]
+    pairs = np.concatenate(sets)
+    rhs = np.zeros((graph.n, len(pairs)))
+    rhs[pairs.T, np.arange(len(pairs))] = [[1.0], [-1.0]]
+    x = solve(graph, rhs, config)
+    totals, start = [], 0
+    for edges in sets:
+        block, start = x[:, start : start + len(edges)], start + len(edges)
+        factor, info = lapack.dpotrf(np.eye(len(edges)) + block[edges[:, 0]] - block[edges[:, 1]])  # I + B^T X
+        if info != 0:
+            raise SolverError(f"Cholesky factorisation of I + B^T X failed (LAPACK info {info})")
+        totals.append(r_total - graph.n * float(np.trace(lapack.dpotrs(factor, block.T @ block)[0])))
+    return totals
 
 
 def refresh_column(columns: np.ndarray, col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -> np.ndarray:

@@ -185,6 +185,16 @@ def test_laplacian_cache_follows_insertions():
     assert (lap != _laplacian_from_triples(dup)).nnz == 0
 
 
+def test_copy_sharing_the_caches_keeps_them_across_the_originals_insertions():
+    g = generate("ba", {"n": 50, "m_attach": 2, "m0": 2}, seed=3)
+    lap, factor = g.laplacian(), g.grounded_factor()
+    dup = g.copy(share_cache=True)
+    assert dup.laplacian() is lap and dup.grounded_factor() is factor
+    g.insert_edge(*g.non_edges()[0].tolist())
+    assert not g.has_grounded_factor and g.laplacian() is not lap
+    assert dup.laplacian() is lap and dup.grounded_factor() is factor and dup.round == 0
+
+
 def test_grounded_factor_cache_follows_insertions():
     g = generate("ba", {"n": 50, "m_attach": 2, "m0": 2}, seed=3)
     assert not g.has_grounded_factor

@@ -9,6 +9,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from kgrip import greedy, jlt, linalg, oracles, ust
 from kgrip.errors import ConfigError, InvariantError
@@ -756,6 +757,44 @@ def test_klrip_batch_reproduces_single_focus_runs(kind):
         single = run_klrip(g, [v], 2, kind, seed=11)[0]
         assert sol.inserted_edges == single.inserted_edges
         assert sol.per_edge_true_gain == single.per_edge_true_gain
+        # the batch's block may take the factor path where one focus takes CG
+        assert sol.r_final == pytest.approx(single.r_final, rel=1e-12)
+
+
+@pytest.mark.parametrize("kind", list(Heuristic))
+def test_no_dense_factorisation_of_a_grown_graph(kind, monkeypatch):
+    # r_final comes from one Woodbury block solve on the input graph, never a dense Cholesky
+    calls = []
+    inner = linalg._shifted_cholesky_inverse
+
+    def spy(graph, invert):
+        calls.append((graph.m, invert))
+        return inner(graph, invert)
+
+    monkeypatch.setattr(linalg, "_shifted_cholesky_inverse", spy)
+    g = generate("ba", {"n": 90, "m_attach": 2, "m0": 2}, seed=3)
+    for run in (lambda: run_kgrip(g, 3, kind, seed=1), lambda: run_klrip(g, [4, 20, 50], 2, kind, seed=1)):
+        calls.clear()
+        run()
+        assert all(m == g.m for m, _ in calls)
+        if kind in (Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH):  # pseudoinverse_dense alone
+            assert [invert for _, invert in calls] == [scipy.linalg.lapack.dpotri]
+        else:
+            assert len(calls) <= 1
+
+
+def test_validate_names_both_computations():
+    g = generate("ba", {"n": 60, "m_attach": 2, "m0": 2}, seed=4)
+    sol = run_kgrip(g, 3, Heuristic.SIMPL_STOCH, seed=2)
+    sol.per_edge_true_gain[1] *= 1.01
+    with pytest.raises(InvariantError) as err:
+        sol.validate()
+    message = str(err.value)
+    assert "Woodbury block update on the input graph" in message
+    assert "r_initial minus the sequential per-round exact gains" in message
+    sequential = sol.r_initial - sum(sol.per_edge_true_gain)
+    for value in (sol.r_final, sequential, 1e-5 * max(1.0, abs(sol.r_initial))):
+        assert repr(value) in message
 
 
 @pytest.mark.parametrize("kind", list(Heuristic))

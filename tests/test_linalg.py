@@ -24,10 +24,11 @@ from kgrip.linalg import (
     solve_lpinv_columns,
     solve_lpinv_difference,
     total_resistance,
+    total_resistance_after,
     true_gain,
 )
 
-from conftest import complete_graph, path_graph, random_connected, random_tree, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, random_connected, random_tree, star_graph
 
 
 @pytest.fixture
@@ -380,6 +381,68 @@ def test_total_resistance_cap(monkeypatch):
     monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", 10)
     with pytest.raises(ConfigError):
         total_resistance(path_graph(30))
+
+
+# -- total_resistance_after (Woodbury) ----------------------------------------------
+
+
+def _grown(graph: Graph, edges) -> Graph:
+    after = graph.copy()
+    for a, b in edges:
+        after.insert_edge(int(a), int(b))
+    return after
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        path_graph(14),
+        star_graph(12),
+        cycle_graph(15),
+        generate("ba", {"n": 300, "m_attach": 3, "m0": 3}, seed=2),
+        generate("ws", {"n": 200, "degree": 4, "rewire_prob": 0.0}, seed=3),
+        random_connected(150, 0.05, seed=4),
+    ],
+    ids=["path14", "star12", "cycle15", "ba300", "ws200", "er150"],
+)
+@pytest.mark.parametrize("k", [1, 3, 8])
+def test_total_resistance_after_matches_grown_graph(graph, k):
+    non_edges = graph.non_edges()
+    edges = non_edges[np.random.default_rng(k).choice(len(non_edges), k, replace=False)]
+    (after,) = total_resistance_after(graph, total_resistance(graph), [edges])
+    grown = _grown(graph, edges)
+    assert after == pytest.approx(total_resistance(grown), rel=1e-9)
+    if graph.n <= 20:
+        assert after == pytest.approx(oracles.total_resistance(grown), rel=1e-9)
+
+
+def test_total_resistance_after_block_equals_one_set_at_a_time():
+    # one solve for every set, as a local batch calls it; sets may share edges
+    g = generate("ba", {"n": 120, "m_attach": 2, "m0": 2}, seed=5)
+    non_edges = g.non_edges()
+    rng = np.random.default_rng(0)
+    sets = [non_edges[rng.choice(len(non_edges), k, replace=False)] for k in (2, 2, 5, 1)] + [non_edges[:2]] * 2
+    r_total = total_resistance(g)
+    block = total_resistance_after(g, r_total, sets)
+    for edges, after in zip(sets, block):
+        assert after == pytest.approx(total_resistance_after(g, r_total, [edges])[0], rel=1e-12)
+        assert after == pytest.approx(total_resistance(_grown(g, edges)), rel=1e-9)
+
+
+def test_total_resistance_after_unattainable_tolerance_raises():
+    g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=6)
+    edges = g.non_edges()[:3]
+    with pytest.raises(SolverError) as err:
+        total_resistance_after(g, total_resistance(g), [edges], SolverConfig(residual_tol=1e-300))
+    assert np.isfinite(err.value.achieved_residual) and err.value.achieved_residual > 1e-300
+
+
+def test_total_resistance_after_indefinite_inner_matrix_raises(monkeypatch):
+    # X = -B makes I + B^T X = I - B^T B indefinite (its diagonal is -1)
+    monkeypatch.setattr(linalg, "solve", lambda graph, rhs, config: -rhs)
+    g = path_graph(6)
+    with pytest.raises(SolverError, match="I \\+ B\\^T X"):
+        total_resistance_after(g, total_resistance(g), [[(0, 2), (3, 5)]])
 
 
 # -- gain_exact -------------------------------------------------------------------
