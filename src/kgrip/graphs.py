@@ -17,10 +17,13 @@ import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, SolverError
 
 Edge = tuple[int, int]
+# up to this n the grounded factor is dense: one column by it costs less than by CG or SuperLU
+DENSE_SOLVE_MAX_N = 200
 
 
 def canonical_edge(a: int, b: int) -> Edge:
@@ -30,14 +33,27 @@ def canonical_edge(a: int, b: int) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
+class DenseCholesky:
+    """Dense LAPACK Cholesky factor (dpotrf) of an SPD matrix, with SuperLU's ``solve`` and ``nnz`` (every entry)."""
+
+    def __init__(self, matrix: np.ndarray):
+        self._upper, info = lapack.dpotrf(matrix, overwrite_a=1)
+        if info != 0:
+            raise SolverError(f"Cholesky factorisation of the grounded Laplacian failed (LAPACK info {info})")
+        self.nnz = matrix.size
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return lapack.dpotrs(self._upper, rhs)[0]
+
+
 class Graph:
     """Undirected simple graph with sorted neighbor lists and an insertion log.
 
     The sparse Laplacian and the factor of its grounded block are built on
     first use and cached until the next edge insertion. The solve record
-    outlives them through insertions and copies: ``factor_fill``, the
-    entries nnz(L) + nnz(U) of the last grounded factor built (None before
-    the first), and ``solved_columns``, the columns the solver has solved.
+    outlives them through insertions and copies: ``factor_fill``, the stored
+    entries ``nnz`` of the last grounded factor built (None before the
+    first), and ``solved_columns``, the columns the solver has solved.
     """
 
     __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor", "factor_fill", "solved_columns")
@@ -50,7 +66,7 @@ class Graph:
         self._log: list[Edge] = []
         self._lap: sp.csr_matrix | None = None
         self._keys: np.ndarray | None = None  # has_edges' sorted keys u*n + w of the stored entries
-        self._factor: spla.SuperLU | None = None
+        self._factor: spla.SuperLU | DenseCholesky | None = None
         self.clear_solve_record()
         for a, b in edges:
             self._add_edge_unlogged(a, b)
@@ -199,24 +215,30 @@ class Graph:
         """Whether :meth:`grounded_factor` was already built this round."""
         return self._factor is not None
 
-    def grounded_factor(self) -> spla.SuperLU:
-        """Sparse LU factor of the grounded Laplacian L[1:,1:], cached like :meth:`laplacian`.
+    def grounded_factor(self) -> spla.SuperLU | DenseCholesky:
+        """Factor of the grounded Laplacian L[1:,1:], cached like :meth:`laplacian`.
 
-        L[1:,1:] is SPD for a connected graph; a symmetric fill-reducing
-        ordering without pivoting keeps its LU factor nearly as sparse as a
-        Cholesky factor (COLAMD stores ~10x more entries on BA graphs). Its
-        entry count is recorded in ``factor_fill``.
+        L[1:,1:] is SPD for a connected graph. Up to ``DENSE_SOLVE_MAX_N``
+        vertices the factor is a :class:`DenseCholesky` of the dense block.
+        Above, it is a sparse LU factor: a symmetric fill-reducing ordering
+        without pivoting keeps it nearly as sparse as a Cholesky factor (COLAMD
+        stores ~10x more entries on BA graphs). Either has ``solve`` and
+        ``nnz``, which is recorded in ``factor_fill``. A singular block (the
+        graph is disconnected) raises :class:`SolverError`.
         """
         if self._factor is None:
-            try:
-                self._factor = spla.splu(
-                    self.laplacian()[1:, 1:].tocsc(),
-                    permc_spec="MMD_AT_PLUS_A",
-                    diag_pivot_thresh=0.0,
-                    options={"SymmetricMode": True},
-                )
-            except RuntimeError as exc:  # exactly singular: the graph is disconnected
-                raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
+            if self.n <= DENSE_SOLVE_MAX_N:
+                self._factor = DenseCholesky(self.laplacian_dense()[1:, 1:])
+            else:
+                try:
+                    self._factor = spla.splu(
+                        self.laplacian()[1:, 1:].tocsc(),
+                        permc_spec="MMD_AT_PLUS_A",
+                        diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True},
+                    )
+                except RuntimeError as exc:  # exactly singular: the graph is disconnected
+                    raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
             self.factor_fill = self._factor.nnz
         return self._factor
 

@@ -16,8 +16,9 @@ solve, L v = e_a - e_b, not the two columns.
 
 The dense P and R_tot both come from one Cholesky factor of L + J/n, which
 refuses a disconnected graph. Columns of P can also be obtained by solving
-L X = E - 1/n for a block of unit vectors E (all at once through a sparse
-grounded-Laplacian factor, or by one conjugate-gradient solve each) and
+L X = E - 1/n for a block of unit vectors E (all at once through a factor of
+the grounded Laplacian L[1:,1:], dense Cholesky on small graphs and sparse LU
+above, or by one conjugate-gradient solve each) and
 re-centering X against the all-ones null space. Restricted to a block C of
 columns, the rank-one update reads C' = C - v (C[a] - C[b]) / (1 + R(a,b));
 one column cache applies it. A batch of gains reads B2 off the Gram matrix
@@ -42,7 +43,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .errors import ConfigError, InvariantError, SolverError, StaleStateError
-from .graphs import Graph, canonical_edge, is_connected
+from .graphs import DENSE_SOLVE_MAX_N, Graph, canonical_edge, is_connected
 
 
 @dataclass(frozen=True)
@@ -102,30 +103,36 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
 
     Every linear solve of the package goes through here. ``rhs`` is a vector
     or an n x s block whose columns sum to zero. All columns are solved
-    through the graph's sparse factor of the grounded Laplacian when the
-    graph already holds one for this round; when its recorded fill says the
-    factorisation costs at most 512 s column solves, (fill / n)^2 <= 512 s;
-    or, with no fill recorded yet, when s >= 16 or n <= 1000 and this call
-    brings the graph's solved columns to 2 (the factor is then built, kept
-    for the round and its fill recorded). Otherwise each column runs
-    Jacobi-preconditioned CG on the graph's cached Laplacian. Raises
-    :class:`SolverError` carrying the worst achieved relative residual if CG
+    through the graph's factor of the grounded Laplacian (kept for the round,
+    its fill recorded) always when n <= ``DENSE_SOLVE_MAX_N``, where the
+    factor is a dense Cholesky; when the graph already holds one for this
+    round; when its recorded fill says the factorisation costs at most 512 s
+    column solves, (fill / n)^2 <= 512 s; or, with no fill recorded yet,
+    when s >= 16 or n <= 1000 and this call brings the graph's solved columns
+    to 2. Otherwise each column runs Jacobi-preconditioned CG on the graph's
+    cached Laplacian. Raises :class:`SolverError` carrying the worst achieved
+    relative residual if the factorisation fails (x = 0 is then judged), CG
     stops early or any column's residual exceeds ``config.residual_tol``.
     """
     lap = graph.laplacian()
     block = rhs.reshape(graph.n, -1)
     n, s, fill = graph.n, block.shape[1], graph.factor_fill
     graph.solved_columns += s
-    if fill is None:
+    if n <= DENSE_SOLVE_MAX_N:  # the grounded factor is dense there
+        pays = True
+    elif fill is None:
         pays = s >= _PROBE_COLUMNS or (n <= _PROBE_MAX_N and graph.solved_columns >= 2)
     else:
         pays = (fill / n) ** 2 <= _FACTOR_COLUMN_RATIO * s
     stopped_early = False
     if graph.has_grounded_factor or pays:
         x = np.zeros_like(block)  # vertex 0 grounded
-        x[1:] = graph.grounded_factor().solve(block[1:])
-        x -= x.mean(axis=0)
         failure = "grounded-Laplacian factor solve missed the residual tolerance"
+        try:
+            x[1:] = graph.grounded_factor().solve(block[1:])
+        except SolverError as exc:  # singular: the graph is disconnected; x = 0 is judged
+            failure, stopped_early = str(exc), True
+        x -= x.mean(axis=0)
     else:
         maxiter = 10 * graph.n
         precond = sp.diags(1.0 / np.maximum(lap.diagonal(), 1.0))

@@ -7,11 +7,14 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kgrip.errors import ConfigError, DisconnectedError, InvariantError, ParseError
 from kgrip.graphs import (
+    DENSE_SOLVE_MAX_N,
+    DenseCholesky,
     Graph,
     assert_connected,
     canonical_edge,
@@ -185,39 +188,47 @@ def test_laplacian_cache_follows_insertions():
     assert (lap != _laplacian_from_triples(dup)).nnz == 0
 
 
+# the grounded factor is dense up to DENSE_SOLVE_MAX_N vertices and sparse LU above
+_FACTOR_KINDS = [(50, DenseCholesky), (DENSE_SOLVE_MAX_N + 50, spla.SuperLU)]
+
+
 def test_copy_sharing_the_caches_keeps_them_across_the_originals_insertions():
-    g = generate("ba", {"n": 50, "m_attach": 2, "m0": 2}, seed=3)
-    lap, factor = g.laplacian(), g.grounded_factor()
-    dup = g.copy(share_cache=True)
-    assert dup.laplacian() is lap and dup.grounded_factor() is factor
-    g.insert_edge(*g.non_edges()[0].tolist())
-    assert not g.has_grounded_factor and g.laplacian() is not lap
-    assert dup.laplacian() is lap and dup.grounded_factor() is factor and dup.round == 0
+    for n, kind in _FACTOR_KINDS:
+        g = generate("ba", {"n": n, "m_attach": 2, "m0": 2}, seed=3)
+        lap, factor = g.laplacian(), g.grounded_factor()
+        assert isinstance(factor, kind)
+        dup = g.copy(share_cache=True)
+        assert dup.laplacian() is lap and dup.grounded_factor() is factor
+        g.insert_edge(*g.non_edges()[0].tolist())
+        assert not g.has_grounded_factor and g.laplacian() is not lap
+        assert dup.laplacian() is lap and dup.grounded_factor() is factor and dup.round == 0
 
 
 def test_grounded_factor_cache_follows_insertions():
-    g = generate("ba", {"n": 50, "m_attach": 2, "m0": 2}, seed=3)
-    assert not g.has_grounded_factor
-    factor = g.grounded_factor()
-    assert g.grounded_factor() is factor and g.has_grounded_factor  # one build per round
-    dup = g.copy()
-    assert not dup.has_grounded_factor
-    assert dup.grounded_factor() is not factor
-
     def solves_grounded(graph, f):
         rhs = np.random.default_rng(graph.round).standard_normal(graph.n - 1)
         return np.allclose(graph.laplacian()[1:, 1:] @ f.solve(rhs), rhs, atol=1e-9)
 
-    rng = np.random.default_rng(3)
-    for _ in range(3):
-        free = g.non_edges()
-        g.insert_edge(*free[rng.integers(len(free))].tolist())
+    for n, kind in _FACTOR_KINDS:
+        g = generate("ba", {"n": n, "m_attach": 2, "m0": 2}, seed=3)
         assert not g.has_grounded_factor
-        assert solves_grounded(g, g.grounded_factor())
-    # neither the copy nor the first factor saw the insertions
-    assert dup.grounded_factor() is not g.grounded_factor()
-    assert solves_grounded(dup, dup.grounded_factor()) and solves_grounded(dup, factor)
-    assert not solves_grounded(g, factor)
+        factor = g.grounded_factor()
+        assert isinstance(factor, kind) and g.factor_fill == factor.nnz
+        assert g.grounded_factor() is factor and g.has_grounded_factor  # one build per round
+        dup = g.copy()
+        assert not dup.has_grounded_factor
+        assert dup.grounded_factor() is not factor
+
+        rng = np.random.default_rng(3)
+        for _ in range(3):
+            free = g.non_edges()
+            g.insert_edge(*free[rng.integers(len(free))].tolist())
+            assert not g.has_grounded_factor
+            assert solves_grounded(g, g.grounded_factor())
+        # neither the copy nor the first factor saw the insertions
+        assert dup.grounded_factor() is not g.grounded_factor()
+        assert solves_grounded(dup, dup.grounded_factor()) and solves_grounded(dup, factor)
+        assert not solves_grounded(g, factor)
 
 
 # -- generators ----------------------------------------------------------------

@@ -757,7 +757,7 @@ def test_klrip_batch_reproduces_single_focus_runs(kind):
         single = run_klrip(g, [v], 2, kind, seed=11)[0]
         assert sol.inserted_edges == single.inserted_edges
         assert sol.per_edge_true_gain == single.per_edge_true_gain
-        # the batch's block may take the factor path where one focus takes CG
+        # the batch solves every focus's columns in one block, one focus its own
         assert sol.r_final == pytest.approx(single.r_final, rel=1e-12)
 
 

@@ -5,10 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from kgrip import linalg, oracles
 from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
-from kgrip.graphs import Graph, bfs_parents, generate
+from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, bfs_parents, generate
 from kgrip.greedy import Heuristic, run_kgrip
 from kgrip.linalg import (
     ColumnCache,
@@ -29,6 +30,8 @@ from kgrip.linalg import (
 )
 
 from conftest import complete_graph, cycle_graph, path_graph, random_connected, random_tree, star_graph
+
+_ABOVE_DENSE = DENSE_SOLVE_MAX_N + 50  # graphs of this size solve by CG or by a sparse factor
 
 
 @pytest.fixture
@@ -127,8 +130,8 @@ def test_column_matches_dense_oracle():
 
 
 def test_column_nonconvergence_reports_residual():
-    g = random_connected(80, 0.08, seed=2)
-    with pytest.raises(SolverError) as err:
+    g = random_connected(_ABOVE_DENSE, 6.4 / _ABOVE_DENSE, seed=2)
+    with pytest.raises(SolverError, match="CG") as err:
         # unattainable: CG stops at its 10 n iteration limit
         solve_lpinv_column(g, 0, SolverConfig(residual_tol=1e-300))
     assert err.value.achieved_residual is not None
@@ -137,19 +140,61 @@ def test_column_nonconvergence_reports_residual():
 
 # -- block solves: grounded factor and per-column CG -------------------------------
 
-_SOLVE_GRAPHS = {
-    "ba": lambda: generate("ba", {"n": 200, "m_attach": 3, "m0": 3}, seed=2),
+# up to DENSE_SOLVE_MAX_N vertices every block is solved by the dense grounded factor
+_DENSE_SOLVE_GRAPHS = {
+    "ba": lambda: generate("ba", {"n": DENSE_SOLVE_MAX_N, "m_attach": 3, "m0": 3}, seed=2),
     "ws": lambda: generate("ws", {"n": 150, "degree": 6, "rewire_prob": 0.05}, seed=3),
     "er": lambda: random_connected(150, 0.05, seed=4),
     "path": lambda: path_graph(60),
     "star": lambda: star_graph(50),
+    "cycle": lambda: cycle_graph(DENSE_SOLVE_MAX_N),
 }
+# above it the solve rule picks CG or the sparse factor
+_SOLVE_GRAPHS = {
+    "ba": lambda: generate("ba", {"n": _ABOVE_DENSE, "m_attach": 3, "m0": 3}, seed=2),
+    "ws": lambda: generate("ws", {"n": _ABOVE_DENSE, "degree": 6, "rewire_prob": 0.05}, seed=3),
+    "er": lambda: random_connected(_ABOVE_DENSE, 7.5 / _ABOVE_DENSE, seed=4),
+    "path": lambda: path_graph(_ABOVE_DENSE),
+    "star": lambda: star_graph(_ABOVE_DENSE),
+}
+
+
+@pytest.mark.parametrize("s", [1, 2, 16])
+@pytest.mark.parametrize("family", sorted(_DENSE_SOLVE_GRAPHS))
+def test_dense_factor_path_matches_dense_columns(family, s, cg_calls):
+    g = _DENSE_SOLVE_GRAPHS[family]()
+    assert g.n <= DENSE_SOLVE_MAX_N
+    vertices = np.random.default_rng(s).choice(g.n, s, replace=False)
+    expected = pseudoinverse_dense(g)[:, vertices]
+    # a fresh graph, with no solve recorded, factors from its first column
+    got = solve_lpinv_columns(g, vertices)
+    assert cg_calls[0] == 0 and isinstance(g.grounded_factor(), DenseCholesky)
+    err = np.linalg.norm(got - expected, axis=0) / np.linalg.norm(expected, axis=0)
+    assert err.max() <= 1e-10
+    assert np.abs(got.sum(axis=0)).max() <= 1e-9
+
+
+def test_solves_of_a_small_graph_share_one_dense_factor_per_round(monkeypatch):
+    built, dpotrf = [], lapack.dpotrf
+    monkeypatch.setattr(lapack, "dpotrf", lambda *args, **kw: built.append(1) or dpotrf(*args, **kw))
+    g = generate("ba", {"n": 50, "m_attach": 2, "m0": 2}, seed=3)
+    solve_lpinv_column(g, 0)
+    solve_lpinv_columns(g, [1, 2, 3])
+    true_gain(g, *g.non_edges()[0].tolist())
+    assert len(built) == 1  # the first column factors, the later solves reuse it
+    dup = g.copy(share_cache=True)
+    g.insert_edge(*g.non_edges()[0].tolist())
+    solve_lpinv_column(dup, 4)
+    assert len(built) == 1  # the copy still holds the factor of round 0
+    solve_lpinv_column(g, 4)
+    assert len(built) == 2  # the insertion dropped it from the grown graph
 
 
 @pytest.mark.parametrize("s", [1, 2, 16, 40])
 @pytest.mark.parametrize("family", sorted(_SOLVE_GRAPHS))
 def test_factor_and_cg_paths_match_dense_columns(family, s, cg_calls):
     g = _SOLVE_GRAPHS[family]()
+    assert g.n > DENSE_SOLVE_MAX_N
     vertices = np.random.default_rng(s).choice(g.n, s, replace=False)
     expected = pseudoinverse_dense(g)[:, vertices]
     tight = SolverConfig(residual_tol=1e-10)
@@ -158,7 +203,7 @@ def test_factor_and_cg_paths_match_dense_columns(family, s, cg_calls):
     by_cg = np.column_stack([solve_lpinv_column(h, v, tight) for h, v in zip(fresh, vertices)])
     assert cg_calls[0] == s and not any(h.has_grounded_factor for h in fresh)
     # a graph holding a factor solves every block through it
-    g.grounded_factor()
+    assert isinstance(g.grounded_factor(), spla.SuperLU)
     by_factor = solve_lpinv_columns(g, vertices)
     assert cg_calls[0] == s
     for got in (by_cg, by_factor):
@@ -215,31 +260,35 @@ def test_high_fill_graph_solves_sixteen_columns_by_cg(cg_calls):
 
 
 def test_small_ring_lattice_factors_from_its_second_column(cg_calls):
-    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1)
+    g = generate("ws", {"n": _ABOVE_DENSE, "degree": 10, "rewire_prob": 0.01}, seed=1)
     solve_lpinv_column(g, 0)
     assert cg_calls[0] == 1 and not g.has_grounded_factor
     solve_lpinv_column(g, 1)
     assert cg_calls[0] == 1 and g.has_grounded_factor and g.factor_fill is not None
+    assert isinstance(g.grounded_factor(), spla.SuperLU)
 
 
 def test_factor_path_unattainable_tolerance_raises():
-    g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=6)
-    g.grounded_factor()
-    with pytest.raises(SolverError) as err:
-        solve_lpinv_columns(g, [0, 5, 9], SolverConfig(residual_tol=1e-300))
-    assert np.isfinite(err.value.achieved_residual) and err.value.achieved_residual > 1e-300
-    assert "CG" not in str(err.value)
+    for n, kind in ((120, DenseCholesky), (_ABOVE_DENSE, spla.SuperLU)):
+        g = generate("ba", {"n": n, "m_attach": 3, "m0": 3}, seed=6)
+        assert isinstance(g.grounded_factor(), kind)
+        with pytest.raises(SolverError) as err:
+            solve_lpinv_columns(g, [0, 5, 9], SolverConfig(residual_tol=1e-300))
+        assert np.isfinite(err.value.achieved_residual) and err.value.achieved_residual > 1e-300
+        assert "CG" not in str(err.value)
 
 
 @pytest.mark.filterwarnings("error")  # the singular solve reports through SolverError alone
 @pytest.mark.parametrize("s", [1, 16])
-@pytest.mark.parametrize("n, split", [(6, 3), (40, 13), (60, 30)])
+@pytest.mark.parametrize("n, split", [(6, 3), (40, 13), (60, 30), (_ABOVE_DENSE, 150)])
 def test_solve_on_disconnected_graph_raises(n, split, s):
-    # two paths: s = 16 takes the factor path, s = 1 per-column CG
+    # three paths: up to DENSE_SOLVE_MAX_N the dense factor; above, s = 16 the sparse factor, s = 1 CG
     edges = [(i, i + 1) for i in range(split - 1)] + [(i, i + 1) for i in range(split, n - 1)]
     g = Graph(n, edges)
-    with pytest.raises(SolverError):
+    with pytest.raises(SolverError) as err:
         solve_lpinv_columns(g, [v % n for v in range(s)])
+    assert np.isfinite(err.value.achieved_residual)
+    assert ("CG" in str(err.value)) == (n > DENSE_SOLVE_MAX_N and s == 1)
 
 
 def test_colstoch_k1_solves_its_columns_by_factor(cg_calls):

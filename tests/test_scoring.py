@@ -121,5 +121,5 @@ def test_solve_matches_column_solve_and_reports_residual():
     assert np.allclose(x, solve_lpinv_column(g, 3) - solve_lpinv_column(g, 9), atol=1e-6)
     assert abs(x.sum()) < 1e-9 * g.n
     with pytest.raises(SolverError) as err:
-        solve(g, rhs, SolverConfig(residual_tol=1e-300))  # unattainable: CG stops at 10 n iterations
+        solve(g, rhs, SolverConfig(residual_tol=1e-300))  # unattainable: even the dense factor misses it
     assert err.value.achieved_residual > 1e-300
