@@ -9,7 +9,6 @@ since construction.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections import deque
 from itertools import chain
 from typing import IO, Iterable, Iterator
 
@@ -18,6 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
+from scipy.sparse.csgraph import breadth_first_order
 
 from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, SolverError
 
@@ -34,13 +34,12 @@ def canonical_edge(a: int, b: int) -> Edge:
 
 
 class DenseCholesky:
-    """Dense LAPACK Cholesky factor (dpotrf) of an SPD matrix, with SuperLU's ``solve`` and ``nnz`` (every entry)."""
+    """Dense LAPACK Cholesky factor (dpotrf) of an SPD matrix, with SuperLU's ``solve``."""
 
     def __init__(self, matrix: np.ndarray):
         self._upper, info = lapack.dpotrf(matrix, overwrite_a=1)
         if info != 0:
             raise SolverError(f"Cholesky factorisation of the grounded Laplacian failed (LAPACK info {info})")
-        self.nnz = matrix.size
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         return lapack.dpotrs(self._upper, rhs)[0]
@@ -49,14 +48,15 @@ class DenseCholesky:
 class Graph:
     """Undirected simple graph with sorted neighbor lists and an insertion log.
 
-    The sparse Laplacian and the factor of its grounded block are built on
-    first use and cached until the next edge insertion. The solve record
-    outlives them through insertions and copies: ``factor_fill``, the stored
-    entries ``nnz`` of the last grounded factor built (None before the
-    first), and ``solved_columns``, the columns the solver has solved.
+    Its solve state is two things. The round caches (the sparse Laplacian,
+    :meth:`has_edges`' keys and the grounded factor) are built on first use,
+    never modified in place, shared by copies, and dropped by an insertion on
+    the graph that grows. ``factor_fill``, the stored entries ``nnz`` of the
+    last sparse grounded factor built (None before the first), outlives
+    insertions and copies.
     """
 
-    __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor", "factor_fill", "solved_columns")
+    __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor", "factor_fill")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n <= 0:
@@ -66,7 +66,6 @@ class Graph:
         self._log: list[Edge] = []
         self._lap: sp.csr_matrix | None = None
         self._keys: np.ndarray | None = None  # has_edges' sorted keys u*n + w of the stored entries
-        self._factor: spla.SuperLU | DenseCholesky | None = None
         self.clear_solve_record()
         for a, b in edges:
             self._add_edge_unlogged(a, b)
@@ -118,20 +117,19 @@ class Graph:
         nbrs = set(self._adj[v])
         return [u for u in range(self.n) if u != v and u not in nbrs]
 
-    def copy(self, share_cache: bool = False) -> "Graph":
-        """Same edges, insertion log and solve record; the cached matrices and factor only with ``share_cache``."""
+    def copy(self) -> "Graph":
+        """Same edges, insertion log, round caches and recorded fill."""
         g = Graph.__new__(Graph)
         g._adj = [list(a) for a in self._adj]
         g._m = self._m
         g._log = list(self._log)
-        g._lap, g._keys, g._factor = (self._lap, self._keys, self._factor) if share_cache else (None,) * 3
-        g.factor_fill, g.solved_columns = self.factor_fill, self.solved_columns
+        g._lap, g._keys, g._factor, g.factor_fill = self._lap, self._keys, self._factor, self.factor_fill
         return g
 
     def clear_solve_record(self) -> None:
-        """Forget the solve record, as if no solve had run on this graph."""
+        """Forget the round's factor and the recorded fill, as if no solve had run on this graph."""
+        self._factor: spla.SuperLU | DenseCholesky | None = None
         self.factor_fill: int | None = None
-        self.solved_columns = 0
 
     # -- mutation ----------------------------------------------------------
 
@@ -186,7 +184,7 @@ class Graph:
         """Sparse Laplacian L = D - A, CSR with sorted column indices.
 
         The matrix is cached for the current round and shared by every
-        caller, so it must not be modified in place.
+        caller and copy, so it must not be modified in place.
         """
         if self._lap is None:
             self._lap = self._build_laplacian()
@@ -222,9 +220,9 @@ class Graph:
         vertices the factor is a :class:`DenseCholesky` of the dense block.
         Above, it is a sparse LU factor: a symmetric fill-reducing ordering
         without pivoting keeps it nearly as sparse as a Cholesky factor (COLAMD
-        stores ~10x more entries on BA graphs). Either has ``solve`` and
-        ``nnz``, which is recorded in ``factor_fill``. A singular block (the
-        graph is disconnected) raises :class:`SolverError`.
+        stores ~10x more entries on BA graphs), and its ``nnz`` is recorded in
+        ``factor_fill``. A singular block (the graph is disconnected) raises
+        :class:`SolverError`.
         """
         if self._factor is None:
             if self.n <= DENSE_SOLVE_MAX_N:
@@ -239,7 +237,7 @@ class Graph:
                     )
                 except RuntimeError as exc:  # exactly singular: the graph is disconnected
                     raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
-            self.factor_fill = self._factor.nnz
+                self.factor_fill = self._factor.nnz
         return self._factor
 
     def laplacian_dense(self) -> np.ndarray:
@@ -267,34 +265,23 @@ class Graph:
 # -- connectivity ------------------------------------------------------------
 
 
-def bfs_parents(graph: Graph, root: int) -> tuple[list[int], list[int]]:
-    """BFS tree from ``root``: (parent, depth); parent[root] = -1, unreachable = -2."""
-    parent = [-2] * graph.n
-    depth = [-1] * graph.n
+def bfs_parents(graph: Graph, root: int) -> np.ndarray:
+    """BFS tree from ``root`` over the sorted adjacency: parent[root] = -1, unreachable = -2."""
+    _, parent = breadth_first_order(graph.laplacian(), root, return_predecessors=True)
+    parent[parent < 0] = -2
     parent[root] = -1
-    depth[root] = 0
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for w in graph.neighbors(u):
-            if parent[w] == -2:
-                parent[w] = u
-                depth[w] = depth[u] + 1
-                queue.append(w)
-    return parent, depth
+    return parent
 
 
 def is_connected(graph: Graph) -> bool:
-    parent, _ = bfs_parents(graph, 0)
-    return all(p != -2 for p in parent)
+    return not np.any(bfs_parents(graph, 0) == -2)
 
 
 def assert_connected(graph: Graph) -> None:
     """Raise :class:`DisconnectedError` naming vertices in different components."""
-    parent, _ = bfs_parents(graph, 0)
-    for v, p in enumerate(parent):
-        if p == -2:
-            raise DisconnectedError(0, v)
+    unreached = np.flatnonzero(bfs_parents(graph, 0) == -2)
+    if unreached.size:
+        raise DisconnectedError(0, int(unreached[0]))
 
 
 # -- edge-list I/O -----------------------------------------------------------

@@ -371,11 +371,6 @@ _PRE_STREAM = "pre"
 _CAND_STREAM = "cand"
 _UPDATE_STREAM = "upd"
 
-# process-wide audit of the Rayleigh monotonicity guard: every accepted
-# insertion must strictly decrease exact total resistance
-MONOTONICITY_AUDIT = {"accepted": 0, "violations": 0}
-
-
 class _Part:
     """A candidate source or a gain scorer bound to a working graph.
 
@@ -671,12 +666,10 @@ def _run_rounds(
         t0 = time.perf_counter()
         exact_gain = true_gain(graph, a, b, params.solver)
         timings["report"] += time.perf_counter() - t0
-        if exact_gain <= 0:
-            MONOTONICITY_AUDIT["violations"] += 1
+        if exact_gain <= 0:  # Rayleigh monotonicity: every insertion strictly decreases R_tot
             raise InvariantError(
                 f"insertion ({a},{b}) would not decrease total resistance (gain {exact_gain})"
             )
-        MONOTONICITY_AUDIT["accepted"] += 1
 
         graph.insert_edge(a, b)
         if r + 1 < k:  # nothing reads the updated state after the last insertion
@@ -709,8 +702,8 @@ def _runs(
     t0 = time.perf_counter()
     r_initial = pre_parts[1].total_resistance()
     r_initial_share = (time.perf_counter() - t0) / len(focus_nodes or [None])  # split over a batch
-    # a global run grows pre_graph itself; r_final is solved on its input, with the factor preprocessing built
-    input_graph = pre_graph.copy(share_cache=True) if focus_nodes is None else pre_graph
+    # a global run grows pre_graph itself; r_final is solved on its input, with any factor preprocessing built
+    input_graph = pre_graph.copy() if focus_nodes is None else pre_graph
 
     solutions: list[Solution] = []
     for v in [None] if focus_nodes is None else focus_nodes:
@@ -719,7 +712,7 @@ def _runs(
             work, parts = pre_graph, pre_parts
             timings["compute"] += pre_seconds
         else:
-            work = pre_graph.copy()  # keeps the fill that preprocessing recorded
+            work = pre_graph.copy()  # shares the caches and fill that preprocessing left
             t0 = time.perf_counter()
             # the memo swaps the pre-graph for this run's graph; the rest is copied
             parts = copy.deepcopy(pre_parts, {id(pre_graph): work})

@@ -64,7 +64,7 @@ DENSE_CAP_DEFAULT = 12500
 # the factor pays for s columns while its work, about fill^2 / n, is within 512 s
 # column solves of about n each (calibrated on BA, WS and ER graphs)
 _FACTOR_COLUMN_RATIO = 512
-# with no fill known, a block this wide, or a second column up to this n, factors to learn it
+# with no fill known, a block this wide, or of two columns up to this n, factors to learn it
 _PROBE_COLUMNS, _PROBE_MAX_N = 16, 1000
 
 
@@ -104,24 +104,24 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
     Every linear solve of the package goes through here. ``rhs`` is a vector
     or an n x s block whose columns sum to zero. All columns are solved
     through the graph's factor of the grounded Laplacian (kept for the round,
-    its fill recorded) always when n <= ``DENSE_SOLVE_MAX_N``, where the
-    factor is a dense Cholesky; when the graph already holds one for this
-    round; when its recorded fill says the factorisation costs at most 512 s
-    column solves, (fill / n)^2 <= 512 s; or, with no fill recorded yet,
-    when s >= 16 or n <= 1000 and this call brings the graph's solved columns
-    to 2. Otherwise each column runs Jacobi-preconditioned CG on the graph's
-    cached Laplacian. Raises :class:`SolverError` carrying the worst achieved
-    relative residual if the factorisation fails (x = 0 is then judged), CG
-    stops early or any column's residual exceeds ``config.residual_tol``.
+    a sparse one's fill recorded) always when n <= ``DENSE_SOLVE_MAX_N``,
+    where the factor is a dense Cholesky; when the graph already holds one
+    for this round; when its recorded fill says the factorisation costs at
+    most 512 s column solves, (fill / n)^2 <= 512 s; or, with no fill
+    recorded, when s >= 16, or s >= 2 and n <= 1000. Otherwise each column
+    runs Jacobi-preconditioned CG on the graph's cached Laplacian. The path
+    thus depends only on the call, the round's factor and the recorded fill.
+    Raises :class:`SolverError` carrying the worst achieved relative residual
+    if the factorisation fails (x = 0 is then judged), CG stops early or any
+    column's residual exceeds ``config.residual_tol``.
     """
     lap = graph.laplacian()
     block = rhs.reshape(graph.n, -1)
     n, s, fill = graph.n, block.shape[1], graph.factor_fill
-    graph.solved_columns += s
     if n <= DENSE_SOLVE_MAX_N:  # the grounded factor is dense there
         pays = True
     elif fill is None:
-        pays = s >= _PROBE_COLUMNS or (n <= _PROBE_MAX_N and graph.solved_columns >= 2)
+        pays = s >= _PROBE_COLUMNS or (n <= _PROBE_MAX_N and s >= 2)
     else:
         pays = (fill / n) ** 2 <= _FACTOR_COLUMN_RATIO * s
     stopped_early = False

@@ -118,16 +118,15 @@ class BfsTree:
     level j lists the (j+1)-th edge (p, c) of each BFS path, counted from v.
     """
 
-    __slots__ = ("pivot", "parent", "depth", "levels")
+    __slots__ = ("pivot", "parent", "levels")
 
     def __init__(self, graph: Graph, pivot: int):
         self.pivot = pivot
-        self.parent, self.depth = bfs_parents(graph, pivot)
-        parent = np.asarray(self.parent, dtype=np.int32)
+        self.parent = parent = bfs_parents(graph, pivot)
         unreached = np.flatnonzero(parent == -2)
         if unreached.size:
             raise DisconnectedError(pivot, int(unreached[0]))
-        vs = np.flatnonzero(np.asarray(self.depth) > 0).astype(np.int32)
+        vs = np.flatnonzero(parent >= 0).astype(np.int32)  # every vertex but the pivot
         c = vs
         self.levels: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         while vs.size:

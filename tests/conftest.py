@@ -1,8 +1,8 @@
-"""Shared fixtures: small named graphs, seeded random connected graphs, tree samples."""
+"""Shared fixtures: small named graphs, seeded random connected graphs, a reference BFS, tree samples."""
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -37,6 +37,20 @@ def random_tree(n: int, seed: int) -> Graph:
     rng = np.random.default_rng(seed)
     edges = [(int(rng.integers(0, i)), i) for i in range(1, n)]
     return Graph(n, edges)
+
+
+def reference_bfs(graph: Graph, root: int) -> tuple[list[int], list[int]]:
+    """FIFO BFS over the sorted adjacency lists: (parent, depth), parent[root] = -1, unreachable -2 at depth -1."""
+    parent, depth = [-2] * graph.n, [-1] * graph.n
+    parent[root], depth[root] = -1, 0
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        for w in graph.neighbors(u):
+            if parent[w] == -2:
+                parent[w], depth[w] = u, depth[u] + 1
+                queue.append(w)
+    return parent, depth
 
 
 def sampled_edge_sets(graph: Graph, roots: tuple[int, ...], samples: int, seed: int) -> Counter:

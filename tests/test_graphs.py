@@ -17,6 +17,7 @@ from kgrip.graphs import (
     DenseCholesky,
     Graph,
     assert_connected,
+    bfs_parents,
     canonical_edge,
     dump_edge_list,
     generate,
@@ -24,7 +25,7 @@ from kgrip.graphs import (
     load_edge_list,
 )
 
-from conftest import complete_graph, path_graph, star_graph
+from conftest import complete_graph, path_graph, reference_bfs, star_graph
 
 
 # -- load_edge_list ------------------------------------------------------------
@@ -170,22 +171,31 @@ def test_laplacian_arrays_match_triple_build(seed):
     assert Graph(1).laplacian().toarray().tolist() == [[0.0]]
 
 
+def _insert_any(g: Graph, rng) -> None:
+    free = g.non_edges()
+    g.insert_edge(*free[rng.integers(len(free))].tolist())
+
+
 def test_laplacian_cache_follows_insertions():
     g = generate("ba", {"n": 50, "m_attach": 2, "m0": 2}, seed=3)
     lap = g.laplacian()
     assert g.laplacian() is lap  # one build per round
     dup = g.copy()
-    assert dup.laplacian() is not lap
+    assert dup.laplacian() is lap  # a copy shares the round's caches
     rng = np.random.default_rng(3)
     for _ in range(3):
-        free = g.non_edges()
-        g.insert_edge(*free[rng.integers(len(free))].tolist())
+        _insert_any(g, rng)
         fresh = Graph(g.n, g.edges()).laplacian()
         assert (g.laplacian() != fresh).nnz == 0
         assert g.laplacian().has_sorted_indices
     # neither the copy nor the first matrix saw the insertions
-    assert (dup.laplacian() != lap).nnz == 0
+    assert dup.laplacian() is lap
     assert (lap != _laplacian_from_triples(dup)).nnz == 0
+    # nor does the original see the copy's
+    grown = g.laplacian()
+    _insert_any(dup, rng)
+    assert g.laplacian() is grown and (grown != _laplacian_from_triples(g)).nnz == 0
+    assert (dup.laplacian() != _laplacian_from_triples(dup)).nnz == 0
 
 
 # the grounded factor is dense up to DENSE_SOLVE_MAX_N vertices and sparse LU above
@@ -195,13 +205,23 @@ _FACTOR_KINDS = [(50, DenseCholesky), (DENSE_SOLVE_MAX_N + 50, spla.SuperLU)]
 def test_copy_sharing_the_caches_keeps_them_across_the_originals_insertions():
     for n, kind in _FACTOR_KINDS:
         g = generate("ba", {"n": n, "m_attach": 2, "m0": 2}, seed=3)
-        lap, factor = g.laplacian(), g.grounded_factor()
+        pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)]).T
+        lap, factor, adjacent = g.laplacian(), g.grounded_factor(), g.has_edges(*pairs)
         assert isinstance(factor, kind)
-        dup = g.copy(share_cache=True)
+        dup = g.copy()
         assert dup.laplacian() is lap and dup.grounded_factor() is factor
         g.insert_edge(*g.non_edges()[0].tolist())
         assert not g.has_grounded_factor and g.laplacian() is not lap
         assert dup.laplacian() is lap and dup.grounded_factor() is factor and dup.round == 0
+        assert np.array_equal(dup.has_edges(*pairs), adjacent)
+        # and the other way round: the copy's insertion leaves the original's caches
+        lap, factor, adjacent = g.laplacian(), g.grounded_factor(), g.has_edges(*pairs)
+        dup.insert_edge(*dup.non_edges()[-1].tolist())
+        assert not dup.has_grounded_factor and dup.laplacian() is not lap
+        assert g.laplacian() is lap and g.grounded_factor() is factor and g.round == 1
+        assert np.array_equal(g.has_edges(*pairs), adjacent)
+        assert dup.has_edges(*pairs).sum() == adjacent.sum()  # one edge each, at different pairs
+        assert not np.array_equal(dup.has_edges(*pairs), adjacent)
 
 
 def test_grounded_factor_cache_follows_insertions():
@@ -213,22 +233,27 @@ def test_grounded_factor_cache_follows_insertions():
         g = generate("ba", {"n": n, "m_attach": 2, "m0": 2}, seed=3)
         assert not g.has_grounded_factor
         factor = g.grounded_factor()
-        assert isinstance(factor, kind) and g.factor_fill == factor.nnz
+        assert isinstance(factor, kind)
+        assert g.factor_fill == (factor.nnz if kind is spla.SuperLU else None)  # a dense factor records none
         assert g.grounded_factor() is factor and g.has_grounded_factor  # one build per round
         dup = g.copy()
-        assert not dup.has_grounded_factor
-        assert dup.grounded_factor() is not factor
+        assert dup.grounded_factor() is factor  # shared with the copy
 
         rng = np.random.default_rng(3)
         for _ in range(3):
-            free = g.non_edges()
-            g.insert_edge(*free[rng.integers(len(free))].tolist())
+            _insert_any(g, rng)
             assert not g.has_grounded_factor
             assert solves_grounded(g, g.grounded_factor())
         # neither the copy nor the first factor saw the insertions
-        assert dup.grounded_factor() is not g.grounded_factor()
-        assert solves_grounded(dup, dup.grounded_factor()) and solves_grounded(dup, factor)
+        assert dup.grounded_factor() is factor
+        assert solves_grounded(dup, factor)
         assert not solves_grounded(g, factor)
+        # nor does the original's factor see the copy's
+        grown = g.grounded_factor()
+        _insert_any(dup, rng)
+        assert not dup.has_grounded_factor and g.grounded_factor() is grown
+        assert solves_grounded(g, grown) and solves_grounded(dup, dup.grounded_factor())
+        assert not solves_grounded(dup, grown)
 
 
 # -- generators ----------------------------------------------------------------
@@ -294,6 +319,23 @@ def test_assert_connected_names_vertices():
     with pytest.raises(DisconnectedError) as err:
         assert_connected(g)
     assert {err.value.u, err.value.v} == {0, 2}
+
+
+_BFS_GRAPHS = {
+    "ba": lambda: generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=1),
+    "ws": lambda: generate("ws", {"n": 120, "degree": 4, "rewire_prob": 0.1}, seed=1),
+    "er": lambda: generate("er", {"n": 300, "p": 0.02}, seed=1),
+    "disconnected": lambda: Graph(9, [(0, 1), (1, 2), (0, 3), (4, 5), (5, 6), (7, 8)]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_BFS_GRAPHS))
+def test_bfs_parents_match_a_fifo_walk_over_the_sorted_adjacency(family):
+    g = _BFS_GRAPHS[family]()
+    for root in (0, 5, g.n - 1):
+        parent, _ = reference_bfs(g, root)
+        assert bfs_parents(g, root).tolist() == parent
+    assert is_connected(g) == (family != "disconnected")
 
 
 def test_complete_and_path_helpers():

@@ -13,7 +13,7 @@ import scipy.linalg
 
 from kgrip import greedy, jlt, linalg, oracles, ust
 from kgrip.errors import ConfigError, InvariantError
-from kgrip.graphs import Graph, generate
+from kgrip.graphs import DENSE_SOLVE_MAX_N, Graph, generate
 from kgrip.linalg import total_resistance
 from kgrip.greedy import (
     GreedyParams,
@@ -797,20 +797,51 @@ def test_validate_names_both_computations():
         assert repr(value) in message
 
 
-@pytest.mark.parametrize("kind", list(Heuristic))
-def test_runs_on_one_graph_object_repeat_exactly(kind):
+def _assert_runs_repeat_exactly(g: Graph, kind: Heuristic) -> None:
     # a run's solve path follows its input's edges: neither a run's own solves
-    # nor the caller's, which leave a factor fill on the graph, may carry over
-    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=2)
+    # nor the caller's, which leave a factor on the graph, may carry over
     first = run_kgrip(g, 3, kind, seed=4)
     first_local = run_klrip(g, [5, 60], 2, kind, seed=4)
     linalg.solve_lpinv_columns(g, list(range(20)))
-    assert g.factor_fill is not None
+    assert g.has_grounded_factor
+    assert (g.factor_fill is not None) == (g.n > DENSE_SOLVE_MAX_N)  # a sparse factor's fill is recorded
     for _ in range(2):
         again = run_kgrip(g, 3, kind, seed=4)
         assert (again.inserted_edges, again.per_edge_true_gain) == (first.inserted_edges, first.per_edge_true_gain)
         local = run_klrip(g, [5, 60], 2, kind, seed=4)
+        assert [s.inserted_edges for s in local] == [s.inserted_edges for s in first_local]
         assert [s.per_edge_true_gain for s in local] == [s.per_edge_true_gain for s in first_local]
+
+
+@pytest.mark.parametrize("kind", list(Heuristic))
+def test_runs_on_one_graph_object_repeat_exactly(kind):
+    _assert_runs_repeat_exactly(generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=2), kind)
+
+
+_ABOVE_DENSE = DENSE_SOLVE_MAX_N + 50  # the caller's 20-column solve leaves a sparse factor here
+
+
+@pytest.mark.parametrize("kind", list(Heuristic))
+@pytest.mark.parametrize(
+    "model, params",
+    [("ws", {"n": _ABOVE_DENSE, "degree": 10, "rewire_prob": 0.01}), ("ba", {"n": _ABOVE_DENSE, "m_attach": 3})],
+    ids=["ws", "ba"],
+)
+def test_runs_above_the_dense_limit_repeat_exactly(model, params, kind):
+    _assert_runs_repeat_exactly(generate(model, params, seed=2), kind)
+
+
+@pytest.mark.parametrize("kind", list(Heuristic))
+def test_local_batch_builds_one_laplacian_per_grown_round(kind, monkeypatch):
+    # the caller's graph builds the input's Laplacian once (the connectivity check), every
+    # copy shares it, and each focus run builds one for each of its rounds 1 .. k-1
+    built, build = [], Graph._build_laplacian
+    monkeypatch.setattr(Graph, "_build_laplacian", lambda graph: built.append(graph.round) or build(graph))
+    g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=1)
+    focus, k = [3, 30, 60, 90], 2
+    run_klrip(g, focus, k, kind, seed=5)
+    assert len(built) == 1 + len(focus) * (k - 1)
+    assert built == [0] + [1] * len(focus)
 
 
 def test_klrip_saturated_focus_rejected():

@@ -9,7 +9,7 @@ from scipy.linalg import lapack
 
 from kgrip import linalg, oracles
 from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
-from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, bfs_parents, generate
+from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, generate
 from kgrip.greedy import Heuristic, run_kgrip
 from kgrip.linalg import (
     ColumnCache,
@@ -29,7 +29,7 @@ from kgrip.linalg import (
     true_gain,
 )
 
-from conftest import complete_graph, cycle_graph, path_graph, random_connected, random_tree, star_graph
+from conftest import complete_graph, cycle_graph, path_graph, random_connected, random_tree, reference_bfs, star_graph
 
 _ABOVE_DENSE = DENSE_SOLVE_MAX_N + 50  # graphs of this size solve by CG or by a sparse factor
 
@@ -182,7 +182,7 @@ def test_solves_of_a_small_graph_share_one_dense_factor_per_round(monkeypatch):
     solve_lpinv_columns(g, [1, 2, 3])
     true_gain(g, *g.non_edges()[0].tolist())
     assert len(built) == 1  # the first column factors, the later solves reuse it
-    dup = g.copy(share_cache=True)
+    dup = g.copy()
     g.insert_edge(*g.non_edges()[0].tolist())
     solve_lpinv_column(dup, 4)
     assert len(built) == 1  # the copy still holds the factor of round 0
@@ -222,19 +222,25 @@ def test_solve_takes_vectors_and_blocks():
 
 
 def test_solve_record_survives_copy_and_insertion():
-    g = generate("ba", {"n": 200, "m_attach": 3, "m0": 3}, seed=2)
-    assert g.factor_fill is None and g.solved_columns == 0
+    g = generate("ba", {"n": _ABOVE_DENSE, "m_attach": 3, "m0": 3}, seed=2)
+    assert g.factor_fill is None
     solve_lpinv_columns(g, [0, 1, 2])
+    factor = g.grounded_factor()
     fill = g.factor_fill
-    assert fill == g.grounded_factor().nnz and g.solved_columns == 3
+    assert fill == factor.nnz
     dup = g.copy()
     a, b = next(map(tuple, g.non_edges()))
     g.insert_edge(a, b)
-    for h in (dup, g):  # the factor is dropped, its fill and the column count are kept
-        assert not h.has_grounded_factor
-        assert h.factor_fill == fill and h.solved_columns == 3
+    # the insertion drops the factor from the grown graph alone; both keep the fill
+    assert not g.has_grounded_factor and dup.grounded_factor() is factor
+    assert g.factor_fill == dup.factor_fill == fill
     g.clear_solve_record()
-    assert g.factor_fill is None and g.solved_columns == 0
+    assert g.factor_fill is None and not g.has_grounded_factor
+    dup.clear_solve_record()
+    assert dup.factor_fill is None and not dup.has_grounded_factor
+    small = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=2)
+    solve_lpinv_columns(small, [0, 1, 2])
+    assert small.has_grounded_factor and small.factor_fill is None  # a dense factor records no fill
 
 
 def test_single_columns_of_a_large_scale_free_graph_stay_on_cg(cg_calls):
@@ -254,17 +260,20 @@ def test_high_fill_graph_solves_sixteen_columns_by_cg(cg_calls):
     # ER(1000, 0.01) holds ~280 fill entries per vertex: 16 columns cost less by CG
     g = generate("er", {"n": 1000, "p": 0.01}, seed=1)
     g.grounded_factor()
-    probed = g.copy()
-    solve_lpinv_columns(probed, list(range(16)))
-    assert cg_calls[0] == 16 and not probed.has_grounded_factor
+    g.insert_edge(0, next(v for v in range(1, g.n) if not g.has_edge(0, v)))  # drops the factor, keeps its fill
+    solve_lpinv_columns(g, list(range(16)))
+    assert cg_calls[0] == 16 and not g.has_grounded_factor
 
 
 def test_small_ring_lattice_factors_from_its_second_column(cg_calls):
+    # with no fill recorded, a lone column runs CG and a block of two columns factors
     g = generate("ws", {"n": _ABOVE_DENSE, "degree": 10, "rewire_prob": 0.01}, seed=1)
     solve_lpinv_column(g, 0)
     assert cg_calls[0] == 1 and not g.has_grounded_factor
     solve_lpinv_column(g, 1)
-    assert cg_calls[0] == 1 and g.has_grounded_factor and g.factor_fill is not None
+    assert cg_calls[0] == 2 and not g.has_grounded_factor
+    solve_lpinv_columns(g, [1, 2])
+    assert cg_calls[0] == 2 and g.has_grounded_factor and g.factor_fill is not None
     assert isinstance(g.grounded_factor(), spla.SuperLU)
 
 
@@ -291,11 +300,13 @@ def test_solve_on_disconnected_graph_raises(n, split, s):
     assert ("CG" in str(err.value)) == (n > DENSE_SOLVE_MAX_N and s == 1)
 
 
-def test_colstoch_k1_solves_its_columns_by_factor(cg_calls):
-    # the pivot column is one CG solve; the sampled columns and the report share one factor
+def test_colstoch_k1_solves_its_columns_by_factor(cg_calls, monkeypatch):
+    # the pivot column and the one-column r_final are CG solves; the sampled columns and the report share one factor
+    factored, splu = [], spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *args, **kw: factored.append(1) or splu(*args, **kw))
     g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=1)
     run_kgrip(g, 1, Heuristic.COL_STOCH, seed=7)
-    assert cg_calls[0] <= 1
+    assert len(factored) == 1 and cg_calls[0] == 2
 
 
 def test_column_cache_solves_missing_columns_once():
@@ -356,7 +367,7 @@ def test_tree_resistance_equals_bfs_distance():
         p = pseudoinverse_dense(g)
         d = np.diag(p)
         for root in range(n):
-            _, depth = bfs_parents(g, root)
+            _, depth = reference_bfs(g, root)
             r_row = d[root] + d - 2 * p[root]
             for v in range(root + 1, n):
                 assert abs(r_row[v] - depth[v]) < 1e-9
