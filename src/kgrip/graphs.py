@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, SolverError
 
 Edge = tuple[int, int]
-# up to this n the grounded factor is dense: one column by it costs less than by CG or SuperLU
+# up to this n the round's factor is a dense Cholesky of L + J/n: a column by it beats CG and SuperLU
 DENSE_SOLVE_MAX_N = 200
 
 
@@ -34,26 +34,49 @@ def canonical_edge(a: int, b: int) -> Edge:
 
 
 class DenseCholesky:
-    """Dense LAPACK Cholesky factor (dpotrf) of an SPD matrix, with SuperLU's ``solve``."""
+    """Dense LAPACK Cholesky factor ``upper`` (dpotrf: U^T U, lower triangle zeroed) of the SPD matrix ``name``."""
 
-    def __init__(self, matrix: np.ndarray):
-        self._upper, info = lapack.dpotrf(matrix, overwrite_a=1)
+    def __init__(self, matrix: np.ndarray, name: str = "L + J/n"):
+        self.upper, info = lapack.dpotrf(matrix, overwrite_a=1)
         if info != 0:
-            raise SolverError(f"Cholesky factorisation of the grounded Laplacian failed (LAPACK info {info})")
+            raise SolverError(f"Cholesky factorisation of {name} failed (LAPACK info {info})")
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return lapack.dpotrs(self._upper, rhs)[0]
+        return lapack.dpotrs(self.upper, rhs)[0]
+
+
+class GroundedLU:
+    """Sparse LU factor, of ``nnz`` entries, of the grounded Laplacian L[1:,1:] (SPD for a connected graph).
+
+    A symmetric fill-reducing ordering without pivoting keeps it nearly as sparse as a Cholesky factor (COLAMD
+    stores ~10x more on BA graphs). A singular block (a disconnected graph) raises :class:`SolverError`.
+    """
+
+    def __init__(self, lap: sp.csr_matrix):
+        try:
+            self._lu = spla.splu(
+                lap[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0, options={"SymmetricMode": True}
+            )
+        except RuntimeError as exc:  # exactly singular: the graph is disconnected
+            raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
+        self.nnz = self._lu.nnz
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution of L x = rhs with x[0] = 0, for ``rhs`` a vector or block summing to zero."""
+        x = np.zeros_like(rhs)
+        x[1:] = self._lu.solve(rhs[1:])
+        return x
 
 
 class Graph:
     """Undirected simple graph with sorted neighbor lists and an insertion log.
 
     Its solve state is two things. The round caches (the sparse Laplacian,
-    :meth:`has_edges`' keys and the grounded factor) are built on first use,
+    :meth:`has_edges`' keys and the Laplacian factor) are built on first use,
     never modified in place, shared by copies, and dropped by an insertion on
     the graph that grows. ``factor_fill``, the stored entries ``nnz`` of the
-    last sparse grounded factor built (None before the first), outlives
-    insertions and copies.
+    last sparse factor built (None before the first), outlives insertions and
+    copies.
     """
 
     __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor", "factor_fill")
@@ -128,7 +151,7 @@ class Graph:
 
     def clear_solve_record(self) -> None:
         """Forget the round's factor and the recorded fill, as if no solve had run on this graph."""
-        self._factor: spla.SuperLU | DenseCholesky | None = None
+        self._factor: DenseCholesky | GroundedLU | None = None
         self.factor_fill: int | None = None
 
     # -- mutation ----------------------------------------------------------
@@ -209,34 +232,21 @@ class Graph:
         return sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
     @property
-    def has_grounded_factor(self) -> bool:
-        """Whether :meth:`grounded_factor` was already built this round."""
+    def has_factor(self) -> bool:
+        """Whether :meth:`factor` was already built this round."""
         return self._factor is not None
 
-    def grounded_factor(self) -> spla.SuperLU | DenseCholesky:
-        """Factor of the grounded Laplacian L[1:,1:], cached like :meth:`laplacian`.
+    def factor(self) -> DenseCholesky | GroundedLU:
+        """The round's Laplacian factor, cached like :meth:`laplacian`; its ``solve`` gives L x = b for zero-sum b.
 
-        L[1:,1:] is SPD for a connected graph. Up to ``DENSE_SOLVE_MAX_N``
-        vertices the factor is a :class:`DenseCholesky` of the dense block.
-        Above, it is a sparse LU factor: a symmetric fill-reducing ordering
-        without pivoting keeps it nearly as sparse as a Cholesky factor (COLAMD
-        stores ~10x more entries on BA graphs), and its ``nnz`` is recorded in
-        ``factor_fill``. A singular block (the graph is disconnected) raises
-        :class:`SolverError`.
+        Up to ``DENSE_SOLVE_MAX_N`` vertices it is a :class:`DenseCholesky` of L + J/n (SPD for a connected
+        graph), which maps b to L^+ b ungrounded; above, a :class:`GroundedLU`, its ``nnz`` kept in ``factor_fill``.
         """
         if self._factor is None:
             if self.n <= DENSE_SOLVE_MAX_N:
-                self._factor = DenseCholesky(self.laplacian_dense()[1:, 1:])
+                self._factor = DenseCholesky(self.laplacian_dense() + 1.0 / self.n)
             else:
-                try:
-                    self._factor = spla.splu(
-                        self.laplacian()[1:, 1:].tocsc(),
-                        permc_spec="MMD_AT_PLUS_A",
-                        diag_pivot_thresh=0.0,
-                        options={"SymmetricMode": True},
-                    )
-                except RuntimeError as exc:  # exactly singular: the graph is disconnected
-                    raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
+                self._factor = GroundedLU(self.laplacian())
                 self.factor_fill = self._factor.nnz
         return self._factor
 

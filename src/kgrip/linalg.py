@@ -15,11 +15,11 @@ B2(a,b) = v.v and R(a,b) = v[a] - v[b]. A single pair therefore needs one
 solve, L v = e_a - e_b, not the two columns.
 
 The dense P and R_tot both come from one Cholesky factor of L + J/n, which
-refuses a disconnected graph. Columns of P can also be obtained by solving
-L X = E - 1/n for a block of unit vectors E (all at once through a factor of
-the grounded Laplacian L[1:,1:], dense Cholesky on small graphs and sparse LU
-above, or by one conjugate-gradient solve each) and
-re-centering X against the all-ones null space. Restricted to a block C of
+refuses a disconnected graph; up to ``DENSE_SOLVE_MAX_N`` vertices it is the
+graph's round factor, whose solve of a zero-sum b is L^+ b. Columns of P can
+also be obtained by solving L X = E - 1/n for a block of unit vectors E (at
+once through the round factor, a sparse LU of the grounded Laplacian L[1:,1:]
+above that size, or by one CG solve each) and re-centering X. Restricted to a block C of
 columns, the rank-one update reads C' = C - v (C[a] - C[b]) / (1 + R(a,b));
 one column cache applies it. A batch of gains reads B2 off the Gram matrix
 of the columns it touches: B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
@@ -43,7 +43,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .errors import ConfigError, InvariantError, SolverError, StaleStateError
-from .graphs import DENSE_SOLVE_MAX_N, Graph, canonical_edge, is_connected
+from .graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, canonical_edge, is_connected
 
 
 @dataclass(frozen=True)
@@ -74,25 +74,25 @@ def check_dense_budget(n: int, matrices: int = 4) -> None:
         raise ConfigError(f"n={n}: {matrices} n x n arrays exceed the dense budget (4 at n={DENSE_CAP_DEFAULT})")
 
 
-def _shifted_cholesky_inverse(graph: Graph, invert) -> np.ndarray:
-    """``invert`` (LAPACK dpotri or dtrtri) of the upper Cholesky factor of L + J/n, its only factorisation."""
+def _shifted_cholesky(graph: Graph) -> tuple[np.ndarray, bool]:
+    """Cholesky factor U of L + J/n and whether to invert it in place (not the round factor, n <= DENSE_SOLVE_MAX_N)."""
     n = graph.n
     check_dense_budget(n)
     # L + J/n is singular exactly when the graph is disconnected, but rounding
     # can leave the Cholesky factorization a tiny positive pivot instead of failing
     if not is_connected(graph):
         raise SolverError("L + J/n is singular: the graph is disconnected")
-    factor, info = lapack.dpotrf(graph.laplacian_dense() + 1.0 / n, lower=0, clean=1, overwrite_a=1)
-    if info == 0:
-        factor, info = invert(factor, lower=0, overwrite_c=1)
-    if info != 0:
-        raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
-    return factor
+    if n <= DENSE_SOLVE_MAX_N:
+        return graph.factor().upper, False
+    return DenseCholesky(graph.laplacian_dense() + 1.0 / n).upper, True
 
 
 def pseudoinverse_dense(graph: Graph) -> np.ndarray:
     """Dense pseudoinverse (L + J/n)^(-1) - J/n; dpotri's upper triangle is mirrored, so P == P.T exactly."""
-    inv = _shifted_cholesky_inverse(graph, lapack.dpotri)
+    upper, in_place = _shifted_cholesky(graph)
+    inv, info = lapack.dpotri(upper, overwrite_c=in_place)
+    if info != 0:
+        raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
     inv += np.triu(inv, 1).T
     inv -= 1.0 / graph.n
     return inv.T  # the same symmetric matrix, C-contiguous
@@ -103,9 +103,9 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
 
     Every linear solve of the package goes through here. ``rhs`` is a vector
     or an n x s block whose columns sum to zero. All columns are solved
-    through the graph's factor of the grounded Laplacian (kept for the round,
-    a sparse one's fill recorded) always when n <= ``DENSE_SOLVE_MAX_N``,
-    where the factor is a dense Cholesky; when the graph already holds one
+    through the graph's :meth:`~kgrip.graphs.Graph.factor` (kept for the
+    round, a sparse one's fill recorded) always when n <= ``DENSE_SOLVE_MAX_N``,
+    where it is a dense Cholesky of L + J/n; when the graph already holds one
     for this round; when its recorded fill says the factorisation costs at
     most 512 s column solves, (fill / n)^2 <= 512 s; or, with no fill
     recorded, when s >= 16, or s >= 2 and n <= 1000. Otherwise each column
@@ -118,20 +118,19 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
     lap = graph.laplacian()
     block = rhs.reshape(graph.n, -1)
     n, s, fill = graph.n, block.shape[1], graph.factor_fill
-    if n <= DENSE_SOLVE_MAX_N:  # the grounded factor is dense there
+    if n <= DENSE_SOLVE_MAX_N:  # the factor is dense there
         pays = True
     elif fill is None:
         pays = s >= _PROBE_COLUMNS or (n <= _PROBE_MAX_N and s >= 2)
     else:
         pays = (fill / n) ** 2 <= _FACTOR_COLUMN_RATIO * s
     stopped_early = False
-    if graph.has_grounded_factor or pays:
-        x = np.zeros_like(block)  # vertex 0 grounded
-        failure = "grounded-Laplacian factor solve missed the residual tolerance"
+    if graph.has_factor or pays:
+        failure = "Laplacian factor solve missed the residual tolerance"
         try:
-            x[1:] = graph.grounded_factor().solve(block[1:])
+            x = graph.factor().solve(block)
         except SolverError as exc:  # singular: the graph is disconnected; x = 0 is judged
-            failure, stopped_early = str(exc), True
+            x, failure, stopped_early = np.zeros_like(block), str(exc), True
         x -= x.mean(axis=0)
     else:
         maxiter = 10 * graph.n
@@ -192,7 +191,10 @@ def total_resistance(obj) -> float:
         return obj.graph.n * float(np.trace(obj.block))
     if not isinstance(obj, Graph):
         raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
-    r_inv = _shifted_cholesky_inverse(obj, lapack.dtrtri)
+    upper, in_place = _shifted_cholesky(obj)
+    r_inv, info = lapack.dtrtri(upper, overwrite_c=in_place)
+    if info != 0:
+        raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
     return obj.n * (float(np.einsum("ij,ij->", r_inv, r_inv)) - 1.0)
 
 
@@ -209,10 +211,8 @@ def total_resistance_after(
     totals, start = [], 0
     for edges in sets:
         block, start = x[:, start : start + len(edges)], start + len(edges)
-        factor, info = lapack.dpotrf(np.eye(len(edges)) + block[edges[:, 0]] - block[edges[:, 1]])  # I + B^T X
-        if info != 0:
-            raise SolverError(f"Cholesky factorisation of I + B^T X failed (LAPACK info {info})")
-        totals.append(r_total - graph.n * float(np.trace(lapack.dpotrs(factor, block.T @ block)[0])))
+        inner = DenseCholesky(np.eye(len(edges)) + block[edges[:, 0]] - block[edges[:, 1]], "I + B^T X")
+        totals.append(r_total - graph.n * float(np.trace(inner.solve(block.T @ block))))
     return totals
 
 
@@ -323,11 +323,13 @@ class DenseState(ColumnCache):
 
 def gain_exact(state, a: int, b: int) -> float:
     """Exact gain of inserting the non-edge {a,b}, including the factor n: one row of :func:`gains_exact`."""
+    if a == b or state.graph.has_edge(a, b):
+        raise InvariantError("gains are defined for non-edges only")
     return float(gains_exact(state, np.array([[a, b]]))[0])
 
 
 def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
-    """Exact gains of many non-edges at once; ``pairs`` is an (s, 2) int array.
+    """Exact gains of many non-edges at once; ``pairs`` is an (s, 2) int array of non-edges, unchecked.
 
     A :class:`DenseState` reads every gain off Q and P in place. For a
     :class:`ColumnCache` the columns C of every vertex the pairs touch are
@@ -341,8 +343,6 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
     """
     graph: Graph = state.graph
     a, b = pairs[:, 0], pairs[:, 1]
-    if np.any(a == b) or np.any(graph.has_edges(a, b)):
-        raise InvariantError("gains are defined for non-edges only")
     if isinstance(state, DenseState):
         return state.gains(a, b)
     counts = np.bincount(pairs.ravel(), minlength=graph.n)

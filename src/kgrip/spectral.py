@@ -20,10 +20,10 @@ exact gain. Estimates ranked by heuristics use the bracket midpoint.
 
 The eigenpairs come from a dense symmetric eigensolve up to
 ``_DENSE_EIG_LIMIT`` vertices. Above it, L^+ is applied exactly through the
-graph's cached factor of the grounded Laplacian L[1:,1:] (centre, solve with
-vertex 0 grounded, centre again; the round's solves reuse it), and shift-invert
-Lanczos (ARPACK) finds the c-1 largest eigenvalues 1/lambda_i of L^+; the
-largest eigenvalue lambda_n comes from a second ARPACK call on L itself.
+graph's cached Laplacian factor (centre, solve, centre again; the round's
+solves reuse it), and shift-invert Lanczos (ARPACK) finds the c-1 largest
+eigenvalues 1/lambda_i of L^+; the largest eigenvalue lambda_n comes from a
+second ARPACK call on L itself.
 """
 
 from __future__ import annotations
@@ -64,13 +64,12 @@ def _low_spectrum_shift_invert(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     n = graph.n
     lap = graph.laplacian()
-    factor = graph.grounded_factor()  # shared with this round's linear solves
+    factor = graph.factor()  # shared with this round's linear solves
 
     def apply_pinv(x: np.ndarray) -> np.ndarray:
-        # L^+ x: centre, solve with vertex 0 grounded, centre again
+        # L^+ x: centre, solve, centre again
         x = np.ravel(x)
-        y = np.zeros(n)
-        y[1:] = factor.solve(x[1:] - x.mean())
+        y = factor.solve(x - x.mean())
         return y - y.mean()
 
     op = spla.LinearOperator((n, n), matvec=apply_pinv, dtype=float)
@@ -108,10 +107,10 @@ def compute_low_spectrum(
     """Eigenpairs lambda_2..lambda_c (plus lambda_n) with residuals <= eig_tol.
 
     Graphs up to ``_DENSE_EIG_LIMIT`` vertices use a dense symmetric
-    eigensolve. Larger ones (or ``force_iterative``) factor the grounded
-    Laplacian once and run shift-invert Lanczos (ARPACK, at most ``maxiter``
-    restarts) for the c-1 largest eigenvalues 1/lambda of L^+, from a start
-    vector orthogonal to the all-ones null vector. Raises
+    eigensolve. Larger ones (or ``force_iterative``) factor the Laplacian
+    once and run shift-invert Lanczos (ARPACK, at most ``maxiter`` restarts)
+    for the c-1 largest eigenvalues 1/lambda of L^+, from a start vector
+    orthogonal to the all-ones null vector. Raises
     :class:`SolverError` carrying the worst true residual if ARPACK stops
     early or a residual ||L u - lambda u|| exceeds ``eig_tol``.
     """

@@ -1,11 +1,15 @@
-"""Shared fixtures: small named graphs, seeded random connected graphs, a reference BFS, tree samples."""
+"""Shared fixtures: small named graphs, seeded random connected graphs, a reference BFS, tree samples,
+and a count of matrix factorisations."""
 
 from __future__ import annotations
 
 from collections import Counter, deque
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from kgrip.graphs import Graph, generate
 from kgrip.ust import SpanningTree, sample_trees
@@ -95,3 +99,17 @@ def c4() -> Graph:
 @pytest.fixture
 def k4() -> Graph:
     return complete_graph(4)
+
+
+@pytest.fixture
+def factorisations(monkeypatch):
+    """Orders of the matrices factored so far: ``.dense`` by LAPACK dpotrf, ``.sparse`` by SuperLU."""
+    seen = SimpleNamespace(dense=[], sparse=[])
+    for module, name, orders in ((lapack, "dpotrf", seen.dense), (spla, "splu", seen.sparse)):
+
+        def spy(matrix, *args, inner=getattr(module, name), orders=orders, **kwargs):
+            orders.append(matrix.shape[0])
+            return inner(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return seen

@@ -7,7 +7,6 @@ import io
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,6 +15,7 @@ from kgrip.graphs import (
     DENSE_SOLVE_MAX_N,
     DenseCholesky,
     Graph,
+    GroundedLU,
     assert_connected,
     bfs_parents,
     canonical_edge,
@@ -198,62 +198,63 @@ def test_laplacian_cache_follows_insertions():
     assert (dup.laplacian() != _laplacian_from_triples(dup)).nnz == 0
 
 
-# the grounded factor is dense up to DENSE_SOLVE_MAX_N vertices and sparse LU above
-_FACTOR_KINDS = [(50, DenseCholesky), (DENSE_SOLVE_MAX_N + 50, spla.SuperLU)]
+# the round's factor is a dense Cholesky of L + J/n up to DENSE_SOLVE_MAX_N vertices and a grounded sparse LU above
+_FACTOR_KINDS = [(50, DenseCholesky), (DENSE_SOLVE_MAX_N + 50, GroundedLU)]
 
 
 def test_copy_sharing_the_caches_keeps_them_across_the_originals_insertions():
     for n, kind in _FACTOR_KINDS:
         g = generate("ba", {"n": n, "m_attach": 2, "m0": 2}, seed=3)
         pairs = np.array([(a, b) for a in range(n) for b in range(a + 1, n)]).T
-        lap, factor, adjacent = g.laplacian(), g.grounded_factor(), g.has_edges(*pairs)
+        lap, factor, adjacent = g.laplacian(), g.factor(), g.has_edges(*pairs)
         assert isinstance(factor, kind)
         dup = g.copy()
-        assert dup.laplacian() is lap and dup.grounded_factor() is factor
+        assert dup.laplacian() is lap and dup.factor() is factor
         g.insert_edge(*g.non_edges()[0].tolist())
-        assert not g.has_grounded_factor and g.laplacian() is not lap
-        assert dup.laplacian() is lap and dup.grounded_factor() is factor and dup.round == 0
+        assert not g.has_factor and g.laplacian() is not lap
+        assert dup.laplacian() is lap and dup.factor() is factor and dup.round == 0
         assert np.array_equal(dup.has_edges(*pairs), adjacent)
         # and the other way round: the copy's insertion leaves the original's caches
-        lap, factor, adjacent = g.laplacian(), g.grounded_factor(), g.has_edges(*pairs)
+        lap, factor, adjacent = g.laplacian(), g.factor(), g.has_edges(*pairs)
         dup.insert_edge(*dup.non_edges()[-1].tolist())
-        assert not dup.has_grounded_factor and dup.laplacian() is not lap
-        assert g.laplacian() is lap and g.grounded_factor() is factor and g.round == 1
+        assert not dup.has_factor and dup.laplacian() is not lap
+        assert g.laplacian() is lap and g.factor() is factor and g.round == 1
         assert np.array_equal(g.has_edges(*pairs), adjacent)
         assert dup.has_edges(*pairs).sum() == adjacent.sum()  # one edge each, at different pairs
         assert not np.array_equal(dup.has_edges(*pairs), adjacent)
 
 
 def test_grounded_factor_cache_follows_insertions():
-    def solves_grounded(graph, f):
-        rhs = np.random.default_rng(graph.round).standard_normal(graph.n - 1)
-        return np.allclose(graph.laplacian()[1:, 1:] @ f.solve(rhs), rhs, atol=1e-9)
+    def solves(graph, f):  # L x = b for a zero-sum b; x is fixed up to a constant
+        rhs = np.random.default_rng(graph.round).standard_normal(graph.n)
+        rhs -= rhs.mean()
+        return np.allclose(graph.laplacian() @ f.solve(rhs), rhs, atol=1e-9)
 
     for n, kind in _FACTOR_KINDS:
         g = generate("ba", {"n": n, "m_attach": 2, "m0": 2}, seed=3)
-        assert not g.has_grounded_factor
-        factor = g.grounded_factor()
+        assert not g.has_factor
+        factor = g.factor()
         assert isinstance(factor, kind)
-        assert g.factor_fill == (factor.nnz if kind is spla.SuperLU else None)  # a dense factor records none
-        assert g.grounded_factor() is factor and g.has_grounded_factor  # one build per round
+        assert g.factor_fill == (factor.nnz if kind is GroundedLU else None)  # a dense factor records none
+        assert g.factor() is factor and g.has_factor  # one build per round
         dup = g.copy()
-        assert dup.grounded_factor() is factor  # shared with the copy
+        assert dup.factor() is factor  # shared with the copy
 
         rng = np.random.default_rng(3)
         for _ in range(3):
             _insert_any(g, rng)
-            assert not g.has_grounded_factor
-            assert solves_grounded(g, g.grounded_factor())
+            assert not g.has_factor
+            assert solves(g, g.factor())
         # neither the copy nor the first factor saw the insertions
-        assert dup.grounded_factor() is factor
-        assert solves_grounded(dup, factor)
-        assert not solves_grounded(g, factor)
+        assert dup.factor() is factor
+        assert solves(dup, factor)
+        assert not solves(g, factor)
         # nor does the original's factor see the copy's
-        grown = g.grounded_factor()
+        grown = g.factor()
         _insert_any(dup, rng)
-        assert not dup.has_grounded_factor and g.grounded_factor() is grown
-        assert solves_grounded(g, grown) and solves_grounded(dup, dup.grounded_factor())
-        assert not solves_grounded(dup, grown)
+        assert not dup.has_factor and g.factor() is grown
+        assert solves(g, grown) and solves(dup, dup.factor())
+        assert not solves(dup, grown)
 
 
 # -- generators ----------------------------------------------------------------

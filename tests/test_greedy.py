@@ -5,11 +5,11 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from kgrip import greedy, jlt, linalg, oracles, ust
 from kgrip.errors import ConfigError, InvariantError
@@ -765,22 +765,59 @@ def test_klrip_batch_reproduces_single_focus_runs(kind):
 def test_no_dense_factorisation_of_a_grown_graph(kind, monkeypatch):
     # r_final comes from one Woodbury block solve on the input graph, never a dense Cholesky
     calls = []
-    inner = linalg._shifted_cholesky_inverse
+    inner = linalg._shifted_cholesky
 
-    def spy(graph, invert):
-        calls.append((graph.m, invert))
-        return inner(graph, invert)
+    def spy(graph):
+        calls.append((graph.m, sys._getframe(1).f_code.co_name))  # the caller: P or R_tot
+        return inner(graph)
 
-    monkeypatch.setattr(linalg, "_shifted_cholesky_inverse", spy)
+    monkeypatch.setattr(linalg, "_shifted_cholesky", spy)
     g = generate("ba", {"n": 90, "m_attach": 2, "m0": 2}, seed=3)
     for run in (lambda: run_kgrip(g, 3, kind, seed=1), lambda: run_klrip(g, [4, 20, 50], 2, kind, seed=1)):
         calls.clear()
         run()
         assert all(m == g.m for m, _ in calls)
         if kind in (Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH):  # pseudoinverse_dense alone
-            assert [invert for _, invert in calls] == [scipy.linalg.lapack.dpotri]
+            assert [caller for _, caller in calls] == ["pseudoinverse_dense"]
         else:
             assert len(calls) <= 1
+
+
+@pytest.mark.parametrize("kind", list(Heuristic))
+def test_small_graphs_factor_each_graph_round_once(kind, factorisations):
+    # up to DENSE_SOLVE_MAX_N, P, R_tot and the round's solves share one factor of L + J/n:
+    # k for a global run, 1 + F (k - 1) for a local batch of F focus nodes
+    def graph_factorisations(n):  # I + B^T X is factored too, at the order of an edge set
+        return sum(order >= n - 1 for order in factorisations.dense)
+
+    g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=1)
+    run_klrip(g, [3, 30, 60, 90], 2, kind, seed=5)
+    assert graph_factorisations(g.n) == 5
+    factorisations.dense.clear()
+    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1)
+    run_kgrip(g, 4, kind, seed=5)
+    assert graph_factorisations(g.n) == 4 and factorisations.sparse == []
+
+
+@pytest.mark.parametrize("n", [120, DENSE_SOLVE_MAX_N + 50])
+def test_scorers_are_only_asked_for_non_edges(n, monkeypatch):
+    # gains_exact trusts its pairs, so every batch a scorer receives must hold non-edges of the graph as it stands
+    batches = []
+    for cls in (greedy._Columns, greedy._Sketch, greedy._Spectral):
+
+        def checked(self, pairs, inner=cls.gains):
+            a, b = pairs[:, 0], pairs[:, 1]
+            assert np.all(a != b) and not np.any(self.graph.has_edges(a, b))
+            batches.append(len(pairs))
+            return inner(self, pairs)
+
+        monkeypatch.setattr(cls, "gains", checked)
+    g = generate("ba", {"n": n, "m_attach": 3, "m0": 3}, seed=4)
+    for kind in Heuristic:
+        batches.clear()
+        run_kgrip(g, 3, kind, seed=2)
+        run_klrip(g, [5, 40, 100], 2, kind, seed=2)
+        assert batches
 
 
 def test_validate_names_both_computations():
@@ -803,7 +840,7 @@ def _assert_runs_repeat_exactly(g: Graph, kind: Heuristic) -> None:
     first = run_kgrip(g, 3, kind, seed=4)
     first_local = run_klrip(g, [5, 60], 2, kind, seed=4)
     linalg.solve_lpinv_columns(g, list(range(20)))
-    assert g.has_grounded_factor
+    assert g.has_factor
     assert (g.factor_fill is not None) == (g.n > DENSE_SOLVE_MAX_N)  # a sparse factor's fill is recorded
     for _ in range(2):
         again = run_kgrip(g, 3, kind, seed=4)

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
-from scipy.linalg import lapack
 
 from kgrip import linalg, oracles
 from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
-from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, generate
+from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, GroundedLU, generate
 from kgrip.greedy import Heuristic, run_kgrip
 from kgrip.linalg import (
     ColumnCache,
@@ -69,6 +68,27 @@ def test_dense_pinv_k2():
 def test_dense_pinv_matches_eig_oracle():
     g = random_connected(40, 0.15, seed=3)
     assert np.allclose(pseudoinverse_dense(g), oracles.pinv_eig(g), atol=1e-9)
+
+
+def test_dense_pinv_and_total_resistance_leave_the_round_factor_valid():
+    # up to DENSE_SOLVE_MAX_N both invert the graph's round factor into a new array
+    g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=5)
+    pseudoinverse_dense(g)
+    total_resistance(g)
+    assert g.has_factor
+    vertices = [0, 7, 64, 119]
+    fresh = Graph(g.n, g.edges())
+    assert np.array_equal(solve_lpinv_columns(g, vertices), solve_lpinv_columns(fresh, vertices))
+
+
+def test_dense_pinv_is_the_same_with_or_without_a_round_factor():
+    for n in (120, DENSE_SOLVE_MAX_N + 50):
+        g = generate("ba", {"n": n, "m_attach": 3, "m0": 3}, seed=5)
+        expected = pseudoinverse_dense(g.copy())
+        solve_lpinv_columns(g, list(range(16)))  # leaves the round's factor on the graph
+        assert g.has_factor
+        assert np.array_equal(pseudoinverse_dense(g), expected)
+        assert total_resistance(g) == total_resistance(g.copy()) == total_resistance(Graph(g.n, g.edges()))
 
 
 def test_dense_pinv_identities():
@@ -138,9 +158,9 @@ def test_column_nonconvergence_reports_residual():
     assert err.value.achieved_residual > 1e-300
 
 
-# -- block solves: grounded factor and per-column CG -------------------------------
+# -- block solves: the round's factor and per-column CG ----------------------------
 
-# up to DENSE_SOLVE_MAX_N vertices every block is solved by the dense grounded factor
+# up to DENSE_SOLVE_MAX_N vertices every block is solved by the dense factor of L + J/n
 _DENSE_SOLVE_GRAPHS = {
     "ba": lambda: generate("ba", {"n": DENSE_SOLVE_MAX_N, "m_attach": 3, "m0": 3}, seed=2),
     "ws": lambda: generate("ws", {"n": 150, "degree": 6, "rewire_prob": 0.05}, seed=3),
@@ -165,18 +185,17 @@ def test_dense_factor_path_matches_dense_columns(family, s, cg_calls):
     g = _DENSE_SOLVE_GRAPHS[family]()
     assert g.n <= DENSE_SOLVE_MAX_N
     vertices = np.random.default_rng(s).choice(g.n, s, replace=False)
-    expected = pseudoinverse_dense(g)[:, vertices]
+    expected = pseudoinverse_dense(g.copy())[:, vertices]  # builds the copy's factor alone
     # a fresh graph, with no solve recorded, factors from its first column
     got = solve_lpinv_columns(g, vertices)
-    assert cg_calls[0] == 0 and isinstance(g.grounded_factor(), DenseCholesky)
+    assert cg_calls[0] == 0 and isinstance(g.factor(), DenseCholesky)
     err = np.linalg.norm(got - expected, axis=0) / np.linalg.norm(expected, axis=0)
     assert err.max() <= 1e-10
     assert np.abs(got.sum(axis=0)).max() <= 1e-9
 
 
-def test_solves_of_a_small_graph_share_one_dense_factor_per_round(monkeypatch):
-    built, dpotrf = [], lapack.dpotrf
-    monkeypatch.setattr(lapack, "dpotrf", lambda *args, **kw: built.append(1) or dpotrf(*args, **kw))
+def test_solves_of_a_small_graph_share_one_dense_factor_per_round(factorisations):
+    built = factorisations.dense
     g = generate("ba", {"n": 50, "m_attach": 2, "m0": 2}, seed=3)
     solve_lpinv_column(g, 0)
     solve_lpinv_columns(g, [1, 2, 3])
@@ -201,9 +220,9 @@ def test_factor_and_cg_paths_match_dense_columns(family, s, cg_calls):
     # one column on a fresh graph, with no solve recorded, runs CG
     fresh = [g.copy() for _ in vertices]
     by_cg = np.column_stack([solve_lpinv_column(h, v, tight) for h, v in zip(fresh, vertices)])
-    assert cg_calls[0] == s and not any(h.has_grounded_factor for h in fresh)
+    assert cg_calls[0] == s and not any(h.has_factor for h in fresh)
     # a graph holding a factor solves every block through it
-    assert isinstance(g.grounded_factor(), spla.SuperLU)
+    assert isinstance(g.factor(), GroundedLU)
     by_factor = solve_lpinv_columns(g, vertices)
     assert cg_calls[0] == s
     for got in (by_cg, by_factor):
@@ -225,22 +244,22 @@ def test_solve_record_survives_copy_and_insertion():
     g = generate("ba", {"n": _ABOVE_DENSE, "m_attach": 3, "m0": 3}, seed=2)
     assert g.factor_fill is None
     solve_lpinv_columns(g, [0, 1, 2])
-    factor = g.grounded_factor()
+    factor = g.factor()
     fill = g.factor_fill
     assert fill == factor.nnz
     dup = g.copy()
     a, b = next(map(tuple, g.non_edges()))
     g.insert_edge(a, b)
     # the insertion drops the factor from the grown graph alone; both keep the fill
-    assert not g.has_grounded_factor and dup.grounded_factor() is factor
+    assert not g.has_factor and dup.factor() is factor
     assert g.factor_fill == dup.factor_fill == fill
     g.clear_solve_record()
-    assert g.factor_fill is None and not g.has_grounded_factor
+    assert g.factor_fill is None and not g.has_factor
     dup.clear_solve_record()
-    assert dup.factor_fill is None and not dup.has_grounded_factor
+    assert dup.factor_fill is None and not dup.has_factor
     small = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=2)
     solve_lpinv_columns(small, [0, 1, 2])
-    assert small.has_grounded_factor and small.factor_fill is None  # a dense factor records no fill
+    assert small.has_factor and small.factor_fill is None  # a dense factor records no fill
 
 
 def test_single_columns_of_a_large_scale_free_graph_stay_on_cg(cg_calls):
@@ -253,34 +272,34 @@ def test_single_columns_of_a_large_scale_free_graph_stay_on_cg(cg_calls):
     assert cg_calls[0] == 3 and g.factor_fill is not None
     g.insert_edge(0, next(v for v in range(1, g.n) if not g.has_edge(0, v)))
     solve_lpinv_column(g, 0)
-    assert cg_calls[0] == 4 and not g.has_grounded_factor
+    assert cg_calls[0] == 4 and not g.has_factor
 
 
 def test_high_fill_graph_solves_sixteen_columns_by_cg(cg_calls):
     # ER(1000, 0.01) holds ~280 fill entries per vertex: 16 columns cost less by CG
     g = generate("er", {"n": 1000, "p": 0.01}, seed=1)
-    g.grounded_factor()
+    g.factor()
     g.insert_edge(0, next(v for v in range(1, g.n) if not g.has_edge(0, v)))  # drops the factor, keeps its fill
     solve_lpinv_columns(g, list(range(16)))
-    assert cg_calls[0] == 16 and not g.has_grounded_factor
+    assert cg_calls[0] == 16 and not g.has_factor
 
 
 def test_small_ring_lattice_factors_from_its_second_column(cg_calls):
     # with no fill recorded, a lone column runs CG and a block of two columns factors
     g = generate("ws", {"n": _ABOVE_DENSE, "degree": 10, "rewire_prob": 0.01}, seed=1)
     solve_lpinv_column(g, 0)
-    assert cg_calls[0] == 1 and not g.has_grounded_factor
+    assert cg_calls[0] == 1 and not g.has_factor
     solve_lpinv_column(g, 1)
-    assert cg_calls[0] == 2 and not g.has_grounded_factor
+    assert cg_calls[0] == 2 and not g.has_factor
     solve_lpinv_columns(g, [1, 2])
-    assert cg_calls[0] == 2 and g.has_grounded_factor and g.factor_fill is not None
-    assert isinstance(g.grounded_factor(), spla.SuperLU)
+    assert cg_calls[0] == 2 and g.has_factor and g.factor_fill is not None
+    assert isinstance(g.factor(), GroundedLU)
 
 
 def test_factor_path_unattainable_tolerance_raises():
-    for n, kind in ((120, DenseCholesky), (_ABOVE_DENSE, spla.SuperLU)):
+    for n, kind in ((120, DenseCholesky), (_ABOVE_DENSE, GroundedLU)):
         g = generate("ba", {"n": n, "m_attach": 3, "m0": 3}, seed=6)
-        assert isinstance(g.grounded_factor(), kind)
+        assert isinstance(g.factor(), kind)
         with pytest.raises(SolverError) as err:
             solve_lpinv_columns(g, [0, 5, 9], SolverConfig(residual_tol=1e-300))
         assert np.isfinite(err.value.achieved_residual) and err.value.achieved_residual > 1e-300
@@ -300,13 +319,11 @@ def test_solve_on_disconnected_graph_raises(n, split, s):
     assert ("CG" in str(err.value)) == (n > DENSE_SOLVE_MAX_N and s == 1)
 
 
-def test_colstoch_k1_solves_its_columns_by_factor(cg_calls, monkeypatch):
+def test_colstoch_k1_solves_its_columns_by_factor(cg_calls, factorisations):
     # the pivot column and the one-column r_final are CG solves; the sampled columns and the report share one factor
-    factored, splu = [], spla.splu
-    monkeypatch.setattr(spla, "splu", lambda *args, **kw: factored.append(1) or splu(*args, **kw))
     g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=1)
     run_kgrip(g, 1, Heuristic.COL_STOCH, seed=7)
-    assert len(factored) == 1 and cg_calls[0] == 2
+    assert len(factorisations.sparse) == 1 and cg_calls[0] == 2
 
 
 def test_column_cache_solves_missing_columns_once():

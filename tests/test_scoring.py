@@ -8,7 +8,7 @@ import pytest
 from kgrip.errors import InvariantError, SolverError, StaleStateError
 from kgrip.graphs import Graph, generate
 from kgrip.jlt import build_sketch, gains_jlt
-from kgrip.linalg import ColumnCache, DenseState, SolverConfig, gains_exact, solve, solve_lpinv_column
+from kgrip.linalg import ColumnCache, DenseState, SolverConfig, gain_exact, gains_exact, solve, solve_lpinv_column
 from kgrip.spectral import compute_low_spectrum, gain_bounds, gains_spectral
 
 REL_TOL = 1e-12
@@ -105,7 +105,7 @@ def test_batched_scorers_reject_edges_and_stale_sketches():
     g = _graphs()["er60"]
     a, b = next(g.edges())
     with pytest.raises(InvariantError):
-        gains_exact(DenseState.compute(g), np.array([[a, b]]))
+        gain_exact(DenseState.compute(g), a, b)  # the batch trusts its pairs; the scalar entry point checks
     sketch = build_sketch(g, 4, np.random.default_rng(5))
     free = g.non_edges()[:1]
     g.insert_edge(*free[0].tolist())
