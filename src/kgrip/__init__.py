@@ -4,9 +4,9 @@ The package solves two problems on connected, simple, unweighted graphs:
 pick k new edges anywhere (global), or k new edges incident to one focus
 node (local), so that the total effective resistance (Kirchhoff index) drops
 as much as possible. Six heuristics trade speed against quality, from the
-exhaustive lazy greedy down to sampled evaluations over random-projection
-sketches or a truncated spectrum, and small-instance brute-force oracles
-back every fast path in the test suite.
+exact greedy over every non-edge down to sampled evaluations over
+random-projection sketches or a truncated spectrum, and small-instance
+brute-force oracles back every fast path in the test suite.
 """
 
 from .errors import (

@@ -1,4 +1,4 @@
-"""Greedy edge-insertion framework: lazy queue, samplers, and six heuristics.
+"""Greedy edge-insertion framework: exact pool pass, lazy queue, samplers, and six heuristics.
 
 Every heuristic runs the same loop: preprocess (Compute), then per round
 pick candidates, score them (Eval), insert the best-scoring non-edge, and
@@ -14,19 +14,17 @@ heuristic is one candidate source paired with one gain scorer
                        columns, random-projection sketches, or the spectral
                        bracket midpoint.
 
-All heuristics share one persistent max-queue whose entries carry the round
-in which their gain was computed. Each round the source yields a batch of
-pairs (the universe source: every non-edge in round 0, none later; the
-sampling sources: a fresh sample), the scorer scores it in one call, and the
-queue keeps both arrays, turning only the best of them into heap tuples.
-The lazy pop re-scores stale tops through the same ``gains``, in blocks of 1,
-2, 4, ... entries, as popping one at a time would, until the top is current;
-with the exact dense scorer, past a measured share of the live entries per
-round, one call re-scores them all instead (StGreedy on a ring lattice,
-where almost every stale gain beats the top). Regardless of
-the scorer, the reported per-edge gain of every accepted edge is recomputed
-exactly from one linear solve, and total resistance must strictly decrease
-on every insertion.
+Each round the source yields a batch of pairs (the universe source: every
+non-edge in round 0, none later; the sampling sources: a fresh sample). The
+exact dense scorer (StGreedy, SimplStoch) pools every batch so far and takes
+the argmax of one gain pass over the pool, so both heuristics are the exact
+greedy over their candidates. The other scorers' batches enter one max-queue
+whose entries carry the round of their gain; it keeps each batch's arrays,
+turning only the best into heap tuples, and its lazy pop re-scores stale tops
+through the same ``gains``, in blocks of 1, 2, 4, ... entries, as popping one
+at a time would, until the top is current. Regardless of the scorer, the
+reported per-edge gain of every accepted edge is recomputed exactly from one
+linear solve, and total resistance must strictly decrease on every insertion.
 
 The local variant (one focus node v) restricts candidates to non-neighbors of
 v and inserts edges (v, b). One runner serves both variants: it preprocesses
@@ -219,17 +217,10 @@ _CHUNK = 2048  # best entries a batch moves into the heap at once, with those ti
 # A moved chunk is pushed entry by entry into a heap more than _PUSH_RATIO times its size
 # (a push costs about three heapify steps per entry), and heapified with the heap otherwise.
 _PUSH_RATIO = 2
-# A queue rescan comes where one-at-a-time re-scores (pop, scalar gain, push) reach its
-# measured cost, _RESCAN_FIXED + live / _RESCAN_RATIO of them, on WS(n, 10, 0.01) StGreedy
-# queues, one BLAS thread, two-core x86-64 VM: a rescan of 30-100 entries cost 30-46 at
-# n = 120 and 650; of the round-1 queue, 570 at n = 120 (6.5k entries, where moving a
-# chunk into the heap still dominates), 4974 at 650 (208k), 36607 at 2000 (2M).
-_RESCAN_FIXED = 40
-_RESCAN_RATIO = 40
 
 
 class LazyQueue:
-    """Max-queue of (edge, cached gain, round stamp) with lazy revalidation.
+    """Max-queue of (edge, cached gain, round stamp) with lazy revalidation, for every scorer but the dense one.
 
     Ties in gain break toward the lexicographically smallest canonical edge,
     then the older stamp. Each ``push_many`` batch stays as arrays, kept in a
@@ -287,18 +278,14 @@ class LazyQueue:
         revalidate: Callable[[np.ndarray, np.ndarray], np.ndarray],
         current_round: int,
         graph: Graph | None = None,
-        rescan: bool = False,
     ) -> tuple[int, int, float]:
         """Pop entries until the top carries a current-round stamp; return it.
 
         Stale tops are re-scored in blocks of 1, 2, 4, ... entries, one batch
         call ``revalidate(a, b)`` on index arrays each, popping and scoring as
-        one stale top at a time would (:meth:`_rescore`). With ``rescan``, where
-        those re-scores reach a rescan's cost, one call re-scores every live
-        entry instead. Entries whose edge exists in ``graph`` are discarded.
+        one stale top at a time would (:meth:`_rescore`). Entries whose edge
+        exists in ``graph`` are discarded.
         """
-        live = len(self._heap) + sum(len(batch[2]) for batch in self._batches)
-        budget = _RESCAN_FIXED + live / _RESCAN_RATIO
         size = 1
         while self._heap or self._batches:
             neg_gain, a, b, stamp = top = self._pop()
@@ -306,20 +293,16 @@ class LazyQueue:
                 continue
             if stamp == current_round:
                 return a, b, -neg_gain
-            if rescan and budget < 0:
-                self._rescan(revalidate, current_round, graph, (a, b))
-                continue
-            cap = min(size, math.floor(budget) + 1) if rescan else size
-            budget -= self._rescore(top, cap, revalidate, current_round, graph)
+            self._rescore(top, size, revalidate, current_round, graph)
             size *= 2
         raise ConfigError("candidate queue exhausted: no non-edges left to insert")
 
-    def _rescore(self, top, size: int, revalidate, stamp: int, graph: Graph | None) -> int:
+    def _rescore(self, top, size: int, revalidate, stamp: int, graph: Graph | None) -> None:
         """Re-score the stale ``top`` and up to ``size - 1`` stale entries below it in one call.
 
         One stale top at a time would reach the next entry only while its key
         beats every re-scored entry, so from the first that loses (or is
-        current) the block goes back unchanged. Returns the entries re-scored.
+        current) the block goes back unchanged.
         """
         block, ends, edges = [top], [top[1:3]], set()  # stale entries popped in order; pairs to score; edge slots
         while len(ends) < size and (self._heap or self._batches):
@@ -337,7 +320,7 @@ class LazyQueue:
         if not np.isfinite(gains).all():
             raise InvariantError("re-scored gains must be finite")
         fresh = zip((-gains).tolist(), a.tolist(), b.tolist(), repeat(stamp))
-        heap, best, kept = self._heap, None, 0
+        heap, best = self._heap, None
         for i, entry in enumerate(block):
             if best is not None and best < entry:
                 for rest in block[i:]:
@@ -347,19 +330,6 @@ class LazyQueue:
                 new = next(fresh)
                 heapq.heappush(heap, new)
                 best = new if best is None else min(best, new)
-                kept += 1
-        return kept
-
-    def _rescan(self, revalidate, stamp: int, graph: Graph, held: tuple[int, int]) -> None:
-        """Replace the queue by one batch: every live non-edge (and ``held``), scored by ``revalidate``."""
-        heap_pairs = np.array([held, *((a, b) for _, a, b, _ in self._heap)], dtype=np.int64)
-        pairs = np.concatenate([heap_pairs, *(batch[3] for batch in self._batches)])
-        # in pair order, the edge lookups and the scorer's gathers run along rows
-        keys = np.sort(pairs[:, 0] * graph.n + pairs[:, 1])
-        pairs = np.column_stack([keys // graph.n, keys % graph.n])
-        pairs = pairs[~graph.has_edges(pairs[:, 0], pairs[:, 1])]
-        self._heap, self._batches = [], []
-        self.push_many(pairs, revalidate(pairs[:, 0], pairs[:, 1]), stamp)
 
 
 _NO_PAIRS = np.empty((0, 2), dtype=np.int64)
@@ -477,9 +447,7 @@ class _DiagVertices(_Source):
 
 
 class _Scorer(_Part):
-    """Estimates gains: ``gains`` scores (s, 2) pair arrays, a round's sample or a block of stale entries."""
-
-    rescan = False  # whether the queue may re-score all of itself at once (stale keys bound the gains)
+    """Estimates gains: ``gains`` scores (s, 2) pair arrays (a round's sample, stale entries, pool pairs)."""
 
     def compute(self, source: _Source) -> None:
         raise NotImplementedError
@@ -505,13 +473,40 @@ class _Columns(_Scorer):
         self.cache.note_insertion(a, b)
 
 
-class _DenseP(_Columns):
-    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison."""
+_PASS_BLOCK = 1 << 14  # pool pairs scored per call: the pass's temporaries stay in cache
 
-    rescan = True
+
+class _DenseP(_Columns):
+    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison, over a pool of every candidate."""
 
     def compute(self, source: _Source) -> None:
         self.cache = DenseState.compute(self.graph)
+        self.pool = _NO_PAIRS  # every candidate so far but the pairs inserted
+
+    def pick(self, pairs: np.ndarray) -> Edge:
+        """Add ``pairs`` to the pool, which owns them (a first batch as it is, later ones without the pairs it
+        holds); return its pair of greatest gain, ties to the lexicographically smallest, from one pass in
+        blocks. That pair leaves the pool, the last taking its slot: no pair is copied or scored as an edge."""
+        n, pool = self.graph.n, self.pool
+        if len(pool) and len(pairs):
+            held, keys = np.sort(pool[:, 0] * n + pool[:, 1]), pairs[:, 0] * n + pairs[:, 1]
+            fresh = held[np.minimum(np.searchsorted(held, keys), len(held) - 1)] != keys
+            pairs = np.concatenate([pool, pairs[fresh]])
+        pool = pairs if len(pairs) else pool
+        best = (math.inf,)  # (-gain, a, b, slot); the runners' checks leave the pool non-empty
+        for start in range(0, len(pool), _PASS_BLOCK):
+            block = pool[start : start + _PASS_BLOCK]
+            gains = self.gains(block)
+            top = gains.max()
+            if not np.isfinite(top):  # a NaN anywhere makes the max NaN
+                raise InvariantError("pool gains must be finite")
+            ties = np.flatnonzero(gains == top)
+            i = int(ties[np.argmin(block[ties, 0] * n + block[ties, 1])])
+            best = min(best, (-float(top), *block[i].tolist(), start + i))
+        _, a, b, slot = best
+        pool[slot] = pool[-1]
+        self.pool = pool[:-1]
+        return a, b
 
     def total_resistance(self) -> float:
         return total_resistance(self.cache)  # n * trace, no second factorisation
@@ -640,11 +635,8 @@ def _run_rounds(
     params: GreedyParams,
     timings: dict[str, float],
 ) -> tuple[list[Edge], list[float]]:
-    """The main loop shared by the global and focus-node runs.
-
-    One queue persists across rounds; entries pushed in earlier rounds stay
-    available and are lazily re-scored when they surface as the stale top.
-    """
+    """The main loop shared by the global and focus-node runs; candidates persist across rounds,
+    in the dense scorer's pool, scored whole every round, or in one lazily re-scored queue."""
     source, scorer = parts
     picked: list[Edge] = []
     gains: list[float] = []
@@ -654,13 +646,14 @@ def _run_rounds(
         t0 = time.perf_counter()
         pairs = source.candidates(r)
         timings["compute"] += time.perf_counter() - t0
-        if len(pairs):
-            t0 = time.perf_counter()
-            queue.push_many(pairs, scorer.gains(pairs), r)
-            timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        a, b, _ = queue.lazy_next(lambda u, v: scorer.gains(np.column_stack([u, v])), r, graph, scorer.rescan)
+        if isinstance(scorer, _DenseP):
+            a, b = scorer.pick(pairs)
+        else:
+            if len(pairs):
+                queue.push_many(pairs, scorer.gains(pairs), r)
+            a, b, _ = queue.lazy_next(lambda u, v: scorer.gains(np.column_stack([u, v])), r, graph)
         timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
@@ -763,8 +756,8 @@ def run_kgrip(
         raise ConfigError(
             f"k={k} exceeds the {graph.non_edge_count()} available non-edges"
         )
-    if kind is Heuristic.ST_GREEDY:  # its universe queue takes about two n x n arrays more
-        check_dense_budget(graph.n, 6)
+    if kind is Heuristic.ST_GREEDY:  # beside P and Q, building its pool of every non-edge (int64
+        check_dense_budget(graph.n, 6)  # pairs, under 8 n^2 bytes) takes about 24 n^2 bytes for a moment
     return _runs(graph, None, k, kind, params, seed)[0]
 
 

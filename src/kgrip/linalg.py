@@ -294,15 +294,19 @@ class DenseState(ColumnCache):
         state.block = pseudoinverse_dense(graph)
         state.slot = np.arange(graph.n)
         state.square = state.block @ state.block
+        state._copy_diagonals()
         return state
+
+    def _copy_diagonals(self) -> None:  # contiguous, read by every gain of the round
+        self.diagonals = np.diagonal(self.block).copy(), np.diagonal(self.square).copy()
 
     def gains(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """n * B2(a,b) / (1 + R(a,b)) for index arrays a, b, read off Q and P (flat: one index per entry)."""
-        n = self.graph.n
-        aa, bb, ab = a * (n + 1), b * (n + 1), a * n + b
+        n, (p_diag, q_diag) = self.graph.n, self.diagonals
+        ab = a * n + b
         p, q = self.block.reshape(-1), self.square.reshape(-1)  # views: both stay C-ordered
-        b2 = q[aa] + q[bb] - 2.0 * q[ab]
-        return n * b2 / (1.0 + (p[aa] + p[bb] - 2.0 * p[ab]))
+        b2 = q_diag[a] + q_diag[b] - 2.0 * q[ab]
+        return n * b2 / (1.0 + (p_diag[a] + p_diag[b] - 2.0 * p[ab]))
 
     def note_insertion(self, a: int, b: int) -> None:
         """Bring P and Q across the just-inserted edge {a,b}, in place (module docstring)."""
@@ -316,6 +320,7 @@ class DenseState(ColumnCache):
         uv, vu = np.array([u, v]).T, np.array([v, u]).T
         self.block = blas.dger(-c, v, v, a=p.T, overwrite_a=1).T
         self.square = blas.dgemm(1.0, uv, vu, beta=1.0, c=q.T, trans_b=1, overwrite_c=1).T
+        self._copy_diagonals()
         self.round += 1
 
     apply_insertion = note_insertion  # the dense scorer's update step

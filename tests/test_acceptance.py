@@ -86,7 +86,7 @@ def test_criterion_02_sherman_morrison_chain():
 
 
 def test_criterion_03_lazy_greedy_exactness():
-    """Lazy StGreedy reproduces the naive full re-evaluation sequence exactly."""
+    """StGreedy reproduces the naive full re-evaluation sequence exactly."""
     started = time.time()
     checked = 0
     for i in range(20):

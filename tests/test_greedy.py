@@ -315,8 +315,8 @@ class _ReferenceQueue:
         self.heap.extend((-g, a, b, stamp) for (a, b), g in zip(pairs.tolist(), gains.tolist()))
         heapq.heapify(self.heap)
 
-    def lazy_next(self, revalidate, current_round, graph=None, rescan=False):
-        # ignores ``rescan``: every stale top is re-scored on its own, as a one-entry batch
+    def lazy_next(self, revalidate, current_round, graph=None):
+        # every stale top is re-scored on its own, as a one-entry batch
         while self.heap:
             neg_gain, a, b, stamp = heapq.heappop(self.heap)
             if graph is not None and graph.has_edge(a, b):
@@ -375,16 +375,19 @@ def test_queue_drops_edges_like_one_heap_of_all_entries():
 
 
 _BA650 = ("ba", {"n": 650, "m_attach": 3, "m0": 3}, 4, 3)
-_WS120 = ("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, 1, 4)  # rescans the queue every round
+_WS120 = ("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, 1, 4)
 
 
+# the queue serves every scorer but the dense one; ids naming StGreedy or SimplStoch
+# are kept from when those heuristics queued, and their cases run queueing scorers
 @pytest.mark.parametrize(
     "kind,instance",
     [
-        pytest.param(kind, _BA650, id=str(kind))
-        for kind in (Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH, Heuristic.SIMPL_STOCH_JLT)
-    ]
-    + [pytest.param(Heuristic.ST_GREEDY, _WS120, id="ws120-Heuristic.ST_GREEDY")],
+        pytest.param(Heuristic.COL_STOCH, _BA650, id=str(Heuristic.ST_GREEDY)),
+        pytest.param(Heuristic.COL_STOCH_JLT, _BA650, id=str(Heuristic.SIMPL_STOCH)),
+        pytest.param(Heuristic.SIMPL_STOCH_JLT, _BA650, id=str(Heuristic.SIMPL_STOCH_JLT)),
+        pytest.param(Heuristic.COL_STOCH, _WS120, id="ws120-Heuristic.ST_GREEDY"),
+    ],
 )
 def test_runs_pick_the_edges_of_one_heap_of_all_entries(monkeypatch, kind, instance):
     model, params, graph_seed, k = instance
@@ -398,9 +401,8 @@ def test_runs_pick_the_edges_of_one_heap_of_all_entries(monkeypatch, kind, insta
 
 def _count_rescores(monkeypatch, queue=LazyQueue):
     """Run the rounds on ``queue``; per round, count the entries its lazy pop passes to
-    the scorer outside a rescan and its scorer calls (a rescan's included), and list
-    the rounds that rescanned."""
-    entries, calls, rescans = Counter(), Counter(), []
+    the scorer and its scorer calls."""
+    entries, calls = Counter(), Counter()
     lazy_next = queue.lazy_next
 
     def counted_lazy_next(self, revalidate, current_round, *args):
@@ -409,21 +411,11 @@ def _count_rescores(monkeypatch, queue=LazyQueue):
             calls[current_round] += 1
             return revalidate(a, b)
 
-        counted.plain = revalidate
         return lazy_next(self, counted, current_round, *args)
 
     monkeypatch.setattr(queue, "lazy_next", counted_lazy_next)
     monkeypatch.setattr(greedy, "LazyQueue", queue)
-    if queue is LazyQueue:
-        rescan = queue._rescan
-
-        def counted_rescan(self, revalidate, stamp, *args):
-            rescans.append(stamp)
-            calls[stamp] += 1
-            return rescan(self, revalidate.plain, stamp, *args)
-
-        monkeypatch.setattr(queue, "_rescan", counted_rescan)
-    return entries, calls, rescans
+    return entries, calls
 
 
 @pytest.mark.parametrize(
@@ -435,26 +427,44 @@ def _count_rescores(monkeypatch, queue=LazyQueue):
     ],
 )
 def test_stgreedy_caps_single_rescores_on_ring_lattices(monkeypatch, n, degree, naive_edges):
-    # after a long-range insertion almost every stale gain beats the top; on
-    # WS(120) the pure lazy pop re-scored 1324-2557 entries a round, one at a time
+    # after a long-range insertion almost every earlier gain beats the best current one,
+    # which once cost the lazy pop 1324-2557 single re-scores a round on WS(120); the
+    # dense scorer instead scores its pool once a round, every pair not yet inserted
     g = generate("ws", {"n": n, "degree": degree, "rewire_prob": 0.01}, seed=1)
-    rescored, _, rescans = _count_rescores(monkeypatch)
+    rescored, _ = _count_rescores(monkeypatch)
+    passes, scored = Counter(), Counter()
+    pick, gains = greedy._DenseP.pick, greedy._DenseP.gains
+
+    def counted_pick(self, pairs):
+        passes[self.graph.round] += 1
+        return pick(self, pairs)
+
+    def counted_gains(self, pairs):
+        scored[self.graph.round] += len(pairs)
+        return gains(self, pairs)
+
+    monkeypatch.setattr(greedy._DenseP, "pick", counted_pick)
+    monkeypatch.setattr(greedy._DenseP, "gains", counted_gains)
     sol = run_kgrip(g, 4, Heuristic.ST_GREEDY, seed=1)
-    assert max(rescored.values()) <= greedy._RESCAN_FIXED + g.non_edge_count() / greedy._RESCAN_RATIO + 1
-    assert rescans  # the rescan path chose some of these edges
+    assert passes == {r: 1 for r in range(4)}
+    assert scored == {r: g.non_edge_count() - r for r in range(4)}
+    assert not rescored  # the lazy queue is not involved
     assert sol.inserted_edges == (naive_edges or oracles.greedy_naive(g, 4))
 
 
-@pytest.mark.parametrize("kind", [Heuristic.ST_GREEDY, Heuristic.SPEC_STOCH])
+# the first case ran StGreedy, and kept its id, before the dense scorer left the queue
+@pytest.mark.parametrize(
+    "kind", [pytest.param(Heuristic.COL_STOCH, id=str(Heuristic.ST_GREEDY)), Heuristic.SPEC_STOCH]
+)
 def test_lazy_pop_rescores_in_doubling_blocks(monkeypatch, kind):
     # blocks of 1, 2, 4, ... entries: a round's scorer calls grow with the log of its
     # re-scores, and a block scores at most as many entries as the pop kept before it
     g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1)
     with monkeypatch.context() as m:
-        entries, calls, _ = _count_rescores(m)
+        entries, calls = _count_rescores(m)
         sol = run_kgrip(g, 4, kind, seed=1)
     with monkeypatch.context() as m:
-        reference_entries, _, _ = _count_rescores(m, _ReferenceQueue)
+        reference_entries, _ = _count_rescores(m, _ReferenceQueue)
         reference = run_kgrip(g, 4, kind, seed=1)
     assert sol.inserted_edges == reference.inserted_edges
     assert sol.per_edge_true_gain == reference.per_edge_true_gain
@@ -728,6 +738,73 @@ def test_klrip_equals_restricted_naive_greedy():
     g = generate("er", {"n": 30, "p": 0.15}, seed=10)
     sol = run_klrip(g, [4], 3, Heuristic.ST_GREEDY, seed=12)[0]
     assert sol.inserted_edges == oracles.greedy_naive_local(g, 4, 3)
+
+
+@pytest.mark.parametrize(
+    "params,graph_seed,focus",
+    [
+        ({"n": 76, "degree": 4, "rewire_prob": 0.05}, 508, 17),
+        ({"n": 73, "degree": 6, "rewire_prob": 0.05}, 529, 36),
+    ],
+)
+def test_local_stgreedy_equals_naive_oracle_on_ring_lattices(params, graph_seed, focus):
+    # gains of the focus row rise after insertions here; a lazy pop of stale exact
+    # gains picked (17,69),(17,26) and (11,36),(36,71) on these two graphs
+    g = generate("ws", params, seed=graph_seed)
+    sol = run_klrip(g, [focus], 3, Heuristic.ST_GREEDY, seed=1)[0]
+    assert sol.inserted_edges == oracles.greedy_naive_local(g, focus, 3)
+
+
+def test_local_stgreedy_takes_a_gain_that_rose():
+    # after (5,119) the gain of (5,77) rises from 17.366 to 17.417 and beats that of
+    # (5,101), 17.369, which a stale gain taken as an upper bound would pick
+    g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=1536272198)
+    before = linalg.DenseState.compute(g)
+    after = g.copy()
+    after.insert_edge(5, 119)
+    after = linalg.DenseState.compute(after)
+    assert linalg.gain_exact(after, 5, 77) > linalg.gain_exact(before, 5, 77)
+    assert linalg.gain_exact(after, 5, 77) > linalg.gain_exact(after, 5, 101)
+    assert run_klrip(g, [5], 2, Heuristic.ST_GREEDY, seed=1)[0].inserted_edges == [(5, 119), (5, 77)]
+
+
+@pytest.mark.parametrize("focus", [None, 36])
+def test_simplstoch_picks_the_exact_argmax_of_every_candidate_so_far(monkeypatch, focus):
+    # each round's pick has the greatest exact gain, from the pseudoinverse of that
+    # round's graph, among the non-edges of every sample drawn up to that round; the
+    # focus run rounds where a lazy pop of stale exact gains misses a gain that rose
+    g = generate("ws", {"n": 73, "degree": 6, "rewire_prob": 0.05}, seed=529)
+    samples, candidates = [], greedy._UniformPairs.candidates
+
+    def recorded(self, r):
+        samples.append(candidates(self, r))
+        return samples[-1].copy()  # the pool owns what it is given
+
+    monkeypatch.setattr(greedy._UniformPairs, "candidates", recorded)
+    scored, dense_gains = Counter(), greedy._DenseP.gains
+
+    def counted(self, pairs):
+        scored[self.graph.round] += len(pairs)
+        return dense_gains(self, pairs)
+
+    monkeypatch.setattr(greedy._DenseP, "gains", counted)
+    params = GreedyParams(delta=0.5)
+    if focus is None:
+        picked = run_kgrip(g, 3, Heuristic.SIMPL_STOCH, params, seed=3).inserted_edges
+    else:
+        picked = run_klrip(g, [focus], 3, Heuristic.SIMPL_STOCH, params, seed=3)[0].inserted_edges
+    work = g.copy()
+    for r, (a, b) in enumerate(picked):
+        p = linalg.pseudoinverse_dense(work)
+        pool = {tuple(pair) for sample in samples[: r + 1] for pair in sample.tolist()}
+        gains = {}
+        for u, v in pool - set(picked[:r]):
+            d = p[:, u] - p[:, v]
+            gains[(u, v)] = g.n * float(d @ d) / (1.0 + d[u] - d[v])
+        assert scored[r] == len(gains)  # each pair so far once, none inserted
+        assert (a, b) in gains
+        assert gains[(a, b)] >= max(gains.values()) * (1 - 1e-12)
+        work.insert_edge(a, b)
 
 
 def test_klrip_all_edges_incident_to_focus():
