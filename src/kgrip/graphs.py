@@ -22,7 +22,7 @@ from scipy.sparse.csgraph import breadth_first_order
 from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, SolverError
 
 Edge = tuple[int, int]
-# up to this n the round's factor is a dense Cholesky of L + J/n: a column by it beats CG and SuperLU
+# up to this n the graph's factor is a dense Cholesky of L + J/n: a column by it beats CG and SuperLU
 DENSE_SOLVE_MAX_N = 200
 
 
@@ -46,7 +46,7 @@ class DenseCholesky:
 
 
 class GroundedLU:
-    """Sparse LU factor, of ``nnz`` entries, of the grounded Laplacian L[1:,1:] (SPD for a connected graph).
+    """Sparse LU factor of the grounded Laplacian L[1:,1:] (SPD for a connected graph).
 
     A symmetric fill-reducing ordering without pivoting keeps it nearly as sparse as a Cholesky factor (COLAMD
     stores ~10x more on BA graphs). A singular block (a disconnected graph) raises :class:`SolverError`.
@@ -59,7 +59,6 @@ class GroundedLU:
             )
         except RuntimeError as exc:  # exactly singular: the graph is disconnected
             raise SolverError(f"factorization of the grounded Laplacian failed: {exc}") from exc
-        self.nnz = self._lu.nnz
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The solution of L x = rhs with x[0] = 0, for ``rhs`` a vector or block summing to zero."""
@@ -68,18 +67,37 @@ class GroundedLU:
         return x
 
 
+class GrownFactor:
+    """A factor ``base`` grown by inserted edges {a,b}, the columns e_a - e_b of B, by the Woodbury identity (Hager
+    1989): with X = base.solve(B), it solves y - X (I + B^T X)^(-1) B^T y for y = base.solve(rhs), as the grown
+    L + J/n or, with X[0] = 0, grounded Laplacian is the base's plus B B^T."""
+
+    def __init__(self, held: "DenseCholesky | GroundedLU | GrownFactor", a: int, b: int, n: int):
+        column = np.zeros((n, 1))
+        column[a], column[b] = 1.0, -1.0
+        grown = isinstance(held, GrownFactor)
+        self.base = held.base if grown else held
+        self.ends = np.vstack([held.ends, [(a, b)]]) if grown else np.array([(a, b)])
+        self.cols = np.hstack([held.cols, self.base.solve(column)]) if grown else self.base.solve(column)
+        self.inner = DenseCholesky(np.eye(len(self.ends)) + self._across(self.cols), "I + B^T X")
+
+    def _across(self, y: np.ndarray) -> np.ndarray:  # B^T y
+        return y[self.ends[:, 0]] - y[self.ends[:, 1]]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        y = self.base.solve(rhs)
+        return y - self.cols @ self.inner.solve(self._across(y))
+
+
 class Graph:
     """Undirected simple graph with sorted neighbor lists and an insertion log.
 
-    Its solve state is two things. The round caches (the sparse Laplacian,
-    :meth:`has_edges`' keys and the Laplacian factor) are built on first use,
-    never modified in place, shared by copies, and dropped by an insertion on
-    the graph that grows. ``factor_fill``, the stored entries ``nnz`` of the
-    last sparse factor built (None before the first), outlives insertions and
-    copies.
+    Its solve state is its round caches: the sparse Laplacian, :meth:`has_edges`' keys and the Laplacian factor,
+    built on first use, never modified in place and shared by copies. An insertion drops the first two from the
+    graph that grows, and grows a factor it holds into a :class:`GrownFactor`.
     """
 
-    __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor", "factor_fill")
+    __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n <= 0:
@@ -141,18 +159,17 @@ class Graph:
         return [u for u in range(self.n) if u != v and u not in nbrs]
 
     def copy(self) -> "Graph":
-        """Same edges, insertion log, round caches and recorded fill."""
+        """Same edges, insertion log and round caches."""
         g = Graph.__new__(Graph)
         g._adj = [list(a) for a in self._adj]
         g._m = self._m
         g._log = list(self._log)
-        g._lap, g._keys, g._factor, g.factor_fill = self._lap, self._keys, self._factor, self.factor_fill
+        g._lap, g._keys, g._factor = self._lap, self._keys, self._factor
         return g
 
     def clear_solve_record(self) -> None:
-        """Forget the round's factor and the recorded fill, as if no solve had run on this graph."""
-        self._factor: DenseCholesky | GroundedLU | None = None
-        self.factor_fill: int | None = None
+        """Forget the factor, as if no solve had run on this graph."""
+        self._factor: DenseCholesky | GroundedLU | GrownFactor | None = None
 
     # -- mutation ----------------------------------------------------------
 
@@ -165,13 +182,15 @@ class Graph:
         insort(self._adj[a], b)
         insort(self._adj[b], a)
         self._m += 1
-        self._lap = self._keys = self._factor = None
+        self._lap = self._keys = None
 
     def insert_edge(self, a: int, b: int) -> None:
-        """Insert a new edge and stamp it with the current round."""
+        """Insert a new edge and stamp it with the current round; a factor held grows by the edge."""
         a, b = canonical_edge(a, b)
         self._add_edge_unlogged(a, b)
         self._log.append((a, b))
+        if self._factor is not None:
+            self._factor = GrownFactor(self._factor, a, b, self.n)
 
     # -- linear algebra views ----------------------------------------------
 
@@ -198,10 +217,17 @@ class Graph:
         return (self._keys[pos] == query) & (a != b)
 
     def non_edges(self) -> np.ndarray:
-        """Every non-edge as an (N, 2) array of pairs a < b, in sorted order."""
-        a, b = np.triu_indices(self.n, 1)
-        keep = ~self.has_edges(a, b)
-        return np.column_stack([a[keep], b[keep]])
+        """Every non-edge as an (N, 2) array of pairs a < b, in sorted order, masked in blocks of about 2^17 pairs."""
+        n, lap = self.n, self.laplacian()
+        pairs, filled, rows = np.empty((self.non_edge_count(), 2), dtype=np.int64), 0, max(1, (1 << 17) // n)
+        for first in range(0, n, rows):
+            block = lap[first : first + rows]
+            free = np.arange(n) > np.arange(first, first + block.shape[0])[:, None]  # b > a
+            free[block.nonzero()] = False  # the off-diagonal entries, all -1
+            keys = np.flatnonzero(free)
+            pairs[filled : filled + len(keys)] = np.column_stack([keys // n + first, keys % n])
+            filled += len(keys)
+        return pairs
 
     def laplacian(self) -> sp.csr_matrix:
         """Sparse Laplacian L = D - A, CSR with sorted column indices.
@@ -233,21 +259,20 @@ class Graph:
 
     @property
     def has_factor(self) -> bool:
-        """Whether :meth:`factor` was already built this round."""
+        """Whether the graph holds a :meth:`factor`."""
         return self._factor is not None
 
-    def factor(self) -> DenseCholesky | GroundedLU:
-        """The round's Laplacian factor, cached like :meth:`laplacian`; its ``solve`` gives L x = b for zero-sum b.
+    def factor(self) -> DenseCholesky | GroundedLU | GrownFactor:
+        """The Laplacian factor, built on first use; its ``solve`` gives L x = b for zero-sum b.
 
         Up to ``DENSE_SOLVE_MAX_N`` vertices it is a :class:`DenseCholesky` of L + J/n (SPD for a connected
-        graph), which maps b to L^+ b ungrounded; above, a :class:`GroundedLU`, its ``nnz`` kept in ``factor_fill``.
+        graph), which maps b to L^+ b ungrounded; above, a :class:`GroundedLU`. Insertions grow it, never refactor.
         """
         if self._factor is None:
             if self.n <= DENSE_SOLVE_MAX_N:
                 self._factor = DenseCholesky(self.laplacian_dense() + 1.0 / self.n)
             else:
                 self._factor = GroundedLU(self.laplacian())
-                self.factor_fill = self._factor.nnz
         return self._factor
 
     def laplacian_dense(self) -> np.ndarray:

@@ -53,7 +53,6 @@ from .linalg import (
     ColumnCache,
     DenseState,
     SolverConfig,
-    check_dense_budget,
     gains_exact,
     total_resistance,
     total_resistance_after,
@@ -667,8 +666,6 @@ def _run_rounds(
         graph.insert_edge(a, b)
         if r + 1 < k:  # nothing reads the updated state after the last insertion
             t0 = time.perf_counter()
-            # the source first: a sketch's block solve would leave a factor on
-            # the graph that the diagonal update's solve would then pick up
             source.update(a, b, r)
             scorer.update(a, b, r)
             timings["update"] += time.perf_counter() - t0
@@ -705,7 +702,7 @@ def _runs(
             work, parts = pre_graph, pre_parts
             timings["compute"] += pre_seconds
         else:
-            work = pre_graph.copy()  # shares the caches and fill that preprocessing left
+            work = pre_graph.copy()  # shares the caches that preprocessing left
             t0 = time.perf_counter()
             # the memo swaps the pre-graph for this run's graph; the rest is copied
             parts = copy.deepcopy(pre_parts, {id(pre_graph): work})
@@ -756,8 +753,6 @@ def run_kgrip(
         raise ConfigError(
             f"k={k} exceeds the {graph.non_edge_count()} available non-edges"
         )
-    if kind is Heuristic.ST_GREEDY:  # beside P and Q, building its pool of every non-edge (int64
-        check_dense_budget(graph.n, 6)  # pairs, under 8 n^2 bytes) takes about 24 n^2 bytes for a moment
     return _runs(graph, None, k, kind, params, seed)[0]
 
 

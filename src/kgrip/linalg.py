@@ -16,13 +16,14 @@ solve, L v = e_a - e_b, not the two columns.
 
 The dense P and R_tot both come from one Cholesky factor of L + J/n, which
 refuses a disconnected graph; up to ``DENSE_SOLVE_MAX_N`` vertices it is the
-graph's round factor, whose solve of a zero-sum b is L^+ b. Columns of P can
-also be obtained by solving L X = E - 1/n for a block of unit vectors E (at
-once through the round factor, a sparse LU of the grounded Laplacian L[1:,1:]
-above that size, or by one CG solve each) and re-centering X. Restricted to a block C of
-columns, the rank-one update reads C' = C - v (C[a] - C[b]) / (1 + R(a,b));
-one column cache applies it. A batch of gains reads B2 off the Gram matrix
-of the columns it touches: B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
+graph's factor, whose solve of a zero-sum b is L^+ b. Columns of P can also be
+obtained by solving L X = E - 1/n for a block of unit vectors E (at once through
+the graph's factor, a sparse LU of the grounded Laplacian L[1:,1:] above that
+size, grown by the Woodbury identity below across insertions, or by one CG
+solve each) and re-centering X. Restricted to a block C of columns, the
+rank-one update reads C' = C - v (C[a] - C[b]) / (1 + R(a,b)); one column
+cache applies it. A batch of gains reads B2 off the Gram matrix of the
+columns it touches: B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.
 The dense state keeps Q = P^2 beside P, reads each gain's B2(a,b) =
 Q[a,a] + Q[b,b] - 2 Q[a,b] in O(1), and updates both in place per insertion:
   Q' = Q - c (w v^T + v w^T) + c^2 (v.v) v v^T = Q + u v^T + v u^T,
@@ -58,31 +59,21 @@ class SolverConfig:
 
 
 DEFAULT_SOLVER = SolverConfig()
-# every dense path's largest n: P, Q = P^2 and the transients of building them
-# stay within four n x n arrays, 32 n^2 bytes, 5.0 GB at 12500
+# every dense path's largest n: P, Q = P^2, the transients of building them and
+# StGreedy's pool stay within four n x n arrays, 32 n^2 bytes, 5.0 GB at 12500
 DENSE_CAP_DEFAULT = 12500
-# the factor pays for s columns while its work, about fill^2 / n, is within 512 s
-# column solves of about n each (calibrated on BA, WS and ER graphs)
-_FACTOR_COLUMN_RATIO = 512
-# with no fill known, a block this wide, or of two columns up to this n, factors to learn it
-_PROBE_COLUMNS, _PROBE_MAX_N = 16, 1000
-
-
-def check_dense_budget(n: int, matrices: int = 4) -> None:
-    """Raise :class:`ConfigError` unless ``matrices`` n x n arrays fit the budget of 4 at ``DENSE_CAP_DEFAULT``."""
-    if matrices * n * n > 4 * DENSE_CAP_DEFAULT**2:
-        raise ConfigError(f"n={n}: {matrices} n x n arrays exceed the dense budget (4 at n={DENSE_CAP_DEFAULT})")
 
 
 def _shifted_cholesky(graph: Graph) -> tuple[np.ndarray, bool]:
-    """Cholesky factor U of L + J/n and whether to invert it in place (not the round factor, n <= DENSE_SOLVE_MAX_N)."""
+    """Cholesky factor U of L + J/n and whether to invert it in place (not the graph's plain dense factor)."""
     n = graph.n
-    check_dense_budget(n)
+    if n > DENSE_CAP_DEFAULT:
+        raise ConfigError(f"n={n}: 4 n x n arrays exceed the dense budget (n <= {DENSE_CAP_DEFAULT})")
     # L + J/n is singular exactly when the graph is disconnected, but rounding
     # can leave the Cholesky factorization a tiny positive pivot instead of failing
     if not is_connected(graph):
         raise SolverError("L + J/n is singular: the graph is disconnected")
-    if n <= DENSE_SOLVE_MAX_N:
+    if n <= DENSE_SOLVE_MAX_N and isinstance(graph.factor(), DenseCholesky):
         return graph.factor().upper, False
     return DenseCholesky(graph.laplacian_dense() + 1.0 / n).upper, True
 
@@ -103,29 +94,18 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
 
     Every linear solve of the package goes through here. ``rhs`` is a vector
     or an n x s block whose columns sum to zero. All columns are solved
-    through the graph's :meth:`~kgrip.graphs.Graph.factor` (kept for the
-    round, a sparse one's fill recorded) always when n <= ``DENSE_SOLVE_MAX_N``,
-    where it is a dense Cholesky of L + J/n; when the graph already holds one
-    for this round; when its recorded fill says the factorisation costs at
-    most 512 s column solves, (fill / n)^2 <= 512 s; or, with no fill
-    recorded, when s >= 16, or s >= 2 and n <= 1000. Otherwise each column
-    runs Jacobi-preconditioned CG on the graph's cached Laplacian. The path
-    thus depends only on the call, the round's factor and the recorded fill.
-    Raises :class:`SolverError` carrying the worst achieved relative residual
-    if the factorisation fails (x = 0 is then judged), CG stops early or any
-    column's residual exceeds ``config.residual_tol``.
+    through the graph's :meth:`~kgrip.graphs.Graph.factor` when the graph
+    holds one, n <= ``DENSE_SOLVE_MAX_N``, s >= 16, or s >= 2 and n <= 1000
+    (README tables); otherwise each column runs Jacobi-preconditioned CG on
+    the cached Laplacian. Raises :class:`SolverError` carrying the worst
+    achieved relative residual if the factorisation fails (x = 0 is then
+    judged), CG stops early or any column's residual exceeds ``config.residual_tol``.
     """
     lap = graph.laplacian()
     block = rhs.reshape(graph.n, -1)
-    n, s, fill = graph.n, block.shape[1], graph.factor_fill
-    if n <= DENSE_SOLVE_MAX_N:  # the factor is dense there
-        pays = True
-    elif fill is None:
-        pays = s >= _PROBE_COLUMNS or (n <= _PROBE_MAX_N and s >= 2)
-    else:
-        pays = (fill / n) ** 2 <= _FACTOR_COLUMN_RATIO * s
+    n, s = graph.n, block.shape[1]
     stopped_early = False
-    if graph.has_factor or pays:
+    if graph.has_factor or n <= DENSE_SOLVE_MAX_N or s >= 16 or (n <= 1000 and s >= 2):
         failure = "Laplacian factor solve missed the residual tolerance"
         try:
             x = graph.factor().solve(block)

@@ -20,8 +20,8 @@ exact gain. Estimates ranked by heuristics use the bracket midpoint.
 
 The eigenpairs come from a dense symmetric eigensolve up to
 ``_DENSE_EIG_LIMIT`` vertices. Above it, L^+ is applied exactly through the
-graph's cached Laplacian factor (centre, solve, centre again; the round's
-solves reuse it), and shift-invert Lanczos (ARPACK) finds the c-1 largest
+graph's Laplacian factor (centre, solve, centre again; the run's solves
+share it), and shift-invert Lanczos (ARPACK) finds the c-1 largest
 eigenvalues 1/lambda_i of L^+; the largest eigenvalue lambda_n comes from a
 second ARPACK call on L itself.
 """
@@ -64,7 +64,7 @@ def _low_spectrum_shift_invert(
 ) -> tuple[np.ndarray, np.ndarray, float]:
     n = graph.n
     lap = graph.laplacian()
-    factor = graph.factor()  # shared with this round's linear solves
+    factor = graph.factor()  # shared with the run's linear solves
 
     def apply_pinv(x: np.ndarray) -> np.ndarray:
         # L^+ x: centre, solve, centre again

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from kgrip.graphs import (
     DenseCholesky,
     Graph,
     GroundedLU,
+    GrownFactor,
     assert_connected,
     bfs_parents,
     canonical_edge,
@@ -198,7 +200,7 @@ def test_laplacian_cache_follows_insertions():
     assert (dup.laplacian() != _laplacian_from_triples(dup)).nnz == 0
 
 
-# the round's factor is a dense Cholesky of L + J/n up to DENSE_SOLVE_MAX_N vertices and a grounded sparse LU above
+# the factor is a dense Cholesky of L + J/n up to DENSE_SOLVE_MAX_N vertices and a grounded sparse LU above
 _FACTOR_KINDS = [(50, DenseCholesky), (DENSE_SOLVE_MAX_N + 50, GroundedLU)]
 
 
@@ -211,13 +213,13 @@ def test_copy_sharing_the_caches_keeps_them_across_the_originals_insertions():
         dup = g.copy()
         assert dup.laplacian() is lap and dup.factor() is factor
         g.insert_edge(*g.non_edges()[0].tolist())
-        assert not g.has_factor and g.laplacian() is not lap
+        assert g.factor() is not factor and g.factor().base is factor and g.laplacian() is not lap
         assert dup.laplacian() is lap and dup.factor() is factor and dup.round == 0
         assert np.array_equal(dup.has_edges(*pairs), adjacent)
         # and the other way round: the copy's insertion leaves the original's caches
         lap, factor, adjacent = g.laplacian(), g.factor(), g.has_edges(*pairs)
         dup.insert_edge(*dup.non_edges()[-1].tolist())
-        assert not dup.has_factor and dup.laplacian() is not lap
+        assert dup.factor() is not factor and dup.factor().base is factor.base and dup.laplacian() is not lap
         assert g.laplacian() is lap and g.factor() is factor and g.round == 1
         assert np.array_equal(g.has_edges(*pairs), adjacent)
         assert dup.has_edges(*pairs).sum() == adjacent.sum()  # one edge each, at different pairs
@@ -235,26 +237,51 @@ def test_grounded_factor_cache_follows_insertions():
         assert not g.has_factor
         factor = g.factor()
         assert isinstance(factor, kind)
-        assert g.factor_fill == (factor.nnz if kind is GroundedLU else None)  # a dense factor records none
-        assert g.factor() is factor and g.has_factor  # one build per round
+        assert g.factor() is factor and g.has_factor  # one build
         dup = g.copy()
         assert dup.factor() is factor  # shared with the copy
 
         rng = np.random.default_rng(3)
-        for _ in range(3):
+        for r in range(3):
             _insert_any(g, rng)
-            assert not g.has_factor
-            assert solves(g, g.factor())
+            # the insertion grows the factor by one Woodbury column on the same base
+            grown = g.factor()
+            assert isinstance(grown, GrownFactor) and grown.base is factor
+            assert grown.ends.tolist() == [list(e) for e in g.insertion_log] and grown.cols.shape == (n, r + 1)
+            assert solves(g, grown)
         # neither the copy nor the first factor saw the insertions
         assert dup.factor() is factor
         assert solves(dup, factor)
         assert not solves(g, factor)
         # nor does the original's factor see the copy's
-        grown = g.factor()
         _insert_any(dup, rng)
-        assert not dup.has_factor and g.factor() is grown
+        assert g.factor() is grown and dup.factor().base is factor and len(dup.factor().ends) == 1
         assert solves(g, grown) and solves(dup, dup.factor())
         assert not solves(dup, grown)
+        # a graph that holds no factor builds its own on first use
+        fresh = Graph(n, g.edges())
+        assert not fresh.has_factor and isinstance(fresh.factor(), kind) and solves(fresh, fresh.factor())
+
+
+def test_non_edges_are_built_in_row_blocks():
+    # the sorted non-edges of a reference mask over every pair, with little held beside the 16-byte pairs
+    g = generate("ba", {"n": 2000, "m_attach": 3}, seed=1)
+    a, b = np.triu_indices(g.n, 1)
+    keep = ~g.has_edges(a, b)
+    expected = np.column_stack([a[keep], b[keep]])
+    del a, b, keep
+    tracemalloc.start()
+    try:
+        got = g.non_edges()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got.dtype == expected.dtype and np.array_equal(got, expected)
+    assert peak <= 10 * g.n**2
+    for h in (Graph(1), Graph(2, [(0, 1)]), complete_graph(5), path_graph(7)):
+        a, b = np.triu_indices(h.n, 1)
+        keep = ~h.has_edges(a, b)
+        assert np.array_equal(h.non_edges(), np.column_stack([a[keep], b[keep]]).reshape(-1, 2))
 
 
 # -- generators ----------------------------------------------------------------

@@ -827,15 +827,16 @@ def test_klrip_all_edges_incident_to_focus():
     ],
 )
 def test_klrip_batch_reproduces_single_focus_runs(kind):
-    g = generate("er", {"n": 50, "p": 0.12}, seed=9)
-    focus = [0, 7, 13]
-    batch = run_klrip(g, focus, 2, kind, seed=11)
-    for v, sol in zip(focus, batch):
-        single = run_klrip(g, [v], 2, kind, seed=11)[0]
-        assert sol.inserted_edges == single.inserted_edges
-        assert sol.per_edge_true_gain == single.per_edge_true_gain
-        # the batch solves every focus's columns in one block, one focus its own
-        assert sol.r_final == pytest.approx(single.r_final, rel=1e-12)
+    # above the dense limit the foci share the input's sparse factor, if preprocessing built one, and grow their own
+    for g in (generate("er", {"n": 50, "p": 0.12}, seed=9), generate("ba", {"n": 250, "m_attach": 3}, seed=9)):
+        focus = [0, 7, 13]
+        batch = run_klrip(g, focus, 2, kind, seed=11)
+        for v, sol in zip(focus, batch):
+            single = run_klrip(g, [v], 2, kind, seed=11)[0]
+            assert sol.inserted_edges == single.inserted_edges
+            assert sol.per_edge_true_gain == single.per_edge_true_gain
+            # the batch solves every focus's columns in one block, one focus its own
+            assert sol.r_final == pytest.approx(single.r_final, rel=1e-12)
 
 
 @pytest.mark.parametrize("kind", list(Heuristic))
@@ -862,18 +863,30 @@ def test_no_dense_factorisation_of_a_grown_graph(kind, monkeypatch):
 
 @pytest.mark.parametrize("kind", list(Heuristic))
 def test_small_graphs_factor_each_graph_round_once(kind, factorisations):
-    # up to DENSE_SOLVE_MAX_N, P, R_tot and the round's solves share one factor of L + J/n:
-    # k for a global run, 1 + F (k - 1) for a local batch of F focus nodes
+    # up to DENSE_SOLVE_MAX_N, P, R_tot and every solve of a run share one factor of L + J/n, which the
+    # insertions grow: one factorisation for a global run and for a local batch alike
     def graph_factorisations(n):  # I + B^T X is factored too, at the order of an edge set
         return sum(order >= n - 1 for order in factorisations.dense)
 
     g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=1)
     run_klrip(g, [3, 30, 60, 90], 2, kind, seed=5)
-    assert graph_factorisations(g.n) == 5
+    assert graph_factorisations(g.n) == 1
     factorisations.dense.clear()
     g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1)
     run_kgrip(g, 4, kind, seed=5)
-    assert graph_factorisations(g.n) == 4 and factorisations.sparse == []
+    assert graph_factorisations(g.n) == 1 and factorisations.sparse == []
+
+
+def test_graphs_above_the_dense_limit_are_factored_once_per_run(factorisations):
+    # a grown graph is never factored again: global ColStoch factors its graph at the first block of sampled
+    # columns and its input's copy for the r_final block; each focus of a batch factors its own copy once
+    g = generate("ba", {"n": DENSE_SOLVE_MAX_N + 50, "m_attach": 3}, seed=1)
+    run_kgrip(g, 3, Heuristic.COL_STOCH, seed=7)
+    assert len(factorisations.sparse) == 2
+    factorisations.sparse.clear()
+    focus = [5, 40, 100]
+    run_klrip(g, focus, 2, Heuristic.COL_STOCH, seed=7)
+    assert len(factorisations.sparse) == len(focus) + 1
 
 
 @pytest.mark.parametrize("n", [120, DENSE_SOLVE_MAX_N + 50])
@@ -918,7 +931,6 @@ def _assert_runs_repeat_exactly(g: Graph, kind: Heuristic) -> None:
     first_local = run_klrip(g, [5, 60], 2, kind, seed=4)
     linalg.solve_lpinv_columns(g, list(range(20)))
     assert g.has_factor
-    assert (g.factor_fill is not None) == (g.n > DENSE_SOLVE_MAX_N)  # a sparse factor's fill is recorded
     for _ in range(2):
         again = run_kgrip(g, 3, kind, seed=4)
         assert (again.inserted_edges, again.per_edge_true_gain) == (first.inserted_edges, first.per_edge_true_gain)

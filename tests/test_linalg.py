@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from kgrip import linalg, oracles
 from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
-from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, GroundedLU, generate
+from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, GroundedLU, GrownFactor, generate
 from kgrip.greedy import Heuristic, run_kgrip
 from kgrip.linalg import (
     ColumnCache,
@@ -110,16 +110,16 @@ def test_dense_pinv_cap(monkeypatch):
 
 
 def test_stgreedy_budget_counts_its_universe_queue(monkeypatch):
-    # P, Q and r_final take 4 n x n arrays, StGreedy's queue two more: 6 n^2 > 4 cap^2 above n ~ 0.816 cap
+    # P, Q, their transients and StGreedy's pool of every non-edge (under 8 n^2 bytes, built in row blocks)
+    # fit the four n x n arrays of the dense cap, so StGreedy shares SimplStoch's cap
     monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", 20)
     built, dense = [], linalg.pseudoinverse_dense
     monkeypatch.setattr(linalg, "pseudoinverse_dense", lambda g: built.append(g.n) or dense(g))
-    with pytest.raises(ConfigError, match="6 n x n arrays"):
-        run_kgrip(path_graph(17), 1, Heuristic.ST_GREEDY)
-    assert built == []  # refused before anything was allocated
-    assert run_kgrip(path_graph(16), 1, Heuristic.ST_GREEDY).inserted_edges
-    assert run_kgrip(path_graph(20), 1, Heuristic.SIMPL_STOCH).inserted_edges
-    assert built == [16, 20]
+    for kind in (Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH):
+        with pytest.raises(ConfigError, match="4 n x n arrays"):
+            run_kgrip(path_graph(21), 1, kind)
+        assert run_kgrip(path_graph(20), 1, kind).inserted_edges
+    assert built == [21, 20, 21, 20]  # the cap is checked before the factorisation allocates anything
 
 
 # -- solve_lpinv_column ----------------------------------------------------------
@@ -200,13 +200,13 @@ def test_solves_of_a_small_graph_share_one_dense_factor_per_round(factorisations
     solve_lpinv_column(g, 0)
     solve_lpinv_columns(g, [1, 2, 3])
     true_gain(g, *g.non_edges()[0].tolist())
-    assert len(built) == 1  # the first column factors, the later solves reuse it
+    assert built == [g.n]  # the first column factors, the later solves reuse it
     dup = g.copy()
     g.insert_edge(*g.non_edges()[0].tolist())
     solve_lpinv_column(dup, 4)
-    assert len(built) == 1  # the copy still holds the factor of round 0
+    assert dup.factor() is g.factor().base  # the copy still holds the factor of round 0
     solve_lpinv_column(g, 4)
-    assert len(built) == 2  # the insertion dropped it from the grown graph
+    assert built == [g.n, 1]  # the insertion grew it: I + B^T X is 1 x 1, and the graph is not factored again
 
 
 @pytest.mark.parametrize("s", [1, 2, 16, 40])
@@ -242,57 +242,80 @@ def test_solve_takes_vectors_and_blocks():
 
 def test_solve_record_survives_copy_and_insertion():
     g = generate("ba", {"n": _ABOVE_DENSE, "m_attach": 3, "m0": 3}, seed=2)
-    assert g.factor_fill is None
+    assert not g.has_factor
     solve_lpinv_columns(g, [0, 1, 2])
     factor = g.factor()
-    fill = g.factor_fill
-    assert fill == factor.nnz
+    assert isinstance(factor, GroundedLU)
     dup = g.copy()
     a, b = next(map(tuple, g.non_edges()))
     g.insert_edge(a, b)
-    # the insertion drops the factor from the grown graph alone; both keep the fill
-    assert not g.has_factor and dup.factor() is factor
-    assert g.factor_fill == dup.factor_fill == fill
+    # the insertion grows the factor of the grown graph alone; the copy keeps the one it shares
+    assert isinstance(g.factor(), GrownFactor) and g.factor().base is factor and dup.factor() is factor
     g.clear_solve_record()
-    assert g.factor_fill is None and not g.has_factor
+    assert not g.has_factor
     dup.clear_solve_record()
-    assert dup.factor_fill is None and not dup.has_factor
+    assert not dup.has_factor
     small = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=2)
     solve_lpinv_columns(small, [0, 1, 2])
-    assert small.has_factor and small.factor_fill is None  # a dense factor records no fill
+    assert isinstance(small.factor(), DenseCholesky)
 
 
-def test_single_columns_of_a_large_scale_free_graph_stay_on_cg(cg_calls):
-    # above n = 1000 a lone column never probes, and the probed fill keeps it on CG
+@pytest.mark.parametrize(
+    "model, params, base",
+    [("ba", {"n": 150, "m_attach": 3}, DenseCholesky), ("ws", {"n": 250, "degree": 10, "rewire_prob": 0.01}, GroundedLU)],
+    ids=["ba150-dense", "ws250-grounded"],
+)
+def test_grown_factor_matches_a_fresh_pseudoinverse(model, params, base, factorisations):
+    g = generate(model, params, seed=1)
+    factor = g.factor()
+    assert isinstance(factor, base)
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        free = g.non_edges()
+        g.insert_edge(*free[rng.integers(len(free))].tolist())
+    assert isinstance(g.factor(), GrownFactor) and g.factor().base is factor and len(g.factor().ends) == 60
+    got = solve_lpinv_columns(g, np.arange(g.n))
+    expected = pseudoinverse_dense(Graph(g.n, g.edges()))
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+    assert len(factorisations.sparse) == (base is GroundedLU)  # the grown graph was never factored again
+
+
+def test_single_columns_of_a_large_scale_free_graph_stay_on_cg(cg_calls, factorisations):
+    # above n = 1000 a lone column or a block of fewer than 16 runs CG while the graph holds no factor
     g = generate("ba", {"n": 2000, "m_attach": 3, "m0": 3}, seed=1)
     for v in range(3):
         solve_lpinv_column(g, v)
-    assert cg_calls[0] == 3 and g.factor_fill is None
-    solve_lpinv_columns(g, list(range(16)))  # one probe learns the fill and serves its block
-    assert cg_calls[0] == 3 and g.factor_fill is not None
+    solve_lpinv_columns(g, list(range(15)))
+    assert cg_calls[0] == 18 and not g.has_factor
+    solve_lpinv_columns(g, list(range(16)))  # a block of 16 factors, and the factor serves it
+    assert cg_calls[0] == 18 and len(factorisations.sparse) == 1
     g.insert_edge(0, next(v for v in range(1, g.n) if not g.has_edge(0, v)))
-    solve_lpinv_column(g, 0)
-    assert cg_calls[0] == 4 and not g.has_factor
+    solve_lpinv_column(g, 0)  # the grown factor serves a lone column of the grown graph
+    assert cg_calls[0] == 18 and len(factorisations.sparse) == 1 and isinstance(g.factor(), GrownFactor)
 
 
-def test_high_fill_graph_solves_sixteen_columns_by_cg(cg_calls):
-    # ER(1000, 0.01) holds ~280 fill entries per vertex: 16 columns cost less by CG
+def test_high_fill_graph_solves_sixteen_columns_by_cg(cg_calls, factorisations):
+    # ER(1000, 0.01) holds ~280 fill entries per vertex: sixteen lone columns run CG while no factor is held;
+    # once a block has factored, its factor serves every later solve, across an insertion too
     g = generate("er", {"n": 1000, "p": 0.01}, seed=1)
-    g.factor()
-    g.insert_edge(0, next(v for v in range(1, g.n) if not g.has_edge(0, v)))  # drops the factor, keeps its fill
-    solve_lpinv_columns(g, list(range(16)))
+    for v in range(16):
+        solve_lpinv_column(g, v)
     assert cg_calls[0] == 16 and not g.has_factor
+    solve_lpinv_columns(g, [0, 1])
+    g.insert_edge(0, next(v for v in range(1, g.n) if not g.has_edge(0, v)))
+    solve_lpinv_columns(g, list(range(16)))
+    assert cg_calls[0] == 16 and len(factorisations.sparse) == 1
 
 
 def test_small_ring_lattice_factors_from_its_second_column(cg_calls):
-    # with no fill recorded, a lone column runs CG and a block of two columns factors
+    # with no factor held, a lone column runs CG and a block of two columns factors
     g = generate("ws", {"n": _ABOVE_DENSE, "degree": 10, "rewire_prob": 0.01}, seed=1)
     solve_lpinv_column(g, 0)
     assert cg_calls[0] == 1 and not g.has_factor
     solve_lpinv_column(g, 1)
     assert cg_calls[0] == 2 and not g.has_factor
     solve_lpinv_columns(g, [1, 2])
-    assert cg_calls[0] == 2 and g.has_factor and g.factor_fill is not None
+    assert cg_calls[0] == 2 and g.has_factor
     assert isinstance(g.factor(), GroundedLU)
 
 
