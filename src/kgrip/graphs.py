@@ -34,10 +34,11 @@ def canonical_edge(a: int, b: int) -> Edge:
 
 
 class DenseCholesky:
-    """Dense LAPACK Cholesky factor ``upper`` (dpotrf: U^T U, lower triangle zeroed) of the SPD matrix ``name``."""
+    """Dense LAPACK Cholesky factor ``upper`` (dpotrf: U^T U, lower triangle zeroed) of the SPD matrix ``name``,
+    in place in the F-ordered view ``matrix.T`` of a C-ordered ``matrix`` (no copy)."""
 
     def __init__(self, matrix: np.ndarray, name: str = "L + J/n"):
-        self.upper, info = lapack.dpotrf(matrix, overwrite_a=1)
+        self.upper, info = lapack.dpotrf(matrix.T, overwrite_a=1)
         if info != 0:
             raise SolverError(f"Cholesky factorisation of {name} failed (LAPACK info {info})")
 
@@ -94,10 +95,10 @@ class Graph:
 
     Its solve state is its round caches: the sparse Laplacian, :meth:`has_edges`' keys and the Laplacian factor,
     built on first use, never modified in place and shared by copies. An insertion drops the first two from the
-    graph that grows, and grows a factor it holds into a :class:`GrownFactor`.
+    graph that grows; a factor it holds grows into a :class:`GrownFactor` on its next use.
     """
 
-    __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor")
+    __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor", "_pending")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n <= 0:
@@ -164,12 +165,13 @@ class Graph:
         g._adj = [list(a) for a in self._adj]
         g._m = self._m
         g._log = list(self._log)
-        g._lap, g._keys, g._factor = self._lap, self._keys, self._factor
+        g._lap, g._keys, g._factor, g._pending = self._lap, self._keys, self._factor, list(self._pending)
         return g
 
     def clear_solve_record(self) -> None:
         """Forget the factor, as if no solve had run on this graph."""
         self._factor: DenseCholesky | GroundedLU | GrownFactor | None = None
+        self._pending: list[Edge] = []  # insertions the factor has not grown by yet
 
     # -- mutation ----------------------------------------------------------
 
@@ -185,12 +187,12 @@ class Graph:
         self._lap = self._keys = None
 
     def insert_edge(self, a: int, b: int) -> None:
-        """Insert a new edge and stamp it with the current round; a factor held grows by the edge."""
+        """Insert a new edge and stamp it with the current round; a factor held grows by the edge when next used."""
         a, b = canonical_edge(a, b)
         self._add_edge_unlogged(a, b)
         self._log.append((a, b))
         if self._factor is not None:
-            self._factor = GrownFactor(self._factor, a, b, self.n)
+            self._pending.append((a, b))
 
     # -- linear algebra views ----------------------------------------------
 
@@ -218,16 +220,23 @@ class Graph:
 
     def non_edges(self) -> np.ndarray:
         """Every non-edge as an (N, 2) array of pairs a < b, in sorted order, masked in blocks of about 2^17 pairs."""
-        n, lap = self.n, self.laplacian()
-        pairs, filled, rows = np.empty((self.non_edge_count(), 2), dtype=np.int64), 0, max(1, (1 << 17) // n)
+        n, rows = self.n, max(1, (1 << 17) // self.n)
+        pairs, filled = np.empty((self.non_edge_count(), 2), dtype=np.int64), 0
         for first in range(0, n, rows):
-            block = lap[first : first + rows]
-            free = np.arange(n) > np.arange(first, first + block.shape[0])[:, None]  # b > a
-            free[block.nonzero()] = False  # the off-diagonal entries, all -1
-            keys = np.flatnonzero(free)
-            pairs[filled : filled + len(keys)] = np.column_stack([keys // n + first, keys % n])
-            filled += len(keys)
+            a, b = np.nonzero(self.non_edge_rows(first, min(first + rows, n)))
+            pairs[filled : filled + len(a)] = np.column_stack([a + first, b + first])
+            filled += len(a)
         return pairs
+
+    def non_edge_rows(self, first: int, stop: int) -> np.ndarray:
+        """Whether each pair (a, b), first <= a < stop, first <= b < n, is a non-edge with a < b, read off the
+        cached Laplacian's ``indptr`` and ``indices`` (slicing the matrix would cost more)."""
+        lap = self.laplacian()
+        free = np.arange(first, self.n) > np.arange(first, stop)[:, None]
+        rows = np.repeat(np.arange(first, stop), np.diff(lap.indptr[first : stop + 1]))
+        cols = lap.indices[lap.indptr[first] : lap.indptr[stop]]
+        free[rows[cols > rows] - first, cols[cols > rows] - first] = False
+        return free
 
     def laplacian(self) -> sp.csr_matrix:
         """Sparse Laplacian L = D - A, CSR with sorted column indices.
@@ -273,6 +282,9 @@ class Graph:
                 self._factor = DenseCholesky(self.laplacian_dense() + 1.0 / self.n)
             else:
                 self._factor = GroundedLU(self.laplacian())
+        for a, b in self._pending:
+            self._factor = GrownFactor(self._factor, a, b, self.n)
+        self._pending = []
         return self._factor
 
     def laplacian_dense(self) -> np.ndarray:

@@ -7,7 +7,7 @@ insertion, since no round reads it). A
 heuristic is one candidate source paired with one gain scorer
 (``HEURISTIC_PARTS``):
 
-  candidate sources  - the universe of non-edges, queued once (StGreedy);
+  candidate sources  - the universe of non-edges (StGreedy);
                        uniform non-edge samples; or vertex samples weighted
                        by the UST estimate of the pseudoinverse diagonal;
   gain scorers       - the dense pseudoinverse, cached pseudoinverse
@@ -15,10 +15,11 @@ heuristic is one candidate source paired with one gain scorer
                        bracket midpoint.
 
 Each round the source yields a batch of pairs (the universe source: every
-non-edge in round 0, none later; the sampling sources: a fresh sample). The
-exact dense scorer (StGreedy, SimplStoch) pools every batch so far and takes
-the argmax of one gain pass over the pool, so both heuristics are the exact
-greedy over their candidates. The other scorers' batches enter one max-queue
+non-edge, read off the graph each round, or a focus's in round 0 only; the
+sampling sources: a fresh sample). The exact dense scorer (StGreedy,
+SimplStoch) takes the argmax of one gain pass a round over every non-edge or
+a pool of every batch so far, so both heuristics are the exact greedy over
+their candidates. The other scorers' batches enter one max-queue
 whose entries carry the round of their gain; it keeps each batch's arrays,
 turning only the best into heap tuples, and its lazy pop re-scores stale tops
 through the same ``gains``, in blocks of 1, 2, 4, ... entries, as popping one
@@ -50,6 +51,7 @@ from . import jlt, spectral, ust
 from .errors import ConfigError, InvariantError
 from .graphs import Edge, Graph, assert_connected
 from .linalg import (
+    PASS_BLOCK,
     ColumnCache,
     DenseState,
     SolverConfig,
@@ -381,8 +383,8 @@ class _Source(_Part):
         else:
             self.sample_size = candidate_size("lrip", g.n, g.degree(self.focus), self.k, delta)
 
-    def candidates(self, round_idx: int) -> np.ndarray:
-        """This round's candidate non-edges as an (s, 2) array of pairs a < b."""
+    def candidates(self, round_idx: int) -> np.ndarray | None:
+        """This round's candidate non-edges as an (s, 2) array of pairs a < b; None stands for every non-edge."""
         raise NotImplementedError
 
     def _focus_pairs(self, vertices: Sequence[int]) -> np.ndarray:
@@ -391,19 +393,17 @@ class _Source(_Part):
 
 
 class _StGreedy(_Source):
-    """The universe source: every candidate is in the round-0 batch, none later."""
+    """The universe source: every non-edge each round (None, read off the graph), or a focus's in round 0 only."""
 
     def size_sample(self) -> None:
         pass
 
-    def initial_entries(self) -> np.ndarray:
-        """Every non-edge, or every non-neighbor of the focus paired with it."""
-        if self.focus is None:
-            return self.graph.non_edges()
-        return self._focus_pairs(self.graph.non_neighbors(self.focus))
+    def initial_entries(self) -> np.ndarray | None:
+        """Every non-neighbor of the focus paired with it, or None for every non-edge."""
+        return None if self.focus is None else self._focus_pairs(self.graph.non_neighbors(self.focus))
 
-    def candidates(self, round_idx: int) -> np.ndarray:
-        return self.initial_entries() if round_idx == 0 else _NO_PAIRS
+    def candidates(self, round_idx: int) -> np.ndarray | None:
+        return self.initial_entries() if round_idx == 0 or self.focus is None else _NO_PAIRS
 
 
 class _UniformPairs(_Source):
@@ -472,20 +472,20 @@ class _Columns(_Scorer):
         self.cache.note_insertion(a, b)
 
 
-_PASS_BLOCK = 1 << 14  # pool pairs scored per call: the pass's temporaries stay in cache
-
-
 class _DenseP(_Columns):
-    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison, over a pool of every candidate."""
+    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison, over every non-edge or a pool."""
 
     def compute(self, source: _Source) -> None:
         self.cache = DenseState.compute(self.graph)
         self.pool = _NO_PAIRS  # every candidate so far but the pairs inserted
 
-    def pick(self, pairs: np.ndarray) -> Edge:
-        """Add ``pairs`` to the pool, which owns them (a first batch as it is, later ones without the pairs it
-        holds); return its pair of greatest gain, ties to the lexicographically smallest, from one pass in
-        blocks. That pair leaves the pool, the last taking its slot: no pair is copied or scored as an edge."""
+    def pick(self, pairs: np.ndarray | None) -> Edge:
+        """The best non-edge if ``pairs`` is None; else add ``pairs`` to the pool, which owns them (a first batch as
+        it is, later ones without the pairs it holds), and return its pair of greatest gain, ties to the
+        lexicographically smallest, from one pass in blocks. That pair leaves the pool, the last taking its
+        slot: no pair is copied or scored as an edge."""
+        if pairs is None:
+            return self.cache.best_non_edge()
         n, pool = self.graph.n, self.pool
         if len(pool) and len(pairs):
             held, keys = np.sort(pool[:, 0] * n + pool[:, 1]), pairs[:, 0] * n + pairs[:, 1]
@@ -493,8 +493,8 @@ class _DenseP(_Columns):
             pairs = np.concatenate([pool, pairs[fresh]])
         pool = pairs if len(pairs) else pool
         best = (math.inf,)  # (-gain, a, b, slot); the runners' checks leave the pool non-empty
-        for start in range(0, len(pool), _PASS_BLOCK):
-            block = pool[start : start + _PASS_BLOCK]
+        for start in range(0, len(pool), PASS_BLOCK):
+            block = pool[start : start + PASS_BLOCK]
             gains = self.gains(block)
             top = gains.max()
             if not np.isfinite(top):  # a NaN anywhere makes the max NaN
@@ -633,9 +633,11 @@ def _run_rounds(
     k: int,
     params: GreedyParams,
     timings: dict[str, float],
+    inputs: list[Graph] | None = None,
 ) -> tuple[list[Edge], list[float]]:
-    """The main loop shared by the global and focus-node runs; candidates persist across rounds,
-    in the dense scorer's pool, scored whole every round, or in one lazily re-scored queue."""
+    """The main loop shared by the global and focus-node runs; candidates persist across rounds, in the graph
+    or the dense scorer's pool, scored whole every round, or in one lazily re-scored queue. ``inputs``, if
+    given, gets a copy of the graph as the first insertion finds it, with any factor built by then."""
     source, scorer = parts
     picked: list[Edge] = []
     gains: list[float] = []
@@ -663,6 +665,8 @@ def _run_rounds(
                 f"insertion ({a},{b}) would not decrease total resistance (gain {exact_gain})"
             )
 
+        if r == 0 and inputs is not None:
+            inputs.append(graph.copy())
         graph.insert_edge(a, b)
         if r + 1 < k:  # nothing reads the updated state after the last insertion
             t0 = time.perf_counter()
@@ -692,10 +696,10 @@ def _runs(
     t0 = time.perf_counter()
     r_initial = pre_parts[1].total_resistance()
     r_initial_share = (time.perf_counter() - t0) / len(focus_nodes or [None])  # split over a batch
-    # a global run grows pre_graph itself; r_final is solved on its input, with any factor preprocessing built
-    input_graph = pre_graph.copy() if focus_nodes is None else pre_graph
-
+    # r_final is solved on the first run's input as its first insertion found it: a factor built by then factors
+    # the input; later runs' factors are not shared, so that each focus factors as a lone focus would
     solutions: list[Solution] = []
+    inputs: list[Graph] = []
     for v in [None] if focus_nodes is None else focus_nodes:
         timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
         if v is None:
@@ -713,7 +717,7 @@ def _runs(
             timings["preprocess_shared"] = pre_seconds
             timings["preprocess_amortized"] = pre_seconds / len(focus_nodes)
 
-        picked, gains = _run_rounds(work, parts, k, params, timings)
+        picked, gains = _run_rounds(work, parts, k, params, timings, None if solutions else inputs)
         solution = Solution(
             heuristic=kind.value,
             seed=seed,
@@ -731,7 +735,7 @@ def _runs(
         solutions.append(solution)
 
     t0 = time.perf_counter()
-    r_finals = total_resistance_after(input_graph, r_initial, [s.inserted_edges for s in solutions], params.solver)
+    r_finals = total_resistance_after(inputs[0], r_initial, [s.inserted_edges for s in solutions], params.solver)
     r_final_share = (time.perf_counter() - t0) / len(solutions)
     for solution, r_final in zip(solutions, r_finals):
         solution.r_final = r_final

@@ -28,6 +28,8 @@ The dense state keeps Q = P^2 beside P, reads each gain's B2(a,b) =
 Q[a,a] + Q[b,b] - 2 Q[a,b] in O(1), and updates both in place per insertion:
   Q' = Q - c (w v^T + v w^T) + c^2 (v.v) v v^T = Q + u v^T + v u^T,
   w = Q (e_a - e_b), c = 1 / (1 + R(a,b)), u = -c w + (c^2 (v.v) / 2) v.
+Every gain reads a pair a < b, so only Q's upper triangle is kept: BLAS dsyrk
+forms it, dsyr2 updates it, and w reads column a as Q[:a, a], Q[a, a:].
 k edges inserted at once form an incidence block B (columns e_a - e_b, B^T 1 = 0);
 with X = P B, one k-column solve, the Woodbury identity gives
   (L + B B^T)^+ = P - X (I + B^T X)^(-1) X^T,  R_tot' = R_tot - n * trace((I + B^T X)^(-1) X^T X).
@@ -59,9 +61,10 @@ class SolverConfig:
 
 
 DEFAULT_SOLVER = SolverConfig()
-# every dense path's largest n: P, Q = P^2, the transients of building them and
-# StGreedy's pool stay within four n x n arrays, 32 n^2 bytes, 5.0 GB at 12500
+# every dense path's largest n: P, Q = P^2 and the transients of building them
+# stay within four n x n arrays, 32 n^2 bytes, 5.0 GB at 12500
 DENSE_CAP_DEFAULT = 12500
+PASS_BLOCK = 1 << 14  # pairs a dense gain pass scores at once: its temporaries stay in cache
 
 
 def _shifted_cholesky(graph: Graph) -> tuple[np.ndarray, bool]:
@@ -75,18 +78,22 @@ def _shifted_cholesky(graph: Graph) -> tuple[np.ndarray, bool]:
         raise SolverError("L + J/n is singular: the graph is disconnected")
     if n <= DENSE_SOLVE_MAX_N and isinstance(graph.factor(), DenseCholesky):
         return graph.factor().upper, False
-    return DenseCholesky(graph.laplacian_dense() + 1.0 / n).upper, True
+    shifted = graph.laplacian_dense()
+    shifted += 1.0 / n
+    return DenseCholesky(shifted).upper, True
 
 
 def pseudoinverse_dense(graph: Graph) -> np.ndarray:
-    """Dense pseudoinverse (L + J/n)^(-1) - J/n; dpotri's upper triangle is mirrored, so P == P.T exactly."""
+    """Dense pseudoinverse (L + J/n)^(-1) - J/n; dpotri's triangle is mirrored in place, so P == P.T exactly."""
     upper, in_place = _shifted_cholesky(graph)
     inv, info = lapack.dpotri(upper, overwrite_c=in_place)
     if info != 0:
         raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
-    inv += np.triu(inv, 1).T
-    inv -= 1.0 / graph.n
-    return inv.T  # the same symmetric matrix, C-contiguous
+    p = inv.T  # C-ordered, with dpotri's triangle as its lower one: mirrored 64 rows at a time
+    for first in range(0, graph.n, 64):
+        p[first : first + 64, first:] += np.tril(p[first:, first : first + 64], -1).T
+    p -= 1.0 / graph.n
+    return p
 
 
 def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
@@ -266,40 +273,61 @@ class ColumnCache:
 
 
 class DenseState(ColumnCache):
-    """The cache of every column: ``block`` is the dense P (column v at slot v), ``square`` is Q = P^2."""
+    """The cache of every column: ``block`` is the dense P (column v at slot v), ``square`` Q = P^2's upper triangle."""
 
     @classmethod
     def compute(cls, graph: Graph) -> "DenseState":
         state = cls(graph)
         state.block = pseudoinverse_dense(graph)
         state.slot = np.arange(graph.n)
-        state.square = state.block @ state.block
+        state.square = blas.dsyrk(1.0, state.block.T, lower=1).T
         state._copy_diagonals()
         return state
 
     def _copy_diagonals(self) -> None:  # contiguous, read by every gain of the round
         self.diagonals = np.diagonal(self.block).copy(), np.diagonal(self.square).copy()
 
+    @staticmethod
+    def _gain(n: int, q_a, q_b, q_ab, p_a, p_b, p_ab):  # n * B2(a,b) / (1 + R(a,b)), one formula for both reads
+        return n * (q_a + q_b - 2.0 * q_ab) / (1.0 + (p_a + p_b - 2.0 * p_ab))
+
     def gains(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """n * B2(a,b) / (1 + R(a,b)) for index arrays a, b, read off Q and P (flat: one index per entry)."""
+        """Gains for index arrays a < b, read off Q and P (flat: one index per entry)."""
         n, (p_diag, q_diag) = self.graph.n, self.diagonals
         ab = a * n + b
         p, q = self.block.reshape(-1), self.square.reshape(-1)  # views: both stay C-ordered
-        b2 = q_diag[a] + q_diag[b] - 2.0 * q[ab]
-        return n * b2 / (1.0 + (p_diag[a] + p_diag[b] - 2.0 * p[ab]))
+        return self._gain(n, q_diag[a], q_diag[b], q[ab], p_diag[a], p_diag[b], p[ab])
+
+    def best_non_edge(self) -> tuple[int, int]:
+        """The non-edge of greatest gain, ties to the lexicographically smallest, from one pass over the upper
+        triangle in blocks of rows, with the arithmetic of :meth:`gains` and every other pair masked out."""
+        n, (p_diag, q_diag) = self.graph.n, self.diagonals
+        rows, best = max(1, PASS_BLOCK // n), (-math.inf, 0, 0)
+        for first in range(0, n - 1, rows):  # the last row has no pair b > a
+            stop = min(first + rows, n - 1)
+            a, b = slice(first, stop), slice(first, None)
+            q_ab, p_ab = self.square[a, b], self.block[a, b]
+            gains = self._gain(n, q_diag[a, None], q_diag[b], q_ab, p_diag[a, None], p_diag[b], p_ab)
+            gains[~self.graph.non_edge_rows(first, stop)] = -math.inf
+            i = int(np.argmax(gains))  # the first greatest: ties go to the smallest pair of the block
+            top = float(gains.flat[i])
+            if not top < math.inf:  # argmax stops at the first NaN
+                raise InvariantError("pair gains must be finite")
+            if top > best[0]:
+                best = (top, first + i // gains.shape[1], first + i % gains.shape[1])
+        return best[1:]
 
     def note_insertion(self, a: int, b: int) -> None:
         """Bring P and Q across the just-inserted edge {a,b}, in place (module docstring)."""
         a, b = canonical_edge(a, b)
         p, q = self.block, self.square
         v = p[:, a] - p[:, b]
-        w = q[:, a] - q[:, b]
+        w = np.concatenate((q[:a, a] - q[:a, b], q[a, a:b] - q[a:b, b], q[a, b:] - q[b, b:]))
         c = 1.0 / (1.0 + (v[a] - v[b]))
         u = (0.5 * c * c * float(v @ v)) * v - c * w
         # P and Q are symmetric, so BLAS overwrites their Fortran-ordered transposes
-        uv, vu = np.array([u, v]).T, np.array([v, u]).T
         self.block = blas.dger(-c, v, v, a=p.T, overwrite_a=1).T
-        self.square = blas.dgemm(1.0, uv, vu, beta=1.0, c=q.T, trans_b=1, overwrite_c=1).T
+        self.square = blas.dsyr2(1.0, u, v, a=q.T, lower=1, overwrite_a=1).T
         self._copy_diagonals()
         self.round += 1
 
@@ -310,11 +338,11 @@ def gain_exact(state, a: int, b: int) -> float:
     """Exact gain of inserting the non-edge {a,b}, including the factor n: one row of :func:`gains_exact`."""
     if a == b or state.graph.has_edge(a, b):
         raise InvariantError("gains are defined for non-edges only")
-    return float(gains_exact(state, np.array([[a, b]]))[0])
+    return float(gains_exact(state, np.array([canonical_edge(a, b)]))[0])
 
 
 def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
-    """Exact gains of many non-edges at once; ``pairs`` is an (s, 2) int array of non-edges, unchecked.
+    """Exact gains of many non-edges at once; ``pairs`` is an (s, 2) int array of non-edges a < b, unchecked.
 
     A :class:`DenseState` reads every gain off Q and P in place. For a
     :class:`ColumnCache` the columns C of every vertex the pairs touch are

@@ -3,6 +3,13 @@ and a count of matrix factorisations."""
 
 from __future__ import annotations
 
+import os
+
+# one BLAS thread, set before numpy loads, as the benchmark does: threaded BLAS on a small or shared host
+# slows the suite's many small dense products and makes its wall-clock bounds depend on the host's load
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
 from collections import Counter, deque
 from types import SimpleNamespace
 

@@ -429,27 +429,67 @@ def _count_rescores(monkeypatch, queue=LazyQueue):
 def test_stgreedy_caps_single_rescores_on_ring_lattices(monkeypatch, n, degree, naive_edges):
     # after a long-range insertion almost every earlier gain beats the best current one,
     # which once cost the lazy pop 1324-2557 single re-scores a round on WS(120); the
-    # dense scorer instead scores its pool once a round, every pair not yet inserted
+    # dense scorer instead passes once a round over the upper triangle, every non-edge of the graph as it stands
     g = generate("ws", {"n": n, "degree": degree, "rewire_prob": 0.01}, seed=1)
     rescored, _ = _count_rescores(monkeypatch)
     passes, scored = Counter(), Counter()
-    pick, gains = greedy._DenseP.pick, greedy._DenseP.gains
+    best_non_edge, gains = linalg.DenseState.best_non_edge, greedy._DenseP.gains
 
-    def counted_pick(self, pairs):
+    def counted_pass(self):
         passes[self.graph.round] += 1
-        return pick(self, pairs)
+        return best_non_edge(self)
 
     def counted_gains(self, pairs):
         scored[self.graph.round] += len(pairs)
         return gains(self, pairs)
 
-    monkeypatch.setattr(greedy._DenseP, "pick", counted_pick)
+    monkeypatch.setattr(linalg.DenseState, "best_non_edge", counted_pass)
     monkeypatch.setattr(greedy._DenseP, "gains", counted_gains)
     sol = run_kgrip(g, 4, Heuristic.ST_GREEDY, seed=1)
     assert passes == {r: 1 for r in range(4)}
-    assert scored == {r: g.non_edge_count() - r for r in range(4)}
+    assert not scored  # no pool: no pair array is scored
     assert not rescored  # the lazy queue is not involved
     assert sol.inserted_edges == (naive_edges or oracles.greedy_naive(g, 4))
+
+
+def _complete_minus_matching(n: int) -> Graph:
+    return Graph(n, [(a, b) for a in range(n) for b in range(a + 1, n) if not (a % 2 == 0 and b == a + 1)])
+
+
+@pytest.mark.parametrize(
+    "graph,exact_ties",
+    [
+        (generate("ba", {"n": 60, "m_attach": 2, "m0": 2}, seed=3), False),
+        (generate("ws", {"n": 50, "degree": 4, "rewire_prob": 0.1}, seed=3), False),
+        (generate("er", {"n": 45, "p": 0.12}, seed=3), False),
+        (Graph(12, [(i, (i + 1) % 12) for i in range(12)]), True),
+        (_complete_minus_matching(10), True),
+    ],
+    ids=["ba", "ws", "er", "cycle", "complete-minus-matching"],
+)
+def test_triangle_pass_picks_as_the_pool_pass_and_the_naive_oracle(graph, exact_ties):
+    # global StGreedy passes over the upper triangle of P and Q; each round its pick equals the pool pass's over
+    # every non-edge and the oracle's: the greatest gain, ties to the lexicographically smallest pair. On the
+    # symmetric graphs equal gains differ in their last bits, differently in the oracle; rounded in both passes,
+    # they tie, and the oracle's pick is only as good
+    g = graph.copy()
+    for r in range(2):
+        scorer = greedy._DenseP(g, 2, GreedyParams(), 0, Heuristic.ST_GREEDY)
+        scorer.compute(greedy._StGreedy(g, 2, GreedyParams(), 0, Heuristic.ST_GREEDY))
+        if exact_ties:  # the one gain formula of both passes
+            scorer.cache._gain = lambda *args: np.round(linalg.DenseState._gain(*args), 9)
+        pairs = g.non_edges()
+        gains = scorer.gains(pairs)
+        ties = pairs[gains == gains.max()]
+        picked = scorer.pick(None)
+        assert picked == scorer.pick(pairs) == tuple(ties[0].tolist())
+        naive = oracles.greedy_naive(g, 1)[0]
+        if exact_ties:
+            assert len(ties) > 1 or r > 0
+            assert oracles.gain_brute(g, *naive) == pytest.approx(oracles.gain_brute(g, *picked), rel=1e-9)
+        else:
+            assert picked == naive
+        g.insert_edge(*picked)
 
 
 # the first case ran StGreedy, and kept its id, before the dense scorer left the queue
@@ -879,14 +919,15 @@ def test_small_graphs_factor_each_graph_round_once(kind, factorisations):
 
 def test_graphs_above_the_dense_limit_are_factored_once_per_run(factorisations):
     # a grown graph is never factored again: global ColStoch factors its graph at the first block of sampled
-    # columns and its input's copy for the r_final block; each focus of a batch factors its own copy once
+    # columns, before its first insertion, and the r_final block solves through that factor of the input; each
+    # focus of a batch factors its own copy once, and r_final solves through the first focus's
     g = generate("ba", {"n": DENSE_SOLVE_MAX_N + 50, "m_attach": 3}, seed=1)
     run_kgrip(g, 3, Heuristic.COL_STOCH, seed=7)
-    assert len(factorisations.sparse) == 2
+    assert len(factorisations.sparse) == 1
     factorisations.sparse.clear()
     focus = [5, 40, 100]
     run_klrip(g, focus, 2, Heuristic.COL_STOCH, seed=7)
-    assert len(factorisations.sparse) == len(focus) + 1
+    assert len(factorisations.sparse) == len(focus)
 
 
 @pytest.mark.parametrize("n", [120, DENSE_SOLVE_MAX_N + 50])

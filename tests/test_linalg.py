@@ -103,6 +103,19 @@ def test_dense_pinv_identities():
     assert np.max(np.abs(p.sum(axis=1))) < 1e-8 * n
 
 
+def test_dense_pinv_is_built_in_the_array_laplacian_dense_returns(monkeypatch):
+    # above DENSE_SOLVE_MAX_N, L + J/n is shifted, factored (dpotrf on the F-ordered transpose, no C -> F copy),
+    # inverted and mirrored in that one array
+    g = generate("ba", {"n": _ABOVE_DENSE, "m_attach": 3, "m0": 3}, seed=5)
+    built, laplacian_dense = [], Graph.laplacian_dense
+    monkeypatch.setattr(Graph, "laplacian_dense", lambda self: built.append(laplacian_dense(self)) or built[-1])
+    upper, in_place = linalg._shifted_cholesky(g)
+    assert in_place and np.shares_memory(upper, built[-1])
+    p = pseudoinverse_dense(g)
+    assert np.shares_memory(p, built[-1]) and p.flags.c_contiguous
+    assert np.array_equal(p, p.T)
+
+
 def test_dense_pinv_cap(monkeypatch):
     monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", 10)
     with pytest.raises(ConfigError):
@@ -110,8 +123,8 @@ def test_dense_pinv_cap(monkeypatch):
 
 
 def test_stgreedy_budget_counts_its_universe_queue(monkeypatch):
-    # P, Q, their transients and StGreedy's pool of every non-edge (under 8 n^2 bytes, built in row blocks)
-    # fit the four n x n arrays of the dense cap, so StGreedy shares SimplStoch's cap
+    # P, Q and their transients fit the four n x n arrays of the dense cap; global StGreedy holds no pool
+    # beside them, so it shares SimplStoch's cap
     monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", 20)
     built, dense = [], linalg.pseudoinverse_dense
     monkeypatch.setattr(linalg, "pseudoinverse_dense", lambda g: built.append(g.n) or dense(g))
@@ -343,10 +356,11 @@ def test_solve_on_disconnected_graph_raises(n, split, s):
 
 
 def test_colstoch_k1_solves_its_columns_by_factor(cg_calls, factorisations):
-    # the pivot column and the one-column r_final are CG solves; the sampled columns and the report share one factor
+    # the pivot column is a CG solve; the sampled columns, the report and the one-column r_final share one factor,
+    # built before the insertion and so a factor of the input
     g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=1)
     run_kgrip(g, 1, Heuristic.COL_STOCH, seed=7)
-    assert len(factorisations.sparse) == 1 and cg_calls[0] == 2
+    assert len(factorisations.sparse) == 1 and cg_calls[0] == 1
 
 
 def test_column_cache_solves_missing_columns_once():
@@ -640,8 +654,8 @@ def test_dense_state_rayleigh_monotone():
 
 
 def test_dense_state_square_tracks_fresh_pseudoinverse_in_place():
-    # criterion 2's chain: after every in-place update, Q matches the square
-    # of a fresh pseudoinverse, and P and Q keep their buffers
+    # criterion 2's chain: after every in-place update, Q's kept upper triangle matches
+    # the square of a fresh pseudoinverse, and P and Q keep their buffers
     g = generate("er", {"n": 50, "p": 0.2}, seed=42)
     state = DenseState.compute(g)
     p, q = state.block, state.square
@@ -653,10 +667,29 @@ def test_dense_state_square_tracks_fresh_pseudoinverse_in_place():
         state.apply_insertion(a, b)
         fresh = pseudoinverse_dense(g)
         square = fresh @ fresh
-        assert np.max(np.abs(state.square - square)) <= 1e-9 * np.max(np.abs(square))
+        assert np.max(np.abs(np.triu(state.square) - np.triu(square))) <= 1e-9 * np.max(np.abs(square))
         assert np.max(np.abs(state.block - fresh)) <= 1e-9 * np.max(np.abs(fresh))
     assert np.shares_memory(state.block, p) and np.shares_memory(state.square, q)
     assert state.round == g.round
+
+
+@pytest.mark.parametrize("n", [150, 250])
+@pytest.mark.parametrize("model", ["ba", "ws"])
+def test_dense_state_keeps_the_upper_triangle_of_the_square(model, n):
+    # dsyrk forms Q's upper triangle and dsyr2 updates it from columns read off that triangle
+    params = {"n": n, "m_attach": 3, "m0": 3} if model == "ba" else {"n": n, "degree": 6, "rewire_prob": 0.05}
+    g = generate(model, params, seed=2)
+    state = DenseState.compute(g)
+    rng = np.random.default_rng(n)
+    for inserted in range(6):
+        if inserted in (0, 1, 5):
+            fresh = pseudoinverse_dense(g)
+            square = fresh @ fresh
+            assert np.max(np.abs(np.triu(state.square) - np.triu(square))) <= 1e-12 * np.max(np.abs(square))
+        pairs = g.non_edges()
+        a, b = pairs[rng.integers(len(pairs))].tolist()
+        g.insert_edge(a, b)
+        state.apply_insertion(a, b)
 
 
 @pytest.mark.parametrize(
