@@ -575,6 +575,14 @@ def test_gain_rejects_existing_edge_and_loop(k3, p3):
         gain_exact(DenseState.compute(p3), 1, 1)
 
 
+def test_dense_gain_reads_either_order_of_a_pair():
+    # Q keeps only its upper triangle, so the scalar entry point orders the pair before the read
+    g = random_connected(30, 0.2, seed=5)
+    state = DenseState.compute(g)
+    for a, b in oracles.all_non_edges(g)[:10]:
+        assert gain_exact(state, b, a) == gain_exact(state, a, b) > 0
+
+
 def test_gain_c4_matches_brute(c4):
     state = DenseState.compute(c4)
     assert gain_exact(state, 0, 2) == pytest.approx(oracles.gain_brute(c4, 0, 2), rel=1e-9)
