@@ -24,6 +24,8 @@ from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, 
 Edge = tuple[int, int]
 # up to this n the graph's factor is a dense Cholesky of L + J/n: a column by it beats CG and SuperLU
 DENSE_SOLVE_MAX_N = 200
+# GroundedLU.inverse_trace: N^3/500 entries gathered cost the dense form's N^3/3 flops, a batch 3000 (README)
+_SELINV_ENTRIES_PER_CUBE, _SELINV_BATCH_ENTRIES = 1 / 500, 3000
 
 
 def canonical_edge(a: int, b: int) -> Edge:
@@ -47,7 +49,7 @@ class DenseCholesky:
 
 
 class GroundedLU:
-    """Sparse LU factor of the grounded Laplacian L[1:,1:] (SPD for a connected graph).
+    """Sparse LU factor P L_g P^T = L D L^T (L unit lower, D = diag(U)) of the grounded Laplacian L_g = L[1:,1:].
 
     A symmetric fill-reducing ordering without pivoting keeps it nearly as sparse as a Cholesky factor (COLAMD
     stores ~10x more on BA graphs). A singular block (a disconnected graph) raises :class:`SolverError`.
@@ -66,6 +68,54 @@ class GroundedLU:
         x = np.zeros_like(rhs)
         x[1:] = self._lu.solve(rhs[1:])
         return x
+
+    def inverse_trace(self) -> float | None:
+        """tr(L_g^-1) by selected inversion (Takahashi, Fagan & Chin 1973), or None where the dense form is cheaper.
+
+        The root block (the trailing columns full below the diagonal) is inverted by dpotri; each column j left of
+        it, l_j its entries in the rows S_j below the diagonal (its tree ancestors), takes Z[S_j, j] = -Z[S_j, S_j]
+        l_j and Z[j, j] = 1/d_j - l_j^T Z[S_j, j], Z = (L D L^T)^-1. No column reads one of its depth or a leaf, so
+        each depth, then the leaves (kept out of the dense scratch Z), runs in batches of |S_j| within a factor 2."""
+        if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
+            raise InvariantError("selected inversion needs the symmetric ordering perm_r == perm_c")
+        lower, d = self._lu.L, self._lu.U.diagonal()  # CSC, read once
+        lower.sort_indices()  # each column's unit diagonal first
+        n, ptr, rows, size = len(d), lower.indptr, lower.indices, np.diff(lower.indptr) - 1
+        if not d.min() > 0.5 / n:  # a pivot is a conductance to the ground, at least 1/n in a connected graph
+            raise SolverError("the grounded Laplacian is singular: the graph is disconnected")
+        r = n - int(np.cumprod((size == n - 1 - np.arange(n))[::-1]).sum())  # the root block is [r, n)
+        parent = np.where(size[:r] > 0, rows[np.minimum(ptr[:r] + 1, len(rows) - 1)], n)  # min S_j, or n
+        depth, up = [0] * r + [-1], np.minimum(parent, r).tolist()
+        for j in range(r - 1, -1, -1):
+            depth[j] = depth[up[j]] + 1
+        leaf = (np.bincount(parent, minlength=n + 1) == 0) & (np.arange(n + 1) < r)
+        depth, size = np.where(leaf[:r], r, depth[:r]), size[:r]  # the leaves, last
+        order = np.lexsort((size, depth))
+        starts = np.flatnonzero(np.diff(depth[order] * n + np.ceil(np.log2(np.maximum(size[order], 1))), prepend=-1))
+        counts, width = np.diff(starts, append=r), np.maximum.reduceat(size[order], starts)
+        work = float(counts @ width.astype(float) ** 2) + _SELINV_BATCH_ENTRIES * len(starts)
+        if work >= _SELINV_ENTRIES_PER_CUBE * (n**3 - (n - r) ** 3):
+            return None
+        per_col = np.repeat(width, counts)
+        col, entry = np.repeat(order, per_col), np.cumsum(per_col) - per_col  # a column's first padded entry
+        at = np.arange(len(col)) - np.repeat(entry, per_col)
+        pos = np.where(at < size[col], ptr[col] + 1 + at, -1)
+        slot = np.cumsum(~leaf) - 1  # Z's index of each column kept, and of the padding (n)
+        idx, vals, k = slot[np.where(pos < 0, n, rows[pos])], np.where(pos < 0, 0.0, lower.data[pos]), slot[n]
+        z, root = np.zeros((k + 1, k + 1)), np.zeros((n - r, n - r))
+        root[np.triu_indices(n - r)] = lower.data[ptr[r] :] * np.repeat(np.sqrt(d[r:]), np.diff(ptr[r:]))
+        inverse = lapack.dpotri(root.T, lower=1, overwrite_c=1)[0]  # root = D^1/2 L^T; the lower triangle
+        z[k - n + r : k, k - n + r : k], trace = inverse + np.tril(inverse, -1).T, float(np.trace(inverse))
+        for first, c, w, e in zip(starts.tolist(), counts.tolist(), width.tolist(), entry[starts].tolist()):
+            cols, s, l = order[first : first + c], idx[e : e + c * w].reshape(c, w), vals[e : e + c * w].reshape(c, w)
+            below = -np.einsum("cij,cj->ci", z[s[:, :, None], s[:, None, :]], l)
+            diagonal = 1.0 / d[cols] - np.einsum("ci,ci->c", l, below)
+            trace += float(diagonal.sum())
+            if not leaf[cols[0]]:
+                j = slot[cols]
+                z[s, j[:, None]] = z[j[:, None], s] = below
+                z[j, j] = diagonal
+        return trace
 
 
 class GrownFactor:

@@ -49,7 +49,7 @@ import numpy as np
 
 from . import jlt, spectral, ust
 from .errors import ConfigError, InvariantError
-from .graphs import Edge, Graph, assert_connected
+from .graphs import DENSE_SOLVE_MAX_N, Edge, Graph, assert_connected
 from .linalg import (
     PASS_BLOCK,
     ColumnCache,
@@ -452,8 +452,13 @@ class _Scorer(_Part):
         raise NotImplementedError
 
     def total_resistance(self) -> float:
-        """Exact total resistance of the graph as :meth:`compute` left it."""
-        return total_resistance(self.graph)
+        """Exact total resistance of the graph as :meth:`compute` left it: above ``DENSE_SOLVE_MAX_N``, where selected
+        inversion pays, n tr(L_g^-1) - 1^T L_g^-1 1 off the graph's sparse factor (built if not yet), else dense."""
+        g = self.graph
+        trace = g.factor().inverse_trace() if g.n > DENSE_SOLVE_MAX_N else None
+        if trace is None:
+            return total_resistance(g)
+        return g.n * trace - float(g.factor().solve(np.r_[1 - g.n, np.ones(g.n - 1)]).sum())  # 1 - n e_0 sums to 0
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -542,6 +547,9 @@ class _Spectral(_Scorer):
 
     def compute(self, source: _Source) -> None:
         self._solve()
+
+    def total_resistance(self) -> float:  # a dense eigensolve holds no factor, and r_initial builds none for it
+        return super().total_resistance() if self.graph.has_factor else total_resistance(self.graph)
 
     def _solve(self) -> None:
         cutoff = max(2, min(self.params.cutoff, self.graph.n - 1))

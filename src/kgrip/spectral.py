@@ -55,7 +55,7 @@ class SpectralState:
 
 
 def _low_spectrum_dense(graph: Graph, k: int) -> tuple[np.ndarray, np.ndarray, float]:
-    vals, vecs = scipy.linalg.eigh(graph.laplacian_dense())
+    vals, vecs = scipy.linalg.eigh(graph.laplacian_dense(), driver="evd")  # divide and conquer
     return vals[1 : k + 1], vecs[:, 1 : k + 1], float(vals[-1])
 
 

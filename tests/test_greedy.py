@@ -918,16 +918,29 @@ def test_small_graphs_factor_each_graph_round_once(kind, factorisations):
 
 
 def test_graphs_above_the_dense_limit_are_factored_once_per_run(factorisations):
-    # a grown graph is never factored again: global ColStoch factors its graph at the first block of sampled
-    # columns, before its first insertion, and the r_final block solves through that factor of the input; each
-    # focus of a batch factors its own copy once, and r_final solves through the first focus's
+    # a grown graph is never factored again: r_initial factors the preprocessed graph, before the first insertion,
+    # every focus of a batch grows a copy of that one factor, and the r_final block solves through it
     g = generate("ba", {"n": DENSE_SOLVE_MAX_N + 50, "m_attach": 3}, seed=1)
     run_kgrip(g, 3, Heuristic.COL_STOCH, seed=7)
     assert len(factorisations.sparse) == 1
     factorisations.sparse.clear()
     focus = [5, 40, 100]
     run_klrip(g, focus, 2, Heuristic.COL_STOCH, seed=7)
-    assert len(factorisations.sparse) == len(focus)
+    assert len(factorisations.sparse) == 1
+
+
+@pytest.mark.parametrize("n", [DENSE_SOLVE_MAX_N + 50, 650])
+def test_r_initial_on_the_sparse_factor_adds_no_factorisation(n, factorisations):
+    # r_initial factors the preprocessed graph where the run would factor it later anyway; SpecStoch's dense
+    # eigensolve (n <= 600) holds no factor, and at k = 1 its lone report and r_final columns run CG
+    g = generate("ba", {"n": n, "m_attach": 3}, seed=1)
+    expected = total_resistance(g)
+    for kind in (Heuristic.COL_STOCH, Heuristic.SIMPL_STOCH_JLT, Heuristic.COL_STOCH_JLT, Heuristic.SPEC_STOCH):
+        for k in (1, 3):
+            factorisations.sparse.clear()
+            solution = run_kgrip(g, k, kind, seed=7)
+            assert len(factorisations.sparse) == (0 if kind is Heuristic.SPEC_STOCH and n <= 600 and k == 1 else 1)
+            assert solution.r_initial == pytest.approx(expected, rel=1e-9)
 
 
 @pytest.mark.parametrize("n", [120, DENSE_SOLVE_MAX_N + 50])

@@ -2,14 +2,16 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
-from kgrip import linalg, oracles
+from kgrip import graphs, greedy, linalg, oracles
 from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
 from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, GroundedLU, GrownFactor, generate
-from kgrip.greedy import Heuristic, run_kgrip
+from kgrip.greedy import GreedyParams, Heuristic, run_kgrip
 from kgrip.linalg import (
     ColumnCache,
     DenseState,
@@ -495,6 +497,64 @@ def test_total_resistance_cap(monkeypatch):
     monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", 10)
     with pytest.raises(ConfigError):
         total_resistance(path_graph(30))
+
+
+# -- r_initial by selected inversion on the sparse factor ------------------------------
+
+
+def _r_initial(graph: Graph) -> float:
+    """The r_initial of ColStoch, SimplStochJLT, ColStochJLT and (holding a factor) SpecStoch."""
+    return greedy._Scorer(graph, 1, GreedyParams(), 0, Heuristic.COL_STOCH).total_resistance()
+
+
+@pytest.mark.parametrize(
+    "model, params, selected",
+    [
+        ("ba", {"n": 650, "m_attach": 3}, True),
+        ("ba", {"n": 2000, "m_attach": 3}, True),
+        ("ws", {"n": 700, "degree": 10, "rewire_prob": 0.01}, True),
+        ("er", {"n": 650, "p": 0.01}, False),
+    ],
+    ids=["ba650", "ba2000", "ws700", "er650"],
+)
+def test_r_initial_matches_the_dense_oracle_on_either_side_of_the_fill_rule(model, params, selected, monkeypatch):
+    g = generate(model, params, seed=1)
+    dense = []
+    monkeypatch.setattr(greedy, "total_resistance", lambda graph: dense.append(graph.n) or total_resistance(graph))
+    assert _r_initial(g) == pytest.approx(total_resistance(g), rel=1e-9)
+    assert dense == ([] if selected else [g.n])  # a scale-free or ring graph fills little, ER fills much
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [path_graph(210), star_graph(210), cycle_graph(250), random_tree(230, seed=5), complete_graph(210)],
+    ids=["path210", "star210", "cycle250", "tree230", "k210"],
+)
+def test_selected_inversion_on_extreme_elimination_trees(graph, monkeypatch):
+    # deep chains, a flat star, and K_210, whose root block is the whole factor; the fill rule sends most of
+    # these to the dense form, so it is switched off to run the recurrences on each
+    expected = total_resistance(graph)
+    assert _r_initial(graph) == pytest.approx(expected, rel=1e-9)
+    monkeypatch.setattr(graphs, "_SELINV_ENTRIES_PER_CUBE", math.inf)
+    assert graph.factor().inverse_trace() is not None
+    assert _r_initial(graph) == pytest.approx(expected, rel=1e-9)
+
+
+def test_selected_inversion_meets_the_closed_form_of_the_cycle():
+    n = 2000  # R_tot(C_n) = (n^3 - n) / 12; the dense oracle is off it by about 3e-11 here
+    g = cycle_graph(n)
+    assert g.factor().inverse_trace() is not None
+    assert _r_initial(g) == pytest.approx((n**3 - n) / 12, rel=1e-12)
+
+
+@pytest.mark.parametrize("split", [120, 300])
+def test_selected_inversion_on_a_disconnected_graph_raises(split):
+    # two scale-free pieces: SuperLU leaves a rounding-sized pivot in place of the zero one
+    first = generate("ba", {"n": split, "m_attach": 3}, seed=2)
+    second = generate("ba", {"n": 250, "m_attach": 2}, seed=3)
+    g = Graph(first.n + second.n, list(first.edges()) + [(a + first.n, b + first.n) for a, b in second.edges()])
+    with pytest.raises(SolverError):
+        _r_initial(g)
 
 
 # -- total_resistance_after (Woodbury) ----------------------------------------------
