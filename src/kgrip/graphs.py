@@ -24,8 +24,7 @@ from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, 
 Edge = tuple[int, int]
 # up to this n the graph's factor is a dense Cholesky of L + J/n: a column by it beats CG and SuperLU
 DENSE_SOLVE_MAX_N = 200
-# GroundedLU.inverse_trace: N^3/500 entries gathered cost the dense form's N^3/3 flops, a batch 3000 (README)
-_SELINV_ENTRIES_PER_CUBE, _SELINV_BATCH_ENTRIES = 1 / 500, 3000
+_SELINV_ENTRIES_PER_CUBE = 1 / 500  # GroundedLU.inverse_trace: N^3/500 entries gathered cost the dense N^3/3 flops
 
 
 def canonical_edge(a: int, b: int) -> Edge:
@@ -74,8 +73,8 @@ class GroundedLU:
 
         The root block (the trailing columns full below the diagonal) is inverted by dpotri; each column j left of
         it, l_j its entries in the rows S_j below the diagonal (its tree ancestors), takes Z[S_j, j] = -Z[S_j, S_j]
-        l_j and Z[j, j] = 1/d_j - l_j^T Z[S_j, j], Z = (L D L^T)^-1. No column reads one of its depth or a leaf, so
-        each depth, then the leaves (kept out of the dense scratch Z), runs in batches of |S_j| within a factor 2."""
+        l_j and Z[j, j] = 1/d_j - l_j^T Z[S_j, j], Z = (L D L^T)^-1: one depth, then the leaves (kept out of the
+        dense scratch Z), at a time, in batches of |S_j| within a factor 2 that gather at most n^2/4 entries each."""
         if not np.array_equal(self._lu.perm_r, self._lu.perm_c):
             raise InvariantError("selected inversion needs the symmetric ordering perm_r == perm_c")
         lower, d = self._lu.L, self._lu.U.diagonal()  # CSC, read once
@@ -93,28 +92,32 @@ class GroundedLU:
         order = np.lexsort((size, depth))
         starts = np.flatnonzero(np.diff(depth[order] * n + np.ceil(np.log2(np.maximum(size[order], 1))), prepend=-1))
         counts, width = np.diff(starts, append=r), np.maximum.reduceat(size[order], starts)
-        work = float(counts @ width.astype(float) ** 2) + _SELINV_BATCH_ENTRIES * len(starts)
-        if work >= _SELINV_ENTRIES_PER_CUBE * (n**3 - (n - r) ** 3):
+        if float(counts @ width.astype(float) ** 2) >= _SELINV_ENTRIES_PER_CUBE * (n**3 - (n - r) ** 3):
             return None
         per_col = np.repeat(width, counts)
         col, entry = np.repeat(order, per_col), np.cumsum(per_col) - per_col  # a column's first padded entry
         at = np.arange(len(col)) - np.repeat(entry, per_col)
         pos = np.where(at < size[col], ptr[col] + 1 + at, -1)
-        slot = np.cumsum(~leaf) - 1  # Z's index of each column kept, and of the padding (n)
+        slot = np.where(leaf, -1, np.cumsum(~leaf) - 1)  # Z's index of each column kept and of the padding (n)
         idx, vals, k = slot[np.where(pos < 0, n, rows[pos])], np.where(pos < 0, 0.0, lower.data[pos]), slot[n]
-        z, root = np.zeros((k + 1, k + 1)), np.zeros((n - r, n - r))
-        root[np.triu_indices(n - r)] = lower.data[ptr[r] :] * np.repeat(np.sqrt(d[r:]), np.diff(ptr[r:]))
-        inverse = lapack.dpotri(root.T, lower=1, overwrite_c=1)[0]  # root = D^1/2 L^T; the lower triangle
+        z, root = np.full((k + 2, k + 2), np.nan), np.sqrt(d[r:])[:, None] * lower[r:, r:].T.toarray()  # D^1/2 L^T
+        z[k], z[:, k] = 0.0, 0.0  # padding; NaN unwritten and on leaves' row -1, read only if S_j is not j's ancestors
+        inverse = lapack.dpotri(root.T, lower=1, overwrite_c=1)[0]  # the lower triangle
         z[k - n + r : k, k - n + r : k], trace = inverse + np.tril(inverse, -1).T, float(np.trace(inverse))
-        for first, c, w, e in zip(starts.tolist(), counts.tolist(), width.tolist(), entry[starts].tolist()):
-            cols, s, l = order[first : first + c], idx[e : e + c * w].reshape(c, w), vals[e : e + c * w].reshape(c, w)
-            below = -np.einsum("cij,cj->ci", z[s[:, :, None], s[:, None, :]], l)
-            diagonal = 1.0 / d[cols] - np.einsum("ci,ci->c", l, below)
-            trace += float(diagonal.sum())
-            if not leaf[cols[0]]:
-                j = slot[cols]
-                z[s, j[:, None]] = z[j[:, None], s] = below
-                z[j, j] = diagonal
+        for first, end, w in zip(starts.tolist(), (starts + counts).tolist(), width.tolist()):
+            step = max(1, n * n // (4 * w * w + 1))
+            for lo, hi in ((lo, min(lo + step, end)) for lo in range(first, end, step)):
+                cols, span = order[lo:hi], slice(entry[lo], entry[lo] + (hi - lo) * w)
+                s, l = idx[span].reshape(hi - lo, w), vals[span].reshape(hi - lo, w)
+                below = -np.einsum("cij,cj->ci", z[s[:, :, None], s[:, None, :]], l)
+                diagonal = 1.0 / d[cols] - np.einsum("ci,ci->c", l, below)
+                trace += float(diagonal.sum())
+                if not leaf[cols[0]]:
+                    j = slot[cols]
+                    z[s, j[:, None]] = z[j[:, None], s] = below
+                    z[j, j] = diagonal
+        if not np.isfinite(trace):
+            raise InvariantError("selected inversion needs the factor's pattern closed along the elimination tree")
         return trace
 
 

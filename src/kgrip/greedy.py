@@ -47,7 +47,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import jlt, spectral, ust
+from . import jlt, linalg, spectral, ust
 from .errors import ConfigError, InvariantError
 from .graphs import DENSE_SOLVE_MAX_N, Edge, Graph, assert_connected
 from .linalg import (
@@ -452,13 +452,11 @@ class _Scorer(_Part):
         raise NotImplementedError
 
     def total_resistance(self) -> float:
-        """Exact total resistance of the graph as :meth:`compute` left it: above ``DENSE_SOLVE_MAX_N``, where selected
-        inversion pays, n tr(L_g^-1) - 1^T L_g^-1 1 off the graph's sparse factor (built if not yet), else dense."""
+        """Exact total resistance of the graph as :meth:`compute` left it, off its sparse factor where that pays."""
         g = self.graph
-        trace = g.factor().inverse_trace() if g.n > DENSE_SOLVE_MAX_N else None
-        if trace is None:
-            return total_resistance(g)
-        return g.n * trace - float(g.factor().solve(np.r_[1 - g.n, np.ones(g.n - 1)]).sum())  # 1 - n e_0 sums to 0
+        if DENSE_SOLVE_MAX_N < g.n <= linalg.DENSE_CAP_DEFAULT and (trace := g.factor().inverse_trace()) is not None:
+            return g.n * trace - float(g.factor().solve(np.r_[1 - g.n, np.ones(g.n - 1)]).sum())  # 1 - n e_0 sums to 0
+        return total_resistance(g)  # up to n = DENSE_SOLVE_MAX_N, and above the dense cap, which it refuses
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         raise NotImplementedError

@@ -16,13 +16,12 @@ solve, L v = e_a - e_b, not the two columns.
 
 The dense P and R_tot both come from one Cholesky factor of L + J/n, which
 refuses a disconnected graph; up to ``DENSE_SOLVE_MAX_N`` vertices it is the
-graph's factor, whose solve of a zero-sum b is L^+ b. This R_tot is the tests'
-oracle; above that size the heuristics without a dense P read it off the sparse
-factor where that is cheaper (``GroundedLU.inverse_trace``). Columns of P can
-also be obtained by solving L X = E - 1/n for a block of unit vectors E (at once
-through the graph's factor, a sparse LU of the grounded Laplacian L[1:,1:] above
-that size, grown by the Woodbury identity below across insertions, or by one CG
-solve each) and re-centering X. Restricted to a block C of columns, the rank-one
+graph's factor, whose solve of a zero-sum b is L^+ b. Above that, R_tot without
+a dense P may come from ``GroundedLU.inverse_trace``. Columns of P can also be
+obtained by solving L X = E - 1/n for a block of unit vectors E (at once through
+the graph's factor, a sparse LU of the grounded Laplacian L[1:,1:] above that
+size, grown by the Woodbury identity below across insertions, or by one CG solve
+each) and re-centering X. Restricted to a block C of columns, the rank-one
 update reads C' = C - v (C[a] - C[b]) / (1 + R(a,b)); one column cache applies
 it. A batch of gains reads B2 off the Gram matrix of the columns it touches:
 B2(a,b) = G[a,a] + G[b,b] - 2 G[a,b], G = C^T C.

@@ -943,6 +943,17 @@ def test_r_initial_on_the_sparse_factor_adds_no_factorisation(n, factorisations)
             assert solution.r_initial == pytest.approx(expected, rel=1e-9)
 
 
+@pytest.mark.parametrize(
+    "kind", [Heuristic.COL_STOCH, Heuristic.SIMPL_STOCH_JLT, Heuristic.COL_STOCH_JLT], ids=lambda kind: kind.value
+)
+def test_r_initial_on_the_sparse_factor_keeps_the_dense_cap(kind, monkeypatch):
+    # the dense cap bounds every r_initial, the selected inversion's too: its scratch Z is still square
+    monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", DENSE_SOLVE_MAX_N)
+    g = generate("ba", {"n": DENSE_SOLVE_MAX_N + 50, "m_attach": 3}, seed=1)
+    with pytest.raises(ConfigError):
+        run_kgrip(g, 1, kind, seed=7)
+
+
 @pytest.mark.parametrize("n", [120, DENSE_SOLVE_MAX_N + 50])
 def test_scorers_are_only_asked_for_non_edges(n, monkeypatch):
     # gains_exact trusts its pairs, so every batch a scorer receives must hold non-edges of the graph as it stands

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from kgrip import graphs, greedy, linalg, oracles
@@ -531,8 +532,8 @@ def test_r_initial_matches_the_dense_oracle_on_either_side_of_the_fill_rule(mode
     ids=["path210", "star210", "cycle250", "tree230", "k210"],
 )
 def test_selected_inversion_on_extreme_elimination_trees(graph, monkeypatch):
-    # deep chains, a flat star, and K_210, whose root block is the whole factor; the fill rule sends most of
-    # these to the dense form, so it is switched off to run the recurrences on each
+    # deep chains, a flat star, and K_210, whose root block is the whole factor; the fill rule sends K_210 to the
+    # dense form, so it is switched off to run the recurrences on each
     expected = total_resistance(graph)
     assert _r_initial(graph) == pytest.approx(expected, rel=1e-9)
     monkeypatch.setattr(graphs, "_SELINV_ENTRIES_PER_CUBE", math.inf)
@@ -555,6 +556,53 @@ def test_selected_inversion_on_a_disconnected_graph_raises(split):
     g = Graph(first.n + second.n, list(first.edges()) + [(a + first.n, b + first.n) for a, b in second.edges()])
     with pytest.raises(SolverError):
         _r_initial(g)
+
+
+def test_selected_inversion_gathers_at_most_a_quarter_square(monkeypatch):
+    # ER(650, 0.01) fills enough that, with the rule off, some batch holds more than n^2/4 entries of Z at once
+    g = generate("er", {"n": 650, "p": 0.01}, seed=1)
+    monkeypatch.setattr(graphs, "_SELINV_ENTRIES_PER_CUBE", math.inf)
+    gathers, einsum, expected = [], np.einsum, total_resistance(g)
+
+    def spy(spec, *ops):
+        gathers.append(ops[0].size)
+        return einsum(spec, *ops)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    assert _r_initial(g) == pytest.approx(expected, rel=1e-9)
+    assert 0 < max(gathers) <= (g.n - 1) ** 2 / 4
+
+
+class _Factor:
+    """A stand-in for SuperLU's factor: a unit lower L with the given rows below each diagonal, D = I, no pivoting."""
+
+    def __init__(self, below: list[list[int]]):
+        lower = np.eye(len(below))
+        for j, rows in enumerate(below):
+            lower[rows, j] = 0.1
+        self.L, self.U = sp.csc_matrix(lower), sp.identity(len(below), format="csc")
+        self.perm_r = self.perm_c = np.arange(len(below))
+
+
+@pytest.mark.parametrize(
+    "below, closed",
+    [
+        ([[1, 3], [2, 3], [3], []], True),
+        ([[1, 3], [2], [3], []], False),  # 3 is in S_0 but not in S_1, its parent's
+        ([[1, 2], [3], [4], [4], []], False),  # 2, in S_0, is a leaf: no column's parent
+    ],
+    ids=["closed", "row-off-the-parent", "leaf-row"],
+)
+def test_selected_inversion_refuses_a_pattern_not_closed_along_the_tree(below, closed, monkeypatch):
+    monkeypatch.setattr(graphs, "_SELINV_ENTRIES_PER_CUBE", math.inf)
+    factor = GroundedLU.__new__(GroundedLU)
+    factor._lu = _Factor(below)
+    if closed:
+        lower = factor._lu.L.toarray()
+        assert factor.inverse_trace() == pytest.approx(np.trace(np.linalg.inv(lower @ lower.T)), rel=1e-12)
+    else:
+        with pytest.raises(InvariantError):
+            factor.inverse_trace()
 
 
 # -- total_resistance_after (Woodbury) ----------------------------------------------
