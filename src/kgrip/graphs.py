@@ -27,6 +27,13 @@ DENSE_SOLVE_MAX_N = 200
 _SELINV_ENTRIES_PER_CUBE = 1 / 500  # GroundedLU.inverse_trace: N^3/500 entries gathered cost the dense N^3/3 flops
 
 
+def in_sorted(held: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Whether each query lies in the ascending, non-empty ``held``. Ascending queries cost far less: numpy starts
+    each binary search where the previous one ended, so the searches walk ``held`` in memory order."""
+    pos = np.searchsorted(held, queries)
+    return held[np.minimum(pos, len(held) - 1, out=pos)] == queries
+
+
 def canonical_edge(a: int, b: int) -> Edge:
     """Order a vertex pair as (min, max); rejects self-loops."""
     if a == b:
@@ -146,7 +153,7 @@ class GrownFactor:
 class Graph:
     """Undirected simple graph with sorted neighbor lists and an insertion log.
 
-    Its solve state is its round caches: the sparse Laplacian, :meth:`has_edges`' keys and the Laplacian factor,
+    Its solve state is its round caches: the sparse Laplacian, :meth:`stores_entries`' keys and the Laplacian factor,
     built on first use, never modified in place and shared by copies. An insertion drops the first two from the
     graph that grows; a factor it holds grows into a :class:`GrownFactor` on its next use.
     """
@@ -160,7 +167,7 @@ class Graph:
         self._m = 0
         self._log: list[Edge] = []
         self._lap: sp.csr_matrix | None = None
-        self._keys: np.ndarray | None = None  # has_edges' sorted keys u*n + w of the stored entries
+        self._keys: np.ndarray | None = None  # stores_entries' sorted keys u*n + w of the stored entries
         self.clear_solve_record()
         for a, b in edges:
             self._add_edge_unlogged(a, b)
@@ -257,19 +264,18 @@ class Graph:
         return indptr, indices
 
     def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`has_edge` over two equally long vertex arrays.
+        """Vectorised :meth:`has_edge` over two equally long vertex arrays."""
+        a = np.asarray(a, dtype=np.int64)
+        return self.stores_entries(a * self.n + b) & (a != b)
 
-        Reads the sparsity pattern of the cached Laplacian: {a,b} is an edge
-        when a != b and entry (a, b) is stored.
-        """
+    def stores_entries(self, keys: np.ndarray) -> np.ndarray:
+        """Whether the cached Laplacian stores entry (a, b) of each key a*n + b: a == b, or {a,b} is an edge.
+        Ascending keys are looked up fastest (see :func:`in_sorted`)."""
         n = self.n
         if self._keys is None:  # ascending: rows in order, sorted columns; kept for the round
             lap = self.laplacian()
             self._keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(lap.indptr)) * n + lap.indices
-        a = np.asarray(a, dtype=np.int64)
-        query = a * n + b
-        pos = np.minimum(np.searchsorted(self._keys, query), len(self._keys) - 1)
-        return (self._keys[pos] == query) & (a != b)
+        return in_sorted(self._keys, keys)
 
     def non_edges(self) -> np.ndarray:
         """Every non-edge as an (N, 2) array of pairs a < b, in sorted order, masked in blocks of about 2^17 pairs."""

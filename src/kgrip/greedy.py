@@ -49,7 +49,7 @@ import numpy as np
 
 from . import jlt, linalg, spectral, ust
 from .errors import ConfigError, InvariantError
-from .graphs import DENSE_SOLVE_MAX_N, Edge, Graph, assert_connected
+from .graphs import DENSE_SOLVE_MAX_N, Edge, Graph, assert_connected, in_sorted
 from .linalg import (
     PASS_BLOCK,
     ColumnCache,
@@ -154,10 +154,11 @@ def sample_candidates_uniform(universe: Sequence, s: int, rng: np.random.Generat
 def sample_nonedge_pairs(graph: Graph, s: int, rng: np.random.Generator) -> np.ndarray:
     """s distinct non-edges, uniform, as an (s, 2) array of pairs a < b.
 
-    Rejection sampling: successive ``rng.integers(n)`` draws form the pairs
-    (a, b), and a pair is kept unless a == b, {a,b} is an edge, or it was
-    drawn before. The draws are taken in blocks, so the result equals that
-    of drawing one pair at a time; only the number of surplus draws differs.
+    Rejection sampling: successive ``rng.integers(n)`` draws form the pairs (a, b), and a pair is kept unless
+    a == b, {a,b} is an edge, or it was drawn before. The draws are taken in blocks, so the result equals that of
+    drawing one pair at a time; only the number of surplus draws differs. A block costs one sort: each candidate
+    (the pairs kept so far, then the block's) packs its key a*n + b and its place in draw order into one int64,
+    so the sorted run gives each key's first draw, ascending for the edge lookups.
     """
     universe = graph.non_edge_count()
     if s >= universe:
@@ -169,12 +170,23 @@ def sample_nonedge_pairs(graph: Graph, s: int, rng: np.random.Generator) -> np.n
     while len(keys) < s:
         fresh_share = 1.0 - len(keys) / universe
         block = math.ceil(1.2 * (s - len(keys)) / (hit_rate * fresh_share)) + 16
-        draws = rng.integers(n, size=2 * block).reshape(block, 2)
-        a, b = draws.min(axis=1), draws.max(axis=1)
-        ok = (a != b) & ~graph.has_edges(a, b)
-        keys = np.concatenate([keys, a[ok] * n + b[ok]])
-        _, first = np.unique(keys, return_index=True)
-        keys = keys[np.sort(first)]
+        draws = rng.integers(n, size=2 * block)
+        cand = np.concatenate([keys, np.minimum(draws[0::2], draws[1::2]) * n])
+        cand[len(keys) :] += np.maximum(draws[0::2], draws[1::2])
+        del draws
+        # block <= 1.2 (s - kept) n^2 / 2 (universe - kept) + 17 < 0.6 n^2 + 17 as s < universe < n^2 / 2, so packed
+        # keys stay below n^2 (1.1 n^2 + 17) < 2^63 up to n = 53000, past the dense cap that stops runs at r_initial
+        size = len(cand)
+        if n * n * size >= 2**63:
+            raise InvariantError(f"n={n}: packed pair keys overflow int64")
+        packed = cand * size + np.arange(size)
+        packed.sort()
+        ascending = packed // size
+        # a key's first draw is kept unless the Laplacian stores its entry: a == b, or an edge
+        first = np.r_[True, ascending[1:] != ascending[:-1]] & ~graph.stores_entries(ascending)
+        keep = np.zeros(size, dtype=bool)
+        keep[packed[first] % size] = True
+        keys = cand[keep]
     keys = keys[:s]
     return np.column_stack([keys // n, keys % n])
 
@@ -492,7 +504,9 @@ class _DenseP(_Columns):
         n, pool = self.graph.n, self.pool
         if len(pool) and len(pairs):
             held, keys = np.sort(pool[:, 0] * n + pool[:, 1]), pairs[:, 0] * n + pairs[:, 1]
-            fresh = held[np.minimum(np.searchsorted(held, keys), len(held) - 1)] != keys
+            order = np.argsort(keys)  # looked up ascending (see in_sorted), read back in batch order
+            fresh = np.empty(len(keys), dtype=bool)
+            fresh[order] = ~in_sorted(held, keys[order])
             pairs = np.concatenate([pool, pairs[fresh]])
         pool = pairs if len(pairs) else pool
         best = (math.inf,)  # (-gain, a, b, slot); the runners' checks leave the pool non-empty

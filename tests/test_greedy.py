@@ -127,6 +127,39 @@ def test_nonedge_pair_sampler_equals_pair_by_pair_reference(model, params, seed)
             assert [tuple(p) for p in got.tolist()] == want, (s, rng_seed)
 
 
+@pytest.mark.parametrize("k", [1, 4])
+def test_nonedge_pair_sampler_equals_reference_at_benchmark_size(k):
+    # BA(650, 3) at the sample size SimplStoch draws for k edges
+    g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, 1)
+    s = candidate_size("grip-simpl", g.n, g.m, k, GreedyParams().delta)
+    for rng_seed in (1, 77):
+        got = sample_nonedge_pairs(g, s, np.random.default_rng(rng_seed))
+        assert [tuple(p) for p in got.tolist()] == _nonedge_pairs_reference(g, s, np.random.default_rng(rng_seed))
+
+
+class _RecordingRng:
+    """A generator that keeps every block ``integers`` draws."""
+
+    def __init__(self, seed):
+        self.rng, self.blocks = np.random.default_rng(seed), []
+
+    def integers(self, *args, **kwargs):
+        self.blocks.append(self.rng.integers(*args, **kwargs))
+        return self.blocks[-1]
+
+
+def test_nonedge_pair_sampler_dedups_across_blocks():
+    # half the universe: the first block's distinct non-edges fall short, and the second redraws some of them
+    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, 1)
+    s = g.non_edge_count() // 2
+    rng = _RecordingRng(3)
+    want = _nonedge_pairs_reference(g, s, np.random.default_rng(3))
+    assert [tuple(p) for p in sample_nonedge_pairs(g, s, rng).tolist()] == want
+    assert len(rng.blocks) >= 2
+    first, second = ({tuple(p) for p in np.sort(d.reshape(-1, 2), axis=1).tolist()} for d in rng.blocks[:2])
+    assert first & second & set(want)
+
+
 def test_pairs_from_vertices_are_sorted_non_edges():
     from kgrip.greedy import _pairs_from_vertices
 
