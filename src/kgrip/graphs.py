@@ -2,14 +2,14 @@
 
 Vertices are dense 0-based integers. Graphs are simple, undirected, and
 unweighted; every solver in this package additionally requires connectivity.
-Edge insertions are round-stamped: round r means r edges have been inserted
-since construction.
+A graph stores its edges once, as the ascending keys a*n + b of its pairs
+a < b; its CSR Laplacian and every other view derive from them. Edge
+insertions are round-stamped: round r means r edges have been inserted since
+construction.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
-from itertools import chain
 from typing import IO, Iterable, Iterator
 
 import networkx as nx
@@ -28,8 +28,10 @@ _SELINV_ENTRIES_PER_CUBE = 1 / 500  # GroundedLU.inverse_trace: N^3/500 entries 
 
 
 def in_sorted(held: np.ndarray, queries: np.ndarray) -> np.ndarray:
-    """Whether each query lies in the ascending, non-empty ``held``. Ascending queries cost far less: numpy starts
-    each binary search where the previous one ended, so the searches walk ``held`` in memory order."""
+    """Whether each query lies in the ascending ``held``. Ascending queries cost far less: numpy starts each binary
+    search where the previous one ended, so the searches walk ``held`` in memory order."""
+    if not len(held):
+        return np.zeros(np.shape(queries), dtype=bool)
     pos = np.searchsorted(held, queries)
     return held[np.minimum(pos, len(held) - 1, out=pos)] == queries
 
@@ -151,36 +153,38 @@ class GrownFactor:
 
 
 class Graph:
-    """Undirected simple graph with sorted neighbor lists and an insertion log.
+    """Undirected simple graph held as one ascending int64 array of edge keys a*n + b, a < b, and an insertion log.
 
-    Its solve state is its round caches: the sparse Laplacian, :meth:`stores_entries`' keys and the Laplacian factor,
-    built on first use, never modified in place and shared by copies. An insertion drops the first two from the
-    graph that grows; a factor it holds grows into a :class:`GrownFactor` on its next use.
+    Every other view derives from the keys through the cached CSR Laplacian. The keys and the round caches (the
+    Laplacian and its factor) are built once, never modified in place and shared by copies: an insertion replaces
+    the keys and drops the Laplacian of the graph that grows; a factor it holds grows into a :class:`GrownFactor`.
     """
 
-    __slots__ = ("_adj", "_m", "_log", "_lap", "_keys", "_factor", "_pending")
+    __slots__ = ("_n", "_keys", "_log", "_lap", "_factor", "_pending")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n <= 0:
             raise ConfigError("graph needs at least one vertex")
-        self._adj: list[list[int]] = [[] for _ in range(n)]
-        self._m = 0
-        self._log: list[Edge] = []
-        self._lap: sp.csr_matrix | None = None
-        self._keys: np.ndarray | None = None  # stores_entries' sorted keys u*n + w of the stored entries
+        self._n, self._log, self._lap = int(n), [], None
+        a, b = np.sort(np.array([*edges], dtype=np.int64).reshape(-1, 2), axis=1).T  # each edge as (min, max)
+        bad = (a == b) | (a < 0) | (b >= n)
+        if bad.any():
+            raise InvariantError(f"edge ({a[bad][0]},{b[bad][0]}) is a self-loop or out of range for n={n}")
+        self._keys = np.sort(a * self._n + b)
+        twice = self._keys[1:][self._keys[1:] == self._keys[:-1]]
+        if len(twice):
+            raise InvariantError(f"edge {divmod(int(twice[0]), self._n)} already present")
         self.clear_solve_record()
-        for a, b in edges:
-            self._add_edge_unlogged(a, b)
 
     # -- basic accessors ---------------------------------------------------
 
     @property
     def n(self) -> int:
-        return len(self._adj)
+        return self._n
 
     @property
     def m(self) -> int:
-        return self._m
+        return len(self._keys)
 
     @property
     def round(self) -> int:
@@ -191,41 +195,45 @@ class Graph:
     def insertion_log(self) -> list[Edge]:
         return list(self._log)
 
+    def _row(self, v: int) -> np.ndarray:
+        """The sorted columns the cached Laplacian stores in row v: v's neighbours and v."""
+        lap = self.laplacian()
+        return lap.indices[lap.indptr[v] : lap.indptr[v + 1]]
+
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self._row(v)) - 1
 
     def neighbors(self, v: int) -> list[int]:
-        return self._adj[v]
+        return [u for u in self._row(v).tolist() if u != v]
 
     def has_edge(self, a: int, b: int) -> bool:
-        if a == b:
+        """Whether {a,b} is an edge; False for a == b and for any id outside 0..n-1."""
+        n, keys = self._n, self._keys
+        if not (0 <= a < n and 0 <= b < n) or a == b:
             return False
-        adj = self._adj[a]
-        i = bisect_left(adj, b)
-        return i < len(adj) and adj[i] == b
+        key = a * n + b if a < b else b * n + a
+        i = int(keys.searchsorted(key))
+        return i < len(keys) and keys.item(i) == key
 
     def edges(self) -> Iterator[Edge]:
         """Yield each edge once, as (a, b) with a < b, in sorted order."""
-        for a in range(self.n):
-            for b in self._adj[a]:
-                if a < b:
-                    yield (a, b)
+        n = self._n
+        return (divmod(key, n) for key in self._keys.tolist())
 
     def non_edge_count(self) -> int:
-        return self.n * (self.n - 1) // 2 - self._m
+        return self._n * (self._n - 1) // 2 - self.m
 
     def non_neighbors(self, v: int) -> list[int]:
         """Vertices u != v with {v,u} not an edge, ascending."""
-        nbrs = set(self._adj[v])
-        return [u for u in range(self.n) if u != v and u not in nbrs]
+        free = np.ones(self._n, dtype=bool)
+        free[self._row(v)] = False  # v's neighbours and v
+        return np.flatnonzero(free).tolist()
 
     def copy(self) -> "Graph":
         """Same edges, insertion log and round caches."""
         g = Graph.__new__(Graph)
-        g._adj = [list(a) for a in self._adj]
-        g._m = self._m
-        g._log = list(self._log)
-        g._lap, g._keys, g._factor, g._pending = self._lap, self._keys, self._factor, list(self._pending)
+        g._n, g._keys, g._log = self._n, self._keys, list(self._log)
+        g._lap, g._factor, g._pending = self._lap, self._factor, list(self._pending)
         return g
 
     def clear_solve_record(self) -> None:
@@ -235,21 +243,13 @@ class Graph:
 
     # -- mutation ----------------------------------------------------------
 
-    def _add_edge_unlogged(self, a: int, b: int) -> None:
-        a, b = canonical_edge(a, b)
-        if not (0 <= a and b < self.n):
-            raise InvariantError(f"edge ({a},{b}) out of range for n={self.n}")
-        if self.has_edge(a, b):
-            raise InvariantError(f"edge ({a},{b}) already present")
-        insort(self._adj[a], b)
-        insort(self._adj[b], a)
-        self._m += 1
-        self._lap = self._keys = None
-
     def insert_edge(self, a: int, b: int) -> None:
         """Insert a new edge and stamp it with the current round; a factor held grows by the edge when next used."""
         a, b = canonical_edge(a, b)
-        self._add_edge_unlogged(a, b)
+        if not (0 <= a and b < self._n) or self.has_edge(a, b):
+            raise InvariantError(f"edge ({a},{b}) is already present or out of range for n={self._n}")
+        key = a * self._n + b
+        self._keys, self._lap = np.insert(self._keys, np.searchsorted(self._keys, key), key), None
         self._log.append((a, b))
         if self._factor is not None:
             self._pending.append((a, b))
@@ -257,25 +257,20 @@ class Graph:
     # -- linear algebra views ----------------------------------------------
 
     def adjacency_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """CSR ``indptr`` and ``indices`` (int32) of the sorted adjacency lists."""
-        indptr = np.zeros(self.n + 1, dtype=np.int32)
-        np.cumsum(np.fromiter(map(len, self._adj), dtype=np.int32, count=self.n), out=indptr[1:])
-        indices = np.fromiter(chain.from_iterable(self._adj), dtype=np.int32, count=2 * self._m)
-        return indptr, indices
+        """CSR ``indptr`` and ``indices`` (int32, sorted) of the adjacency: the Laplacian's, less the diagonal."""
+        lap = self.laplacian()  # its off-diagonal entries are the -1.0s
+        return lap.indptr - np.arange(self._n + 1, dtype=np.int32), lap.indices[lap.data < 0]
 
     def has_edges(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Vectorised :meth:`has_edge` over two equally long vertex arrays."""
-        a = np.asarray(a, dtype=np.int64)
-        return self.stores_entries(a * self.n + b) & (a != b)
+        """Vectorised :meth:`has_edge` over two equally long arrays of vertex ids in 0..n-1 (unchecked)."""
+        a, b = np.asarray(a, dtype=np.int64), np.asarray(b, dtype=np.int64)
+        return in_sorted(self._keys, np.minimum(a, b) * self._n + np.maximum(a, b))  # no edge key is a*n + a
 
     def stores_entries(self, keys: np.ndarray) -> np.ndarray:
-        """Whether the cached Laplacian stores entry (a, b) of each key a*n + b: a == b, or {a,b} is an edge.
-        Ascending keys are looked up fastest (see :func:`in_sorted`)."""
-        n = self.n
-        if self._keys is None:  # ascending: rows in order, sorted columns; kept for the round
-            lap = self.laplacian()
-            self._keys = np.repeat(np.arange(n, dtype=np.int64), np.diff(lap.indptr)) * n + lap.indices
-        return in_sorted(self._keys, keys)
+        """Whether the Laplacian stores entry (a, b) of each key a*n + b, a <= b in 0..n-1 (unchecked): a == b, or
+        {a,b} is an edge. Key a*n + a is a multiple of n + 1, and no key with a < b is. Ascending keys are looked up
+        fastest (see :func:`in_sorted`)."""
+        return in_sorted(self._keys, keys) | (keys % (self._n + 1) == 0)
 
     def non_edges(self) -> np.ndarray:
         """Every non-edge as an (N, 2) array of pairs a < b, in sorted order, masked in blocks of about 2^17 pairs."""
@@ -288,17 +283,16 @@ class Graph:
         return pairs
 
     def non_edge_rows(self, first: int, stop: int) -> np.ndarray:
-        """Whether each pair (a, b), first <= a < stop, first <= b < n, is a non-edge with a < b, read off the
-        cached Laplacian's ``indptr`` and ``indices`` (slicing the matrix would cost more)."""
-        lap = self.laplacian()
-        free = np.arange(first, self.n) > np.arange(first, stop)[:, None]
-        rows = np.repeat(np.arange(first, stop), np.diff(lap.indptr[first : stop + 1]))
-        cols = lap.indices[lap.indptr[first] : lap.indptr[stop]]
-        free[rows[cols > rows] - first, cols[cols > rows] - first] = False
+        """Whether each pair (a, b), first <= a < stop, first <= b < n, is a non-edge with a < b: the upper
+        triangle, less the edge keys in [first*n, stop*n)."""
+        n, keys = self._n, self._keys
+        free = np.arange(first, n) > np.arange(first, stop)[:, None]
+        edges = keys[np.searchsorted(keys, first * n) : np.searchsorted(keys, stop * n)]
+        free[edges // n - first, edges % n - first] = False
         return free
 
     def laplacian(self) -> sp.csr_matrix:
-        """Sparse Laplacian L = D - A, CSR with sorted column indices.
+        """Sparse Laplacian L = D - A, CSR with sorted int32 indices, storing every diagonal entry (0.0 if isolated).
 
         The matrix is cached for the current round and shared by every
         caller and copy, so it must not be modified in place.
@@ -308,22 +302,14 @@ class Graph:
         return self._lap
 
     def _build_laplacian(self) -> sp.csr_matrix:
-        n = self.n
-        adj_ptr, nbrs = self.adjacency_arrays()
-        deg = np.diff(adj_ptr)
-        rows = np.repeat(np.arange(n, dtype=np.int32), deg)
-        above = nbrs > rows
-        # every row gains its diagonal entry, placed after the neighbours below it
-        indptr = adj_ptr + np.arange(n + 1, dtype=np.int32)
-        diag_pos = indptr[:-1] + np.bincount(rows[~above], minlength=n)
-        nbr_pos = np.arange(len(nbrs)) + rows + above
-        indices = np.empty(n + len(nbrs), dtype=np.int32)
-        data = np.empty(n + len(nbrs))
-        indices[diag_pos] = np.arange(n)
-        data[diag_pos] = deg
-        indices[nbr_pos] = nbrs
-        data[nbr_pos] = -1.0
-        return sp.csr_matrix((data, indices, indptr), shape=(n, n))
+        n, keys = self._n, self._keys
+        a, b = np.divmod(keys, n)
+        # the key row*n + col of every stored entry, in row-major order: each edge both ways and the diagonal
+        rows, cols = np.divmod(np.sort(np.concatenate([keys, b * n + a, np.arange(0, n * n, n + 1)])), n)
+        size = np.bincount(rows, minlength=n)  # degree + 1
+        indptr = np.r_[0, np.cumsum(size)].astype(np.int32)
+        data = np.where(rows == cols, size[rows] - 1.0, -1.0)
+        return sp.csr_matrix((data, cols.astype(np.int32), indptr), shape=(n, n))
 
     @property
     def has_factor(self) -> bool:
@@ -352,20 +338,10 @@ class Graph:
     # -- invariants ----------------------------------------------------------
 
     def check_invariants(self) -> None:
-        """Full-scan check of simplicity and adjacency symmetry (test hook)."""
-        seen = 0
-        for a in range(self.n):
-            adj = self._adj[a]
-            if any(adj[i] >= adj[i + 1] for i in range(len(adj) - 1)):
-                raise InvariantError(f"adjacency of {a} not strictly sorted")
-            if a in adj:
-                raise InvariantError(f"self-loop at {a}")
-            for b in adj:
-                if not self.has_edge(b, a):
-                    raise InvariantError(f"asymmetric edge ({a},{b})")
-            seen += len(adj)
-        if seen != 2 * self._m:
-            raise InvariantError("edge count does not match adjacency lists")
+        """Full-scan check that the edge keys ascend strictly and each is a*n + b for 0 <= a < b < n (test hook)."""
+        a, b = np.divmod(self._keys, self._n)
+        if self._keys.dtype != np.int64 or np.any(np.diff(self._keys) <= 0) or np.any((a < 0) | (a >= b)):
+            raise InvariantError("edge keys must ascend strictly, each a*n + b for 0 <= a < b < n")
 
 
 # -- connectivity ------------------------------------------------------------
@@ -401,8 +377,7 @@ def load_edge_list(stream: IO[str]) -> Graph:
     order of first appearance.
     """
     ids: dict[int, int] = {}
-    edges: list[Edge] = []
-    seen: set[Edge] = set()
+    edges: set[Edge] = set()
 
     def intern(token: str, line_no: int) -> int:
         try:
@@ -424,12 +399,8 @@ def load_edge_list(stream: IO[str]) -> Graph:
             raise ParseError(line_no, f"expected 'u v', got {len(tokens)} tokens")
         u = intern(tokens[0], line_no)
         v = intern(tokens[1], line_no)
-        if u == v:
-            continue
-        e = canonical_edge(u, v)
-        if e not in seen:
-            seen.add(e)
-            edges.append(e)
+        if u != v:
+            edges.add(canonical_edge(u, v))
 
     if not ids:
         raise ParseError(0, "empty graph: no vertices found")
@@ -454,7 +425,7 @@ def _from_networkx(g: "nx.Graph") -> Graph:
         g = g.subgraph(keep)
     nodes = sorted(g.nodes())
     remap = {v: i for i, v in enumerate(nodes)}
-    return Graph(len(nodes), (canonical_edge(remap[u], remap[v]) for u, v in g.edges()))
+    return Graph(len(nodes), ((remap[u], remap[v]) for u, v in g.edges()))
 
 
 def generate(model: str, params: dict, seed: int) -> Graph:

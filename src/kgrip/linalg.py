@@ -337,9 +337,15 @@ class DenseState(ColumnCache):
 
 def gain_exact(state, a: int, b: int) -> float:
     """Exact gain of inserting the non-edge {a,b}, including the factor n: one row of :func:`gains_exact`."""
-    if a == b or state.graph.has_edge(a, b):
-        raise InvariantError("gains are defined for non-edges only")
-    return float(gains_exact(state, np.array([canonical_edge(a, b)]))[0])
+    return float(gains_exact(state, np.array([_non_edge(state.graph, a, b)]))[0])
+
+
+def _non_edge(graph: Graph, a: int, b: int) -> tuple[int, int]:
+    """The pair {a,b} as (min, max); raises :class:`InvariantError` unless it is a non-edge of ids in 0..n-1."""
+    a, b = canonical_edge(a, b)
+    if not (0 <= a and b < graph.n) or graph.has_edge(a, b):
+        raise InvariantError(f"gains are defined for non-edges of vertices 0..{graph.n - 1}, not ({a},{b})")
+    return a, b
 
 
 def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
@@ -379,8 +385,6 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
 
 def true_gain(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> float:
     """Exact gain via one fresh solve of L x = e_a - e_b (heuristic-independent reporting path)."""
-    a, b = canonical_edge(a, b)
-    if graph.has_edge(a, b):
-        raise InvariantError(f"edge ({a},{b}) already exists; gain undefined")
+    a, b = _non_edge(graph, a, b)
     v = solve_lpinv_difference(graph, a, b, config)
     return graph.n * float(v @ v) / (1.0 + float(v[a] - v[b]))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -282,6 +283,118 @@ def test_non_edges_are_built_in_row_blocks():
         a, b = np.triu_indices(h.n, 1)
         keep = ~h.has_edges(a, b)
         assert np.array_equal(h.non_edges(), np.column_stack([a[keep], b[keep]]).reshape(-1, 2))
+
+
+# -- the edge store -------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0, 1), (2, 2)],
+        [(0, 1), (-1, 2)],
+        [(0, 1), (1, 4)],
+        [(4, 5)],
+        [(0, 1), (1, 2), (0, 1)],
+        [(0, 1), (2, 1), (1, 2)],
+    ],
+    ids=["self-loop", "negative-id", "id-n", "ids-past-n", "duplicate", "duplicate-reversed"],
+)
+def test_constructor_rejects_loops_ids_out_of_range_and_duplicates(edges):
+    with pytest.raises(InvariantError):
+        Graph(4, edges)
+    with pytest.raises(InvariantError):
+        Graph(4, iter(edges))
+
+
+def test_constructor_needs_a_vertex():
+    for n in (0, -3):
+        with pytest.raises(ConfigError):
+            Graph(n)
+    assert (Graph(4, [(3, 0), (1, 2)]).m, list(Graph(4, [(3, 0), (1, 2)]).edges())) == (2, [(0, 3), (1, 2)])
+
+
+def test_edgeless_graph_answers_every_query():
+    g = Graph(5)
+    a, b = np.triu_indices(5, 1)
+    keys = np.arange(25)
+    keys = keys[keys // 5 <= keys % 5]  # every entry a <= b
+    assert g.m == 0 and not g.has_edge(0, 1) and not g.has_edges(a, b).any() and not g.has_edges(b, a).any()
+    assert np.array_equal(g.stores_entries(keys), keys // 5 == keys % 5)
+    assert np.array_equal(g.non_edges(), np.column_stack([a, b]))
+
+
+def test_has_edge_is_false_for_vertex_ids_out_of_range():
+    # a path on 5 vertices plus (1, 3): -1 is no alias of vertex 4, nor (0, 8) of key 8 = 1*5 + 3
+    g = path_graph(5)
+    g.insert_edge(1, 3)
+    assert g.has_edge(1, 3) and g.has_edge(3, 1) and g.has_edge(3, 4)
+    for a, b in [(-1, 3), (3, -1), (-1, 4), (7, 1), (1, 7), (0, 8), (5, 5), (-1, -1)]:
+        assert g.has_edge(a, b) is False, (a, b)
+
+
+def _networkx_laplacian(ref: nx.Graph) -> sp.csr_matrix:
+    """networkx's Laplacian, CSR with sorted indices; networkx leaves an isolated vertex's 0.0 diagonal unstored,
+    so it is stored here, as the graph stores every diagonal entry."""
+    lap = sp.coo_matrix(nx.laplacian_matrix(ref, nodelist=range(len(ref))))
+    bare = np.setdiff1d(np.arange(len(ref)), lap.row[lap.row == lap.col])
+    rows, cols = np.r_[lap.row, bare], np.r_[lap.col, bare]
+    lap = sp.csr_matrix((np.r_[lap.data, np.zeros(len(bare))], (rows, cols)), shape=lap.shape)
+    lap.sort_indices()
+    return lap
+
+
+def _assert_views_match_networkx(g: Graph, ref: nx.Graph) -> None:
+    n, nodes = g.n, range(len(ref))
+    assert (n, g.m) == (len(ref), ref.number_of_edges())
+    assert list(g.edges()) == sorted((min(e), max(e)) for e in ref.edges())
+    lap, want = g.laplacian(), _networkx_laplacian(ref)
+    adjacency = nx.to_scipy_sparse_array(ref, nodelist=nodes, format="csr")
+    adjacency.sort_indices()
+    for indptr, indices, ref_csr in ((lap.indptr, lap.indices, want), (*g.adjacency_arrays(), adjacency)):
+        assert indptr.dtype == indices.dtype == np.int32
+        assert np.array_equal(indptr, ref_csr.indptr.astype(np.int32))
+        assert np.array_equal(indices, ref_csr.indices.astype(np.int32))
+    assert lap.data.dtype == np.float64 and np.array_equal(lap.data, want.data.astype(np.float64))
+    dense = want.toarray()
+    assert [g.degree(v) for v in nodes] == [ref.degree(v) for v in nodes]
+    assert all(g.neighbors(v) == sorted(ref[v]) for v in nodes)
+    assert all(g.non_neighbors(v) == sorted(set(nodes) - set(ref[v]) - {v}) for v in nodes)
+    a, b = np.triu_indices(n)  # every key a <= b
+    assert np.array_equal(g.stores_entries(a * n + b), (dense[a, b] != 0) | (a == b))
+    non_edge = np.triu(dense == 0, 1)
+    for rows in (1, 3, n):
+        for first in range(0, n, rows):
+            stop = min(first + rows, n)
+            assert np.array_equal(g.non_edge_rows(first, stop), non_edge[first:stop, first:])
+
+
+_REFERENCE_GRAPHS = {
+    "er": lambda: nx.gnp_random_graph(40, 0.12, seed=4),
+    "ba": lambda: nx.barabasi_albert_graph(60, 3, seed=2),
+    "ws": lambda: nx.watts_strogatz_graph(50, 4, 0.1, seed=3),
+    "isolated-vertex": lambda: nx.Graph([(0, 1), (1, 2), (2, 4), (4, 5), (3, 3)]),
+    "one-vertex": lambda: nx.empty_graph(1),
+}
+
+
+@pytest.mark.parametrize("family", sorted(_REFERENCE_GRAPHS))
+def test_csr_views_match_networkx_across_insertions(family):
+    ref = _REFERENCE_GRAPHS[family]()
+    ref.remove_edges_from(list(nx.selfloop_edges(ref)))  # a self-loop only adds its vertex
+    ref = nx.relabel_nodes(ref, {v: i for i, v in enumerate(sorted(ref))})
+    if family == "isolated-vertex":
+        assert min(d for _, d in ref.degree()) == 0
+    g = Graph(len(ref), ref.edges())
+    rng = np.random.default_rng(len(ref))
+    for _ in range(4):  # before and after insertions
+        _assert_views_match_networkx(g, ref)
+        free = sorted(nx.non_edges(ref))
+        if not free:
+            break
+        a, b = free[rng.integers(len(free))]
+        g.insert_edge(a, b)
+        ref.add_edge(a, b)
 
 
 # -- generators ----------------------------------------------------------------

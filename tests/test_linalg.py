@@ -683,6 +683,18 @@ def test_gain_rejects_existing_edge_and_loop(k3, p3):
         gain_exact(DenseState.compute(p3), 1, 1)
 
 
+@pytest.mark.parametrize("a,b", [(-1, 3), (3, -1), (7, 1), (1, 5), (-5, 0)])
+def test_gains_reject_vertex_ids_out_of_range(a, b):
+    # a path on 5 vertices plus (1, 3): -1 would read vertex 4, and key 8 = 1*5 + 3 aliases the edge (1, 3)
+    g = path_graph(5)
+    g.insert_edge(1, 3)
+    with pytest.raises(InvariantError):
+        true_gain(g, a, b)
+    for state in (DenseState.compute(g), ColumnCache(g)):
+        with pytest.raises(InvariantError):
+            gain_exact(state, a, b)
+
+
 def test_dense_gain_reads_either_order_of_a_pair():
     # Q keeps only its upper triangle, so the scalar entry point orders the pair before the read
     g = random_connected(30, 0.2, seed=5)
