@@ -357,8 +357,8 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--solver-eps", type=float, default=_DEFAULTS.solver.residual_tol,
                         help="linear solver residual tolerance")
     parser.add_argument("--diag-eps", type=float, default=_DEFAULTS.diag_epsilon,
-                        help="diagonal estimate accuracy (default %(default)s); the initial sample "
-                        "draws ceil(ln n / eps^2) spanning trees")
+                        help="accuracy of the spanning-tree diagonal estimate (default %(default)s); no "
+                        "effect on runs, which read the exact diagonal")
 
 
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:

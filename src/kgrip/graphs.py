@@ -24,7 +24,7 @@ from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, 
 Edge = tuple[int, int]
 # up to this n the graph's factor is a dense Cholesky of L + J/n: a column by it beats CG and SuperLU
 DENSE_SOLVE_MAX_N = 200
-_SELINV_ENTRIES_PER_CUBE = 1 / 500  # GroundedLU.inverse_trace: N^3/500 entries gathered cost the dense N^3/3 flops
+_SELINV_ENTRIES_PER_CUBE = 1 / 500  # GroundedLU.inverse_diagonal: N^3/500 entries gathered cost the dense N^3/3 flops
 
 
 def in_sorted(held: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -77,8 +77,8 @@ class GroundedLU:
         x[1:] = self._lu.solve(rhs[1:])
         return x
 
-    def inverse_trace(self) -> float | None:
-        """tr(L_g^-1) by selected inversion (Takahashi, Fagan & Chin 1973), or None where the dense form is cheaper.
+    def inverse_diagonal(self) -> np.ndarray | None:
+        """diag(L_g^-1) by selected inversion (Takahashi, Fagan & Chin 1973), or None where the dense form is cheaper.
 
         The root block (the trailing columns full below the diagonal) is inverted by dpotri; each column j left of
         it, l_j its entries in the rows S_j below the diagonal (its tree ancestors), takes Z[S_j, j] = -Z[S_j, S_j]
@@ -112,22 +112,21 @@ class GroundedLU:
         z, root = np.full((k + 2, k + 2), np.nan), np.sqrt(d[r:])[:, None] * lower[r:, r:].T.toarray()  # D^1/2 L^T
         z[k], z[:, k] = 0.0, 0.0  # padding; NaN unwritten and on leaves' row -1, read only if S_j is not j's ancestors
         inverse = lapack.dpotri(root.T, lower=1, overwrite_c=1)[0]  # the lower triangle
-        z[k - n + r : k, k - n + r : k], trace = inverse + np.tril(inverse, -1).T, float(np.trace(inverse))
+        z[k - n + r : k, k - n + r : k], diag = inverse + np.tril(inverse, -1).T, np.r_[np.empty(r), inverse.diagonal()]
         for first, end, w in zip(starts.tolist(), (starts + counts).tolist(), width.tolist()):
             step = max(1, n * n // (4 * w * w + 1))
             for lo, hi in ((lo, min(lo + step, end)) for lo in range(first, end, step)):
                 cols, span = order[lo:hi], slice(entry[lo], entry[lo] + (hi - lo) * w)
                 s, l = idx[span].reshape(hi - lo, w), vals[span].reshape(hi - lo, w)
                 below = -np.einsum("cij,cj->ci", z[s[:, :, None], s[:, None, :]], l)
-                diagonal = 1.0 / d[cols] - np.einsum("ci,ci->c", l, below)
-                trace += float(diagonal.sum())
+                diag[cols] = 1.0 / d[cols] - np.einsum("ci,ci->c", l, below)
                 if not leaf[cols[0]]:
                     j = slot[cols]
                     z[s, j[:, None]] = z[j[:, None], s] = below
-                    z[j, j] = diagonal
-        if not np.isfinite(trace):
+                    z[j, j] = diag[cols]
+        if not np.isfinite(diag).all():
             raise InvariantError("selected inversion needs the factor's pattern closed along the elimination tree")
-        return trace
+        return diag[self._lu.perm_c]  # Z's diagonal in the grounded Laplacian's own order
 
 
 class GrownFactor:
@@ -196,7 +195,9 @@ class Graph:
         return list(self._log)
 
     def _row(self, v: int) -> np.ndarray:
-        """The sorted columns the cached Laplacian stores in row v: v's neighbours and v."""
+        """The sorted columns the cached Laplacian stores in row v: v's neighbours and v; v must lie in 0..n-1."""
+        if not 0 <= v < self._n:
+            raise InvariantError(f"vertex {v} is outside 0..{self._n - 1}")
         lap = self.laplacian()
         return lap.indices[lap.indptr[v] : lap.indptr[v + 1]]
 

@@ -9,7 +9,7 @@ heuristic is one candidate source paired with one gain scorer
 
   candidate sources  - the universe of non-edges (StGreedy);
                        uniform non-edge samples; or vertex samples weighted
-                       by the UST estimate of the pseudoinverse diagonal;
+                       by the exact pseudoinverse diagonal;
   gain scorers       - the dense pseudoinverse, cached pseudoinverse
                        columns, random-projection sketches, or the spectral
                        bracket midpoint.
@@ -42,6 +42,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from itertools import count, repeat
 from typing import Callable, Sequence
 
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import jlt, linalg, spectral, ust
 from .errors import ConfigError, InvariantError
-from .graphs import DENSE_SOLVE_MAX_N, Edge, Graph, assert_connected, in_sorted
+from .graphs import Edge, Graph, assert_connected, in_sorted
 from .linalg import (
     PASS_BLOCK,
     ColumnCache,
@@ -384,7 +385,7 @@ class _Source(_Part):
 
     global_mode = "grip-simpl"  # candidate_size mode of the global form
 
-    def compute(self) -> None:
+    def compute(self, scorer: "_Scorer") -> None:
         self.size_sample()
 
     def size_sample(self) -> None:
@@ -430,16 +431,13 @@ class _UniformPairs(_Source):
 
 
 class _DiagVertices(_Source):
-    """Vertices drawn with probability proportional to the UST estimate of
-    diag(L+): the non-edges among them, or each paired with the focus."""
+    """Vertices drawn with probability proportional to the exact diag(L+), which the paper estimates from spanning trees
+    (``ust.approx_diag_lpinv``, kept as a test hook): the non-edges among them, or each paired with the focus."""
 
     global_mode = "grip-col"
 
-    def compute(self) -> None:
-        rng = derive_rng(self.seed, _PRE_STREAM, self.kind.value)
-        _, self.repo = ust.approx_diag_lpinv(
-            self.graph, self.params.diag_epsilon, rng, self.params.solver
-        )
+    def compute(self, scorer: "_Scorer") -> None:
+        self.repo = ust.UstRepository(diag=scorer.initial_diagonal, round=self.graph.round)
         self.size_sample()
 
     def candidates(self, round_idx: int) -> np.ndarray:
@@ -463,12 +461,14 @@ class _Scorer(_Part):
     def compute(self, source: _Source) -> None:
         raise NotImplementedError
 
+    @cached_property
+    def initial_diagonal(self) -> np.ndarray:
+        """Exact diag(L+) of the input graph, from one inversion pass (:func:`linalg.lpinv_diagonal`)."""
+        return linalg.lpinv_diagonal(self.graph)
+
     def total_resistance(self) -> float:
-        """Exact total resistance of the graph as :meth:`compute` left it, off its sparse factor where that pays."""
-        g = self.graph
-        if DENSE_SOLVE_MAX_N < g.n <= linalg.DENSE_CAP_DEFAULT and (trace := g.factor().inverse_trace()) is not None:
-            return g.n * trace - float(g.factor().solve(np.r_[1 - g.n, np.ones(g.n - 1)]).sum())  # 1 - n e_0 sums to 0
-        return total_resistance(g)  # up to n = DENSE_SOLVE_MAX_N, and above the dense cap, which it refuses
+        """Exact total resistance of the input graph: n times the sum of :attr:`initial_diagonal`."""
+        return self.graph.n * float(self.initial_diagonal.sum())
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -535,9 +535,7 @@ class _Sketch(_Scorer):
     """Gains from random-projection sketches, rebuilt with fresh projections every round."""
 
     def compute(self, source: _Source) -> None:
-        # Beside the diag source, whose trees draw from the plain stream, the
-        # sketch takes a stream token of its own and is sized by the vertex
-        # sample instead of by n.
+        # beside the diag source the sketch draws from a stream token of its own and is sized by the sample, not n
         beside_diag = isinstance(source, _DiagVertices)
         self.tokens = ("sketch",) if beside_diag else ()
         universe = source.sample_size if beside_diag else self.graph.n
@@ -592,7 +590,7 @@ def _computed_parts(
     source_cls, scorer_cls = HEURISTIC_PARTS[kind]
     source = source_cls(graph, k, params, seed, kind)
     scorer = scorer_cls(graph, k, params, seed, kind)
-    source.compute()
+    source.compute(scorer)
     scorer.compute(source)
     return source, scorer
 

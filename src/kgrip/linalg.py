@@ -16,8 +16,8 @@ solve, L v = e_a - e_b, not the two columns.
 
 The dense P and R_tot both come from one Cholesky factor of L + J/n, which
 refuses a disconnected graph; up to ``DENSE_SOLVE_MAX_N`` vertices it is the
-graph's factor, whose solve of a zero-sum b is L^+ b. Above that, R_tot without
-a dense P may come from ``GroundedLU.inverse_trace``. Columns of P can also be
+graph's factor, whose solve of a zero-sum b is L^+ b. Above that, diag(P) and
+R_tot may come from ``GroundedLU.inverse_diagonal``. Columns of P can also be
 obtained by solving L X = E - 1/n for a block of unit vectors E (at once through
 the graph's factor, a sparse LU of the grounded Laplacian L[1:,1:] above that
 size, grown by the Woodbury identity below across insertions, or by one CG solve
@@ -47,7 +47,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import blas, lapack
 
 from .errors import ConfigError, InvariantError, SolverError, StaleStateError
-from .graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, canonical_edge, is_connected
+from .graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, GroundedLU, canonical_edge, is_connected
 
 
 @dataclass(frozen=True)
@@ -167,23 +167,34 @@ def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -
     return float(col_a[a] + col_b[b] - 2.0 * col_a[b])
 
 
-def total_resistance(obj) -> float:
-    """n * trace(pseudoinverse), from a Graph or an existing DenseState.
+def lpinv_diagonal(graph: Graph, sparse: bool = True) -> np.ndarray:
+    """diag(L^+) exactly, from one inversion pass; R_tot is n times its sum.
 
-    For a Graph no inverse is formed: with the Cholesky factor R of L + J/n
-    (upper, R^T R, :class:`SolverError` if the graph is disconnected),
-    trace((L + J/n)^(-1)) = ||R^(-1)||_F^2, and the J/n term contributes 1
-    to it, so R_tot = n * (||R^(-1)||_F^2 - 1).
+    Above ``DENSE_SOLVE_MAX_N``, if ``sparse``, off ``GroundedLU.inverse_diagonal`` where it takes the graph: with
+    M = L_g^(-1) padded by zeros at vertex 0, L^+ = (I - J/n) M (I - J/n), so L^+[i,i] = M[i,i] - 2 (M 1)[i] / n
+    + 1^T M 1 / n^2, where M 1 solves L x = 1 - n e_0. Otherwise off the Cholesky factor R of L + J/n (upper, R^T R,
+    :class:`SolverError` if the graph is disconnected): diag((L + J/n)^(-1)) holds the squared row norms of R^(-1),
+    and the J/n term adds 1/n to each.
     """
+    n = graph.n
+    factor = graph.factor() if sparse and DENSE_SOLVE_MAX_N < n <= DENSE_CAP_DEFAULT else None
+    if isinstance(factor, GroundedLU) and (inv := factor.inverse_diagonal()) is not None:  # not grown by insertions
+        ones = factor.solve(np.r_[1.0 - n, np.ones(n - 1)])  # M 1: x[0] = 0
+        return np.r_[0.0, inv] - (2.0 / n) * ones + ones.sum() / (n * n)
+    upper, in_place = _shifted_cholesky(graph)
+    r_inv, info = lapack.dtrtri(upper, overwrite_c=in_place)
+    if info != 0:
+        raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
+    return np.einsum("ij,ij->i", r_inv, r_inv) - 1.0 / n
+
+
+def total_resistance(obj) -> float:
+    """n * trace(pseudoinverse), from an existing DenseState, or from a Graph by :func:`lpinv_diagonal`'s dense form."""
     if isinstance(obj, DenseState):
         return obj.graph.n * float(np.trace(obj.block))
     if not isinstance(obj, Graph):
         raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
-    upper, in_place = _shifted_cholesky(obj)
-    r_inv, info = lapack.dtrtri(upper, overwrite_c=in_place)
-    if info != 0:
-        raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
-    return obj.n * (float(np.einsum("ij,ij->", r_inv, r_inv)) - 1.0)
+    return obj.n * float(lpinv_diagonal(obj, sparse=False).sum())
 
 
 def total_resistance_after(

@@ -1,4 +1,4 @@
-"""Uniform spanning trees and the UST-based estimate of diag(pseudoinverse).
+"""Uniform spanning trees and the UST-based estimate of diag(pseudoinverse); runs read the exact diagonal instead.
 
 Sampling uses Wilson's cycle popping over a block of trees at once: every
 non-root vertex of every tree draws a random arrow to a neighbour, and round
@@ -350,8 +350,8 @@ def approx_diag_lpinv(
     rng: np.random.Generator,
     config: SolverConfig = DEFAULT_SOLVER,
 ) -> tuple[np.ndarray, UstRepository]:
-    """UST-sampled diagonal of the pseudoinverse plus the repository for updates.
-
+    """UST-sampled diagonal of the pseudoinverse plus the repository for updates: the paper's estimator. Runs read
+    the exact diagonal off ``linalg.lpinv_diagonal`` instead, so this serves only as a test hook.
     Samples ceil(ln(n)/eps^2) trees from the pivot, averages the signed
     BFS-path counts into resistance estimates R(pivot, .), then converts them
     with one solved pivot column. The BFS tree from the pivot raises

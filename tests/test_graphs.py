@@ -344,6 +344,15 @@ def _networkx_laplacian(ref: nx.Graph) -> sp.csr_matrix:
     return lap
 
 
+@pytest.mark.parametrize("v", [-1, -4, 4, 5])
+def test_vertex_views_refuse_ids_outside_the_graph(v):
+    # a negative id would otherwise index the CSR row pointers from the end: degree(-1) read -1
+    g = path_graph(4)
+    for view in (g.degree, g.neighbors, g.non_neighbors):
+        with pytest.raises(InvariantError, match=f"vertex {v} is outside 0..3"):
+            view(v)
+
+
 def _assert_views_match_networkx(g: Graph, ref: nx.Graph) -> None:
     n, nodes = g.n, range(len(ref))
     assert (n, g.m) == (len(ref), ref.number_of_edges())

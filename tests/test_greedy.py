@@ -11,7 +11,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kgrip import greedy, jlt, linalg, oracles, ust
+from kgrip import graphs, greedy, jlt, linalg, oracles, ust
 from kgrip.errors import ConfigError, InvariantError
 from kgrip.graphs import DENSE_SOLVE_MAX_N, Graph, generate
 from kgrip.linalg import total_resistance
@@ -26,6 +26,7 @@ from kgrip.greedy import (
     sample_candidates_uniform,
     sample_nonedge_pairs,
 )
+from kgrip.seeds import derive_rng
 
 from conftest import star_graph
 
@@ -1105,7 +1106,21 @@ def test_dense_runs_read_initial_resistance_off_the_pseudoinverse(model, params,
     assert run_klrip(g, [3], 2, kind, seed=4)[0].r_initial == pytest.approx(expected, rel=1e-12)
 
 
-def test_colstochjlt_draws_trees_and_sketch_from_separate_streams(monkeypatch):
+@pytest.fixture
+def tree_diagonal(monkeypatch):
+    """Diag sources weigh their vertices by the spanning-tree estimate of diag(L+), the paper's, drawn on the plain
+    preprocessing stream, instead of by the exact diagonal; the rank-one update brings it forward as before."""
+
+    def compute(self, scorer):
+        rng = derive_rng(self.seed, greedy._PRE_STREAM, self.kind.value)
+        _, self.repo = ust.approx_diag_lpinv(self.graph, self.params.diag_epsilon, rng, self.params.solver)
+        self.size_sample()
+
+    monkeypatch.setattr(greedy._DiagVertices, "compute", compute)
+
+
+def test_colstochjlt_draws_trees_and_sketch_from_separate_streams(monkeypatch, tree_diagonal):
+    # with the tree estimate as the diag source, the trees keep the plain stream and the sketch a token of its own
     states = {"trees": [], "sketch": []}
     approx_diag, build_sketch = ust.approx_diag_lpinv, jlt.build_sketch
 
@@ -1126,8 +1141,8 @@ def test_colstochjlt_draws_trees_and_sketch_from_separate_streams(monkeypatch):
     assert states["trees"][0] != states["sketch"][0]
 
 
-def test_colstoch_samples_trees_only_for_the_initial_diagonal(monkeypatch):
-    # the initial estimate draws one tree sample; the per-round updates draw none
+def test_colstoch_samples_trees_only_for_the_initial_diagonal(monkeypatch, tree_diagonal):
+    # with the tree estimate as the diag source, the initial estimate draws one tree sample; the updates draw none
     events = []
     approx_diag, sample = ust.approx_diag_lpinv, ust.sample_trees
 
@@ -1149,8 +1164,8 @@ def test_colstoch_samples_trees_only_for_the_initial_diagonal(monkeypatch):
     assert events == ["approx_diag_lpinv", "sample_trees"]
 
 
-def test_default_tree_budget_is_pinned(monkeypatch):
-    # the default diag_epsilon sets the initial sample: ceil(ln 650 / 0.3^2) = 72
+def test_default_tree_budget_is_pinned(monkeypatch, tree_diagonal):
+    # the default diag_epsilon sets the tree estimate's sample: ceil(ln 650 / 0.3^2) = 72
     # trees at n = 650; the CLI flag takes the same default
     from kgrip.cli import build_parser
 
@@ -1169,11 +1184,18 @@ def test_default_tree_budget_is_pinned(monkeypatch):
     assert build_parser().parse_args(["optimize", "--k", "1"]).diag_eps == eps
 
 
-def test_default_tree_budget_keeps_col_quality():
-    # the default initial sample must not cost quality against the larger
-    # sample of diag_epsilon 0.1 on the same graphs and run seeds; the mean
-    # pools colstoch and colstochjlt, whose sketch gains alone spread too
-    # widely over six runs for a 0.02 margin
+def test_default_tree_budget_keeps_col_quality(monkeypatch, tree_diagonal):
+    # with the tree estimate as the diag source, the default sample must not
+    # cost quality against the larger sample of diag_epsilon 0.1 on the same
+    # graphs and run seeds; the mean pools colstoch and colstochjlt, whose
+    # sketch gains alone spread too widely over six runs for a 0.02 margin
+    drawn, sample = [], ust.sample_trees
+
+    def spy(graph, roots, count, rng):
+        drawn.append(count)
+        return sample(graph, roots, count, rng)
+
+    monkeypatch.setattr(ust, "sample_trees", spy)
     finer = GreedyParams(diag_epsilon=0.1)
     default, fine = [], []
     for graph_seed in (1, 2, 3):
@@ -1183,7 +1205,44 @@ def test_default_tree_budget_keeps_col_quality():
             for seed in (1, 2):
                 default.append(sum(run_kgrip(g, 2, kind, seed=seed).per_edge_true_gain) / best)
                 fine.append(sum(run_kgrip(g, 2, kind, finer, seed=seed).per_edge_true_gain) / best)
+    assert drawn == [ust.tree_budget(650, 0.3), ust.tree_budget(650, 0.1)] * 12  # every run drew its own sample
     assert np.mean(default) >= np.mean(fine) - 0.02, (default, fine)
+
+
+_R_INITIAL_KINDS = [Heuristic.COL_STOCH, Heuristic.COL_STOCH_JLT, Heuristic.SIMPL_STOCH_JLT, Heuristic.SPEC_STOCH]
+
+
+@pytest.mark.parametrize("kind", [Heuristic.COL_STOCH, Heuristic.COL_STOCH_JLT], ids=lambda kind: kind.value)
+def test_col_runs_read_the_exact_diagonal_and_draw_no_trees(kind, monkeypatch):
+    # the diag source weighs its first draw by the exact diag(L+), from the pass that also gives r_initial
+    weights, draw = [], greedy.sample_candidates_diag_weighted
+    monkeypatch.setattr(
+        greedy, "sample_candidates_diag_weighted", lambda d, *args, **kw: weights.append(d) or draw(d, *args, **kw)
+    )
+    monkeypatch.setattr(ust, "sample_trees", lambda *args: pytest.fail("a run drew spanning trees"))
+    for g in (generate("ba", {"n": 120, "m_attach": 3}, seed=1), generate("ba", {"n": 650, "m_attach": 3}, seed=1)):
+        expected = np.diagonal(linalg.pseudoinverse_dense(g.copy()))
+        for focus in (None, [4, 60]):
+            weights.clear()
+            run_kgrip(g, 2, kind, seed=3) if focus is None else run_klrip(g, focus, 2, kind, seed=3)
+            assert (np.abs(weights[0] - expected) / expected).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [120, 650])
+@pytest.mark.parametrize("kind", _R_INITIAL_KINDS, ids=lambda kind: kind.value)
+def test_r_initial_is_exact_from_one_inversion_pass_per_run_or_batch(kind, n, monkeypatch):
+    # the diag source and r_initial share one pass: the dense form's R^(-1) up to DENSE_SOLVE_MAX_N, the selected
+    # inversion of the sparse factor above it
+    g = generate("ba", {"n": n, "m_attach": 3}, seed=1)
+    expected = oracles.total_resistance(g)
+    passes, dtrtri, inverse = [], linalg.lapack.dtrtri, graphs.GroundedLU.inverse_diagonal
+    monkeypatch.setattr(linalg.lapack, "dtrtri", lambda upper, **kw: passes.append("dense") or dtrtri(upper, **kw))
+    monkeypatch.setattr(graphs.GroundedLU, "inverse_diagonal", lambda self: passes.append("selected") or inverse(self))
+    for focus in (None, [4, 60, 90]):
+        passes.clear()
+        solution = run_kgrip(g, 2, kind, seed=7) if focus is None else run_klrip(g, focus, 2, kind, seed=7)[0]
+        assert passes == ["dense" if n <= DENSE_SOLVE_MAX_N else "selected"]
+        assert solution.r_initial == pytest.approx(expected, rel=1e-12)
 
 
 # -- seeded outputs ------------------------------------------------------------------
@@ -1191,22 +1250,22 @@ def test_default_tree_budget_keeps_col_quality():
 # inserted edges of k=3 runs with seed 5, global and with focus node 7, on
 # ER(60, 0.1) seed 21 and BA(80, 3) seed 22; fixed since before batched scoring,
 # except col*, re-pinned when the diagonal-weighted draw became one exponential race,
-# when the default diag_epsilon went from 0.1 to 0.3 (fewer initial trees) and when
+# when the default diag_epsilon went from 0.1 to 0.3 (fewer initial trees), when
 # the tree sampler went from lockstep walks to cycle popping (same distribution,
-# another random stream)
+# another random stream) and when the tree estimate gave way to the exact diagonal
 _SEEDED_EDGES = {
     ("er", "stgreedy"): ([(11, 56), (11, 55), (28, 56)], [(7, 11), (7, 56), (7, 28)]),
     ("er", "simplstoch"): ([(5, 11), (55, 56), (6, 56)], [(7, 50), (7, 11), (7, 48)]),
     ("er", "simplstochjlt"): ([(11, 41), (9, 56), (28, 29)], [(7, 50), (7, 29), (7, 55)]),
     ("er", "specstoch"): ([(11, 16), (53, 56), (28, 55)], [(7, 22), (7, 9), (7, 55)]),
-    ("er", "colstoch"): ([(11, 16), (11, 56), (28, 56)], [(7, 11), (7, 50), (7, 55)]),
+    ("er", "colstoch"): ([(11, 56), (11, 16), (28, 56)], [(7, 11), (7, 50), (7, 55)]),
     ("er", "colstochjlt"): ([(11, 28), (11, 31), (38, 56)], [(7, 16), (7, 14), (7, 11)]),
     ("ba", "stgreedy"): ([(73, 76), (59, 65), (68, 69)], [(7, 73), (7, 76), (7, 65)]),
     ("ba", "simplstoch"): ([(48, 65), (70, 73), (66, 69)], [(7, 67), (7, 56), (7, 57)]),
     ("ba", "simplstochjlt"): ([(28, 59), (26, 71), (40, 65)], [(7, 68), (7, 35), (7, 75)]),
     ("ba", "specstoch"): ([(65, 68), (66, 73), (71, 76)], [(7, 30), (7, 64), (7, 76)]),
-    ("ba", "colstoch"): ([(59, 76), (65, 73), (48, 57)], [(7, 73), (7, 75), (7, 70)]),
-    ("ba", "colstochjlt"): ([(68, 77), (30, 32), (54, 78)], [(7, 78), (7, 30), (7, 68)]),
+    ("ba", "colstoch"): ([(59, 76), (65, 73), (68, 69)], [(7, 73), (7, 75), (7, 70)]),
+    ("ba", "colstochjlt"): ([(68, 77), (30, 32), (54, 73)], [(7, 78), (7, 59), (7, 68)]),
 }
 
 

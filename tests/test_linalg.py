@@ -359,11 +359,11 @@ def test_solve_on_disconnected_graph_raises(n, split, s):
 
 
 def test_colstoch_k1_solves_its_columns_by_factor(cg_calls, factorisations):
-    # the pivot column is a CG solve; the sampled columns, the report and the one-column r_final share one factor,
-    # built before the insertion and so a factor of the input
+    # the exact diagonal, the sampled columns, the report and the one-column r_final share one factor, built before
+    # the insertion and so a factor of the input; no column runs CG
     g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=1)
     run_kgrip(g, 1, Heuristic.COL_STOCH, seed=7)
-    assert len(factorisations.sparse) == 1 and cg_calls[0] == 1
+    assert len(factorisations.sparse) == 1 and cg_calls[0] == 0
 
 
 def test_column_cache_solves_missing_columns_once():
@@ -508,6 +508,53 @@ def _r_initial(graph: Graph) -> float:
     return greedy._Scorer(graph, 1, GreedyParams(), 0, Heuristic.COL_STOCH).total_resistance()
 
 
+def _spy_dense_inversions(monkeypatch, orders: list) -> None:
+    """Record in ``orders`` the order of every triangular inversion of the dense form, R^(-1)."""
+    dtrtri = linalg.lapack.dtrtri
+    monkeypatch.setattr(linalg.lapack, "dtrtri", lambda upper, **kw: orders.append(len(upper)) or dtrtri(upper, **kw))
+
+
+@pytest.mark.parametrize(
+    "graph, selected",
+    [
+        (generate("ba", {"n": 650, "m_attach": 3}, seed=1), True),
+        (generate("ws", {"n": 650, "degree": 10, "rewire_prob": 0.01}, seed=1), True),
+        (generate("er", {"n": 650, "p": 0.01}, seed=1), False),  # the work guard sends it to the dense form
+        (generate("ba", {"n": 120, "m_attach": 3}, seed=1), False),
+        (generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1), False),
+        (path_graph(210), True),
+        (star_graph(210), True),
+    ],
+    ids=["ba650", "ws650", "er650", "ba120", "ws120", "path210", "star210"],
+)
+def test_lpinv_diagonal_matches_the_dense_pseudoinverse(graph, selected, monkeypatch):
+    expected, dense = np.diagonal(pseudoinverse_dense(graph.copy())), []
+    _spy_dense_inversions(monkeypatch, dense)
+    diagonal = linalg.lpinv_diagonal(graph)
+    assert dense == ([] if selected else [graph.n])
+    assert (np.abs(diagonal - expected) / expected).max() <= 1e-12
+    assert graph.n * diagonal.sum() == pytest.approx(total_resistance(graph), rel=1e-12)
+
+
+def test_lpinv_diagonal_of_a_graph_whose_factor_grew_takes_the_dense_form(monkeypatch):
+    # a grown factor holds no selected inversion: the diagonal of the grown graph comes from the dense form
+    g = generate("ba", {"n": 650, "m_attach": 3}, seed=1)
+    g.factor()
+    g.insert_edge(*next((0, b) for b in range(1, g.n) if not g.has_edge(0, b)))
+    assert isinstance(g.factor(), GrownFactor)
+    expected, dense = np.diagonal(pseudoinverse_dense(Graph(g.n, g.edges()))), []
+    _spy_dense_inversions(monkeypatch, dense)
+    assert (np.abs(linalg.lpinv_diagonal(g) - expected) / expected).max() <= 1e-12 and dense == [g.n]
+
+
+@pytest.mark.parametrize("n", [150, 600], ids=["dense", "selected"])
+def test_lpinv_diagonal_meets_the_closed_form_of_the_path(n):
+    # on a path R(i,j) = |i - j|, and L^+[i,i] = sum_j R(i,j) / n - R_tot / n^2 with R_tot = (n^3 - n) / 6
+    i = np.arange(n)
+    exact = (i * (i + 1) + (n - 1 - i) * (n - i)) / (2 * n) - (n**3 - n) / (6 * n * n)
+    assert (np.abs(linalg.lpinv_diagonal(path_graph(n)) - exact) / exact).max() <= 1e-12
+
+
 @pytest.mark.parametrize(
     "model, params, selected",
     [
@@ -520,9 +567,9 @@ def _r_initial(graph: Graph) -> float:
 )
 def test_r_initial_matches_the_dense_oracle_on_either_side_of_the_fill_rule(model, params, selected, monkeypatch):
     g = generate(model, params, seed=1)
-    dense = []
-    monkeypatch.setattr(greedy, "total_resistance", lambda graph: dense.append(graph.n) or total_resistance(graph))
-    assert _r_initial(g) == pytest.approx(total_resistance(g), rel=1e-9)
+    expected, dense = total_resistance(g), []
+    _spy_dense_inversions(monkeypatch, dense)
+    assert _r_initial(g) == pytest.approx(expected, rel=1e-9)
     assert dense == ([] if selected else [g.n])  # a scale-free or ring graph fills little, ER fills much
 
 
@@ -537,14 +584,14 @@ def test_selected_inversion_on_extreme_elimination_trees(graph, monkeypatch):
     expected = total_resistance(graph)
     assert _r_initial(graph) == pytest.approx(expected, rel=1e-9)
     monkeypatch.setattr(graphs, "_SELINV_ENTRIES_PER_CUBE", math.inf)
-    assert graph.factor().inverse_trace() is not None
+    assert graph.factor().inverse_diagonal() is not None
     assert _r_initial(graph) == pytest.approx(expected, rel=1e-9)
 
 
 def test_selected_inversion_meets_the_closed_form_of_the_cycle():
     n = 2000  # R_tot(C_n) = (n^3 - n) / 12; the dense oracle is off it by about 3e-11 here
     g = cycle_graph(n)
-    assert g.factor().inverse_trace() is not None
+    assert g.factor().inverse_diagonal() is not None
     assert _r_initial(g) == pytest.approx((n**3 - n) / 12, rel=1e-12)
 
 
@@ -599,10 +646,11 @@ def test_selected_inversion_refuses_a_pattern_not_closed_along_the_tree(below, c
     factor._lu = _Factor(below)
     if closed:
         lower = factor._lu.L.toarray()
-        assert factor.inverse_trace() == pytest.approx(np.trace(np.linalg.inv(lower @ lower.T)), rel=1e-12)
+        expected = np.diagonal(np.linalg.inv(lower @ lower.T))
+        assert factor.inverse_diagonal() == pytest.approx(expected, rel=1e-12)
     else:
         with pytest.raises(InvariantError):
-            factor.inverse_trace()
+            factor.inverse_diagonal()
 
 
 # -- total_resistance_after (Woodbury) ----------------------------------------------
