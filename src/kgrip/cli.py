@@ -133,8 +133,7 @@ def _params_from_args(args) -> GreedyParams:
         delta=args.delta,
         cutoff=args.cutoff,
         solver=SolverConfig(residual_tol=args.solver_eps),
-        diag_epsilon=args.diag_eps,
-        c_jlt=getattr(args, "c_jlt", _DEFAULTS.c_jlt),
+        c_jlt=args.c_jlt,
     )
 
 
@@ -185,7 +184,7 @@ def cmd_optimize(args) -> int:
 
 
 def _resolve_focus(args, graph: Graph, k: int) -> tuple[list[int], list[dict]]:
-    if args.focus:
+    if args.focus is not None:
         what = f"--focus list {args.focus!r}"
         wanted = [_number(int, tok, what) for tok in args.focus.split(",") if tok.strip()]
         if not wanted:
@@ -193,7 +192,7 @@ def _resolve_focus(args, graph: Graph, k: int) -> tuple[list[int], list[dict]]:
         for v in wanted:
             if not 0 <= v < graph.n:
                 raise ConfigError(f"focus node {v} outside 0..{graph.n - 1}")
-    elif args.random_focus:
+    elif args.random_focus is not None:
         if args.random_focus < 1:
             raise ConfigError("--random-focus must be positive")
         rng = derive_rng(args.seed, "focus-selection")
@@ -356,9 +355,7 @@ def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cutoff", type=int, default=_DEFAULTS.cutoff, help="eigenpair cutoff for specstoch")
     parser.add_argument("--solver-eps", type=float, default=_DEFAULTS.solver.residual_tol,
                         help="linear solver residual tolerance")
-    parser.add_argument("--diag-eps", type=float, default=_DEFAULTS.diag_epsilon,
-                        help="accuracy of the spanning-tree diagonal estimate (default %(default)s); no "
-                        "effect on runs, which read the exact diagonal")
+    parser.add_argument("--c-jlt", type=float, default=_DEFAULTS.c_jlt, help="sketch width multiplier")
 
 
 def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -367,7 +364,6 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--k", type=int, required=True, help="number of edges to insert")
     parser.add_argument("--heuristic", default="stgreedy", help="stgreedy|simplstoch|colstoch|simplstochjlt|colstochjlt|specstoch")
     _add_param_flags(parser)
-    parser.add_argument("--c-jlt", type=float, default=_DEFAULTS.c_jlt, help="sketch width multiplier")
     parser.add_argument("--seed", type=int, default=0, help="master seed (echoed in results)")
     parser.add_argument("--output", "-o", help="output path (default stdout)")
     parser.add_argument("--format", choices=("json", "csv"), default="json")

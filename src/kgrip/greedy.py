@@ -88,7 +88,6 @@ class GreedyParams:
     delta: float = 0.9
     cutoff: int = 50
     solver: SolverConfig = field(default_factory=SolverConfig)
-    diag_epsilon: float = 0.3
     c_jlt: float = 4.0
 
     def validate(self) -> None:
@@ -96,19 +95,14 @@ class GreedyParams:
             raise ConfigError(f"delta must lie strictly inside (0,1), got {self.delta}")
         if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 2:
             raise ConfigError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
-        for name, value in (
-            ("diag epsilon", self.diag_epsilon),
-            ("c_jlt", self.c_jlt),
-        ):
-            if not (math.isfinite(value) and value > 0):
-                raise ConfigError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.c_jlt) and self.c_jlt > 0):
+            raise ConfigError(f"c_jlt must be finite and positive, got {self.c_jlt}")
 
     def to_dict(self) -> dict:
         return {
             "delta": self.delta,
             "cutoff": self.cutoff,
             "solver_eps": self.solver.residual_tol,
-            "diag_eps": self.diag_epsilon,
             "c_jlt": self.c_jlt,
         }
 
@@ -808,6 +802,10 @@ def run_klrip(
         raise ConfigError(f"k must be >= 1, got {k}")
     if not focus_nodes:
         raise ConfigError("focus node list is empty")
+    seen: set[int] = set()
     for v in focus_nodes:
         check_focus_feasible(graph, v, k)
+        if v in seen:
+            raise ConfigError(f"focus node {v} is listed more than once")
+        seen.add(v)
     return _runs(graph, focus_nodes, k, kind, params, seed)

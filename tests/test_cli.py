@@ -56,7 +56,6 @@ def test_optimize_invalid_delta_exit2(tmp_path, capsys):
         ("--c-jlt", "nan", "c_jlt"),
         ("--c-jlt", "inf", "c_jlt"),
         ("--c-jlt", "0", "c_jlt"),
-        ("--diag-eps", "nan", "diag epsilon"),
         ("--solver-eps", "nan", "residual_tol"),
     ],
 )
@@ -181,6 +180,21 @@ def test_lrip_focus_out_of_range_exit2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "choice, message",
+    [
+        (["--random-focus", "0"], "--random-focus must be positive"),
+        (["--focus", ""], "--focus list is empty"),
+        (["--focus", "2,0,2"], "focus node 2 is listed more than once"),
+    ],
+    ids=["random-focus-zero", "empty-focus", "repeated-focus"],
+)
+def test_lrip_bad_focus_choice_exit2(capsys, choice, message):
+    code, _, err = run_cli(capsys, ["lrip", "--generate", "er:n=30,p=0.2,seed=4", "--k", "1", *choice])
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_lrip_saturated_focus_skipped_with_warning(tmp_path, capsys):
     star = "0 1\n0 2\n0 3\n"
     path = write_graph(tmp_path, star)
@@ -302,6 +316,19 @@ def test_bench_accepts_edge_list_files(tmp_path, capsys):
     assert rows[0]["instance"] == path and rows[0]["status"] == "ok"
 
 
+def test_bench_sets_the_sketch_width(monkeypatch, capsys):
+    # bench runs the sketch heuristics, so it takes --c-jlt like optimize and lrip
+    from kgrip import jlt
+
+    factors, width = [], jlt.default_sketch_width
+    monkeypatch.setattr(jlt, "default_sketch_width", lambda universe, c: factors.append(c) or width(universe, c))
+    argv = ["bench", "--instance", "er:n=25,p=0.2,seed=1", "--heuristics", "simplstochjlt", "--k", "1"]
+    code, _, _ = run_cli(capsys, argv + ["--c-jlt", "8"])
+    assert code == 0 and factors == [8.0]
+    code, _, err = run_cli(capsys, argv + ["--c-jlt", "0"])
+    assert code == 2 and "c_jlt" in err
+
+
 def test_bench_needs_instances(capsys):
     code, _, _ = run_cli(capsys, ["bench", "--heuristics", "stgreedy", "--k", "2"])
     assert code == 2
@@ -315,3 +342,12 @@ def test_bench_needs_instances(capsys):
 def test_parameter_flag_defaults_are_greedy_params_defaults(argv):
     args = build_parser().parse_args(argv)
     assert _params_from_args(args).to_dict() == GreedyParams().to_dict()
+
+
+@pytest.mark.parametrize("command", ["optimize", "lrip", "bench"])
+def test_diag_eps_flag_is_refused(capsys, command):
+    # runs read the exact diagonal, so there is no tree-estimate accuracy to set
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--k", "1", "--diag-eps", "0.3"])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --diag-eps" in capsys.readouterr().err

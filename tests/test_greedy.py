@@ -1079,6 +1079,9 @@ def test_klrip_saturated_focus_rejected():
 def test_klrip_focus_out_of_range(p3):
     with pytest.raises(ConfigError):
         run_klrip(p3, [5], 1, Heuristic.ST_GREEDY)
+    # a repeated focus would run twice and return two identical solutions
+    with pytest.raises(ConfigError, match="focus node 2 is listed more than once"):
+        run_klrip(p3, [2, 0, 2], 1, Heuristic.ST_GREEDY)
 
 
 def test_solution_serialization_roundtrip(p3):
@@ -1108,15 +1111,19 @@ def test_dense_runs_read_initial_resistance_off_the_pseudoinverse(model, params,
 
 @pytest.fixture
 def tree_diagonal(monkeypatch):
-    """Diag sources weigh their vertices by the spanning-tree estimate of diag(L+), the paper's, drawn on the plain
-    preprocessing stream, instead of by the exact diagonal; the rank-one update brings it forward as before."""
+    """``tree_diagonal(epsilon)`` makes diag sources weigh their vertices by the spanning-tree estimate of diag(L+) at
+    accuracy epsilon, the paper's, drawn on the plain preprocessing stream, instead of by the exact diagonal; the
+    rank-one update brings it forward as before."""
 
-    def compute(self, scorer):
-        rng = derive_rng(self.seed, greedy._PRE_STREAM, self.kind.value)
-        _, self.repo = ust.approx_diag_lpinv(self.graph, self.params.diag_epsilon, rng, self.params.solver)
-        self.size_sample()
+    def use(epsilon: float) -> None:
+        def compute(self, scorer):
+            rng = derive_rng(self.seed, greedy._PRE_STREAM, self.kind.value)
+            _, self.repo = ust.approx_diag_lpinv(self.graph, epsilon, rng, self.params.solver)
+            self.size_sample()
 
-    monkeypatch.setattr(greedy._DiagVertices, "compute", compute)
+        monkeypatch.setattr(greedy._DiagVertices, "compute", compute)
+
+    return use
 
 
 def test_colstochjlt_draws_trees_and_sketch_from_separate_streams(monkeypatch, tree_diagonal):
@@ -1134,6 +1141,7 @@ def test_colstochjlt_draws_trees_and_sketch_from_separate_streams(monkeypatch, t
 
     monkeypatch.setattr(ust, "approx_diag_lpinv", spy_diag)
     monkeypatch.setattr(jlt, "build_sketch", spy_sketch)
+    tree_diagonal(0.3)
     g = generate("ba", {"n": 60, "m_attach": 3, "m0": 3}, seed=8)
     run_kgrip(g, 3, Heuristic.COL_STOCH_JLT, seed=2)
     # compute draws the initial trees and builds the first sketch; two refreshes rebuild it
@@ -1156,6 +1164,7 @@ def test_colstoch_samples_trees_only_for_the_initial_diagonal(monkeypatch, tree_
 
     monkeypatch.setattr(ust, "approx_diag_lpinv", spy_diag)
     monkeypatch.setattr(ust, "sample_trees", spy_sample)
+    tree_diagonal(0.3)
     g = generate("ba", {"n": 60, "m_attach": 3, "m0": 3}, seed=8)
     run_kgrip(g, 3, Heuristic.COL_STOCH, seed=2)
     assert events == ["approx_diag_lpinv", "sample_trees"]
@@ -1165,10 +1174,8 @@ def test_colstoch_samples_trees_only_for_the_initial_diagonal(monkeypatch, tree_
 
 
 def test_default_tree_budget_is_pinned(monkeypatch, tree_diagonal):
-    # the default diag_epsilon sets the tree estimate's sample: ceil(ln 650 / 0.3^2) = 72
-    # trees at n = 650; the CLI flag takes the same default
-    from kgrip.cli import build_parser
-
+    # the estimate's accuracy 0.3, the tree-based runs' last default, sets its sample:
+    # ceil(ln 650 / 0.3^2) = 72 trees at n = 650
     counts = []
     sample = ust.sample_trees
 
@@ -1177,16 +1184,15 @@ def test_default_tree_budget_is_pinned(monkeypatch, tree_diagonal):
         return sample(graph, roots, count, rng)
 
     monkeypatch.setattr(ust, "sample_trees", spy)
+    tree_diagonal(0.3)
     g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=1)
     run_kgrip(g, 1, Heuristic.COL_STOCH, seed=1)
-    eps = GreedyParams().diag_epsilon
-    assert counts == [ust.tree_budget(650, eps)] == [72]
-    assert build_parser().parse_args(["optimize", "--k", "1"]).diag_eps == eps
+    assert counts == [ust.tree_budget(650, 0.3)] == [72]
 
 
 def test_default_tree_budget_keeps_col_quality(monkeypatch, tree_diagonal):
-    # with the tree estimate as the diag source, the default sample must not
-    # cost quality against the larger sample of diag_epsilon 0.1 on the same
+    # with the tree estimate as the diag source, the sample at accuracy 0.3 must
+    # not cost quality against the larger sample at 0.1 on the same
     # graphs and run seeds; the mean pools colstoch and colstochjlt, whose
     # sketch gains alone spread too widely over six runs for a 0.02 margin
     drawn, sample = [], ust.sample_trees
@@ -1196,15 +1202,16 @@ def test_default_tree_budget_keeps_col_quality(monkeypatch, tree_diagonal):
         return sample(graph, roots, count, rng)
 
     monkeypatch.setattr(ust, "sample_trees", spy)
-    finer = GreedyParams(diag_epsilon=0.1)
     default, fine = [], []
     for graph_seed in (1, 2, 3):
         g = generate("ba", {"n": 650, "m_attach": 3, "m0": 3}, seed=graph_seed)
         best = sum(run_kgrip(g, 2, Heuristic.ST_GREEDY).per_edge_true_gain)
         for kind in (Heuristic.COL_STOCH, Heuristic.COL_STOCH_JLT):
             for seed in (1, 2):
+                tree_diagonal(0.3)
                 default.append(sum(run_kgrip(g, 2, kind, seed=seed).per_edge_true_gain) / best)
-                fine.append(sum(run_kgrip(g, 2, kind, finer, seed=seed).per_edge_true_gain) / best)
+                tree_diagonal(0.1)
+                fine.append(sum(run_kgrip(g, 2, kind, seed=seed).per_edge_true_gain) / best)
     assert drawn == [ust.tree_budget(650, 0.3), ust.tree_budget(650, 0.1)] * 12  # every run drew its own sample
     assert np.mean(default) >= np.mean(fine) - 0.02, (default, fine)
 
@@ -1212,20 +1219,26 @@ def test_default_tree_budget_keeps_col_quality(monkeypatch, tree_diagonal):
 _R_INITIAL_KINDS = [Heuristic.COL_STOCH, Heuristic.COL_STOCH_JLT, Heuristic.SIMPL_STOCH_JLT, Heuristic.SPEC_STOCH]
 
 
-@pytest.mark.parametrize("kind", [Heuristic.COL_STOCH, Heuristic.COL_STOCH_JLT], ids=lambda kind: kind.value)
+@pytest.mark.parametrize("kind", list(Heuristic), ids=lambda kind: kind.value)
 def test_col_runs_read_the_exact_diagonal_and_draw_no_trees(kind, monkeypatch):
-    # the diag source weighs its first draw by the exact diag(L+), from the pass that also gives r_initial
+    # the diag source weighs its first draw by the exact diag(L+), from the pass that also gives r_initial; no run,
+    # global or local, reaches the spanning-tree estimate or draws a tree
     weights, draw = [], greedy.sample_candidates_diag_weighted
     monkeypatch.setattr(
         greedy, "sample_candidates_diag_weighted", lambda d, *args, **kw: weights.append(d) or draw(d, *args, **kw)
     )
+    monkeypatch.setattr(ust, "approx_diag_lpinv", lambda *args: pytest.fail("a run reached the tree estimate"))
     monkeypatch.setattr(ust, "sample_trees", lambda *args: pytest.fail("a run drew spanning trees"))
+    diag_source = kind in (Heuristic.COL_STOCH, Heuristic.COL_STOCH_JLT)
     for g in (generate("ba", {"n": 120, "m_attach": 3}, seed=1), generate("ba", {"n": 650, "m_attach": 3}, seed=1)):
         expected = np.diagonal(linalg.pseudoinverse_dense(g.copy()))
         for focus in (None, [4, 60]):
             weights.clear()
             run_kgrip(g, 2, kind, seed=3) if focus is None else run_klrip(g, focus, 2, kind, seed=3)
-            assert (np.abs(weights[0] - expected) / expected).max() <= 1e-12
+            if diag_source:
+                assert (np.abs(weights[0] - expected) / expected).max() <= 1e-12
+            else:
+                assert weights == []
 
 
 @pytest.mark.parametrize("n", [120, 650])
