@@ -10,14 +10,16 @@ construction.
 
 from __future__ import annotations
 
+import itertools
+import operator
+import random
 from typing import IO, Iterable, Iterator
 
-import networkx as nx
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
-from scipy.sparse.csgraph import breadth_first_order
+from scipy.sparse.csgraph import breadth_first_order, connected_components
 
 from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, SolverError
 
@@ -415,18 +417,59 @@ def dump_edge_list(graph: Graph, stream: IO[str]) -> None:
 
 
 # -- generators ----------------------------------------------------------------
+# NetworkX's algorithms (Hagberg, Schult & Swart 2008), each drawing from random.Random(seed) exactly as networkx
+# 3.6's gnp_random_graph, barabasi_albert_graph (initial_graph = complete_graph(m0)) and watts_strogatz_graph do.
 
 
-def _from_networkx(g: "nx.Graph") -> Graph:
-    """Largest connected component of g, vertex ids compacted preserving order."""
-    if g.number_of_nodes() == 0:
-        raise ConfigError("generator produced an empty graph")
-    if not nx.is_connected(g):
-        keep = max(nx.connected_components(g), key=len)
-        g = g.subgraph(keep)
-    nodes = sorted(g.nodes())
-    remap = {v: i for i, v in enumerate(nodes)}
-    return Graph(len(nodes), ((remap[u], remap[v]) for u, v in g.edges()))
+def _er_edges(n: int, p: float, rng: random.Random) -> list[Edge]:
+    return [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+
+
+def _ba_edges(n: int, m_attach: int, m0: int, rng: random.Random) -> list[Edge]:
+    edges = list(itertools.combinations(range(m0), 2))
+    repeated = [v for v in range(m0) for _ in range(m0 - 1)]  # each vertex once per incident edge
+    for source in range(m0, n):
+        targets: set[int] = set()  # networkx extends `repeated` in this set's iteration order
+        while len(targets) < m_attach:
+            targets.add(rng.choice(repeated))
+        edges += ((t, source) for t in targets)
+        repeated += [*targets, *[source] * m_attach]
+    return edges
+
+
+def _ws_edges(n: int, degree: int, rewire: float, rng: random.Random) -> list[Edge]:
+    nodes = range(n)
+    ring = [(u, (u + j) % n) for j in range(1, degree // 2 + 1) for u in nodes]
+    adj: list[set[int]] = [set() for _ in nodes]
+    for u, v in ring:
+        adj[u].add(v)
+        adj[v].add(u)
+    for u, v in ring:
+        if rng.random() < rewire:
+            w = rng.choice(nodes)
+            while w == u or w in adj[u]:
+                w = rng.choice(nodes)
+                if len(adj[u]) >= n - 1:
+                    break  # u is joined to every vertex: keep (u, v)
+            else:
+                adj[u].remove(v)
+                adj[v].remove(u)
+                adj[u].add(w)
+                adj[w].add(u)
+    return [(u, v) for u in nodes for v in adj[u] if u < v]
+
+
+def _largest_component(n: int, edges: list[Edge]) -> Graph:
+    """The largest connected component (the one with the least vertex among equals), vertex ids compacted in order."""
+    g = Graph(n, edges)
+    count, labels = connected_components(g.laplacian(), directed=False)
+    if count == 1:
+        return g
+    keep = labels == np.argmax(np.bincount(labels))  # labels number the components by least vertex
+    new_id = np.cumsum(keep) - 1
+    a, b = np.divmod(g._keys, n)
+    inside = keep[a]
+    return Graph(int(keep.sum()), zip(new_id[a[inside]].tolist(), new_id[b[inside]].tolist()))
 
 
 def generate(model: str, params: dict, seed: int) -> Graph:
@@ -436,7 +479,13 @@ def generate(model: str, params: dict, seed: int) -> Graph:
       er: n, p                     -- G(n, p)
       ba: n, m_attach, m0          -- preferential attachment, initial m0-clique
       ws: n, degree (even), rewire_prob
+
+    ``seed`` is any integer, numpy's included; equal seeds give equal graphs.
     """
+    try:
+        rng = random.Random(operator.index(seed))
+    except TypeError:
+        raise ConfigError(f"generator seed must be an integer, got {seed!r}") from None
     model = model.lower()
     if model == "er":
         n, p = int(params["n"]), float(params["p"])
@@ -444,16 +493,18 @@ def generate(model: str, params: dict, seed: int) -> Graph:
             raise ConfigError(f"er: p={p} outside [0,1]")
         if n < 1:
             raise ConfigError("er: n must be positive")
-        g = nx.gnp_random_graph(n, p, seed=seed)
-    elif model == "ba":
+        return _largest_component(n, _er_edges(n, p, rng))
+    if model == "ba":
         n, m_attach = int(params["n"]), int(params["m_attach"])
         m0 = int(params.get("m0", m_attach))
         if m0 < m_attach:
             raise ConfigError(f"ba: m0={m0} smaller than m_attach={m_attach}")
         if not 1 <= m_attach < n or m0 >= n:
             raise ConfigError(f"ba: need 1 <= m_attach < n and m0 < n, got n={n}")
-        g = nx.barabasi_albert_graph(n, m_attach, seed=seed, initial_graph=nx.complete_graph(m0))
-    elif model == "ws":
+        if m0 < 2:
+            raise ConfigError(f"ba: m0={m0}, but the initial m0-clique needs m0 >= 2 for an edge to attach to")
+        return _largest_component(n, _ba_edges(n, m_attach, m0, rng))
+    if model == "ws":
         n, degree = int(params["n"]), int(params["degree"])
         rewire = float(params["rewire_prob"])
         if degree % 2 != 0:
@@ -462,7 +513,5 @@ def generate(model: str, params: dict, seed: int) -> Graph:
             raise ConfigError(f"ws: need 0 < degree < n, got degree={degree}, n={n}")
         if not 0.0 <= rewire <= 1.0:
             raise ConfigError(f"ws: rewire_prob={rewire} outside [0,1]")
-        g = nx.watts_strogatz_graph(n, degree, rewire, seed=seed)
-    else:
-        raise ConfigError(f"unknown generator model {model!r} (expected er, ba, or ws)")
-    return _from_networkx(g)
+        return _largest_component(n, _ws_edges(n, degree, rewire, rng))
+    raise ConfigError(f"unknown generator model {model!r} (expected er, ba, or ws)")

@@ -27,5 +27,5 @@ def derive_rng(master_seed: int, *tokens) -> np.random.Generator:
 
 
 def derive_int_seed(master_seed: int, *tokens) -> int:
-    """32-bit seed for libraries that take plain integer seeds (networkx)."""
+    """32-bit plain integer seed, such as :func:`graphs.generate` takes to seed its ``random.Random``."""
     return int(derive_rng(master_seed, *tokens).integers(0, 2**32))

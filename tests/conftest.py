@@ -11,6 +11,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 from collections import Counter, deque
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,6 +21,12 @@ from scipy.linalg import lapack
 
 from kgrip.graphs import Graph, generate
 from kgrip.ust import SpanningTree, sample_trees
+
+
+def env_with_src() -> dict[str, str]:
+    """This process's environment, with this checkout's ``src`` first on PYTHONPATH, for a child Python."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def path_graph(n: int) -> Graph:

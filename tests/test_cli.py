@@ -6,12 +6,16 @@ import csv
 import functools
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
 from kgrip.cli import _params_from_args, build_parser, main, parse_generator_spec
 from kgrip.errors import ConfigError
 from kgrip.greedy import GreedyParams
+
+from conftest import env_with_src
 
 P3_EDGES = "0 1\n1 2\n"
 
@@ -245,6 +249,24 @@ def test_generate_deterministic(capsys):
 def test_generate_infeasible_exit2(capsys):
     code, _, _ = run_cli(capsys, ["generate", "er:n=10,p=1.5"])
     assert code == 2
+
+
+def test_generate_ba_without_an_initial_edge_exit2(capsys):
+    code, _, err = run_cli(capsys, ["generate", "ba:n=10,m=1"])
+    assert code == 2
+    assert "initial m0-clique" in err
+
+
+def test_optimize_runs_with_networkx_unimportable():
+    code = (
+        "import sys\n"
+        "sys.modules['networkx'] = None\n"  # any import of networkx now raises ImportError
+        "from kgrip import cli\n"
+        "sys.exit(cli.main(['optimize', '--generate', 'ba:n=60,m=3,seed=1', '--k', '2', '--heuristic', 'colstoch']))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env_with_src(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
+    assert len(json.loads(done.stdout)["inserted_edges"]) == 2
 
 
 def test_generator_spec_parsing():

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import subprocess
+import sys
 import tracemalloc
 
 import networkx as nx
@@ -28,7 +30,7 @@ from kgrip.graphs import (
     load_edge_list,
 )
 
-from conftest import complete_graph, path_graph, reference_bfs, star_graph
+from conftest import complete_graph, env_with_src, path_graph, reference_bfs, star_graph
 
 
 # -- load_edge_list ------------------------------------------------------------
@@ -451,6 +453,106 @@ def test_generate_reduces_to_lcc():
 def test_generate_rejects_infeasible(model, params):
     with pytest.raises(ConfigError):
         generate(model, params, seed=1)
+
+
+def test_generate_ba_needs_an_initial_edge():
+    for params in ({"n": 10, "m_attach": 1}, {"n": 10, "m_attach": 1, "m0": 1}):
+        with pytest.raises(ConfigError, match="initial m0-clique"):
+            generate("ba", params, seed=1)
+
+
+def test_generate_takes_numpy_integer_seeds():
+    params = {"n": 40, "degree": 4, "rewire_prob": 0.2}
+    want = list(generate("ws", params, seed=3).edges())
+    assert list(generate("ws", params, seed=np.int64(3)).edges()) == want
+    assert list(generate("ws", params, seed=np.uint32(3)).edges()) == want
+
+
+@pytest.mark.parametrize("seed", [None, 3.0, "3"], ids=["none", "float", "str"])
+def test_generate_refuses_a_seed_that_is_not_an_integer(seed):
+    with pytest.raises(ConfigError, match="seed must be an integer"):
+        generate("er", {"n": 10, "p": 0.5}, seed=seed)
+
+
+_NX_GENERATORS = {
+    "er": lambda p, seed: nx.gnp_random_graph(p["n"], p["p"], seed=seed),
+    "ba": lambda p, seed: nx.barabasi_albert_graph(
+        p["n"], p["m_attach"], seed=seed, initial_graph=nx.complete_graph(p["m0"])
+    ),
+    "ws": lambda p, seed: nx.watts_strogatz_graph(p["n"], p["degree"], p["rewire_prob"], seed=seed),
+}
+
+
+def _networkx_reference(model: str, params: dict, seed: int):
+    """(n, sorted edges) of networkx's graph reduced to its largest component (the first of the largest, by least
+    vertex) with ids compacted in order, as generate reduced it when it called networkx; None where either refuses."""
+    if model == "ws" and params["degree"] >= params["n"]:
+        return None  # generate refuses degree >= n; networkx returns K_n at degree == n
+    try:
+        g = _NX_GENERATORS[model](params, seed)
+    except (nx.NetworkXError, IndexError):  # IndexError: BA's initial 1-clique has no edge to attach to
+        return None
+    if not nx.is_connected(g):
+        g = g.subgraph(max(nx.connected_components(g), key=len))
+    remap = {v: i for i, v in enumerate(sorted(g))}
+    return len(remap), sorted(tuple(sorted((remap[u], remap[v]))) for u, v in g.edges())
+
+
+def _generated(model: str, params: dict, seed: int):
+    try:
+        g = generate(model, params, seed)
+    except ConfigError:
+        return None
+    return g.n, list(g.edges())
+
+
+def _generator_grid(n: int):
+    yield from (("er", {"n": n, "p": p}) for p in (0, 0.02, 0.1, 0.3, 1))
+    yield from (("ba", {"n": n, "m_attach": m, "m0": m0}) for m, m0 in ((1, 2), (2, 2), (3, 3), (3, 5)))
+    for degree in (2, 4, 10):
+        yield from (("ws", {"n": n, "degree": degree, "rewire_prob": p}) for p in (0, 0.01, 0.1, 0.5, 1))
+
+
+_EDGE_CASES = [
+    ("ba", {"n": 10, "m_attach": 1, "m0": 1}),  # refused by both, as the next two
+    ("ba", {"n": 10, "m_attach": 10, "m0": 10}),
+    ("ws", {"n": 10, "degree": 12, "rewire_prob": 0.1}),
+    ("ws", {"n": 5, "degree": 4, "rewire_prob": 0.5}),  # every vertex is joined to all others: rewiring gives up
+    ("ws", {"n": 8, "degree": 6, "rewire_prob": 1}),
+]
+
+
+@pytest.mark.parametrize("n", [10, 30, 120])
+def test_generate_reproduces_networkx_streams(n):
+    for model, params in [*_generator_grid(n), *_EDGE_CASES]:
+        for seed in range(20):
+            want = _networkx_reference(model, params, seed)
+            assert _generated(model, params, seed) == want, (model, params, seed)
+
+
+def test_generate_reproduces_networkx_on_the_benchmark_shapes():
+    shapes = [
+        ("ba", {"n": 650, "m_attach": 3, "m0": 3}),
+        ("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}),
+        ("ba", {"n": 120, "m_attach": 3, "m0": 3}),
+    ]
+    for model, params in shapes:
+        for seed in (1, 7, 1536272198, 2**32 - 1, 12345):
+            want = _networkx_reference(model, params, seed)
+            assert want is not None and _generated(model, params, seed) == want, (model, params, seed)
+
+
+def test_generators_run_without_networkx():
+    code = (
+        "import sys\n"
+        "import kgrip\n"
+        "kgrip.generate('er', {'n': 40, 'p': 0.2}, 1)\n"
+        "kgrip.generate('ba', {'n': 40, 'm_attach': 2}, 1)\n"
+        "kgrip.generate('ws', {'n': 40, 'degree': 4, 'rewire_prob': 0.1}, 1)\n"
+        "assert 'networkx' not in sys.modules, 'kgrip imported networkx'\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env_with_src(), capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr[-2000:]
 
 
 # -- connectivity --------------------------------------------------------------
