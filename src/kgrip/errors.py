@@ -47,4 +47,4 @@ class SolverError(KgripError, RuntimeError):
 
 
 class StaleStateError(KgripError, RuntimeError):
-    """Cached state (sketch, columns, queue entry) no longer matches the graph round."""
+    """Cached state (sketch, columns) no longer matches the graph round."""

@@ -11,6 +11,7 @@ construction.
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 import random
 from typing import IO, Iterable, Iterator
@@ -421,8 +422,33 @@ def dump_edge_list(graph: Graph, stream: IO[str]) -> None:
 # 3.6's gnp_random_graph, barabasi_albert_graph (initial_graph = complete_graph(m0)) and watts_strogatz_graph do.
 
 
+_ER_BLOCK = 1 << 20  # vertex pairs whose uniforms one getrandbits call draws, in whole rows
+
+
 def _er_edges(n: int, p: float, rng: random.Random) -> list[Edge]:
-    return [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
+    """The pairs a < b, in ``itertools.combinations`` order, whose ``rng.random()`` draw falls below p.
+
+    The draws come a block of whole rows at a time from one ``getrandbits`` call, equal bit for bit to calling
+    ``random()`` once per pair: the call's 32-bit words come out least significant first, and ``random()`` takes
+    two consecutive words w0, w1 to ((w0 >> 5) 2^26 + (w1 >> 6)) / 2^53. That falls below p exactly when the integer
+    (w0 >> 5) 2^26 + (w1 >> 6) falls below ceil(p 2^53), which the words' high and low parts compare against.
+    """
+    high, low = divmod(math.ceil(p * 2.0**53), 1 << 26)
+    lengths = np.arange(n - 1, 0, -1)  # row a holds the pairs (a, a+1) .. (a, n-1)
+    ends = np.cumsum(lengths)
+    starts = ends - lengths
+    edges: list[Edge] = []
+    first = 0
+    while first < n - 1:
+        stop = max(first + 1, int(np.searchsorted(ends, starts[first] + _ER_BLOCK, side="right")))
+        count = int(ends[stop - 1] - starts[first])
+        words = np.frombuffer(rng.getrandbits(64 * count).to_bytes(8 * count, "little"), dtype="<u4")
+        w0 = words[0::2] >> 5
+        hits = np.flatnonzero((w0 < high) | (w0 == high) & (words[1::2] >> 6 < low)) + starts[first]
+        a = np.searchsorted(ends, hits, side="right")
+        edges += zip(a.tolist(), (hits - starts[a] + a + 1).tolist())
+        first = stop
+    return edges
 
 
 def _ba_edges(n: int, m_attach: int, m0: int, rng: random.Random) -> list[Edge]:

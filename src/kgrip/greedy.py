@@ -1,4 +1,4 @@
-"""Greedy edge-insertion framework: exact pool pass, lazy queue, samplers, and six heuristics.
+"""Greedy edge-insertion framework: one selection rule, samplers, and six heuristics.
 
 Every heuristic runs the same loop: preprocess (Compute), then per round
 pick candidates, score them (Eval), insert the best-scoring non-edge, and
@@ -14,16 +14,15 @@ heuristic is one candidate source paired with one gain scorer
                        columns, random-projection sketches, or the spectral
                        bracket midpoint.
 
-Each round the source yields a batch of pairs (the universe source: every
-non-edge, read off the graph each round, or a focus's in round 0 only; the
-sampling sources: a fresh sample). The exact dense scorer (StGreedy,
-SimplStoch) takes the argmax of one gain pass a round over every non-edge or
-a pool of every batch so far, so both heuristics are the exact greedy over
-their candidates. The other scorers' batches enter one max-queue
-whose entries carry the round of their gain; it keeps each batch's arrays,
-turning only the best into heap tuples, and its lazy pop re-scores stale tops
-through the same ``gains``, in blocks of 1, 2, 4, ... entries, as popping one
-at a time would, until the top is current. Regardless of the scorer, the
+Each round the source yields a batch of pairs: the universe source every
+non-edge of the graph as it stands, or every non-neighbor of a focus; the
+sampling sources a fresh sample. Every heuristic takes the same pick: the
+pair of greatest gain in that round's batch, ties to the lexicographically
+smallest pair, scored by one ``gains`` call. For every non-edge the dense
+scorer gets it from one streamed pass over its state instead, so StGreedy is
+the exact greedy; the sampled heuristics are stochastic greedy
+(Mirzasoleiman et al., 2015). No gain is carried from one round to the next.
+Regardless of the scorer, the
 reported per-edge gain of every accepted edge is recomputed exactly from one
 linear solve, and total resistance must strictly decrease on every insertion.
 
@@ -37,22 +36,19 @@ reproduces independent single-focus runs bit for bit.
 from __future__ import annotations
 
 import copy
-import heapq
 import math
 import time
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from itertools import count, repeat
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import jlt, linalg, spectral, ust
 from .errors import ConfigError, InvariantError
-from .graphs import Edge, Graph, assert_connected, in_sorted
+from .graphs import Edge, Graph, assert_connected
 from .linalg import (
-    PASS_BLOCK,
     ColumnCache,
     DenseState,
     SolverConfig,
@@ -218,129 +214,38 @@ def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:
     return np.column_stack([a[keep], b[keep]])
 
 
-# -- lazy priority queue ------------------------------------------------------------
-
-
-_CHUNK = 2048  # best entries a batch moves into the heap at once, with those tied to the last
-# A moved chunk is pushed entry by entry into a heap more than _PUSH_RATIO times its size
-# (a push costs about three heapify steps per entry), and heapified with the heap otherwise.
-_PUSH_RATIO = 2
+# -- selection -------------------------------------------------------------------------
 
 
 class LazyQueue:
-    """Max-queue of (edge, cached gain, round stamp) with lazy revalidation, for every scorer but the dense one.
+    """One round's selection: the pair of greatest gain in the round's scored batch, ties to the lexicographically
+    smallest pair.
 
-    Ties in gain break toward the lexicographically smallest canonical edge,
-    then the older stamp. Each ``push_many`` batch stays as arrays, kept in a
-    heap by its floor (its best negated gain); a small heap of (-gain, a, b,
-    stamp) tuples holds the entries that could come out next. While that heap
-    is empty or its top does not beat the lowest floor strictly, the batch
-    holding it moves its best ``_CHUNK`` entries and all ties of the last one
-    into the heap, so entries pop as from one heap of every tuple. A batch's
-    first move is one partition; the remainder it leaves is sorted once, on
-    its next move, and then handed out as slices.
+    Every round scores a fresh batch and takes its best pair, as stochastic greedy does (Mirzasoleiman et al.,
+    2015); no gain outlives its round, so none goes stale. The class keeps the name of the lazy queue it replaced,
+    and ``lazy_next`` its ``revalidate`` parameter, because ``perfbench/tracer.py`` patches both methods by name
+    and its hook wraps that argument; ROADMAP item 1 retires those patches, and then the name.
     """
 
     def __init__(self):
-        self._heap: list[tuple[float, int, int, int]] = []
-        # heap of batches (floor, push order, negated gains, pairs, stamp, moves so far)
-        self._batches: list[tuple[float, int, np.ndarray, np.ndarray, int, int]] = []
-        self._order = count()
+        self._batch: tuple[np.ndarray, np.ndarray, int] | None = None
 
     def push_many(self, pairs: np.ndarray, gains: np.ndarray, stamp: int) -> None:
-        """Push an (s, 2) array of pairs a < b with their s gains, all stamped ``stamp``."""
+        """Hold the (s, 2) array of pairs a < b and their s gains, scored in round ``stamp``."""
         if not np.all(np.isfinite(gains)):
-            raise InvariantError("queued gains must be finite")
-        if len(gains):
-            heapq.heappush(self._batches, (-float(gains.max()), next(self._order), -gains, pairs, stamp, 0))
+            raise InvariantError("batch gains must be finite")
+        self._batch = pairs, gains, stamp
 
-    def _pop(self) -> tuple[float, int, int, int]:
-        heap, batches = self._heap, self._batches
-        while batches and (not heap or heap[0][0] >= batches[0][0]):
-            _, order, neg, pairs, stamp, moves = heapq.heappop(batches)
-            if len(neg) > _CHUNK:
-                if moves == 0:
-                    take = neg <= np.partition(neg, _CHUNK - 1)[_CHUNK - 1]
-                    rest = ~take
-                    neg, pairs, rest_neg, rest_pairs = neg[take], pairs[take], neg[rest], pairs[rest]
-                else:
-                    if moves == 1:
-                        by_gain = np.argsort(neg)  # ties move together, so any order of them will do
-                        neg, pairs = neg[by_gain], pairs[by_gain]
-                    end = int(np.searchsorted(neg, neg[_CHUNK - 1], side="right"))
-                    neg, pairs, rest_neg, rest_pairs = neg[:end], pairs[:end], neg[end:], pairs[end:]
-                if len(rest_neg):
-                    floor = rest_neg[0] if moves else rest_neg.min()  # a sorted remainder starts at its floor
-                    heapq.heappush(batches, (float(floor), order, rest_neg, rest_pairs, stamp, moves + 1))
-            moved = zip(neg.tolist(), pairs[:, 0].tolist(), pairs[:, 1].tolist(), repeat(stamp))
-            if len(neg) * _PUSH_RATIO < len(heap):
-                for entry in moved:
-                    heapq.heappush(heap, entry)
-            else:
-                heap.extend(moved)
-                heapq.heapify(heap)
-        return heapq.heappop(heap)
-
-    def lazy_next(
-        self,
-        revalidate: Callable[[np.ndarray, np.ndarray], np.ndarray],
-        current_round: int,
-        graph: Graph | None = None,
-    ) -> tuple[int, int, float]:
-        """Pop entries until the top carries a current-round stamp; return it.
-
-        Stale tops are re-scored in blocks of 1, 2, 4, ... entries, one batch
-        call ``revalidate(a, b)`` on index arrays each, popping and scoring as
-        one stale top at a time would (:meth:`_rescore`). Entries whose edge
-        exists in ``graph`` are discarded.
-        """
-        size = 1
-        while self._heap or self._batches:
-            neg_gain, a, b, stamp = top = self._pop()
-            if graph is not None and graph.has_edge(a, b):
-                continue
-            if stamp == current_round:
-                return a, b, -neg_gain
-            self._rescore(top, size, revalidate, current_round, graph)
-            size *= 2
-        raise ConfigError("candidate queue exhausted: no non-edges left to insert")
-
-    def _rescore(self, top, size: int, revalidate, stamp: int, graph: Graph | None) -> None:
-        """Re-score the stale ``top`` and up to ``size - 1`` stale entries below it in one call.
-
-        One stale top at a time would reach the next entry only while its key
-        beats every re-scored entry, so from the first that loses (or is
-        current) the block goes back unchanged.
-        """
-        block, ends, edges = [top], [top[1:3]], set()  # stale entries popped in order; pairs to score; edge slots
-        while len(ends) < size and (self._heap or self._batches):
-            entry = self._pop()
-            if entry[3] == stamp:  # it pops before every entry below it
-                heapq.heappush(self._heap, entry)
-                break
-            block.append(entry)
-            if graph is not None and graph.has_edge(entry[1], entry[2]):
-                edges.add(len(block) - 1)
-            else:
-                ends.append(entry[1:3])
-        a, b = np.array(ends).T
-        gains = revalidate(a, b)
-        if not np.isfinite(gains).all():
-            raise InvariantError("re-scored gains must be finite")
-        fresh = zip((-gains).tolist(), a.tolist(), b.tolist(), repeat(stamp))
-        heap, best = self._heap, None
-        for i, entry in enumerate(block):
-            if best is not None and best < entry:
-                for rest in block[i:]:
-                    heapq.heappush(heap, rest)
-                break
-            if i not in edges:  # an edge is dropped
-                new = next(fresh)
-                heapq.heappush(heap, new)
-                best = new if best is None else min(best, new)
-
-
-_NO_PAIRS = np.empty((0, 2), dtype=np.int64)
+    def lazy_next(self, revalidate: None, current_round: int) -> tuple[int, int, float]:
+        """The best pair of the batch pushed for ``current_round``, with its gain; ``revalidate`` is unused."""
+        batch, self._batch = self._batch, None
+        if batch is None or batch[2] != current_round:
+            raise ConfigError(f"no candidate non-edges were scored in round {current_round}")
+        pairs, gains, _ = batch
+        top = gains.max()
+        ties = pairs[gains == top]
+        a, b = ties[np.lexsort((ties[:, 1], ties[:, 0]))[0]].tolist()
+        return a, b, float(top)
 
 
 # -- candidate sources and gain scorers -------------------------------------------
@@ -400,17 +305,17 @@ class _Source(_Part):
 
 
 class _StGreedy(_Source):
-    """The universe source: every non-edge each round (None, read off the graph), or a focus's in round 0 only."""
+    """The universe source: every non-edge (None, read off the graph), or every non-neighbor of the focus, each round."""
 
     def size_sample(self) -> None:
         pass
 
     def initial_entries(self) -> np.ndarray | None:
-        """Every non-neighbor of the focus paired with it, or None for every non-edge."""
+        """Every current non-neighbor of the focus paired with it, or None for every non-edge."""
         return None if self.focus is None else self._focus_pairs(self.graph.non_neighbors(self.focus))
 
     def candidates(self, round_idx: int) -> np.ndarray | None:
-        return self.initial_entries() if round_idx == 0 or self.focus is None else _NO_PAIRS
+        return self.initial_entries()
 
 
 class _UniformPairs(_Source):
@@ -450,7 +355,7 @@ class _DiagVertices(_Source):
 
 
 class _Scorer(_Part):
-    """Estimates gains: ``gains`` scores (s, 2) pair arrays (a round's sample, stale entries, pool pairs)."""
+    """Estimates gains: ``gains`` scores a round's candidates, an (s, 2) array of pairs, in one call."""
 
     def compute(self, source: _Source) -> None:
         raise NotImplementedError
@@ -482,41 +387,10 @@ class _Columns(_Scorer):
 
 
 class _DenseP(_Columns):
-    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison, over every non-edge or a pool."""
+    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison."""
 
     def compute(self, source: _Source) -> None:
         self.cache = DenseState.compute(self.graph)
-        self.pool = _NO_PAIRS  # every candidate so far but the pairs inserted
-
-    def pick(self, pairs: np.ndarray | None) -> Edge:
-        """The best non-edge if ``pairs`` is None; else add ``pairs`` to the pool, which owns them (a first batch as
-        it is, later ones without the pairs it holds), and return its pair of greatest gain, ties to the
-        lexicographically smallest, from one pass in blocks. That pair leaves the pool, the last taking its
-        slot: no pair is copied or scored as an edge."""
-        if pairs is None:
-            return self.cache.best_non_edge()
-        n, pool = self.graph.n, self.pool
-        if len(pool) and len(pairs):
-            held, keys = np.sort(pool[:, 0] * n + pool[:, 1]), pairs[:, 0] * n + pairs[:, 1]
-            order = np.argsort(keys)  # looked up ascending (see in_sorted), read back in batch order
-            fresh = np.empty(len(keys), dtype=bool)
-            fresh[order] = ~in_sorted(held, keys[order])
-            pairs = np.concatenate([pool, pairs[fresh]])
-        pool = pairs if len(pairs) else pool
-        best = (math.inf,)  # (-gain, a, b, slot); the runners' checks leave the pool non-empty
-        for start in range(0, len(pool), PASS_BLOCK):
-            block = pool[start : start + PASS_BLOCK]
-            gains = self.gains(block)
-            top = gains.max()
-            if not np.isfinite(top):  # a NaN anywhere makes the max NaN
-                raise InvariantError("pool gains must be finite")
-            ties = np.flatnonzero(gains == top)
-            i = int(ties[np.argmin(block[ties, 0] * n + block[ties, 1])])
-            best = min(best, (-float(top), *block[i].tolist(), start + i))
-        _, a, b, slot = best
-        pool[slot] = pool[-1]
-        self.pool = pool[:-1]
-        return a, b
 
     def total_resistance(self) -> float:
         return total_resistance(self.cache)  # n * trace, no second factorisation
@@ -647,13 +521,13 @@ def _run_rounds(
     timings: dict[str, float],
     inputs: list[Graph] | None = None,
 ) -> tuple[list[Edge], list[float]]:
-    """The main loop shared by the global and focus-node runs; candidates persist across rounds, in the graph
-    or the dense scorer's pool, scored whole every round, or in one lazily re-scored queue. ``inputs``, if
-    given, gets a copy of the graph as the first insertion finds it, with any factor built by then."""
+    """The main loop shared by the global and focus-node runs: each round inserts the best-scoring pair of that
+    round's candidates. ``inputs``, if given, gets a copy of the graph as the first insertion finds it, with any
+    factor built by then."""
     source, scorer = parts
     picked: list[Edge] = []
     gains: list[float] = []
-    queue = LazyQueue()
+    selection = LazyQueue()
 
     for r in range(k):
         t0 = time.perf_counter()
@@ -661,12 +535,11 @@ def _run_rounds(
         timings["compute"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        if isinstance(scorer, _DenseP):
-            a, b = scorer.pick(pairs)
+        if pairs is None:  # every non-edge: one pass over the dense state, by the same rule
+            a, b = scorer.cache.best_non_edge()
         else:
-            if len(pairs):
-                queue.push_many(pairs, scorer.gains(pairs), r)
-            a, b, _ = queue.lazy_next(lambda u, v: scorer.gains(np.column_stack([u, v])), r, graph)
+            selection.push_many(pairs, scorer.gains(pairs), r)
+            a, b, _ = selection.lazy_next(None, r)
         timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

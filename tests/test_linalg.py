@@ -126,8 +126,8 @@ def test_dense_pinv_cap(monkeypatch):
 
 
 def test_stgreedy_budget_counts_its_universe_queue(monkeypatch):
-    # P, Q and their transients fit the four n x n arrays of the dense cap; global StGreedy holds no pool
-    # beside them, so it shares SimplStoch's cap
+    # P, Q and their transients fit the four n x n arrays of the dense cap; neither dense heuristic holds a
+    # candidate array of n^2 size beside them, so both share the cap
     monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", 20)
     built, dense = [], linalg.pseudoinverse_dense
     monkeypatch.setattr(linalg, "pseudoinverse_dense", lambda g: built.append(g.n) or dense(g))
