@@ -25,6 +25,8 @@ the exact greedy; the sampled heuristics are stochastic greedy
 Regardless of the scorer, the
 reported per-edge gain of every accepted edge is recomputed exactly from one
 linear solve, and total resistance must strictly decrease on every insertion.
+That solve, v = L+ (e_a - e_b), also carries the diag source's exact diagonal
+across the insertion (Sherman-Morrison), so the update solves nothing more.
 
 The local variant (one focus node v) restricts candidates to non-neighbors of
 v and inserts edges (v, b). One runner serves both variants: it preprocesses
@@ -53,9 +55,9 @@ from .linalg import (
     DenseState,
     SolverConfig,
     gains_exact,
+    report_insertion,
     total_resistance,
     total_resistance_after,
-    true_gain,
 )
 from .seeds import derive_rng
 
@@ -274,8 +276,9 @@ class _Part:
         scope = "global" if self.focus is None else self.focus
         return derive_rng(self.seed, stream, self.kind.value, scope, round_idx, *tokens)
 
-    def update(self, a: int, b: int, round_idx: int) -> None:
-        """Bring the state across the insertion of {a,b} in round ``round_idx``."""
+    def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
+        """Bring the state across the insertion of {a,b}, a < b, in round ``round_idx``; ``report`` is the
+        round's report solve, P (e_a - e_b) on the graph before the insertion."""
 
 
 class _Source(_Part):
@@ -331,7 +334,8 @@ class _UniformPairs(_Source):
 
 class _DiagVertices(_Source):
     """Vertices drawn with probability proportional to the exact diag(L+), which the paper estimates from spanning trees
-    (``ust.approx_diag_lpinv``, kept as a test hook): the non-edges among them, or each paired with the focus."""
+    (``ust.approx_diag_lpinv``, kept as a test hook): the non-edges among them, or each paired with the focus. The
+    diagonal moves across each insertion by the rank-one term of the round's report solve."""
 
     global_mode = "grip-col"
 
@@ -350,8 +354,8 @@ class _DiagVertices(_Source):
         vertices = sample_candidates_diag_weighted(self.repo.diag, self.sample_size, rng, allowed=pool)
         return self._focus_pairs(vertices)
 
-    def update(self, a: int, b: int, round_idx: int) -> None:
-        ust.approx_update_diag(self.graph, self.repo, self.params.solver)
+    def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
+        ust.rank_one_diag_step(self.graph, self.repo, report, 1.0 + (report[a] - report[b]))
 
 
 class _Scorer(_Part):
@@ -382,7 +386,7 @@ class _Columns(_Scorer):
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         return gains_exact(self.cache, pairs)
 
-    def update(self, a: int, b: int, round_idx: int) -> None:
+    def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
         self.cache.note_insertion(a, b)
 
 
@@ -395,7 +399,7 @@ class _DenseP(_Columns):
     def total_resistance(self) -> float:
         return total_resistance(self.cache)  # n * trace, no second factorisation
 
-    def update(self, a: int, b: int, round_idx: int) -> None:
+    def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
         self.cache.apply_insertion(a, b)
 
 
@@ -416,7 +420,7 @@ class _Sketch(_Scorer):
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         return jlt.gains_jlt(self.sketch, pairs, current_round=self.graph.round)
 
-    def update(self, a: int, b: int, round_idx: int) -> None:
+    def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
         self._build(self._rng(_UPDATE_STREAM, round_idx, *self.tokens))
 
 
@@ -436,7 +440,7 @@ class _Spectral(_Scorer):
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         return spectral.gains_spectral(self.state, pairs)
 
-    def update(self, a: int, b: int, round_idx: int) -> None:
+    def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
         self._solve()
 
 
@@ -543,7 +547,7 @@ def _run_rounds(
         timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        exact_gain = true_gain(graph, a, b, params.solver)
+        exact_gain, report = report_insertion(graph, a, b, params.solver)
         timings["report"] += time.perf_counter() - t0
         if exact_gain <= 0:  # Rayleigh monotonicity: every insertion strictly decreases R_tot
             raise InvariantError(
@@ -555,8 +559,8 @@ def _run_rounds(
         graph.insert_edge(a, b)
         if r + 1 < k:  # nothing reads the updated state after the last insertion
             t0 = time.perf_counter()
-            source.update(a, b, r)
-            scorer.update(a, b, r)
+            source.update(a, b, r, report)
+            scorer.update(a, b, r, report)
             timings["update"] += time.perf_counter() - t0
 
         picked.append((a, b))

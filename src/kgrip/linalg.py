@@ -396,6 +396,12 @@ def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
 
 def true_gain(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> float:
     """Exact gain via one fresh solve of L x = e_a - e_b (heuristic-independent reporting path)."""
+    return report_insertion(graph, a, b, config)[0]
+
+
+def report_insertion(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> tuple[float, np.ndarray]:
+    """The :func:`true_gain` of the non-edge {a,b} and the solve it reads, v = P (e_a - e_b) for a < b, with which
+    Sherman-Morrison moves P across the insertion (module docstring)."""
     a, b = _non_edge(graph, a, b)
     v = solve_lpinv_difference(graph, a, b, config)
-    return graph.n * float(v @ v) / (1.0 + float(v[a] - v[b]))
+    return graph.n * float(v @ v) / (1.0 + float(v[a] - v[b])), v

@@ -24,11 +24,13 @@ tree come from one pointer-jumping depth pass plus one pass per tree level,
 and the signed counts take one vector pass per BFS depth.
 
 After an edge {a,b} is inserted, the estimate moves by the exact rank-one
-term of the Sherman-Morrison identity, read off one solve of the new graph's
-L v = e_a - e_b: diag' = diag - v*v / (1 - R'), with v = c'_a - c'_b the
-difference of its pseudoinverse columns at a and b, and R' = v[a] - v[b].
-No trees are drawn for an update; the fixed-edge sampler serves the
-sampling checks only.
+term of the Sherman-Morrison identity, diag' = diag - v*v / (1 + R), read
+off the solve v = P (e_a - e_b) = c_a - c_b on the graph before the
+insertion, R = v[a] - v[b]: runs take v from the solve that reported the
+edge's exact gain. ``approx_update_diag`` solves the new graph's
+L v' = e_a - e_b instead, v' = v / (1 + R), and subtracts v'*v' / (1 - R'),
+R' = v'[a] - v'[b]: the same term. No trees are drawn for an update; the
+fixed-edge sampler serves the sampling checks only.
 
 A block draws the arrows of each round from one generator at once, so the
 trees of a seeded run depend on the block layout as well as on the seed.
@@ -364,19 +366,32 @@ def approx_diag_lpinv(
     return diag, UstRepository(diag=diag, round=graph.round)
 
 
+def rank_one_diag_step(graph: Graph, repo: UstRepository, v: np.ndarray, denominator: float) -> np.ndarray:
+    """Move ``repo`` across the insertion that brought ``graph`` to its round, in place: diag - v*v / denominator.
+
+    Sherman-Morrison gives the term from either side of the insertion of {a,b}: v = P (e_a - e_b) solved before it
+    with denominator 1 + R, R = v[a] - v[b], or v = P' (e_a - e_b) solved after it with denominator 1 - R',
+    R' = v[a] - v[b]. It is exact when the estimate it starts from is.
+    """
+    if graph.round != repo.round + 1:
+        raise StaleStateError(f"repository expects graph round {repo.round + 1}, got {graph.round}")
+    repo.diag = repo.diag - v * v / denominator
+    repo.round += 1
+    return repo.diag
+
+
 def approx_update_diag(
     graph: Graph, repo: UstRepository, config: SolverConfig = DEFAULT_SOLVER
 ) -> np.ndarray:
     """The diagonal estimate after exactly one edge insertion; ``repo`` moves forward in place.
 
     Solves the new graph's L v = e_a - e_b once for the inserted edge's ends
-    a, b, so v = c'_a - c'_b, and subtracts the rank-one term v*v / (1 - R'),
-    R' = v[a] - v[b]: exact when the estimate it starts from is.
+    a, b, so v = c'_a - c'_b, and takes :func:`rank_one_diag_step` with
+    denominator 1 - R', R' = v[a] - v[b]. Runs take the step from the solve
+    that reported the edge instead, which saves this one.
     """
-    if graph.round != repo.round + 1:
+    if graph.round != repo.round + 1:  # before the solve
         raise StaleStateError(f"repository expects graph round {repo.round + 1}, got {graph.round}")
     a, b = graph.insertion_log[-1]
     v = solve_lpinv_difference(graph, a, b, config)
-    repo.diag = repo.diag - v * v / (1.0 - (v[a] - v[b]))
-    repo.round += 1
-    return repo.diag
+    return rank_one_diag_step(graph, repo, v, 1.0 - (v[a] - v[b]))

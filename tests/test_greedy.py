@@ -562,9 +562,9 @@ def test_specstoch_resolves_after_insertions(model, params, k):
 _REFRESHED_BY = {
     Heuristic.ST_GREEDY: set(),
     Heuristic.SIMPL_STOCH: set(),
-    Heuristic.COL_STOCH: {"approx_update_diag"},
+    Heuristic.COL_STOCH: {"rank_one_diag_step"},
     Heuristic.SIMPL_STOCH_JLT: {"build_sketch"},
-    Heuristic.COL_STOCH_JLT: {"approx_update_diag", "build_sketch"},
+    Heuristic.COL_STOCH_JLT: {"rank_one_diag_step", "build_sketch"},
     Heuristic.SPEC_STOCH: {"compute_low_spectrum"},
 }
 
@@ -577,7 +577,7 @@ def test_refresh_skipped_after_last_insertion(kind, monkeypatch):
 
     calls = []
     for module, name in (
-        (ust, "approx_update_diag"),
+        (ust, "rank_one_diag_step"),
         (jlt, "build_sketch"),
         (spectral, "compute_low_spectrum"),
         (linalg.DenseState, "apply_insertion"),
@@ -1129,20 +1129,21 @@ def test_r_initial_is_exact_from_one_inversion_pass_per_run_or_batch(kind, n, mo
 # the tree sampler went from lockstep walks to cycle popping (same distribution,
 # another random stream) and when the tree estimate gave way to the exact diagonal;
 # every sampled heuristic but colstochjlt on BA, re-pinned when each round took the
-# argmax of its own batch in place of a lazy queue or SimplStoch's pool
+# argmax of its own batch in place of a lazy queue or SimplStoch's pool; the two
+# sketch heuristics, re-pinned when the sketches went from Gaussian to sign projections
 _SEEDED_EDGES = {
     ("er", "stgreedy"): ([(11, 56), (11, 55), (28, 56)], [(7, 11), (7, 56), (7, 28)]),
     ("er", "simplstoch"): ([(5, 11), (10, 56), (17, 28)], [(7, 50), (7, 11), (7, 48)]),
-    ("er", "simplstochjlt"): ([(11, 41), (9, 56), (28, 29)], [(7, 50), (7, 45), (7, 55)]),
+    ("er", "simplstochjlt"): ([(5, 11), (9, 56), (11, 52)], [(7, 50), (7, 45), (7, 55)]),
     ("er", "specstoch"): ([(11, 16), (11, 50), (15, 56)], [(7, 22), (7, 9), (7, 55)]),
     ("er", "colstoch"): ([(11, 56), (11, 21), (28, 56)], [(7, 11), (7, 50), (7, 55)]),
-    ("er", "colstochjlt"): ([(11, 28), (17, 43), (38, 56)], [(7, 16), (7, 14), (7, 11)]),
+    ("er", "colstochjlt"): ([(11, 43), (24, 56), (28, 29)], [(7, 16), (7, 14), (7, 11)]),
     ("ba", "stgreedy"): ([(73, 76), (59, 65), (68, 69)], [(7, 73), (7, 76), (7, 65)]),
     ("ba", "simplstoch"): ([(48, 65), (68, 71), (70, 75)], [(7, 67), (7, 53), (7, 57)]),
-    ("ba", "simplstochjlt"): ([(28, 59), (26, 71), (40, 65)], [(7, 68), (7, 61), (7, 75)]),
+    ("ba", "simplstochjlt"): ([(40, 70), (73, 78), (69, 77)], [(7, 68), (7, 61), (7, 75)]),
     ("ba", "specstoch"): ([(65, 68), (66, 73), (71, 76)], [(7, 30), (7, 14), (7, 76)]),
     ("ba", "colstoch"): ([(59, 76), (65, 73), (48, 57)], [(7, 73), (7, 75), (7, 70)]),
-    ("ba", "colstochjlt"): ([(68, 77), (30, 32), (54, 73)], [(7, 78), (7, 59), (7, 68)]),
+    ("ba", "colstochjlt"): ([(57, 68), (30, 68), (73, 75)], [(7, 71), (7, 59), (7, 18)]),
 }
 
 

@@ -11,8 +11,8 @@ from scipy.stats import spearmanr
 
 from kgrip import oracles
 from kgrip.errors import ConfigError, StaleStateError
-from kgrip.graphs import Graph, generate
-from kgrip.jlt import _incidence, build_sketch, default_sketch_width, gain_jlt
+from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, GrownFactor, generate
+from kgrip.jlt import _incidence, _projections, _square_root, build_sketch, default_sketch_width, gain_jlt
 from kgrip.linalg import DenseState, gain_exact, pseudoinverse_dense
 
 from conftest import path_graph, star_graph
@@ -89,12 +89,88 @@ def test_identity_hook_all_pairs_random_graph():
             assert sk.biharmonic_sq(a, b) == pytest.approx(exact_b2, abs=1e-6)
 
 
-# -- gaussian sketches --------------------------------------------------------------
+# -- square roots and sign projections ----------------------------------------------
+
+
+def _grown_dense_graph() -> Graph:
+    """n <= DENSE_SOLVE_MAX_N, with a dense factor grown by three insertions: the root is U over three edge rows."""
+    g = generate("ba", {"n": 60, "m_attach": 2, "m0": 2}, seed=31)
+    g.factor()
+    for pair in g.non_edges()[[5, 400, 900]]:
+        g.insert_edge(*pair.tolist())
+    return g
+
+
+def _sparse_graph() -> Graph:
+    """n > DENSE_SOLVE_MAX_N: the root is the incidence."""
+    return generate("ba", {"n": 240, "m_attach": 2, "m0": 2}, seed=32)
+
+
+_ROOT_GRAPHS = pytest.mark.parametrize("make", [_grown_dense_graph, _sparse_graph], ids=["grown-dense", "incidence"])
+
+
+@_ROOT_GRAPHS
+def test_square_root_squares_to_the_laplacian(make):
+    g = make()
+    root = _square_root(g)
+    lap = g.laplacian_dense()
+    if g.n <= DENSE_SOLVE_MAX_N:
+        factor = g.factor()
+        assert isinstance(factor, GrownFactor) and isinstance(factor.base, DenseCholesky)
+        assert root.shape == (g.n + len(factor.ends), g.n)
+        lap = lap + 1.0 / g.n
+    else:
+        assert root.shape == (g.m, g.n)
+    gram = root.T @ root
+    assert np.allclose(gram.toarray() if sp.issparse(gram) else gram, lap, rtol=0.0, atol=1e-12)
+
+
+@_ROOT_GRAPHS
+def test_identity_hook_exact_through_each_root(make):
+    g = make()
+    sk = build_sketch(g, 1, np.random.default_rng(0), projection="identity")
+    r = exact_resistance_matrix(g)
+    p = pseudoinverse_dense(g)
+    for a, b in [(0, 1), (2, g.n - 1), (7, 40), *g.insertion_log]:
+        assert sk.resistance_sq(a, b) == pytest.approx(r[a, b], abs=1e-6)
+        assert sk.biharmonic_sq(a, b) == pytest.approx(float((p[:, a] - p[:, b]) @ (p[:, a] - p[:, b])), abs=1e-6)
+
+
+@_ROOT_GRAPHS
+def test_resistance_sketch_unbiased_through_each_root(make):
+    # the mean of ||resist[a] - resist[b]||^2 over fresh sketches is R(a,b): within 3 standard errors of it
+    g = make()
+    r = exact_resistance_matrix(g)
+    pairs = np.array([(0, 1), (2, g.n - 1), (7, 40), *g.insertion_log])
+    rng = np.random.default_rng(33)
+    sketches = 2000
+    draws = np.empty((sketches, len(pairs)))
+    for i in range(sketches):
+        sk = build_sketch(g, 4, rng)
+        d = sk.resist[pairs[:, 0]] - sk.resist[pairs[:, 1]]
+        draws[i] = np.einsum("ij,ij->i", d, d)
+    error = np.abs(draws.mean(axis=0) - r[pairs[:, 0], pairs[:, 1]])
+    assert np.all(error <= 3 * draws.std(axis=0, ddof=1) / math.sqrt(sketches))
+
+
+def test_projection_entries_are_signs():
+    q, n, r = 7, 30, 45
+    p, h, width = _projections(n, r, q, np.random.default_rng(34), "signs")
+    assert width == q and p.shape == (q, n) and h.shape == (q, r)
+    for block in (p, h):
+        assert set(np.unique(block)) == {-1 / math.sqrt(q), 1 / math.sqrt(q)}
+    assert abs(float(np.concatenate([p.ravel(), h.ravel()]).sum()) * math.sqrt(q)) <= 4 * math.sqrt(q * (n + r))
+
+
+# -- sign sketches ------------------------------------------------------------------
 
 
 def test_zero_width_rejected(p3):
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with pytest.raises(ConfigError):
-        build_sketch(p3, 0, np.random.default_rng(0))
+        build_sketch(p3, 0, rng)
+    assert rng.bit_generator.state == state and not p3.has_factor  # nothing drawn or factored
 
 
 def test_resistance_fidelity_er300():
