@@ -9,6 +9,7 @@ random-projection sketches or a truncated spectrum, and small-instance
 brute-force oracles back every fast path in the test suite.
 """
 
+from . import ust  # loaded with the package: no run imports the reference estimator, but perfbench's tracer patches it
 from .errors import (
     ConfigError,
     DisconnectedError,

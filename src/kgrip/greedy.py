@@ -47,12 +47,13 @@ from typing import Sequence
 
 import numpy as np
 
-from . import jlt, linalg, spectral, ust
+from . import jlt, linalg, spectral
 from .errors import ConfigError, InvariantError
 from .graphs import Edge, Graph, assert_connected
 from .linalg import (
     ColumnCache,
     DenseState,
+    RunningDiagonal,
     SolverConfig,
     gains_exact,
     report_insertion,
@@ -340,22 +341,22 @@ class _DiagVertices(_Source):
     global_mode = "grip-col"
 
     def compute(self, scorer: "_Scorer") -> None:
-        self.repo = ust.UstRepository(diag=scorer.initial_diagonal, round=self.graph.round)
+        self.running = RunningDiagonal(diag=scorer.initial_diagonal, round=self.graph.round)
         self.size_sample()
 
     def candidates(self, round_idx: int) -> np.ndarray:
         rng = self._rng(_CAND_STREAM, round_idx)
         if self.focus is None:
-            vertices = sample_candidates_diag_weighted(self.repo.diag, self.sample_size, rng)
+            vertices = sample_candidates_diag_weighted(self.running.diag, self.sample_size, rng)
             pairs = _pairs_from_vertices(self.graph, vertices)
             # on a dense graph the sampled vertices may span no non-edge at all
             return pairs if len(pairs) else sample_nonedge_pairs(self.graph, len(vertices), rng)
         pool = self.graph.non_neighbors(self.focus)
-        vertices = sample_candidates_diag_weighted(self.repo.diag, self.sample_size, rng, allowed=pool)
+        vertices = sample_candidates_diag_weighted(self.running.diag, self.sample_size, rng, allowed=pool)
         return self._focus_pairs(vertices)
 
     def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
-        ust.rank_one_diag_step(self.graph, self.repo, report, 1.0 + (report[a] - report[b]))
+        linalg.rank_one_diag_step(self.graph, self.running, report, 1.0 + (report[a] - report[b]))
 
 
 class _Scorer(_Part):
@@ -429,9 +430,6 @@ class _Spectral(_Scorer):
 
     def compute(self, source: _Source) -> None:
         self._solve()
-
-    def total_resistance(self) -> float:  # a dense eigensolve holds no factor, and r_initial builds none for it
-        return super().total_resistance() if self.graph.has_factor else total_resistance(self.graph)
 
     def _solve(self) -> None:
         cutoff = max(2, min(self.params.cutoff, self.graph.n - 1))
@@ -518,16 +516,9 @@ class Solution:
 
 
 def _run_rounds(
-    graph: Graph,
-    parts: tuple[_Source, _Scorer],
-    k: int,
-    params: GreedyParams,
-    timings: dict[str, float],
-    inputs: list[Graph] | None = None,
+    graph: Graph, parts: tuple[_Source, _Scorer], k: int, params: GreedyParams, timings: dict[str, float]
 ) -> tuple[list[Edge], list[float]]:
-    """The main loop shared by the global and focus-node runs: each round inserts the best-scoring pair of that
-    round's candidates. ``inputs``, if given, gets a copy of the graph as the first insertion finds it, with any
-    factor built by then."""
+    """The main loop shared by the global and focus-node runs: each round inserts its candidates' best-scoring pair."""
     source, scorer = parts
     picked: list[Edge] = []
     gains: list[float] = []
@@ -554,8 +545,6 @@ def _run_rounds(
                 f"insertion ({a},{b}) would not decrease total resistance (gain {exact_gain})"
             )
 
-        if r == 0 and inputs is not None:
-            inputs.append(graph.copy())
         graph.insert_edge(a, b)
         if r + 1 < k:  # nothing reads the updated state after the last insertion
             t0 = time.perf_counter()
@@ -585,10 +574,8 @@ def _runs(
     t0 = time.perf_counter()
     r_initial = pre_parts[1].total_resistance()
     r_initial_share = (time.perf_counter() - t0) / len(focus_nodes or [None])  # split over a batch
-    # r_final is solved on the first run's input as its first insertion found it: a factor built by then factors
-    # the input; later runs' factors are not shared, so that each focus factors as a lone focus would
+    pre_input = pre_graph.copy()  # r_final solves on the input, with the factor preprocessing or r_initial built
     solutions: list[Solution] = []
-    inputs: list[Graph] = []
     for v in [None] if focus_nodes is None else focus_nodes:
         timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
         if v is None:
@@ -604,9 +591,8 @@ def _runs(
             parts[0].size_sample()
             timings["compute"] += time.perf_counter() - t0
             timings["preprocess_shared"] = pre_seconds
-            timings["preprocess_amortized"] = pre_seconds / len(focus_nodes)
 
-        picked, gains = _run_rounds(work, parts, k, params, timings, None if solutions else inputs)
+        picked, gains = _run_rounds(work, parts, k, params, timings)
         solution = Solution(
             heuristic=kind.value,
             seed=seed,
@@ -624,7 +610,7 @@ def _runs(
         solutions.append(solution)
 
     t0 = time.perf_counter()
-    r_finals = total_resistance_after(inputs[0], r_initial, [s.inserted_edges for s in solutions], params.solver)
+    r_finals = total_resistance_after(pre_input, r_initial, [s.inserted_edges for s in solutions], params.solver)
     r_final_share = (time.perf_counter() - t0) / len(solutions)
     for solution, r_final in zip(solutions, r_finals):
         solution.r_final = r_final

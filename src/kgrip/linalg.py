@@ -100,14 +100,13 @@ def pseudoinverse_dense(graph: Graph) -> np.ndarray:
 def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
     """Solutions of L x = rhs orthogonal to the all-ones vector, one per column of ``rhs``.
 
-    Every linear solve of the package goes through here. ``rhs`` is a vector
-    or an n x s block whose columns sum to zero. All columns are solved
-    through the graph's :meth:`~kgrip.graphs.Graph.factor` when the graph
-    holds one, n <= ``DENSE_SOLVE_MAX_N``, s >= 16, or s >= 2 and n <= 1000
-    (README tables); otherwise each column runs Jacobi-preconditioned CG on
-    the cached Laplacian. Raises :class:`SolverError` carrying the worst
-    achieved relative residual if the factorisation fails (x = 0 is then
-    judged), CG stops early or any column's residual exceeds ``config.residual_tol``.
+    Every linear solve of the package goes through here, but for three that call the graph's factor directly:
+    spectral's shift-invert operator, :func:`lpinv_diagonal`'s solve of M 1 and ``GrownFactor``'s solves on its
+    base. ``rhs`` is a vector or an n x s block whose columns sum to zero. All columns are solved through the
+    graph's :meth:`~kgrip.graphs.Graph.factor` when the graph holds one, n <= ``DENSE_SOLVE_MAX_N``, s >= 16, or
+    s >= 2 and n <= 1000 (README tables); otherwise each column runs Jacobi-preconditioned CG on the cached
+    Laplacian. Raises :class:`SolverError` carrying the worst achieved relative residual if the factorisation
+    fails (x = 0 is then judged), CG stops early or any column's residual exceeds ``config.residual_tol``.
     """
     lap = graph.laplacian()
     block = rhs.reshape(graph.n, -1)
@@ -167,34 +166,38 @@ def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -
     return float(col_a[a] + col_b[b] - 2.0 * col_a[b])
 
 
-def lpinv_diagonal(graph: Graph, sparse: bool = True) -> np.ndarray:
+def lpinv_diagonal(graph: Graph) -> np.ndarray:
     """diag(L^+) exactly, from one inversion pass; R_tot is n times its sum.
 
-    Above ``DENSE_SOLVE_MAX_N``, if ``sparse``, off ``GroundedLU.inverse_diagonal`` where it takes the graph: with
-    M = L_g^(-1) padded by zeros at vertex 0, L^+ = (I - J/n) M (I - J/n), so L^+[i,i] = M[i,i] - 2 (M 1)[i] / n
-    + 1^T M 1 / n^2, where M 1 solves L x = 1 - n e_0. Otherwise off the Cholesky factor R of L + J/n (upper, R^T R,
-    :class:`SolverError` if the graph is disconnected): diag((L + J/n)^(-1)) holds the squared row norms of R^(-1),
-    and the J/n term adds 1/n to each.
+    Above ``DENSE_SOLVE_MAX_N``, off ``GroundedLU.inverse_diagonal`` where it takes the graph: with M = L_g^(-1)
+    padded by zeros at vertex 0, L^+ = (I - J/n) M (I - J/n), so L^+[i,i] = M[i,i] - 2 (M 1)[i] / n + 1^T M 1 / n^2,
+    where M 1 solves L x = 1 - n e_0. Otherwise by :func:`_dense_lpinv_diagonal`.
     """
     n = graph.n
-    factor = graph.factor() if sparse and DENSE_SOLVE_MAX_N < n <= DENSE_CAP_DEFAULT else None
+    factor = graph.factor() if DENSE_SOLVE_MAX_N < n <= DENSE_CAP_DEFAULT else None
     if isinstance(factor, GroundedLU) and (inv := factor.inverse_diagonal()) is not None:  # not grown by insertions
         ones = factor.solve(np.r_[1.0 - n, np.ones(n - 1)])  # M 1: x[0] = 0
         return np.r_[0.0, inv] - (2.0 / n) * ones + ones.sum() / (n * n)
+    return _dense_lpinv_diagonal(graph)
+
+
+def _dense_lpinv_diagonal(graph: Graph) -> np.ndarray:
+    """diag(L^+) off the Cholesky factor R of L + J/n (upper, R^T R, :class:`SolverError` if the graph is
+    disconnected): diag((L + J/n)^(-1)) holds the squared row norms of R^(-1), and the J/n term adds 1/n to each."""
     upper, in_place = _shifted_cholesky(graph)
     r_inv, info = lapack.dtrtri(upper, overwrite_c=in_place)
     if info != 0:
         raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
-    return np.einsum("ij,ij->i", r_inv, r_inv) - 1.0 / n
+    return np.einsum("ij,ij->i", r_inv, r_inv) - 1.0 / graph.n
 
 
 def total_resistance(obj) -> float:
-    """n * trace(pseudoinverse), from an existing DenseState, or from a Graph by :func:`lpinv_diagonal`'s dense form."""
+    """n * trace(pseudoinverse), from an existing DenseState, or from a Graph by :func:`_dense_lpinv_diagonal`."""
     if isinstance(obj, DenseState):
         return obj.graph.n * float(np.trace(obj.block))
     if not isinstance(obj, Graph):
         raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
-    return obj.n * float(lpinv_diagonal(obj, sparse=False).sum())
+    return obj.n * float(_dense_lpinv_diagonal(obj).sum())
 
 
 def total_resistance_after(
@@ -230,6 +233,28 @@ def refresh_column(columns: np.ndarray, col_a: np.ndarray, col_b: np.ndarray, a:
 def sherman_morrison_update(lpinv: np.ndarray, a: int, b: int) -> np.ndarray:
     """Pseudoinverse of G + {a,b} from the pseudoinverse of G (rank-one update)."""
     return refresh_column(lpinv, lpinv[:, a], lpinv[:, b], a, b)
+
+
+@dataclass
+class RunningDiagonal:
+    """A diagonal of the pseudoinverse, exact or estimated, and the graph round it belongs to."""
+
+    diag: np.ndarray
+    round: int
+
+
+def rank_one_diag_step(graph: Graph, running: RunningDiagonal, v: np.ndarray, denominator: float) -> np.ndarray:
+    """Move ``running`` across the insertion that brought ``graph`` to its round, in place: diag - v*v / denominator.
+
+    Sherman-Morrison gives the term from either side of the insertion of {a,b}: v = P (e_a - e_b) solved before it
+    with denominator 1 + R, R = v[a] - v[b], or v = P' (e_a - e_b) solved after it with denominator 1 - R',
+    R' = v[a] - v[b]. It is exact when the diagonal it starts from is.
+    """
+    if graph.round != running.round + 1:
+        raise StaleStateError(f"running diagonal expects graph round {running.round + 1}, got {graph.round}")
+    running.diag = running.diag - v * v / denominator
+    running.round += 1
+    return running.diag
 
 
 class ColumnCache:

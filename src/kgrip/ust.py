@@ -1,4 +1,4 @@
-"""Uniform spanning trees and the UST-based estimate of diag(pseudoinverse); runs read the exact diagonal instead.
+"""Uniform spanning trees and the paper's UST estimate of diag(pseudoinverse): a reference, which no run calls.
 
 Sampling uses Wilson's cycle popping over a block of trees at once: every
 non-root vertex of every tree draws a random arrow to a neighbour, and round
@@ -23,14 +23,12 @@ A block of trees is aggregated with array passes: Euler intervals of every
 tree come from one pointer-jumping depth pass plus one pass per tree level,
 and the signed counts take one vector pass per BFS depth.
 
-After an edge {a,b} is inserted, the estimate moves by the exact rank-one
-term of the Sherman-Morrison identity, diag' = diag - v*v / (1 + R), read
-off the solve v = P (e_a - e_b) = c_a - c_b on the graph before the
-insertion, R = v[a] - v[b]: runs take v from the solve that reported the
-edge's exact gain. ``approx_update_diag`` solves the new graph's
-L v' = e_a - e_b instead, v' = v / (1 + R), and subtracts v'*v' / (1 - R'),
-R' = v'[a] - v'[b]: the same term. No trees are drawn for an update; the
-fixed-edge sampler serves the sampling checks only.
+After an edge {a,b} is inserted, ``approx_update_diag`` moves the estimate
+by the exact rank-one term of the Sherman-Morrison identity: it solves the
+new graph's L v' = e_a - e_b and subtracts v'*v' / (1 - R'),
+R' = v'[a] - v'[b], which equals the term v*v / (1 + R) that runs read off
+the solve v = P (e_a - e_b) on the graph before the insertion. No trees are
+drawn for an update; the fixed-edge sampler serves the sampling checks only.
 
 A block draws the arrows of each round from one generator at once, so the
 trees of a seeded run depend on the block layout as well as on the seed.
@@ -46,7 +44,14 @@ import numpy as np
 
 from .errors import ConfigError, DisconnectedError, InvariantError, SolverError, StaleStateError
 from .graphs import Graph, assert_connected, bfs_parents, canonical_edge
-from .linalg import DEFAULT_SOLVER, SolverConfig, solve_lpinv_columns, solve_lpinv_difference
+from .linalg import (
+    DEFAULT_SOLVER,
+    RunningDiagonal,
+    SolverConfig,
+    rank_one_diag_step,
+    solve_lpinv_columns,
+    solve_lpinv_difference,
+)
 
 # arrows drawn per block at most; each is one step of a Wilson walk
 _WALK_STEP_GUARD = 10**9
@@ -326,14 +331,6 @@ def _mean_counts(graph: Graph, roots: Sequence[int], count: int, bfs: BfsTree, r
     return acc / count
 
 
-@dataclass
-class UstRepository:
-    """The running diagonal estimate and the graph round it belongs to."""
-
-    diag: np.ndarray
-    round: int
-
-
 def tree_budget(n: int, epsilon: float) -> int:
     """Sample size ceil(ln(n) / epsilon^2), at least 1."""
     if epsilon <= 0:
@@ -351,8 +348,8 @@ def approx_diag_lpinv(
     epsilon: float,
     rng: np.random.Generator,
     config: SolverConfig = DEFAULT_SOLVER,
-) -> tuple[np.ndarray, UstRepository]:
-    """UST-sampled diagonal of the pseudoinverse plus the repository for updates: the paper's estimator. Runs read
+) -> tuple[np.ndarray, RunningDiagonal]:
+    """UST-sampled diagonal of the pseudoinverse plus its running form for updates: the paper's estimator. Runs read
     the exact diagonal off ``linalg.lpinv_diagonal`` instead, so this serves only as a test hook.
     Samples ceil(ln(n)/eps^2) trees from the pivot, averages the signed
     BFS-path counts into resistance estimates R(pivot, .), then converts them
@@ -363,35 +360,21 @@ def approx_diag_lpinv(
     resistance = _mean_counts(graph, (pivot,), tree_budget(graph.n, epsilon), BfsTree(graph, pivot), rng)
     col = solve_lpinv_columns(graph, [pivot], config)[:, 0]
     diag = resistance - col[pivot] + 2.0 * col
-    return diag, UstRepository(diag=diag, round=graph.round)
-
-
-def rank_one_diag_step(graph: Graph, repo: UstRepository, v: np.ndarray, denominator: float) -> np.ndarray:
-    """Move ``repo`` across the insertion that brought ``graph`` to its round, in place: diag - v*v / denominator.
-
-    Sherman-Morrison gives the term from either side of the insertion of {a,b}: v = P (e_a - e_b) solved before it
-    with denominator 1 + R, R = v[a] - v[b], or v = P' (e_a - e_b) solved after it with denominator 1 - R',
-    R' = v[a] - v[b]. It is exact when the estimate it starts from is.
-    """
-    if graph.round != repo.round + 1:
-        raise StaleStateError(f"repository expects graph round {repo.round + 1}, got {graph.round}")
-    repo.diag = repo.diag - v * v / denominator
-    repo.round += 1
-    return repo.diag
+    return diag, RunningDiagonal(diag=diag, round=graph.round)
 
 
 def approx_update_diag(
-    graph: Graph, repo: UstRepository, config: SolverConfig = DEFAULT_SOLVER
+    graph: Graph, running: RunningDiagonal, config: SolverConfig = DEFAULT_SOLVER
 ) -> np.ndarray:
-    """The diagonal estimate after exactly one edge insertion; ``repo`` moves forward in place.
+    """The diagonal estimate after exactly one edge insertion; ``running`` moves forward in place.
 
     Solves the new graph's L v = e_a - e_b once for the inserted edge's ends
     a, b, so v = c'_a - c'_b, and takes :func:`rank_one_diag_step` with
     denominator 1 - R', R' = v[a] - v[b]. Runs take the step from the solve
     that reported the edge instead, which saves this one.
     """
-    if graph.round != repo.round + 1:  # before the solve
-        raise StaleStateError(f"repository expects graph round {repo.round + 1}, got {graph.round}")
+    if graph.round != running.round + 1:  # before the solve
+        raise StaleStateError(f"running diagonal expects graph round {running.round + 1}, got {graph.round}")
     a, b = graph.insertion_log[-1]
     v = solve_lpinv_difference(graph, a, b, config)
-    return rank_one_diag_step(graph, repo, v, 1.0 - (v[a] - v[b]))
+    return rank_one_diag_step(graph, running, v, 1.0 - (v[a] - v[b]))

@@ -1,5 +1,5 @@
 """Shared fixtures: small named graphs, seeded random connected graphs, a reference BFS, tree samples,
-and a count of matrix factorisations."""
+and counts of matrix factorisations and of CG solves."""
 
 from __future__ import annotations
 
@@ -127,3 +127,17 @@ def factorisations(monkeypatch):
 
         monkeypatch.setattr(module, name, spy)
     return seen
+
+
+@pytest.fixture
+def cg_calls(monkeypatch):
+    """Number of scipy CG calls made so far, read as ``cg_calls[0]``."""
+    calls = [0]
+    cg = spla.cg
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "cg", counted)
+    return calls

@@ -573,11 +573,11 @@ _REFRESHED_BY = {
 def test_refresh_skipped_after_last_insertion(kind, monkeypatch):
     # state is brought forward only for a round that reads it: k-1 times per
     # run and per focus node, the dense pseudoinverse included
-    from kgrip import jlt, linalg, spectral, ust
+    from kgrip import jlt, linalg, spectral
 
     calls = []
     for module, name in (
-        (ust, "rank_one_diag_step"),
+        (linalg, "rank_one_diag_step"),
         (jlt, "build_sketch"),
         (spectral, "compute_low_spectrum"),
         (linalg.DenseState, "apply_insertion"),
@@ -813,29 +813,50 @@ def test_small_graphs_factor_each_graph_round_once(kind, factorisations):
     assert graph_factorisations(g.n) == 1 and factorisations.sparse == []
 
 
+_FACTOR_HOLDING = [Heuristic.COL_STOCH, Heuristic.SIMPL_STOCH_JLT, Heuristic.COL_STOCH_JLT, Heuristic.SPEC_STOCH]
+
+
 def test_graphs_above_the_dense_limit_are_factored_once_per_run(factorisations):
-    # a grown graph is never factored again: r_initial factors the preprocessed graph, before the first insertion,
-    # every focus of a batch grows a copy of that one factor, and the r_final block solves through it
-    g = generate("ba", {"n": DENSE_SOLVE_MAX_N + 50, "m_attach": 3}, seed=1)
-    run_kgrip(g, 3, Heuristic.COL_STOCH, seed=7)
-    assert len(factorisations.sparse) == 1
-    factorisations.sparse.clear()
-    focus = [5, 40, 100]
-    run_klrip(g, focus, 2, Heuristic.COL_STOCH, seed=7)
-    assert len(factorisations.sparse) == 1
+    # a grown graph is never factored again: preprocessing or r_initial factors the preprocessed graph, before the
+    # first insertion, every focus of a batch grows a copy of that one factor, and the r_final block solves through it
+    for n in (DENSE_SOLVE_MAX_N + 50, 650):
+        g = generate("ba", {"n": n, "m_attach": 3}, seed=1)
+        for kind in _FACTOR_HOLDING:
+            for run in (lambda: run_kgrip(g, 3, kind, seed=7), lambda: run_klrip(g, [5, 40, 100], 2, kind, seed=7)):
+                factorisations.sparse.clear()
+                run()
+                assert len(factorisations.sparse) == 1, (n, kind)
+
+
+def test_specstoch_below_the_eigensolver_limit_solves_through_the_r_initial_factor(factorisations, cg_calls):
+    # SpecStoch's dense eigensolve (n <= 600) holds no factor; r_initial builds the sparse one, as for every other
+    # factor-holding heuristic, and the reports and the r_final block solve through it, with no CG and no dense
+    # Cholesky of L + J/n
+    g = generate("ba", {"n": 400, "m_attach": 3}, seed=1)
+    expected = total_resistance(g)
+    for run in (lambda: [run_kgrip(g, 3, Heuristic.SPEC_STOCH, seed=7)],
+                lambda: run_klrip(g, [5, 40, 100], 2, Heuristic.SPEC_STOCH, seed=7)):
+        factorisations.sparse.clear()
+        factorisations.dense.clear()
+        cg_calls[0] = 0
+        solutions = run()
+        assert cg_calls[0] == 0 and len(factorisations.sparse) == 1
+        assert not any(order >= g.n - 1 for order in factorisations.dense)
+        for solution in solutions:
+            assert solution.r_initial == pytest.approx(expected, rel=1e-12)
 
 
 @pytest.mark.parametrize("n", [DENSE_SOLVE_MAX_N + 50, 650])
 def test_r_initial_on_the_sparse_factor_adds_no_factorisation(n, factorisations):
-    # r_initial factors the preprocessed graph where the run would factor it later anyway; SpecStoch's dense
-    # eigensolve (n <= 600) holds no factor, and at k = 1 its lone report and r_final columns run CG
+    # r_initial factors the preprocessed graph where the run would factor it later anyway, and at k = 1 the lone
+    # report and the r_final columns solve through that factor
     g = generate("ba", {"n": n, "m_attach": 3}, seed=1)
     expected = total_resistance(g)
-    for kind in (Heuristic.COL_STOCH, Heuristic.SIMPL_STOCH_JLT, Heuristic.COL_STOCH_JLT, Heuristic.SPEC_STOCH):
+    for kind in _FACTOR_HOLDING:
         for k in (1, 3):
             factorisations.sparse.clear()
             solution = run_kgrip(g, k, kind, seed=7)
-            assert len(factorisations.sparse) == (0 if kind is Heuristic.SPEC_STOCH and n <= 600 and k == 1 else 1)
+            assert len(factorisations.sparse) == 1
             assert solution.r_initial == pytest.approx(expected, rel=1e-9)
 
 
@@ -980,7 +1001,7 @@ def tree_diagonal(monkeypatch):
     def use(epsilon: float) -> None:
         def compute(self, scorer):
             rng = derive_rng(self.seed, greedy._PRE_STREAM, self.kind.value)
-            _, self.repo = ust.approx_diag_lpinv(self.graph, epsilon, rng, self.params.solver)
+            _, self.running = ust.approx_diag_lpinv(self.graph, epsilon, rng, self.params.solver)
             self.size_sample()
 
         monkeypatch.setattr(greedy._DiagVertices, "compute", compute)

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from kgrip import graphs, greedy, linalg, oracles
 from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
@@ -34,20 +33,6 @@ from kgrip.linalg import (
 from conftest import complete_graph, cycle_graph, path_graph, random_connected, random_tree, reference_bfs, star_graph
 
 _ABOVE_DENSE = DENSE_SOLVE_MAX_N + 50  # graphs of this size solve by CG or by a sparse factor
-
-
-@pytest.fixture
-def cg_calls(monkeypatch):
-    """Number of scipy CG calls made so far, read as ``cg_calls[0]``."""
-    calls = [0]
-    cg = spla.cg
-
-    def counted(*args, **kwargs):
-        calls[0] += 1
-        return cg(*args, **kwargs)
-
-    monkeypatch.setattr(spla, "cg", counted)
-    return calls
 
 
 # -- pseudoinverse_dense ---------------------------------------------------------
