@@ -12,7 +12,7 @@ heuristic is one candidate source paired with one gain scorer
                        by the exact pseudoinverse diagonal;
   gain scorers       - the dense pseudoinverse, cached pseudoinverse
                        columns, random-projection sketches, or the spectral
-                       bracket midpoint.
+                       bracket's lower bound.
 
 Each round the source yields a batch of pairs: the universe source every
 non-edge of the graph as it stands, or every non-neighbor of a focus; the
@@ -85,7 +85,7 @@ class GreedyParams:
     """Knobs shared by all heuristics; the CLI flags take their defaults from here."""
 
     delta: float = 0.9
-    cutoff: int = 50
+    cutoff: int = 30
     solver: SolverConfig = field(default_factory=SolverConfig)
     c_jlt: float = 4.0
 
@@ -426,7 +426,7 @@ class _Sketch(_Scorer):
 
 
 class _Spectral(_Scorer):
-    """Midpoints of the spectral gain bracket over the low Laplacian spectrum."""
+    """Lower bounds of the spectral gain bracket over the low Laplacian spectrum."""
 
     def compute(self, source: _Source) -> None:
         self._solve()

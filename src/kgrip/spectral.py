@@ -14,9 +14,13 @@ for each sum, hence a bracket around the exact gain n*B2/(1+R):
   lower = n * [2/ln^2 + sum_(i<=c) (1/li^2 - 1/ln^2) d_i] / [1 + 2/lc + sum (1/li - 1/lc) d_i]
   upper = n * [2/lc^2 + sum_(i<=c) (1/li^2 - 1/lc^2) d_i] / [1 + 2/ln + sum (1/li - 1/ln) d_i]
 
-with d_i = (u_i[a]-u_i[b])^2, lc = lambda_c, ln = lambda_n. The tail bound
-for the numerator needs lambda_c >= 1; at c = n both sides collapse to the
-exact gain. Estimates ranked by heuristics use the bracket midpoint.
+with d_i = (u_i[a]-u_i[b])^2, lc = lambda_c, ln = lambda_n. Each tail is
+bounded term by term (lambda_c <= lambda_i <= lambda_n for i > c) and its
+weights are nonnegative, so the bracket holds for any lambda_c > 0, not
+only lambda_c >= 1; at c = n both sides collapse to the exact gain.
+Estimates ranked by heuristics use the lower bound: on scale-free graphs the
+upper bound's tail term 2/lc^2 swamps the per-pair sums, and the midpoint
+ranks pairs almost backwards.
 
 The eigenpairs come from a dense symmetric eigensolve up to
 ``_DENSE_EIG_LIMIT`` vertices. Above it, L^+ is applied exactly through the
@@ -68,9 +72,9 @@ def _low_spectrum_shift_invert(
 
     def apply_pinv(x: np.ndarray) -> np.ndarray:
         # L^+ x: centre, solve, centre again
-        x = np.ravel(x)
-        y = factor.solve(x - x.mean())
-        return y - y.mean()
+        y = factor.solve(x - x.sum() / n)
+        y -= y.sum() / n
+        return y
 
     op = spla.LinearOperator((n, n), matvec=apply_pinv, dtype=float)
     # deterministic start vectors: ARPACK's default draws from global random state
@@ -160,13 +164,24 @@ def gain_bounds(state: SpectralState, a: int, b: int) -> tuple[float, float]:
 
 
 def gain_spectral(state: SpectralState, a: int, b: int) -> float:
-    """The bracket midpoint of {a,b}: one row of :func:`gains_spectral`."""
+    """The bracket's lower bound for {a,b}: one row of :func:`gains_spectral`."""
     return float(gains_spectral(state, np.array([[a, b]]))[0])
 
 
 def gains_spectral(state: SpectralState, pairs: np.ndarray) -> np.ndarray:
-    """Bracket midpoints, the estimates the spectral heuristic ranks by, of every row (a, b)
-    of an (s, 2) pair array."""
-    dsq = (state.vectors[pairs[:, 0]] - state.vectors[pairs[:, 1]]) ** 2
-    lower, upper = _bracket(state, dsq)
-    return 0.5 * (lower + upper)
+    """Bracket lower bounds, the estimates the spectral heuristic ranks by, of every row (a, b)
+    of an (s, 2) pair array.
+
+    The numerator's and the denominator's weighted sums come from one
+    (s x (c-1)) . ((c-1) x 2) product; the upper bound is not formed.
+    """
+    lam = state.eigenvalues
+    lam_c = float(lam[-1])
+    lam_n = state.lambda_max
+    inv1 = 1.0 / lam
+    weights = np.column_stack((inv1 * inv1 - 1.0 / lam_n**2, inv1 - 1.0 / lam_c))
+    dsq = state.vectors[pairs[:, 0]]
+    dsq -= state.vectors[pairs[:, 1]]
+    dsq *= dsq
+    num, den = (dsq @ weights).T
+    return state.n * (2.0 / lam_n**2 + num) / (1.0 + 2.0 / lam_c + den)

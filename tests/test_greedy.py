@@ -558,6 +558,26 @@ def test_specstoch_resolves_after_insertions(model, params, k):
     assert all(gain > 0 for gain in sol.per_edge_true_gain)
 
 
+def test_specstoch_quality_on_scale_free_graphs():
+    # quality is total gain over StGreedy's. The bracket midpoint ranked BA pairs almost
+    # backwards (mean 0.13 global, 0.49 local here); the lower bound at the default cutoff
+    # reaches 0.96 and 0.88. Single local runs spread from 0.86 to 0.90 here and reach
+    # 0.84 on other seeds, so the bounds are set on the mean of four graphs
+    def total(solutions):
+        return sum(sum(s.per_edge_true_gain) for s in solutions)
+
+    focus = list(range(0, 1000, 100))
+    global_q, local_q = [], []
+    for graph_seed in range(1, 5):
+        g = generate("ba", {"n": 1000, "m_attach": 3}, seed=graph_seed)
+        runs = {kind: total([run_kgrip(g, 5, kind, seed=1)]) for kind in (Heuristic.ST_GREEDY, Heuristic.SPEC_STOCH)}
+        global_q.append(runs[Heuristic.SPEC_STOCH] / runs[Heuristic.ST_GREEDY])
+        runs = {kind: total(run_klrip(g, focus, 2, kind, seed=1)) for kind in (Heuristic.ST_GREEDY, Heuristic.SPEC_STOCH)}
+        local_q.append(runs[Heuristic.SPEC_STOCH] / runs[Heuristic.ST_GREEDY])
+    assert np.mean(global_q) >= 0.85
+    assert np.mean(local_q) >= 0.80
+
+
 # which preprocessing each heuristic rebuilds between rounds
 _REFRESHED_BY = {
     Heuristic.ST_GREEDY: set(),
@@ -1151,18 +1171,19 @@ def test_r_initial_is_exact_from_one_inversion_pass_per_run_or_batch(kind, n, mo
 # another random stream) and when the tree estimate gave way to the exact diagonal;
 # every sampled heuristic but colstochjlt on BA, re-pinned when each round took the
 # argmax of its own batch in place of a lazy queue or SimplStoch's pool; the two
-# sketch heuristics, re-pinned when the sketches went from Gaussian to sign projections
+# sketch heuristics, re-pinned when the sketches went from Gaussian to sign projections;
+# specstoch, re-pinned when it ranked by the bracket's lower bound at cutoff 30
 _SEEDED_EDGES = {
     ("er", "stgreedy"): ([(11, 56), (11, 55), (28, 56)], [(7, 11), (7, 56), (7, 28)]),
     ("er", "simplstoch"): ([(5, 11), (10, 56), (17, 28)], [(7, 50), (7, 11), (7, 48)]),
     ("er", "simplstochjlt"): ([(5, 11), (9, 56), (11, 52)], [(7, 50), (7, 45), (7, 55)]),
-    ("er", "specstoch"): ([(11, 16), (11, 50), (15, 56)], [(7, 22), (7, 9), (7, 55)]),
+    ("er", "specstoch"): ([(11, 16), (11, 50), (15, 56)], [(7, 22), (1, 7), (7, 55)]),
     ("er", "colstoch"): ([(11, 56), (11, 21), (28, 56)], [(7, 11), (7, 50), (7, 55)]),
     ("er", "colstochjlt"): ([(11, 43), (24, 56), (28, 29)], [(7, 16), (7, 14), (7, 11)]),
     ("ba", "stgreedy"): ([(73, 76), (59, 65), (68, 69)], [(7, 73), (7, 76), (7, 65)]),
     ("ba", "simplstoch"): ([(48, 65), (68, 71), (70, 75)], [(7, 67), (7, 53), (7, 57)]),
     ("ba", "simplstochjlt"): ([(40, 70), (73, 78), (69, 77)], [(7, 68), (7, 61), (7, 75)]),
-    ("ba", "specstoch"): ([(65, 68), (66, 73), (71, 76)], [(7, 30), (7, 14), (7, 76)]),
+    ("ba", "specstoch"): ([(65, 68), (71, 78), (59, 70)], [(7, 30), (7, 14), (7, 76)]),
     ("ba", "colstoch"): ([(59, 76), (65, 73), (48, 57)], [(7, 73), (7, 75), (7, 70)]),
     ("ba", "colstochjlt"): ([(57, 68), (30, 68), (73, 75)], [(7, 71), (7, 59), (7, 18)]),
 }

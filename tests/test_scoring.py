@@ -98,7 +98,7 @@ def test_spectral_scorer_matches_scalar(gname, pname):
     g = _graphs()[gname]
     pairs = _pair_sets(g)[pname]
     state = compute_low_spectrum(g, 20)
-    _assert_matches(gains_spectral(state, pairs), pairs, lambda a, b: 0.5 * sum(gain_bounds(state, a, b)))
+    _assert_matches(gains_spectral(state, pairs), pairs, lambda a, b: gain_bounds(state, a, b)[0])
 
 
 def test_batched_scorers_reject_edges_and_stale_sketches():

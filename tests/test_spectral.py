@@ -12,7 +12,8 @@ import scipy.linalg
 from kgrip import oracles
 from kgrip.errors import ConfigError, SolverError
 from kgrip.graphs import Graph, generate
-from kgrip.linalg import DenseState, gain_exact
+from kgrip.greedy import GreedyParams
+from kgrip.linalg import DenseState, gain_exact, gains_exact
 from kgrip.spectral import compute_low_spectrum, gain_bounds, gain_spectral
 
 from conftest import random_connected
@@ -102,8 +103,8 @@ def _grid(side: int) -> Graph:
     return Graph(side * side, right + down)
 
 
-# default cutoff 50, eig_tol 1e-7 and maxiter, all above the dense limit of 600;
-# the ring lattice and the grid have doubled eigenvalues
+# the default cutoff and the former default 50, eig_tol 1e-7 and maxiter, all above
+# the dense limit of 600; the ring lattice and the grid have doubled eigenvalues
 _DEFAULT_PARAM_GRAPHS = {
     "ba2000": (lambda: generate("ba", {"n": 2000, "m_attach": 3, "m0": 3}, seed=1), 30.0),
     "er700": (lambda: generate("er", {"n": 700, "p": 0.02}, seed=1), 15.0),
@@ -118,18 +119,19 @@ def test_iterative_default_parameters(name):
     build, seconds = _DEFAULT_PARAM_GRAPHS[name]
     g = build()
     assert g.n > 600
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        start = time.perf_counter()
-        st = compute_low_spectrum(g, 50)
-        elapsed = time.perf_counter() - start
-    assert elapsed < seconds
     vals = scipy.linalg.eigh(g.laplacian_dense(), eigvals_only=True)
-    assert np.max(np.abs(st.eigenvalues - vals[1:50])) < 1e-8
-    assert st.lambda_max == pytest.approx(vals[-1], abs=1e-8)
-    residuals = np.linalg.norm(g.laplacian() @ st.vectors - st.vectors * st.eigenvalues, axis=0)
-    assert residuals.max() <= 1e-7
-    assert np.max(np.abs(st.vectors.sum(axis=0))) < 1e-7
+    for cutoff in (GreedyParams().cutoff, 50):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            start = time.perf_counter()
+            st = compute_low_spectrum(g, cutoff)
+            elapsed = time.perf_counter() - start
+        assert elapsed < seconds
+        assert np.max(np.abs(st.eigenvalues - vals[1:cutoff])) < 1e-8
+        assert st.lambda_max == pytest.approx(vals[-1], abs=1e-8)
+        residuals = np.linalg.norm(g.laplacian() @ st.vectors - st.vectors * st.eigenvalues, axis=0)
+        assert residuals.max() <= 1e-7
+        assert np.max(np.abs(st.vectors.sum(axis=0))) < 1e-7
 
 
 # -- gain bracket ----------------------------------------------------------------
@@ -163,8 +165,7 @@ def test_bracket_contains_exact_when_lambda_c_large():
     for seed in (3, 8):
         g = random_connected(50, 0.15, seed=seed)
         st = compute_low_spectrum(g, 15)
-        if st.eigenvalues[-1] < 1.0:
-            continue  # the numerator tail bound needs lambda_c >= 1
+        assert st.eigenvalues[-1] >= 1.0  # the premise criterion 6 states; the shift-invert cases go below it
         state = DenseState.compute(g)
         for a, b in oracles.all_non_edges(g):
             lower, upper = gain_bounds(st, a, b)
@@ -190,8 +191,6 @@ def test_monotone_refinement():
     prev: dict[tuple[int, int], tuple[float, float]] = {}
     for c in (5, 10, 20, 39, g.n):
         st = compute_low_spectrum(g, c)
-        if st.eigenvalues[-1] < 1.0:
-            continue
         for pair in pairs:
             lower, upper = gain_bounds(st, *pair)
             if pair in prev:
@@ -199,6 +198,31 @@ def test_monotone_refinement():
                 assert lower >= lo_old - 1e-9
                 assert upper <= up_old + 1e-9
             prev[pair] = (lower, upper)
+
+
+# shift-invert spectra (n > 600): the ring lattice's lambda_c is far below 1 at the
+# default cutoff and at 20, and the bracket still holds on every sampled non-edge
+_SHIFT_INVERT_BRACKETS = {
+    "ring700-default": (lambda: generate("ws", {"n": 700, "degree": 8, "rewire_prob": 0.0}, seed=1), None),
+    "ring700-c20": (lambda: generate("ws", {"n": 700, "degree": 8, "rewire_prob": 0.0}, seed=1), 20),
+    "ws650": (lambda: generate("ws", {"n": 650, "degree": 10, "rewire_prob": 0.01}, seed=1), None),
+    "ba700": (lambda: generate("ba", {"n": 700, "m_attach": 3}, seed=1), None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SHIFT_INVERT_BRACKETS))
+def test_bracket_contains_exact_on_shift_invert_path(name):
+    build, cutoff = _SHIFT_INVERT_BRACKETS[name]
+    g = build()
+    st = compute_low_spectrum(g, cutoff or GreedyParams().cutoff)
+    if name.startswith("ring"):
+        assert st.eigenvalues[-1] < 0.6
+    non_edges = np.array(oracles.all_non_edges(g))
+    pairs = non_edges[np.random.default_rng(5).choice(len(non_edges), 3000, replace=False)]
+    exact = gains_exact(DenseState.compute(g), pairs)
+    bounds = np.array([gain_bounds(st, a, b) for a, b in pairs.tolist()])
+    assert np.all(bounds[:, 0] <= exact * (1 + 1e-9))
+    assert np.all(exact <= bounds[:, 1] * (1 + 1e-9))
 
 
 def test_eigvector_difference_identity():
@@ -213,14 +237,14 @@ def test_eigvector_difference_identity():
 # -- gain_spectral ------------------------------------------------------------------
 
 
-def test_estimate_is_midpoint_and_inside_bracket():
+def test_estimate_is_lower_bound_and_inside_bracket():
     g = random_connected(35, 0.2, seed=13)
     st = compute_low_spectrum(g, 12)
     for a, b in oracles.all_non_edges(g)[:25]:
         lower, upper = gain_bounds(st, a, b)
         est = gain_spectral(st, a, b)
-        assert lower <= est <= upper
-        assert est == pytest.approx(0.5 * (lower + upper))
+        assert lower * (1 - 1e-12) <= est <= upper
+        assert est == pytest.approx(lower, rel=1e-12)
 
 
 def test_estimate_exact_at_full_cutoff(p3):
