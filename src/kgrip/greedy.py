@@ -16,12 +16,14 @@ heuristic is one candidate source paired with one gain scorer
 
 Each round the source yields a batch of pairs: the universe source every
 non-edge of the graph as it stands, or every non-neighbor of a focus; the
-sampling sources a fresh sample. Every heuristic takes the same pick: the
-pair of greatest gain in that round's batch, ties to the lexicographically
-smallest pair, scored by one ``gains`` call. For every non-edge the dense
-scorer gets it from one streamed pass over its state instead, so StGreedy is
-the exact greedy; the sampled heuristics are stochastic greedy
-(Mirzasoleiman et al., 2015). No gain is carried from one round to the next.
+sampling sources a fresh sample. The loop hands the batch to the scorer's
+``pick`` and inserts what it returns. Every heuristic takes the same pick:
+the pair of greatest gain in that round's batch, ties to the lexicographically
+smallest pair. By default ``pick`` scores the batch in one ``gains`` call and
+selects through :class:`LazyQueue`; for every non-edge the dense scorer gets it
+from one streamed pass over its state instead, so StGreedy is the exact
+greedy; the sampled heuristics are stochastic greedy (Mirzasoleiman et al.,
+2015). No gain is carried from one round to the next.
 Regardless of the scorer, the
 reported per-edge gain of every accepted edge is recomputed exactly from one
 linear solve, and total resistance must strictly decrease on every insertion.
@@ -55,7 +57,6 @@ from .linalg import (
     DenseState,
     RunningDiagonal,
     SolverConfig,
-    gains_exact,
     report_insertion,
     total_resistance,
     total_resistance_after,
@@ -221,13 +222,14 @@ def _pairs_from_vertices(graph: Graph, vertices: list[int]) -> np.ndarray:
 
 
 class LazyQueue:
-    """One round's selection: the pair of greatest gain in the round's scored batch, ties to the lexicographically
-    smallest pair.
+    """The default ``_Scorer.pick``'s batch selection: the pair of greatest gain in the round's scored batch, ties to
+    the lexicographically smallest pair.
 
     Every round scores a fresh batch and takes its best pair, as stochastic greedy does (Mirzasoleiman et al.,
     2015); no gain outlives its round, so none goes stale. The class keeps the name of the lazy queue it replaced,
     and ``lazy_next`` its ``revalidate`` parameter, because ``perfbench/tracer.py`` patches both methods by name
-    and its hook wraps that argument; ROADMAP item 1 retires those patches, and then the name.
+    and its hook wraps that argument (``push_many`` counts the scored candidates); ROADMAP item 1 retires those
+    patches, and then the class folds into the default pick.
     """
 
     def __init__(self):
@@ -360,7 +362,8 @@ class _DiagVertices(_Source):
 
 
 class _Scorer(_Part):
-    """Estimates gains: ``gains`` scores a round's candidates, an (s, 2) array of pairs, in one call."""
+    """Estimates gains: ``gains`` scores a round's candidates, an (s, 2) array of pairs, in one call, and ``pick``
+    takes the round's pair from them."""
 
     def compute(self, source: _Source) -> None:
         raise NotImplementedError
@@ -377,6 +380,13 @@ class _Scorer(_Part):
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def pick(self, pairs: np.ndarray) -> tuple[int, int]:
+        """The pair of greatest gain among ``pairs``, ties to the lexicographically smallest, scored by one
+        :meth:`gains` call."""
+        selection, stamp = LazyQueue(), self.graph.round
+        selection.push_many(pairs, self.gains(pairs), stamp)
+        return selection.lazy_next(None, stamp)[:2]
+
 
 class _Columns(_Scorer):
     """Exact gains from pseudoinverse columns, solved on demand and brought forward."""
@@ -385,7 +395,7 @@ class _Columns(_Scorer):
         self.cache = ColumnCache(self.graph, self.params.solver)
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
-        return gains_exact(self.cache, pairs)
+        return self.cache.gains(pairs)
 
     def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
         self.cache.note_insertion(a, b)
@@ -399,6 +409,10 @@ class _DenseP(_Columns):
 
     def total_resistance(self) -> float:
         return total_resistance(self.cache)  # n * trace, no second factorisation
+
+    def pick(self, pairs: np.ndarray | None) -> tuple[int, int]:
+        """None (every non-edge) is one streamed pass over the dense state, by the same rule."""
+        return self.cache.best_non_edge() if pairs is None else super().pick(pairs)
 
     def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
         self.cache.apply_insertion(a, b)
@@ -518,11 +532,10 @@ class Solution:
 def _run_rounds(
     graph: Graph, parts: tuple[_Source, _Scorer], k: int, params: GreedyParams, timings: dict[str, float]
 ) -> tuple[list[Edge], list[float]]:
-    """The main loop shared by the global and focus-node runs: each round inserts its candidates' best-scoring pair."""
+    """The main loop shared by the global and focus-node runs: each round inserts the scorer's pick."""
     source, scorer = parts
     picked: list[Edge] = []
     gains: list[float] = []
-    selection = LazyQueue()
 
     for r in range(k):
         t0 = time.perf_counter()
@@ -530,11 +543,7 @@ def _run_rounds(
         timings["compute"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        if pairs is None:  # every non-edge: one pass over the dense state, by the same rule
-            a, b = scorer.cache.best_non_edge()
-        else:
-            selection.push_many(pairs, scorer.gains(pairs), r)
-            a, b, _ = selection.lazy_next(None, r)
+        a, b = scorer.pick(pairs)
         timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()

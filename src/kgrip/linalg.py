@@ -264,7 +264,9 @@ class ColumnCache:
     n x s ``block``; ``slot[v]`` is v's column in it, -1 if v was never
     solved. Each insertion brings the whole block forward in one rank-one
     update; ``round`` is the round of the graph the block belongs to.
-    :class:`DenseState` is the cache that holds every column from the start.
+    ``gains`` scores a batch of pairs off the columns it touches.
+    :class:`DenseState` is the cache that holds every column from the start,
+    and reads each gain off P and Q instead.
     """
 
     def __init__(self, graph: Graph, config: SolverConfig = DEFAULT_SOLVER):
@@ -291,6 +293,35 @@ class ColumnCache:
             self.slot[missing] = np.arange(self.block.shape[1], self.block.shape[1] + len(missing))
             self.block = np.hstack([self.block, solved])
         return self.block[:, self.slot[vertices]]
+
+    def gains(self, pairs: np.ndarray) -> np.ndarray:
+        """Exact gains of many non-edges at once; ``pairs`` is an (s, 2) int array of non-edges a < b, unchecked.
+
+        The columns C of every vertex the pairs touch are gathered once, in
+        vertex order; an endpoint's slot in C is its rank among the touched
+        vertices, read off a running count of the touched flags (O(s + n), no
+        sort). The squared biharmonic distances come from the Gram identity
+        ||c_a - c_b||^2 = G[a,a] + G[b,b] - 2 G[a,b] with G = C^T C. A star
+        batch (one vertex in every pair, as in a focus node's candidates) reads
+        G[a,b] off the hub's row C^T c_hub and the diagonal off the column norms.
+        """
+        a, b = pairs[:, 0], pairs[:, 1]
+        counts = np.bincount(pairs.ravel(), minlength=self.graph.n)
+        vertices = np.flatnonzero(counts)
+        slot_a, slot_b = (np.cumsum(counts > 0) - 1)[pairs].T  # rank of each endpoint among the touched vertices
+        cols = self.columns(vertices)
+        hub = next((h for h in pairs[0] if np.all((a == h) | (b == h))), None)
+        if hub is None:
+            gram = cols.T @ cols
+            sq = np.diagonal(gram)
+            cross = gram[slot_a, slot_b]
+        else:
+            h = int(np.searchsorted(vertices, hub))
+            sq = np.einsum("ij,ij->j", cols, cols)
+            cross = (cols.T @ cols[:, h])[slot_a + slot_b - h]  # the slot of the pair's other end
+        b2 = sq[slot_a] + sq[slot_b] - 2.0 * cross
+        resistance = cols[a, slot_a] + cols[b, slot_b] - 2.0 * cols[b, slot_a]
+        return self.graph.n * b2 / (1.0 + resistance)
 
     def note_insertion(self, a: int, b: int) -> None:
         """Bring every stored column across the just-inserted edge {a,b}.
@@ -328,9 +359,10 @@ class DenseState(ColumnCache):
     def _gain(n: int, q_a, q_b, q_ab, p_a, p_b, p_ab):  # n * B2(a,b) / (1 + R(a,b)), one formula for both reads
         return n * (q_a + q_b - 2.0 * q_ab) / (1.0 + (p_a + p_b - 2.0 * p_ab))
 
-    def gains(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Gains for index arrays a < b, read off Q and P (flat: one index per entry)."""
+    def gains(self, pairs: np.ndarray) -> np.ndarray:
+        """Gains of the (s, 2) pairs a < b, read off Q and P (flat: one index per entry)."""
         n, (p_diag, q_diag) = self.graph.n, self.diagonals
+        a, b = pairs[:, 0], pairs[:, 1]
         ab = a * n + b
         p, q = self.block.reshape(-1), self.square.reshape(-1)  # views: both stay C-ordered
         return self._gain(n, q_diag[a], q_diag[b], q[ab], p_diag[a], p_diag[b], p[ab])
@@ -372,8 +404,8 @@ class DenseState(ColumnCache):
 
 
 def gain_exact(state, a: int, b: int) -> float:
-    """Exact gain of inserting the non-edge {a,b}, including the factor n: one row of :func:`gains_exact`."""
-    return float(gains_exact(state, np.array([_non_edge(state.graph, a, b)]))[0])
+    """Exact gain of inserting the non-edge {a,b}, including the factor n: one row of ``state.gains``."""
+    return float(state.gains(np.array([_non_edge(state.graph, a, b)]))[0])
 
 
 def _non_edge(graph: Graph, a: int, b: int) -> tuple[int, int]:
@@ -382,41 +414,6 @@ def _non_edge(graph: Graph, a: int, b: int) -> tuple[int, int]:
     if not (0 <= a and b < graph.n) or graph.has_edge(a, b):
         raise InvariantError(f"gains are defined for non-edges of vertices 0..{graph.n - 1}, not ({a},{b})")
     return a, b
-
-
-def gains_exact(state, pairs: np.ndarray) -> np.ndarray:
-    """Exact gains of many non-edges at once; ``pairs`` is an (s, 2) int array of non-edges a < b, unchecked.
-
-    A :class:`DenseState` reads every gain off Q and P in place. For a
-    :class:`ColumnCache` the columns C of every vertex the pairs touch are
-    gathered once, in vertex order; an endpoint's slot in C is its rank among
-    the touched vertices, read off a running count of the touched flags
-    (O(s + n), no sort). The squared biharmonic distances come from the Gram
-    identity ||c_a - c_b||^2 = G[a,a] + G[b,b] - 2 G[a,b] with G = C^T C. A
-    star batch (one vertex in every pair, as in a focus node's candidates)
-    reads G[a,b] off the hub's row C^T c_hub and the diagonal off the column
-    norms.
-    """
-    graph: Graph = state.graph
-    a, b = pairs[:, 0], pairs[:, 1]
-    if isinstance(state, DenseState):
-        return state.gains(a, b)
-    counts = np.bincount(pairs.ravel(), minlength=graph.n)
-    vertices = np.flatnonzero(counts)
-    slot_a, slot_b = (np.cumsum(counts > 0) - 1)[pairs].T  # rank of each endpoint among the touched vertices
-    cols = state.columns(vertices)
-    hub = next((h for h in pairs[0] if np.all((a == h) | (b == h))), None)
-    if hub is None:
-        gram = cols.T @ cols
-        sq = np.diagonal(gram)
-        cross = gram[slot_a, slot_b]
-    else:
-        h = int(np.searchsorted(vertices, hub))
-        sq = np.einsum("ij,ij->j", cols, cols)
-        cross = (cols.T @ cols[:, h])[slot_a + slot_b - h]  # the slot of the pair's other end
-    b2 = sq[slot_a] + sq[slot_b] - 2.0 * cross
-    resistance = cols[a, slot_a] + cols[b, slot_b] - 2.0 * cols[b, slot_a]
-    return graph.n * b2 / (1.0 + resistance)
 
 
 def true_gain(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> float:

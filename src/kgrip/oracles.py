@@ -56,8 +56,8 @@ def all_non_edges(graph: Graph) -> list[tuple[int, int]]:
     ]
 
 
-def greedy_naive(graph: Graph, k: int) -> list[tuple[int, int]]:
-    """Full re-evaluation greedy: per round, brute-force every non-edge, insert the best.
+def greedy_naive(graph: Graph, k: int, focus: int | None = None) -> list[tuple[int, int]]:
+    """Full re-evaluation greedy: per round, brute-force every non-edge, or every (focus, b), insert the best.
 
     Ties break toward the lexicographically smallest canonical pair, matching
     the production tie-break so sequences are comparable.
@@ -68,7 +68,8 @@ def greedy_naive(graph: Graph, k: int) -> list[tuple[int, int]]:
         base = total_resistance(g)
         best = None
         best_gain = -np.inf
-        for a, b in all_non_edges(g):
+        candidates = all_non_edges(g) if focus is None else [canonical_edge(focus, b) for b in g.non_neighbors(focus)]
+        for a, b in candidates:
             after = g.copy()
             after.insert_edge(a, b)
             gain = base - total_resistance(after)
@@ -84,25 +85,7 @@ def greedy_naive(graph: Graph, k: int) -> list[tuple[int, int]]:
 
 def greedy_naive_local(graph: Graph, focus: int, k: int) -> list[tuple[int, int]]:
     """Focus-node variant of :func:`greedy_naive`: candidates are (focus, b) only."""
-    g = graph.copy()
-    picked: list[tuple[int, int]] = []
-    for _ in range(k):
-        base = total_resistance(g)
-        best = None
-        best_gain = -np.inf
-        for b in g.non_neighbors(focus):
-            e = canonical_edge(focus, b)
-            after = g.copy()
-            after.insert_edge(*e)
-            gain = base - total_resistance(after)
-            if gain > best_gain or (gain == best_gain and e < best):
-                best = e
-                best_gain = gain
-        if best is None:
-            break
-        picked.append(best)
-        g.insert_edge(*best)
-    return picked
+    return greedy_naive(graph, k, focus)
 
 
 # -- spanning-tree enumeration (tiny graphs only) ------------------------------

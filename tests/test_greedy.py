@@ -337,6 +337,30 @@ def test_every_round_picks_the_argmax_of_its_scored_batch(monkeypatch, kind, foc
     assert tied or not coarse
 
 
+def test_round_loop_asks_the_scorer_only_for_its_pick():
+    # the loop hands each round's candidates to the scorer's pick and inserts what it returns, here the batch's last
+    # pair rather than its best: it asks for no gains and keeps no selection of its own
+    g = generate("ba", {"n": 40, "m_attach": 3}, seed=1)
+    picks = []
+
+    class Stub:
+        def candidates(self, round_idx):
+            return g.non_edges()
+
+        def pick(self, pairs):
+            picks.append(tuple(pairs[-1].tolist()))
+            return picks[-1]
+
+        def update(self, a, b, round_idx, report):
+            pass
+
+    stub = Stub()
+    timings = dict.fromkeys(("compute", "eval", "update", "report"), 0.0)
+    picked, gains = greedy._run_rounds(g, (stub, stub), 2, GreedyParams(), timings)
+    assert picked == picks and len(picked) == 2
+    assert all(gain > 0 for gain in gains)
+
+
 @pytest.mark.parametrize(
     "n,degree,naive_edges",
     [
@@ -893,7 +917,7 @@ def test_r_initial_on_the_sparse_factor_keeps_the_dense_cap(kind, monkeypatch):
 
 @pytest.mark.parametrize("n", [120, DENSE_SOLVE_MAX_N + 50])
 def test_scorers_are_only_asked_for_non_edges(n, monkeypatch):
-    # gains_exact trusts its pairs, so every batch a scorer receives must hold non-edges of the graph as it stands
+    # ColumnCache.gains trusts its pairs, so every batch a scorer receives must hold non-edges of the graph as it stands
     batches = []
     for cls in (greedy._Columns, greedy._Sketch, greedy._Spectral):
 

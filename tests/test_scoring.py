@@ -8,7 +8,7 @@ import pytest
 from kgrip.errors import InvariantError, SolverError, StaleStateError
 from kgrip.graphs import Graph, generate
 from kgrip.jlt import build_sketch, gains_jlt
-from kgrip.linalg import ColumnCache, DenseState, SolverConfig, gain_exact, gains_exact, solve, solve_lpinv_column
+from kgrip.linalg import ColumnCache, DenseState, SolverConfig, gain_exact, solve, solve_lpinv_column
 from kgrip.spectral import compute_low_spectrum, gain_bounds, gains_spectral
 
 REL_TOL = 1e-12
@@ -50,7 +50,7 @@ def test_dense_scorer_matches_scalar(gname, pname):
     pairs = _pair_sets(g)[pname]
     state = DenseState.compute(g)
     p = state.block
-    _assert_matches(gains_exact(state, pairs), pairs, lambda a, b: _gain_from_columns(g.n, p[:, a], p[:, b], a, b))
+    _assert_matches(state.gains(pairs), pairs, lambda a, b: _gain_from_columns(g.n, p[:, a], p[:, b], a, b))
 
 
 def _solved_column_gain(g: Graph):
@@ -62,7 +62,7 @@ def test_column_cache_scorer_matches_scalar(gname, pname):
     g = _graphs()[gname]
     pairs = _pair_sets(g)[pname]
     cache = ColumnCache(g)
-    _assert_matches(gains_exact(cache, pairs), pairs, _solved_column_gain(g))
+    _assert_matches(cache.gains(pairs), pairs, _solved_column_gain(g))
 
 
 @pytest.mark.parametrize("gname", ["er60", "ba80"])
@@ -73,12 +73,12 @@ def test_column_cache_scorer_after_insertions(gname):
     for _ in range(3):
         free = g.non_edges()
         a, b = free[rng.integers(len(free))].tolist()
-        gains_exact(cache, np.array([[a, b]]))  # caches both endpoint columns
+        cache.gains(np.array([[a, b]]))  # caches both endpoint columns
         g.insert_edge(a, b)
         cache.note_insertion(a, b)
     for pairs in _pair_sets(g).values():
         # columns cached before the insertions are refreshed, the rest solved fresh
-        _assert_matches(gains_exact(cache, pairs), pairs, _solved_column_gain(g))
+        _assert_matches(cache.gains(pairs), pairs, _solved_column_gain(g))
 
 
 @pytest.mark.parametrize("gname,pname", CASES)

@@ -13,7 +13,7 @@ from kgrip import oracles
 from kgrip.errors import ConfigError, SolverError
 from kgrip.graphs import Graph, generate
 from kgrip.greedy import GreedyParams
-from kgrip.linalg import DenseState, gain_exact, gains_exact
+from kgrip.linalg import DenseState, gain_exact
 from kgrip.spectral import compute_low_spectrum, gain_bounds, gain_spectral
 
 from conftest import random_connected
@@ -219,7 +219,7 @@ def test_bracket_contains_exact_on_shift_invert_path(name):
         assert st.eigenvalues[-1] < 0.6
     non_edges = np.array(oracles.all_non_edges(g))
     pairs = non_edges[np.random.default_rng(5).choice(len(non_edges), 3000, replace=False)]
-    exact = gains_exact(DenseState.compute(g), pairs)
+    exact = DenseState.compute(g).gains(pairs)
     bounds = np.array([gain_bounds(st, a, b) for a, b in pairs.tolist()])
     assert np.all(bounds[:, 0] <= exact * (1 + 1e-9))
     assert np.all(exact <= bounds[:, 1] * (1 + 1e-9))
