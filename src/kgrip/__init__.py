@@ -24,7 +24,6 @@ from .greedy import GreedyParams, Heuristic, Solution, run_kgrip, run_klrip
 from .linalg import (
     ColumnCache,
     DenseState,
-    SolverConfig,
     effective_resistance,
     gain_exact,
     pseudoinverse_dense,
@@ -48,7 +47,6 @@ __all__ = [
     "KgripError",
     "ParseError",
     "Solution",
-    "SolverConfig",
     "SolverError",
     "StaleStateError",
     "assert_connected",

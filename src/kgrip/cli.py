@@ -30,7 +30,6 @@ from .greedy import (
     run_kgrip,
     run_klrip,
 )
-from .linalg import SolverConfig
 from .seeds import derive_int_seed, derive_rng
 
 _GENERATOR_KEYS = {
@@ -132,7 +131,7 @@ def _params_from_args(args) -> GreedyParams:
     return GreedyParams(
         delta=args.delta,
         cutoff=args.cutoff,
-        solver=SolverConfig(residual_tol=args.solver_eps),
+        solver_eps=args.solver_eps,
         c_jlt=args.c_jlt,
     )
 
@@ -353,7 +352,7 @@ def cmd_bench(args) -> int:
 def _add_param_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--delta", type=float, default=_DEFAULTS.delta, help="stochastic sampling accuracy (0,1)")
     parser.add_argument("--cutoff", type=int, default=_DEFAULTS.cutoff, help="eigenpair cutoff for specstoch")
-    parser.add_argument("--solver-eps", type=float, default=_DEFAULTS.solver.residual_tol,
+    parser.add_argument("--solver-eps", type=float, default=_DEFAULTS.solver_eps,
                         help="linear solver residual tolerance")
     parser.add_argument("--c-jlt", type=float, default=_DEFAULTS.c_jlt, help="sketch width multiplier")
 
@@ -362,7 +361,7 @@ def _add_common_run_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--input", help="edge-list file ('u v' per line)")
     parser.add_argument("--generate", help="generator spec, e.g. er:n=300,p=0.05")
     parser.add_argument("--k", type=int, required=True, help="number of edges to insert")
-    parser.add_argument("--heuristic", default="stgreedy", help="stgreedy|simplstoch|colstoch|simplstochjlt|colstochjlt|specstoch")
+    parser.add_argument("--heuristic", default="stgreedy", help="|".join(h.value for h in Heuristic))
     _add_param_flags(parser)
     parser.add_argument("--seed", type=int, default=0, help="master seed (echoed in results)")
     parser.add_argument("--output", "-o", help="output path (default stdout)")

@@ -42,7 +42,7 @@ from __future__ import annotations
 import copy
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Sequence
@@ -56,7 +56,6 @@ from .linalg import (
     ColumnCache,
     DenseState,
     RunningDiagonal,
-    SolverConfig,
     report_insertion,
     total_resistance,
     total_resistance_after,
@@ -87,7 +86,7 @@ class GreedyParams:
 
     delta: float = 0.9
     cutoff: int = 30
-    solver: SolverConfig = field(default_factory=SolverConfig)
+    solver_eps: float = linalg.RESIDUAL_TOL  # the relative residual every solve of a run must reach
     c_jlt: float = 4.0
 
     def validate(self) -> None:
@@ -95,16 +94,13 @@ class GreedyParams:
             raise ConfigError(f"delta must lie strictly inside (0,1), got {self.delta}")
         if not isinstance(self.cutoff, (int, np.integer)) or self.cutoff < 2:
             raise ConfigError(f"cutoff must be an integer >= 2, got {self.cutoff!r}")
-        if not (math.isfinite(self.c_jlt) and self.c_jlt > 0):
-            raise ConfigError(f"c_jlt must be finite and positive, got {self.c_jlt}")
+        for name in ("solver_eps", "c_jlt"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{name} must be finite and positive, got {value}")
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "cutoff": self.cutoff,
-            "solver_eps": self.solver.residual_tol,
-            "c_jlt": self.c_jlt,
-        }
+        return asdict(self)
 
 
 # -- candidate sizing and sampling ---------------------------------------------
@@ -392,7 +388,7 @@ class _Columns(_Scorer):
     """Exact gains from pseudoinverse columns, solved on demand and brought forward."""
 
     def compute(self, source: _Source) -> None:
-        self.cache = ColumnCache(self.graph, self.params.solver)
+        self.cache = ColumnCache(self.graph, self.params.solver_eps)
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         return self.cache.gains(pairs)
@@ -430,7 +426,7 @@ class _Sketch(_Scorer):
         self._build(derive_rng(self.seed, _PRE_STREAM, self.kind.value, *self.tokens))
 
     def _build(self, rng: np.random.Generator) -> None:
-        self.sketch = jlt.build_sketch(self.graph, self.width, rng, self.params.solver)
+        self.sketch = jlt.build_sketch(self.graph, self.width, rng, self.params.solver_eps)
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
         return jlt.gains_jlt(self.sketch, pairs, current_round=self.graph.round)
@@ -547,7 +543,7 @@ def _run_rounds(
         timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        exact_gain, report = report_insertion(graph, a, b, params.solver)
+        exact_gain, report = report_insertion(graph, a, b, params.solver_eps)
         timings["report"] += time.perf_counter() - t0
         if exact_gain <= 0:  # Rayleigh monotonicity: every insertion strictly decreases R_tot
             raise InvariantError(
@@ -619,7 +615,7 @@ def _runs(
         solutions.append(solution)
 
     t0 = time.perf_counter()
-    r_finals = total_resistance_after(pre_input, r_initial, [s.inserted_edges for s in solutions], params.solver)
+    r_finals = total_resistance_after(pre_input, r_initial, [s.inserted_edges for s in solutions], params.solver_eps)
     r_final_share = (time.perf_counter() - t0) / len(solutions)
     for solution, r_final in zip(solutions, r_finals):
         solution.r_final = r_final

@@ -48,7 +48,7 @@ import scipy.sparse as sp
 
 from .errors import ConfigError, StaleStateError
 from .graphs import DENSE_SOLVE_MAX_N, Graph, GrownFactor
-from .linalg import DEFAULT_SOLVER, SolverConfig, solve
+from .linalg import RESIDUAL_TOL, solve
 
 _CHUNK = 4096  # pairs gathered at once by gains_jlt
 
@@ -124,16 +124,17 @@ def build_sketch(
     graph: Graph,
     q: int,
     rng: np.random.Generator,
-    config: SolverConfig = DEFAULT_SOLVER,
+    tol: float = RESIDUAL_TOL,
     projection: str = "signs",
 ) -> JltSketch:
-    """Solve the 2q projected Laplacian systems in one block and assemble both sketches."""
+    """Solve the 2q projected Laplacian systems in one block, to relative residual ``tol``, and assemble both
+    sketches."""
     if q < 1:  # before any factorisation or draw
         raise ConfigError(f"sketch width q must be >= 1, got {q}")
     root = _square_root(graph)
     p, h, q = _projections(graph.n, root.shape[0], q, rng, projection)
     rhs = np.vstack([p, np.asarray(h @ root)])
-    cols = solve(graph, (rhs - rhs.mean(axis=1, keepdims=True)).T, config)
+    cols = solve(graph, (rhs - rhs.mean(axis=1, keepdims=True)).T, tol)
     biharm, resist = np.ascontiguousarray(cols[:, :q]), np.ascontiguousarray(cols[:, q:])
     return JltSketch(biharm=biharm, resist=resist, round=graph.round)
 

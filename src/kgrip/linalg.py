@@ -50,18 +50,7 @@ from .errors import ConfigError, InvariantError, SolverError, StaleStateError
 from .graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, GroundedLU, canonical_edge, is_connected
 
 
-@dataclass(frozen=True)
-class SolverConfig:
-    """Accuracy of the column solver: the relative residual every solve must reach."""
-
-    residual_tol: float = 1e-6
-
-    def __post_init__(self):
-        if not (math.isfinite(self.residual_tol) and self.residual_tol > 0):
-            raise ConfigError(f"residual_tol must be finite and positive, got {self.residual_tol}")
-
-
-DEFAULT_SOLVER = SolverConfig()
+RESIDUAL_TOL = 1e-6  # the relative residual every solve must reach, unless its caller passes another tol
 # every dense path's largest n: P, Q = P^2 and the transients of building them
 # stay within four n x n arrays, 32 n^2 bytes, 5.0 GB at 12500
 DENSE_CAP_DEFAULT = 12500
@@ -97,7 +86,7 @@ def pseudoinverse_dense(graph: Graph) -> np.ndarray:
     return p
 
 
-def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+def solve(graph: Graph, rhs: np.ndarray, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """Solutions of L x = rhs orthogonal to the all-ones vector, one per column of ``rhs``.
 
     Every linear solve of the package goes through here, but for three that call the graph's factor directly:
@@ -105,9 +94,13 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
     base. ``rhs`` is a vector or an n x s block whose columns sum to zero. All columns are solved through the
     graph's :meth:`~kgrip.graphs.Graph.factor` when the graph holds one, n <= ``DENSE_SOLVE_MAX_N``, s >= 16, or
     s >= 2 and n <= 1000 (README tables); otherwise each column runs Jacobi-preconditioned CG on the cached
-    Laplacian. Raises :class:`SolverError` carrying the worst achieved relative residual if the factorisation
-    fails (x = 0 is then judged), CG stops early or any column's residual exceeds ``config.residual_tol``.
+    Laplacian. Every column's relative residual ||L x - rhs|| / ||rhs|| must reach ``tol``, which must be finite
+    and positive (:class:`ConfigError` otherwise, before any work). Raises :class:`SolverError` carrying the worst
+    achieved relative residual if the factorisation fails (x = 0 is then judged), CG stops early or any column
+    misses ``tol``.
     """
+    if not (math.isfinite(tol) and tol > 0):  # CG at rtol=inf would return x = 0 and pass its own check
+        raise ConfigError(f"tol must be finite and positive, got {tol}")
     lap = graph.laplacian()
     block = rhs.reshape(graph.n, -1)
     n, s = graph.n, block.shape[1]
@@ -128,35 +121,33 @@ def solve(graph: Graph, rhs: np.ndarray, config: SolverConfig = DEFAULT_SOLVER) 
             # drift slightly from the true residual, and the contract is on the latter
             # on a singular system CG divides by zero; the residual check below reports it
             with np.errstate(divide="ignore", invalid="ignore"):
-                xj, info = spla.cg(
-                    lap, column, rtol=0.1 * config.residual_tol, atol=0.0, maxiter=maxiter, M=precond
-                )
+                xj, info = spla.cg(lap, column, rtol=0.1 * tol, atol=0.0, maxiter=maxiter, M=precond)
             x[:, j] = xj - xj.mean()
             stopped_early |= info != 0
         failure = f"CG did not converge within {maxiter} iterations"
     achieved = np.linalg.norm(lap @ x - block, axis=0) / np.maximum(np.linalg.norm(block, axis=0), 1e-300)
-    if stopped_early or not achieved.max() <= config.residual_tol:  # NaN fails too
+    if stopped_early or not achieved.max() <= tol:  # NaN fails too
         raise SolverError(failure, float(achieved.max()))
     return x.reshape(rhs.shape)
 
 
-def solve_lpinv_columns(graph: Graph, vertices, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+def solve_lpinv_columns(graph: Graph, vertices, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """Columns of the pseudoinverse at ``vertices`` (n x len), from L X = E - 1/n in one :func:`solve`."""
     rhs = np.full((graph.n, len(vertices)), -1.0 / graph.n)
     rhs[vertices, np.arange(len(vertices))] += 1.0
-    return solve(graph, rhs, config)
+    return solve(graph, rhs, tol)
 
 
-def solve_lpinv_column(graph: Graph, a: int, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+def solve_lpinv_column(graph: Graph, a: int, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """Column a of the pseudoinverse (see :func:`solve_lpinv_columns`)."""
-    return solve_lpinv_columns(graph, [a], config)[:, 0]
+    return solve_lpinv_columns(graph, [a], tol)[:, 0]
 
 
-def solve_lpinv_difference(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> np.ndarray:
+def solve_lpinv_difference(graph: Graph, a: int, b: int, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """P[:,a] - P[:,b], the pseudoinverse applied to e_a - e_b, from one :func:`solve`."""
     rhs = np.zeros(graph.n)
     rhs[a], rhs[b] = 1.0, -1.0
-    return solve(graph, rhs, config)
+    return solve(graph, rhs, tol)
 
 
 def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -> float:
@@ -200,16 +191,14 @@ def total_resistance(obj) -> float:
     return obj.n * float(_dense_lpinv_diagonal(obj).sum())
 
 
-def total_resistance_after(
-    graph: Graph, r_total: float, edge_sets, config: SolverConfig = DEFAULT_SOLVER
-) -> list[float]:
+def total_resistance_after(graph: Graph, r_total: float, edge_sets, tol: float = RESIDUAL_TOL) -> list[float]:
     """R_tot of ``graph`` grown by each edge set, from its R_tot ``r_total`` by the Woodbury form (module
     docstring); every set's incidence columns are solved as one block by :func:`solve`."""
     sets = [np.asarray(edges).reshape(-1, 2) for edges in edge_sets]
     pairs = np.concatenate(sets)
     rhs = np.zeros((graph.n, len(pairs)))
     rhs[pairs.T, np.arange(len(pairs))] = [[1.0], [-1.0]]
-    x = solve(graph, rhs, config)
+    x = solve(graph, rhs, tol)
     totals, start = [], 0
     for edges in sets:
         block, start = x[:, start : start + len(edges)], start + len(edges)
@@ -269,9 +258,9 @@ class ColumnCache:
     and reads each gain off P and Q instead.
     """
 
-    def __init__(self, graph: Graph, config: SolverConfig = DEFAULT_SOLVER):
+    def __init__(self, graph: Graph, tol: float = RESIDUAL_TOL):
         self.graph = graph
-        self.config = config
+        self.tol = tol
         self.round = graph.round
         self.block = np.empty((graph.n, 0))
         self.slot = np.full(graph.n, -1, dtype=np.int64)
@@ -288,7 +277,7 @@ class ColumnCache:
                 raise StaleStateError(
                     "cache round out of sync with the graph; record insertions before new solves"
                 )
-            solved = solve_lpinv_columns(self.graph, missing, self.config)
+            solved = solve_lpinv_columns(self.graph, missing, self.tol)
             self.solve_count += len(missing)
             self.slot[missing] = np.arange(self.block.shape[1], self.block.shape[1] + len(missing))
             self.block = np.hstack([self.block, solved])
@@ -416,14 +405,14 @@ def _non_edge(graph: Graph, a: int, b: int) -> tuple[int, int]:
     return a, b
 
 
-def true_gain(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> float:
+def true_gain(graph: Graph, a: int, b: int, tol: float = RESIDUAL_TOL) -> float:
     """Exact gain via one fresh solve of L x = e_a - e_b (heuristic-independent reporting path)."""
-    return report_insertion(graph, a, b, config)[0]
+    return report_insertion(graph, a, b, tol)[0]
 
 
-def report_insertion(graph: Graph, a: int, b: int, config: SolverConfig = DEFAULT_SOLVER) -> tuple[float, np.ndarray]:
+def report_insertion(graph: Graph, a: int, b: int, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
     """The :func:`true_gain` of the non-edge {a,b} and the solve it reads, v = P (e_a - e_b) for a < b, with which
     Sherman-Morrison moves P across the insertion (module docstring)."""
     a, b = _non_edge(graph, a, b)
-    v = solve_lpinv_difference(graph, a, b, config)
+    v = solve_lpinv_difference(graph, a, b, tol)
     return graph.n * float(v @ v) / (1.0 + float(v[a] - v[b])), v

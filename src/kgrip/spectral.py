@@ -46,12 +46,11 @@ _DENSE_EIG_LIMIT = 600
 
 @dataclass
 class SpectralState:
-    """c-1 smallest nonzero eigenpairs plus the largest eigenvalue, round-stamped."""
+    """c-1 smallest nonzero eigenpairs plus the largest eigenvalue."""
 
     eigenvalues: np.ndarray  # lambda_2..lambda_c, ascending
     vectors: np.ndarray  # n x (c-1), orthonormal, each orthogonal to ones
     lambda_max: float
-    round: int
 
     @property
     def n(self) -> int:
@@ -135,7 +134,7 @@ def compute_low_spectrum(
             f" (or nonpositive eigenvalue); worst pair index {int(residuals.argmax())}",
             float(residuals.max()),
         )
-    return SpectralState(eigenvalues=vals, vectors=vecs, lambda_max=lam_max, round=graph.round)
+    return SpectralState(eigenvalues=vals, vectors=vecs, lambda_max=lam_max)
 
 
 def _bracket(state: SpectralState, dsq: np.ndarray):

@@ -45,9 +45,8 @@ import numpy as np
 from .errors import ConfigError, DisconnectedError, InvariantError, SolverError, StaleStateError
 from .graphs import Graph, assert_connected, bfs_parents, canonical_edge
 from .linalg import (
-    DEFAULT_SOLVER,
+    RESIDUAL_TOL,
     RunningDiagonal,
-    SolverConfig,
     rank_one_diag_step,
     solve_lpinv_columns,
     solve_lpinv_difference,
@@ -347,34 +346,32 @@ def approx_diag_lpinv(
     graph: Graph,
     epsilon: float,
     rng: np.random.Generator,
-    config: SolverConfig = DEFAULT_SOLVER,
+    tol: float = RESIDUAL_TOL,
 ) -> tuple[np.ndarray, RunningDiagonal]:
     """UST-sampled diagonal of the pseudoinverse plus its running form for updates: the paper's estimator. Runs read
     the exact diagonal off ``linalg.lpinv_diagonal`` instead, so this serves only as a test hook.
     Samples ceil(ln(n)/eps^2) trees from the pivot, averages the signed
     BFS-path counts into resistance estimates R(pivot, .), then converts them
-    with one solved pivot column. The BFS tree from the pivot raises
+    with one pivot column, solved to relative residual ``tol``. The BFS tree from the pivot raises
     :class:`DisconnectedError` on a disconnected graph before any tree is drawn.
     """
     pivot = choose_pivot(graph)
     resistance = _mean_counts(graph, (pivot,), tree_budget(graph.n, epsilon), BfsTree(graph, pivot), rng)
-    col = solve_lpinv_columns(graph, [pivot], config)[:, 0]
+    col = solve_lpinv_columns(graph, [pivot], tol)[:, 0]
     diag = resistance - col[pivot] + 2.0 * col
     return diag, RunningDiagonal(diag=diag, round=graph.round)
 
 
-def approx_update_diag(
-    graph: Graph, running: RunningDiagonal, config: SolverConfig = DEFAULT_SOLVER
-) -> np.ndarray:
+def approx_update_diag(graph: Graph, running: RunningDiagonal, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """The diagonal estimate after exactly one edge insertion; ``running`` moves forward in place.
 
-    Solves the new graph's L v = e_a - e_b once for the inserted edge's ends
-    a, b, so v = c'_a - c'_b, and takes :func:`rank_one_diag_step` with
+    Solves the new graph's L v = e_a - e_b once, to relative residual ``tol``,
+    for the inserted edge's ends a, b, so v = c'_a - c'_b, and takes :func:`rank_one_diag_step` with
     denominator 1 - R', R' = v[a] - v[b]. Runs take the step from the solve
     that reported the edge instead, which saves this one.
     """
     if graph.round != running.round + 1:  # before the solve
         raise StaleStateError(f"running diagonal expects graph round {running.round + 1}, got {graph.round}")
     a, b = graph.insertion_log[-1]
-    v = solve_lpinv_difference(graph, a, b, config)
+    v = solve_lpinv_difference(graph, a, b, tol)
     return rank_one_diag_step(graph, running, v, 1.0 - (v[a] - v[b]))

@@ -45,6 +45,7 @@ def test_optimize_p3_json(tmp_path, capsys):
     assert doc["r_initial"] == pytest.approx(4.0)
     assert doc["r_final"] == pytest.approx(2.0, rel=1e-6)
     assert {"compute", "eval", "update", "report", "resistance"} <= set(doc["timings"])
+    assert list(doc["params"].items()) == [("delta", 0.9), ("cutoff", 30), ("solver_eps", 1e-06), ("c_jlt", 4.0)]
 
 
 def test_optimize_invalid_delta_exit2(tmp_path, capsys):
@@ -60,7 +61,10 @@ def test_optimize_invalid_delta_exit2(tmp_path, capsys):
         ("--c-jlt", "nan", "c_jlt"),
         ("--c-jlt", "inf", "c_jlt"),
         ("--c-jlt", "0", "c_jlt"),
-        ("--solver-eps", "nan", "residual_tol"),
+        ("--solver-eps", "nan", "solver_eps"),
+        ("--solver-eps", "inf", "solver_eps"),
+        ("--solver-eps", "0", "solver_eps"),
+        ("--solver-eps", "-0.000001", "solver_eps"),  # argparse reads "-1e-6" as a flag
     ],
 )
 def test_optimize_non_finite_or_non_positive_knob_exit2(tmp_path, capsys, flag, value, name):

@@ -561,7 +561,7 @@ def test_colstoch_cached_columns_stay_consistent_over_long_runs():
     for v in np.flatnonzero(cache.slot >= 0):
         refreshed = cache.column(v)
         fresh = solve_lpinv_column(stored_for, v)
-        assert np.max(np.abs(refreshed - fresh)) <= 10 * params.solver.residual_tol
+        assert np.max(np.abs(refreshed - fresh)) <= 10 * params.solver_eps
 
 
 @pytest.mark.parametrize(
@@ -1045,7 +1045,7 @@ def tree_diagonal(monkeypatch):
     def use(epsilon: float) -> None:
         def compute(self, scorer):
             rng = derive_rng(self.seed, greedy._PRE_STREAM, self.kind.value)
-            _, self.running = ust.approx_diag_lpinv(self.graph, epsilon, rng, self.params.solver)
+            _, self.running = ust.approx_diag_lpinv(self.graph, epsilon, rng, self.params.solver_eps)
             self.size_sample()
 
         monkeypatch.setattr(greedy._DiagVertices, "compute", compute)

@@ -15,7 +15,6 @@ from kgrip.greedy import GreedyParams, Heuristic, run_kgrip
 from kgrip.linalg import (
     ColumnCache,
     DenseState,
-    SolverConfig,
     effective_resistance,
     gain_exact,
     pseudoinverse_dense,
@@ -154,7 +153,7 @@ def test_column_nonconvergence_reports_residual():
     g = random_connected(_ABOVE_DENSE, 6.4 / _ABOVE_DENSE, seed=2)
     with pytest.raises(SolverError, match="CG") as err:
         # unattainable: CG stops at its 10 n iteration limit
-        solve_lpinv_column(g, 0, SolverConfig(residual_tol=1e-300))
+        solve_lpinv_column(g, 0, 1e-300)
     assert err.value.achieved_residual is not None
     assert err.value.achieved_residual > 1e-300
 
@@ -217,7 +216,7 @@ def test_factor_and_cg_paths_match_dense_columns(family, s, cg_calls):
     assert g.n > DENSE_SOLVE_MAX_N
     vertices = np.random.default_rng(s).choice(g.n, s, replace=False)
     expected = pseudoinverse_dense(g)[:, vertices]
-    tight = SolverConfig(residual_tol=1e-10)
+    tight = 1e-10
     # one column on a fresh graph, with no solve recorded, runs CG
     fresh = [g.copy() for _ in vertices]
     by_cg = np.column_stack([solve_lpinv_column(h, v, tight) for h, v in zip(fresh, vertices)])
@@ -320,12 +319,28 @@ def test_small_ring_lattice_factors_from_its_second_column(cg_calls):
     assert isinstance(g.factor(), GroundedLU)
 
 
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
+def test_solve_rejects_non_finite_or_non_positive_tol(cg_calls, tol):
+    # on the CG path: at rtol=inf CG returns x = 0, which an unguarded residual check at tol=inf would pass
+    g = generate("ba", {"n": 250, "m_attach": 3, "m0": 3}, seed=1)
+    rhs = np.zeros(g.n)
+    rhs[0], rhs[1] = 1.0, -1.0
+    for call in (
+        lambda: solve(g, rhs, tol),
+        lambda: solve_lpinv_columns(g, [0], tol),
+        lambda: ColumnCache(g, tol).columns(np.array([0])),
+    ):
+        with pytest.raises(ConfigError, match="tol"):
+            call()
+    assert cg_calls[0] == 0 and not g.has_factor
+
+
 def test_factor_path_unattainable_tolerance_raises():
     for n, kind in ((120, DenseCholesky), (_ABOVE_DENSE, GroundedLU)):
         g = generate("ba", {"n": n, "m_attach": 3, "m0": 3}, seed=6)
         assert isinstance(g.factor(), kind)
         with pytest.raises(SolverError) as err:
-            solve_lpinv_columns(g, [0, 5, 9], SolverConfig(residual_tol=1e-300))
+            solve_lpinv_columns(g, [0, 5, 9], 1e-300)
         assert np.isfinite(err.value.achieved_residual) and err.value.achieved_residual > 1e-300
         assert "CG" not in str(err.value)
 
@@ -688,7 +703,7 @@ def test_total_resistance_after_unattainable_tolerance_raises():
     g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=6)
     edges = g.non_edges()[:3]
     with pytest.raises(SolverError) as err:
-        total_resistance_after(g, total_resistance(g), [edges], SolverConfig(residual_tol=1e-300))
+        total_resistance_after(g, total_resistance(g), [edges], 1e-300)
     assert np.isfinite(err.value.achieved_residual) and err.value.achieved_residual > 1e-300
 
 
@@ -768,7 +783,7 @@ def test_lpinv_difference_matches_dense_columns():
     g = random_connected(40, 0.12, seed=31)
     lpinv = pseudoinverse_dense(g)
     for a, b in [(0, 7), (12, 3), (39, 20)]:
-        v = solve_lpinv_difference(g, a, b, SolverConfig(residual_tol=1e-10))
+        v = solve_lpinv_difference(g, a, b, 1e-10)
         assert np.allclose(v, lpinv[:, a] - lpinv[:, b], atol=1e-8)
 
 

@@ -8,7 +8,7 @@ import pytest
 from kgrip.errors import InvariantError, SolverError, StaleStateError
 from kgrip.graphs import Graph, generate
 from kgrip.jlt import build_sketch, gains_jlt
-from kgrip.linalg import ColumnCache, DenseState, SolverConfig, gain_exact, solve, solve_lpinv_column
+from kgrip.linalg import ColumnCache, DenseState, gain_exact, solve, solve_lpinv_column
 from kgrip.spectral import compute_low_spectrum, gain_bounds, gains_spectral
 
 REL_TOL = 1e-12
@@ -121,5 +121,5 @@ def test_solve_matches_column_solve_and_reports_residual():
     assert np.allclose(x, solve_lpinv_column(g, 3) - solve_lpinv_column(g, 9), atol=1e-6)
     assert abs(x.sum()) < 1e-9 * g.n
     with pytest.raises(SolverError) as err:
-        solve(g, rhs, SolverConfig(residual_tol=1e-300))  # unattainable: even the dense factor misses it
+        solve(g, rhs, 1e-300)  # unattainable: even the dense factor misses it
     assert err.value.achieved_residual > 1e-300

@@ -76,7 +76,6 @@ def test_iterative_resolve_after_insertion():
     after = compute_low_spectrum(g, 12, eig_tol=1e-6, maxiter=2000)
     vals = scipy.linalg.eigh(g.laplacian_dense(), eigvals_only=True)
     assert np.max(np.abs(after.eigenvalues - vals[1:12])) < 1e-8
-    assert after.round == 1
 
 
 def test_nonconvergence_raises_with_residual():
