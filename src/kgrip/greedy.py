@@ -166,7 +166,7 @@ def sample_nonedge_pairs(graph: Graph, s: int, rng: np.random.Generator) -> np.n
         cand[len(keys) :] += np.maximum(draws[0::2], draws[1::2])
         del draws
         # block <= 1.2 (s - kept) n^2 / 2 (universe - kept) + 17 < 0.6 n^2 + 17 as s < universe < n^2 / 2, so packed
-        # keys stay below n^2 (1.1 n^2 + 17) < 2^63 up to n = 53000, past the dense cap that stops runs at r_initial
+        # keys stay below n^2 (1.1 n^2 + 17) < 2^63 up to n = 53000, past the dense cap that `_runs` checks first
         size = len(cand)
         if n * n * size >= 2**63:
             raise InvariantError(f"n={n}: packed pair keys overflow int64")
@@ -367,7 +367,7 @@ class _Scorer(_Part):
     @cached_property
     def initial_diagonal(self) -> np.ndarray:
         """Exact diag(L+) of the input graph, from one inversion pass (:func:`linalg.lpinv_diagonal`)."""
-        return linalg.lpinv_diagonal(self.graph)
+        return linalg.lpinv_diagonal(self.graph, self.params.solver_eps)
 
     def total_resistance(self) -> float:
         """Exact total resistance of the input graph: n times the sum of :attr:`initial_diagonal`."""
@@ -571,6 +571,7 @@ def _runs(
     seed: int,
 ) -> list[Solution]:
     """Preprocess once, then solve the global problem (``focus_nodes`` None) or each focus node."""
+    linalg.check_dense_cap(graph.n)  # before any factor, sketch or eigensolve is built
     pre_graph = graph.copy()
     pre_graph.clear_solve_record()  # the solve path follows the input's edges, not the caller's solves
     t0 = time.perf_counter()

@@ -57,11 +57,16 @@ DENSE_CAP_DEFAULT = 12500
 PASS_BLOCK = 1 << 14  # pairs a dense gain pass scores at once: its temporaries stay in cache
 
 
+def check_dense_cap(n: int) -> None:
+    """Raise :class:`ConfigError` for n above ``DENSE_CAP_DEFAULT``."""
+    if n > DENSE_CAP_DEFAULT:
+        raise ConfigError(f"n={n}: 4 n x n arrays exceed the dense budget (n <= {DENSE_CAP_DEFAULT})")
+
+
 def _shifted_cholesky(graph: Graph) -> tuple[np.ndarray, bool]:
     """Cholesky factor U of L + J/n and whether to invert it in place (not the graph's plain dense factor)."""
     n = graph.n
-    if n > DENSE_CAP_DEFAULT:
-        raise ConfigError(f"n={n}: 4 n x n arrays exceed the dense budget (n <= {DENSE_CAP_DEFAULT})")
+    check_dense_cap(n)
     # L + J/n is singular exactly when the graph is disconnected, but rounding
     # can leave the Cholesky factorization a tiny positive pivot instead of failing
     if not is_connected(graph):
@@ -89,15 +94,14 @@ def pseudoinverse_dense(graph: Graph) -> np.ndarray:
 def solve(graph: Graph, rhs: np.ndarray, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """Solutions of L x = rhs orthogonal to the all-ones vector, one per column of ``rhs``.
 
-    Every linear solve of the package goes through here, but for three that call the graph's factor directly:
-    spectral's shift-invert operator, :func:`lpinv_diagonal`'s solve of M 1 and ``GrownFactor``'s solves on its
-    base. ``rhs`` is a vector or an n x s block whose columns sum to zero. All columns are solved through the
-    graph's :meth:`~kgrip.graphs.Graph.factor` when the graph holds one, n <= ``DENSE_SOLVE_MAX_N``, s >= 16, or
-    s >= 2 and n <= 1000 (README tables); otherwise each column runs Jacobi-preconditioned CG on the cached
-    Laplacian. Every column's relative residual ||L x - rhs|| / ||rhs|| must reach ``tol``, which must be finite
-    and positive (:class:`ConfigError` otherwise, before any work). Raises :class:`SolverError` carrying the worst
-    achieved relative residual if the factorisation fails (x = 0 is then judged), CG stops early or any column
-    misses ``tol``.
+    Every linear solve of the package goes through here, but for two that call the graph's factor directly:
+    spectral's shift-invert operator and ``GrownFactor``'s solves on its base. ``rhs`` is a vector or an n x s block
+    whose columns sum to zero. All columns are solved through the graph's :meth:`~kgrip.graphs.Graph.factor` when
+    the graph holds one, n <= ``DENSE_SOLVE_MAX_N``, s >= 16, or s >= 2 and n <= 1000 (README tables); otherwise
+    each column runs Jacobi-preconditioned CG on the cached Laplacian. Every column's relative residual
+    ||L x - rhs|| / ||rhs|| must reach ``tol``, which must be finite and positive (:class:`ConfigError` otherwise,
+    before any work). Raises :class:`SolverError` carrying the worst achieved relative residual if the
+    factorisation fails (x = 0 is then judged), CG stops early or any column misses ``tol``.
     """
     if not (math.isfinite(tol) and tol > 0):  # CG at rtol=inf would return x = 0 and pass its own check
         raise ConfigError(f"tol must be finite and positive, got {tol}")
@@ -157,17 +161,18 @@ def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -
     return float(col_a[a] + col_b[b] - 2.0 * col_a[b])
 
 
-def lpinv_diagonal(graph: Graph) -> np.ndarray:
+def lpinv_diagonal(graph: Graph, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """diag(L^+) exactly, from one inversion pass; R_tot is n times its sum.
 
     Above ``DENSE_SOLVE_MAX_N``, off ``GroundedLU.inverse_diagonal`` where it takes the graph: with M = L_g^(-1)
     padded by zeros at vertex 0, L^+ = (I - J/n) M (I - J/n), so L^+[i,i] = M[i,i] - 2 (M 1)[i] / n + 1^T M 1 / n^2,
-    where M 1 solves L x = 1 - n e_0. Otherwise by :func:`_dense_lpinv_diagonal`.
+    where M 1 = x - x[0] for the :func:`solve` x of L x = 1 - n e_0. Otherwise by :func:`_dense_lpinv_diagonal`.
     """
     n = graph.n
     factor = graph.factor() if DENSE_SOLVE_MAX_N < n <= DENSE_CAP_DEFAULT else None
     if isinstance(factor, GroundedLU) and (inv := factor.inverse_diagonal()) is not None:  # not grown by insertions
-        ones = factor.solve(np.r_[1.0 - n, np.ones(n - 1)])  # M 1: x[0] = 0
+        x = solve(graph, np.r_[1.0 - n, np.ones(n - 1)], tol)
+        ones = x - x[0]  # M 1, whose entry 0 is 0
         return np.r_[0.0, inv] - (2.0 / n) * ones + ones.sum() / (n * n)
     return _dense_lpinv_diagonal(graph)
 

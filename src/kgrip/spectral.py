@@ -6,18 +6,21 @@ excluded), both gain ingredients are spectral sums over i = 2..n:
   R(a,b)  = sum (u_i[a]-u_i[b])^2 / lambda_i
   B2(a,b) = sum (u_i[a]-u_i[b])^2 / lambda_i^2
 
-Truncating at a cutoff c and bounding the tail i > c by its extreme
-eigenvalues (lambda_c from below, lambda_n from above, using that the squared
-eigenvector differences over the full basis sum to 2) gives two-sided bounds
-for each sum, hence a bracket around the exact gain n*B2/(1+R):
+Truncating at a cutoff c and bounding the tail i > c by lambda_c from below
+and by ln >= lambda_n from above, using that the squared eigenvector
+differences over the full basis sum to 2, gives two-sided bounds for each
+sum, hence a bracket around the exact gain n*B2/(1+R):
 
   lower = n * [2/ln^2 + sum_(i<=c) (1/li^2 - 1/ln^2) d_i] / [1 + 2/lc + sum (1/li - 1/lc) d_i]
   upper = n * [2/lc^2 + sum_(i<=c) (1/li^2 - 1/lc^2) d_i] / [1 + 2/ln + sum (1/li - 1/ln) d_i]
 
-with d_i = (u_i[a]-u_i[b])^2, lc = lambda_c, ln = lambda_n. Each tail is
-bounded term by term (lambda_c <= lambda_i <= lambda_n for i > c) and its
-weights are nonnegative, so the bracket holds for any lambda_c > 0, not
-only lambda_c >= 1; at c = n both sides collapse to the exact gain.
+with d_i = (u_i[a]-u_i[b])^2, lc = lambda_c. For ln the degree bound of
+Anderson & Morley (1985) serves, lambda_n <= max over edges {u,v} of
+d_u + d_v, read off the graph without an eigensolve. Each tail is bounded
+term by term (lambda_c <= lambda_i <= ln for i > c) and its weights are
+nonnegative, so the bracket holds for any lambda_c > 0, not only
+lambda_c >= 1; at c = n the d_i sum to 2, the ln terms cancel, and both
+sides collapse to the exact gain.
 Estimates ranked by heuristics use the lower bound: on scale-free graphs the
 upper bound's tail term 2/lc^2 swamps the per-pair sums, and the midpoint
 ranks pairs almost backwards.
@@ -26,8 +29,7 @@ The eigenpairs come from a dense symmetric eigensolve up to
 ``_DENSE_EIG_LIMIT`` vertices. Above it, L^+ is applied exactly through the
 graph's Laplacian factor (centre, solve, centre again; the run's solves
 share it), and shift-invert Lanczos (ARPACK) finds the c-1 largest
-eigenvalues 1/lambda_i of L^+; the largest eigenvalue lambda_n comes from a
-second ARPACK call on L itself.
+eigenvalues 1/lambda_i of L^+, one ARPACK call per eigensolve.
 """
 
 from __future__ import annotations
@@ -42,29 +44,36 @@ from .errors import ConfigError, SolverError
 from .graphs import Graph
 
 _DENSE_EIG_LIMIT = 600
+EIG_TOL = 1e-7  # the largest residual ||L u - lambda u|| an eigenpair may keep
+MAXITER = 500  # ARPACK's restart budget
 
 
 @dataclass
 class SpectralState:
-    """c-1 smallest nonzero eigenpairs plus the largest eigenvalue."""
+    """c-1 smallest nonzero eigenpairs plus an upper bound on the largest eigenvalue."""
 
     eigenvalues: np.ndarray  # lambda_2..lambda_c, ascending
     vectors: np.ndarray  # n x (c-1), orthonormal, each orthogonal to ones
-    lambda_max: float
+    lambda_bound: float  # max over edges {u,v} of d_u + d_v, >= lambda_n
 
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
 
 
-def _low_spectrum_dense(graph: Graph, k: int) -> tuple[np.ndarray, np.ndarray, float]:
+def _degree_bound(graph: Graph) -> float:
+    """max over edges {u,v} of d_u + d_v, an upper bound on lambda_n (Anderson & Morley 1985)."""
+    indptr, indices = graph.adjacency_arrays()
+    degrees = np.diff(indptr)
+    return float((np.repeat(degrees, degrees) + degrees[indices]).max())
+
+
+def _low_spectrum_dense(graph: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     vals, vecs = scipy.linalg.eigh(graph.laplacian_dense(), driver="evd")  # divide and conquer
-    return vals[1 : k + 1], vecs[:, 1 : k + 1], float(vals[-1])
+    return vals[1 : k + 1], vecs[:, 1 : k + 1]
 
 
-def _low_spectrum_shift_invert(
-    graph: Graph, k: int, maxiter: int
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _low_spectrum_shift_invert(graph: Graph, k: int) -> tuple[np.ndarray, np.ndarray]:
     n = graph.n
     lap = graph.laplacian()
     factor = graph.factor()  # shared with the run's linear solves
@@ -76,12 +85,11 @@ def _low_spectrum_shift_invert(
         return y
 
     op = spla.LinearOperator((n, n), matvec=apply_pinv, dtype=float)
-    # deterministic start vectors: ARPACK's default draws from global random state
-    seed_rng = np.random.default_rng(0)
-    start = seed_rng.standard_normal(n)
+    # a deterministic start vector: ARPACK's default draws from global random state
+    start = np.random.default_rng(0).standard_normal(n)
     start -= start.mean()
     try:
-        mu, vecs = spla.eigsh(op, k=k, which="LA", v0=start, maxiter=maxiter)
+        mu, vecs = spla.eigsh(op, k=k, which="LA", v0=start, maxiter=MAXITER)
     except spla.ArpackNoConvergence as exc:
         vals, vecs = 1.0 / exc.eigenvalues, exc.eigenvectors
         if not vals.size:  # nothing converged: judge the start vector's Rayleigh pair
@@ -90,76 +98,52 @@ def _low_spectrum_shift_invert(
         worst = np.linalg.norm(lap @ vecs - vecs * vals, axis=0).max()
         raise SolverError(
             f"shift-invert Lanczos converged {len(exc.eigenvalues)} of {k} eigenpairs"
-            f" within {maxiter} restarts",
+            f" within {MAXITER} restarts",
             float(worst),
         ) from exc
     order = np.argsort(mu)[::-1]
-    top = spla.eigsh(
-        lap, k=1, which="LA", tol=1e-10, v0=seed_rng.standard_normal(n), return_eigenvectors=False
-    )
-    return 1.0 / mu[order], vecs[:, order], float(top[0])
+    return 1.0 / mu[order], vecs[:, order]
 
 
-def compute_low_spectrum(
-    graph: Graph,
-    c: int,
-    eig_tol: float = 1e-7,
-    maxiter: int = 500,
-    force_iterative: bool = False,
-) -> SpectralState:
-    """Eigenpairs lambda_2..lambda_c (plus lambda_n) with residuals <= eig_tol.
+def compute_low_spectrum(graph: Graph, c: int) -> SpectralState:
+    """Eigenpairs lambda_2..lambda_c with residuals <= ``EIG_TOL``, plus the degree bound on lambda_n.
 
     Graphs up to ``_DENSE_EIG_LIMIT`` vertices use a dense symmetric
-    eigensolve. Larger ones (or ``force_iterative``) factor the Laplacian
-    once and run shift-invert Lanczos (ARPACK, at most ``maxiter`` restarts)
-    for the c-1 largest eigenvalues 1/lambda of L^+, from a start vector
-    orthogonal to the all-ones null vector. Raises
-    :class:`SolverError` carrying the worst true residual if ARPACK stops
-    early or a residual ||L u - lambda u|| exceeds ``eig_tol``.
+    eigensolve. Larger ones factor the Laplacian once and run shift-invert
+    Lanczos (one ARPACK call, at most ``MAXITER`` restarts) for the c-1
+    largest eigenvalues 1/lambda of L^+, from a start vector orthogonal to
+    the all-ones null vector. Raises :class:`SolverError` carrying the
+    worst true residual if ARPACK stops early or a residual
+    ||L u - lambda u|| exceeds ``EIG_TOL``.
     """
     n = graph.n
     if not 2 <= c <= n:
         raise ConfigError(f"cutoff c must be in [2, n={n}], got {c}")
     k = c - 1
-    if n <= _DENSE_EIG_LIMIT and not force_iterative:
-        vals, vecs, lam_max = _low_spectrum_dense(graph, k)
-    else:
-        vals, vecs, lam_max = _low_spectrum_shift_invert(graph, k, maxiter)
+    solver = _low_spectrum_dense if n <= _DENSE_EIG_LIMIT else _low_spectrum_shift_invert
+    vals, vecs = solver(graph, k)
 
     lap = graph.laplacian()
     residuals = np.linalg.norm(lap @ vecs - vecs * vals, axis=0)
-    if np.any(residuals > eig_tol) or np.any(vals <= 0):
+    if np.any(residuals > EIG_TOL) or np.any(vals <= 0):
         raise SolverError(
-            f"eigensolver residuals {residuals.max():.3e} above tolerance {eig_tol:.1e}"
+            f"eigensolver residuals {residuals.max():.3e} above tolerance {EIG_TOL:.1e}"
             f" (or nonpositive eigenvalue); worst pair index {int(residuals.argmax())}",
             float(residuals.max()),
         )
-    return SpectralState(eigenvalues=vals, vectors=vecs, lambda_max=lam_max)
-
-
-def _bracket(state: SpectralState, dsq: np.ndarray):
-    """Gain bracket from squared eigenvector differences, one row per pair."""
-    lam = state.eigenvalues
-    lam_c = float(lam[-1])
-    lam_n = state.lambda_max
-    inv1 = 1.0 / lam
-    inv2 = inv1 * inv1
-
-    num_hi = 2.0 / lam_c**2 + dsq @ (inv2 - 1.0 / lam_c**2)
-    num_lo = 2.0 / lam_n**2 + dsq @ (inv2 - 1.0 / lam_n**2)
-    den_hi = 2.0 / lam_c + dsq @ (inv1 - 1.0 / lam_c)
-    den_lo = 2.0 / lam_n + dsq @ (inv1 - 1.0 / lam_n)
-
-    n = state.n
-    lower = n * num_lo / (1.0 + den_hi)
-    upper = n * num_hi / (1.0 + den_lo)
-    return lower, upper
+    return SpectralState(eigenvalues=vals, vectors=vecs, lambda_bound=_degree_bound(graph))
 
 
 def gain_bounds(state: SpectralState, a: int, b: int) -> tuple[float, float]:
-    """Two-sided bracket around the exact gain of inserting {a,b} (factor n included)."""
-    lower, upper = _bracket(state, (state.vectors[a, :] - state.vectors[b, :]) ** 2)
-    return float(lower), float(upper)
+    """Two-sided bracket around the exact gain of inserting {a,b} (factor n included): the lower bound is
+    :func:`gain_spectral`'s."""
+    lam = state.eigenvalues
+    lam_c, lam_n = float(lam[-1]), state.lambda_bound
+    inv1 = 1.0 / lam
+    dsq = (state.vectors[a, :] - state.vectors[b, :]) ** 2
+    num = 2.0 / lam_c**2 + dsq @ (inv1 * inv1 - 1.0 / lam_c**2)
+    den = 2.0 / lam_n + dsq @ (inv1 - 1.0 / lam_n)
+    return gain_spectral(state, a, b), float(state.n * num / (1.0 + den))
 
 
 def gain_spectral(state: SpectralState, a: int, b: int) -> float:
@@ -175,8 +159,7 @@ def gains_spectral(state: SpectralState, pairs: np.ndarray) -> np.ndarray:
     (s x (c-1)) . ((c-1) x 2) product; the upper bound is not formed.
     """
     lam = state.eigenvalues
-    lam_c = float(lam[-1])
-    lam_n = state.lambda_max
+    lam_c, lam_n = float(lam[-1]), state.lambda_bound
     inv1 = 1.0 / lam
     weights = np.column_stack((inv1 * inv1 - 1.0 / lam_n**2, inv1 - 1.0 / lam_c))
     dsq = state.vectors[pairs[:, 0]]

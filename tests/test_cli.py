@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import functools
 import io
 import json
 import subprocess
@@ -111,8 +110,8 @@ def test_optimize_eigensolver_stop_exit4(monkeypatch, capsys):
     # an ARPACK stop inside specstoch surfaces as SolverError: exit 4 with its residual
     from kgrip import spectral
 
-    stopping = functools.partial(spectral.compute_low_spectrum, force_iterative=True, maxiter=1)
-    monkeypatch.setattr(spectral, "compute_low_spectrum", stopping)
+    monkeypatch.setattr(spectral, "_DENSE_EIG_LIMIT", 0)
+    monkeypatch.setattr(spectral, "MAXITER", 1)
     code, _, err = run_cli(capsys, ["optimize", "--generate", "ba:n=200,m=3,seed=1", "--k", "1",
                                     "--heuristic", "specstoch"])
     assert code == 4

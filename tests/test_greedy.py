@@ -904,15 +904,16 @@ def test_r_initial_on_the_sparse_factor_adds_no_factorisation(n, factorisations)
             assert solution.r_initial == pytest.approx(expected, rel=1e-9)
 
 
-@pytest.mark.parametrize(
-    "kind", [Heuristic.COL_STOCH, Heuristic.SIMPL_STOCH_JLT, Heuristic.COL_STOCH_JLT], ids=lambda kind: kind.value
-)
-def test_r_initial_on_the_sparse_factor_keeps_the_dense_cap(kind, monkeypatch):
-    # the dense cap bounds every r_initial, the selected inversion's too: its scratch Z is still square
-    monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", DENSE_SOLVE_MAX_N)
-    g = generate("ba", {"n": DENSE_SOLVE_MAX_N + 50, "m_attach": 3}, seed=1)
-    with pytest.raises(ConfigError):
-        run_kgrip(g, 1, kind, seed=7)
+@pytest.mark.parametrize("kind", list(Heuristic), ids=lambda kind: kind.value)
+def test_r_initial_on_the_sparse_factor_keeps_the_dense_cap(kind, monkeypatch, factorisations):
+    # the dense cap bounds every run, the selected inversion's r_initial too (its scratch Z is still square), and
+    # is checked before any work: no factor, sketch or eigensolve is built above it
+    monkeypatch.setattr(linalg, "DENSE_CAP_DEFAULT", 300)
+    g = generate("ba", {"n": 650, "m_attach": 3}, seed=1)
+    for run in (lambda: run_kgrip(g, 1, kind, seed=7), lambda: run_klrip(g, [5, 40], 1, kind, seed=7)):
+        with pytest.raises(ConfigError, match="dense budget"):
+            run()
+    assert factorisations.sparse == [] and factorisations.dense == []
 
 
 @pytest.mark.parametrize("n", [120, DENSE_SOLVE_MAX_N + 50])

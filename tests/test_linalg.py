@@ -119,7 +119,7 @@ def test_stgreedy_budget_counts_its_universe_queue(monkeypatch):
         with pytest.raises(ConfigError, match="4 n x n arrays"):
             run_kgrip(path_graph(21), 1, kind)
         assert run_kgrip(path_graph(20), 1, kind).inserted_edges
-    assert built == [21, 20, 21, 20]  # the cap is checked before the factorisation allocates anything
+    assert built == [20, 20]  # the run checks the cap before P is built, so nothing is allocated above it
 
 
 # -- solve_lpinv_column ----------------------------------------------------------
@@ -545,6 +545,15 @@ def test_lpinv_diagonal_of_a_graph_whose_factor_grew_takes_the_dense_form(monkey
     expected, dense = np.diagonal(pseudoinverse_dense(Graph(g.n, g.edges()))), []
     _spy_dense_inversions(monkeypatch, dense)
     assert (np.abs(linalg.lpinv_diagonal(g) - expected) / expected).max() <= 1e-12 and dense == [g.n]
+
+
+def test_lpinv_diagonal_checks_the_residual_of_its_solve(monkeypatch):
+    # the solve of M 1 goes through linalg.solve: a factor that returns zeros fails its residual check
+    g = generate("ba", {"n": 650, "m_attach": 3}, seed=1)
+    monkeypatch.setattr(GroundedLU, "solve", lambda self, b: np.zeros_like(b))
+    with pytest.raises(SolverError) as err:
+        linalg.lpinv_diagonal(g)
+    assert err.value.achieved_residual == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("n", [150, 600], ids=["dense", "selected"])

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from kgrip import oracles
+from kgrip import oracles, spectral
 from kgrip.errors import ConfigError, SolverError
 from kgrip.graphs import Graph, generate
 from kgrip.greedy import GreedyParams
@@ -25,7 +25,7 @@ from conftest import random_connected
 def test_p3_spectrum(p3):
     st = compute_low_spectrum(p3, 3)
     assert np.allclose(st.eigenvalues, [1.0, 3.0], atol=1e-9)
-    assert st.lambda_max == pytest.approx(3.0)
+    assert st.lambda_bound == pytest.approx(3.0)
 
 
 def test_k4_spectrum(k4):
@@ -38,7 +38,7 @@ def test_c4_spectrum_matches_circulant(c4):
     expected = sorted(2 - 2 * np.cos(2 * np.pi * k / 4) for k in range(1, 4))
     st = compute_low_spectrum(c4, 4)
     assert np.allclose(st.eigenvalues, expected, atol=1e-9)
-    assert st.lambda_max == pytest.approx(4.0)
+    assert st.lambda_bound == pytest.approx(4.0)
 
 
 def test_invalid_cutoff(p3):
@@ -52,7 +52,7 @@ def test_state_invariants():
     g = random_connected(40, 0.2, seed=5)
     st = compute_low_spectrum(g, 10)
     assert np.all(np.diff(st.eigenvalues) >= -1e-12)
-    assert st.eigenvalues[-1] <= st.lambda_max + 1e-9
+    assert st.eigenvalues[-1] <= st.lambda_bound + 1e-9
     norms = np.linalg.norm(st.vectors, axis=0)
     assert np.allclose(norms, 1.0, atol=1e-8)
     assert np.max(np.abs(st.vectors.sum(axis=0))) < 1e-7  # orthogonal to ones
@@ -61,39 +61,72 @@ def test_state_invariants():
     assert residuals.max() <= 1e-7
 
 
-def test_iterative_path_matches_dense():
+def test_iterative_path_matches_dense(monkeypatch):
+    monkeypatch.setattr(spectral, "EIG_TOL", 1e-6)
+    monkeypatch.setattr(spectral, "MAXITER", 2000)
     g = generate("ws", {"n": 700, "degree": 8, "rewire_prob": 0.05}, seed=4)
-    st = compute_low_spectrum(g, 15, eig_tol=1e-6, maxiter=2000)
+    st = compute_low_spectrum(g, 15)
     vals = scipy.linalg.eigh(g.laplacian_dense(), eigvals_only=True)
     assert np.max(np.abs(st.eigenvalues - vals[1:15])) < 1e-8
-    assert st.lambda_max == pytest.approx(vals[-1], abs=1e-8)
+    assert vals[-1] <= st.lambda_bound
 
 
-def test_iterative_resolve_after_insertion():
+def test_iterative_resolve_after_insertion(monkeypatch):
+    monkeypatch.setattr(spectral, "EIG_TOL", 1e-6)
+    monkeypatch.setattr(spectral, "MAXITER", 2000)
     g = generate("ws", {"n": 700, "degree": 8, "rewire_prob": 0.05}, seed=4)
-    compute_low_spectrum(g, 12, eig_tol=1e-6, maxiter=2000)
+    compute_low_spectrum(g, 12)
     g.insert_edge(0, 350)
-    after = compute_low_spectrum(g, 12, eig_tol=1e-6, maxiter=2000)
+    after = compute_low_spectrum(g, 12)
     vals = scipy.linalg.eigh(g.laplacian_dense(), eigvals_only=True)
     assert np.max(np.abs(after.eigenvalues - vals[1:12])) < 1e-8
 
 
-def test_nonconvergence_raises_with_residual():
+def test_nonconvergence_raises_with_residual(monkeypatch):
+    monkeypatch.setattr(spectral, "_DENSE_EIG_LIMIT", 0)
+    monkeypatch.setattr(spectral, "EIG_TOL", 1e-30)
+    monkeypatch.setattr(spectral, "MAXITER", 3)
     g = random_connected(200, 0.05, seed=6)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         with pytest.raises(SolverError) as err:
-            compute_low_spectrum(g, 8, eig_tol=1e-30, force_iterative=True, maxiter=3)
+            compute_low_spectrum(g, 8)
     assert err.value.achieved_residual is not None
 
 
-def test_arpack_stop_reports_partial_residual():
+def test_arpack_stop_reports_partial_residual(monkeypatch):
     # one restart leaves ARPACK short of 7 pairs; the error carries the true
     # residual of the pairs it did return, a finite number
+    monkeypatch.setattr(spectral, "_DENSE_EIG_LIMIT", 0)
+    monkeypatch.setattr(spectral, "MAXITER", 1)
     g = random_connected(200, 0.05, seed=6)
     with pytest.raises(SolverError, match="converged 1 of 7") as err:
-        compute_low_spectrum(g, 8, force_iterative=True, maxiter=1)
+        compute_low_spectrum(g, 8)
     assert 0.0 <= err.value.achieved_residual < 1e-7
+
+
+def test_one_arpack_call_per_shift_invert_eigensolve_and_none_when_dense(monkeypatch):
+    # lambda_n comes from the degree bound, so only the shift-invert Lanczos calls ARPACK
+    calls, eigsh = [], spectral.spla.eigsh
+    monkeypatch.setattr(spectral.spla, "eigsh", lambda *args, **kw: calls.append(1) or eigsh(*args, **kw))
+    g = generate("ba", {"n": 700, "m_attach": 3}, seed=1)
+    for round_ in range(3):
+        compute_low_spectrum(g, GreedyParams().cutoff)
+        assert len(calls) == round_ + 1
+        g.insert_edge(*oracles.all_non_edges(g)[round_])
+    calls.clear()
+    compute_low_spectrum(generate("ba", {"n": 400, "m_attach": 3}, seed=1), GreedyParams().cutoff)
+    assert calls == []
+
+
+def test_lambda_bound_is_the_degree_bound(p3, c4, k4):
+    # max over edges of d_u + d_v, on or above lambda_n: tight on P3, C4 and the star
+    star = Graph(5, [(0, 1), (0, 2), (0, 3), (0, 4)])
+    for g in (p3, c4, k4, star, generate("ba", {"n": 120, "m_attach": 3}, seed=2)):
+        degrees = [g.degree(v) for v in range(g.n)]
+        bound = compute_low_spectrum(g, 2).lambda_bound
+        assert bound == max(degrees[a] + degrees[b] for a, b in g.edges())
+        assert scipy.linalg.eigh(g.laplacian_dense(), eigvals_only=True)[-1] <= bound + 1e-9
 
 
 def _grid(side: int) -> Graph:
@@ -102,7 +135,7 @@ def _grid(side: int) -> Graph:
     return Graph(side * side, right + down)
 
 
-# the default cutoff and the former default 50, eig_tol 1e-7 and maxiter, all above
+# the default cutoff and the former default 50, EIG_TOL and MAXITER, all above
 # the dense limit of 600; the ring lattice and the grid have doubled eigenvalues
 _DEFAULT_PARAM_GRAPHS = {
     "ba2000": (lambda: generate("ba", {"n": 2000, "m_attach": 3, "m0": 3}, seed=1), 30.0),
@@ -127,7 +160,7 @@ def test_iterative_default_parameters(name):
             elapsed = time.perf_counter() - start
         assert elapsed < seconds
         assert np.max(np.abs(st.eigenvalues - vals[1:cutoff])) < 1e-8
-        assert st.lambda_max == pytest.approx(vals[-1], abs=1e-8)
+        assert vals[-1] <= st.lambda_bound
         residuals = np.linalg.norm(g.laplacian() @ st.vectors - st.vectors * st.eigenvalues, axis=0)
         assert residuals.max() <= 1e-7
         assert np.max(np.abs(st.vectors.sum(axis=0))) < 1e-7
