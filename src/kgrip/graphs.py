@@ -27,7 +27,6 @@ from .errors import ConfigError, DisconnectedError, InvariantError, ParseError, 
 Edge = tuple[int, int]
 # up to this n the graph's factor is a dense Cholesky of L + J/n: a column by it beats CG and SuperLU
 DENSE_SOLVE_MAX_N = 200
-_SELINV_ENTRIES_PER_CUBE = 1 / 500  # GroundedLU.inverse_diagonal: N^3/500 entries gathered cost the dense N^3/3 flops
 
 
 def in_sorted(held: np.ndarray, queries: np.ndarray) -> np.ndarray:
@@ -80,8 +79,9 @@ class GroundedLU:
         x[1:] = self._lu.solve(rhs[1:])
         return x
 
-    def inverse_diagonal(self) -> np.ndarray | None:
-        """diag(L_g^-1) by selected inversion (Takahashi, Fagan & Chin 1973), or None where the dense form is cheaper.
+    def inverse_diagonal(self) -> np.ndarray:
+        """diag(L_g^-1) by selected inversion (Takahashi, Fagan & Chin 1973), at any fill: at mean degree 40-50 it takes
+        2-3.5x the time of the dense form's R^(-1).
 
         The root block (the trailing columns full below the diagonal) is inverted by dpotri; each column j left of
         it, l_j its entries in the rows S_j below the diagonal (its tree ancestors), takes Z[S_j, j] = -Z[S_j, S_j]
@@ -104,8 +104,6 @@ class GroundedLU:
         order = np.lexsort((size, depth))
         starts = np.flatnonzero(np.diff(depth[order] * n + np.ceil(np.log2(np.maximum(size[order], 1))), prepend=-1))
         counts, width = np.diff(starts, append=r), np.maximum.reduceat(size[order], starts)
-        if float(counts @ width.astype(float) ** 2) >= _SELINV_ENTRIES_PER_CUBE * (n**3 - (n - r) ** 3):
-            return None
         per_col = np.repeat(width, counts)
         col, entry = np.repeat(order, per_col), np.cumsum(per_col) - per_col  # a column's first padded entry
         at = np.arange(len(col)) - np.repeat(entry, per_col)

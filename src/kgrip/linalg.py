@@ -17,7 +17,7 @@ solve, L v = e_a - e_b, not the two columns.
 The dense P and R_tot both come from one Cholesky factor of L + J/n, which
 refuses a disconnected graph; up to ``DENSE_SOLVE_MAX_N`` vertices it is the
 graph's factor, whose solve of a zero-sum b is L^+ b. Above that, diag(P) and
-R_tot may come from ``GroundedLU.inverse_diagonal``. Columns of P can also be
+R_tot come from ``GroundedLU.inverse_diagonal``. Columns of P can also be
 obtained by solving L X = E - 1/n for a block of unit vectors E (at once through
 the graph's factor, a sparse LU of the grounded Laplacian L[1:,1:] above that
 size, grown by the Woodbury identity below across insertions, or by one CG solve
@@ -164,17 +164,18 @@ def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -
 def lpinv_diagonal(graph: Graph, tol: float = RESIDUAL_TOL) -> np.ndarray:
     """diag(L^+) exactly, from one inversion pass; R_tot is n times its sum.
 
-    Above ``DENSE_SOLVE_MAX_N``, off ``GroundedLU.inverse_diagonal`` where it takes the graph: with M = L_g^(-1)
-    padded by zeros at vertex 0, L^+ = (I - J/n) M (I - J/n), so L^+[i,i] = M[i,i] - 2 (M 1)[i] / n + 1^T M 1 / n^2,
-    where M 1 = x - x[0] for the :func:`solve` x of L x = 1 - n e_0. Otherwise by :func:`_dense_lpinv_diagonal`.
+    Off ``GroundedLU.inverse_diagonal`` where the graph's factor is one not grown by insertions (n above
+    ``DENSE_SOLVE_MAX_N``): with M = L_g^(-1) padded by zeros at vertex 0, L^+ = (I - J/n) M (I - J/n), so L^+[i,i] =
+    M[i,i] - 2 (M 1)[i] / n + 1^T M 1 / n^2, where M 1 = x - x[0] for the :func:`solve` x of L x = 1 - n e_0.
+    Otherwise, on the dense Cholesky factor or a grown one, by :func:`_dense_lpinv_diagonal`.
     """
     n = graph.n
     factor = graph.factor() if DENSE_SOLVE_MAX_N < n <= DENSE_CAP_DEFAULT else None
-    if isinstance(factor, GroundedLU) and (inv := factor.inverse_diagonal()) is not None:  # not grown by insertions
-        x = solve(graph, np.r_[1.0 - n, np.ones(n - 1)], tol)
-        ones = x - x[0]  # M 1, whose entry 0 is 0
-        return np.r_[0.0, inv] - (2.0 / n) * ones + ones.sum() / (n * n)
-    return _dense_lpinv_diagonal(graph)
+    if not isinstance(factor, GroundedLU):
+        return _dense_lpinv_diagonal(graph)
+    x = solve(graph, np.r_[1.0 - n, np.ones(n - 1)], tol)
+    ones = x - x[0]  # M 1, whose entry 0 is 0
+    return np.r_[0.0, factor.inverse_diagonal()] - (2.0 / n) * ones + ones.sum() / (n * n)
 
 
 def _dense_lpinv_diagonal(graph: Graph) -> np.ndarray:

@@ -55,20 +55,22 @@ def test_optimize_invalid_delta_exit2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, value, name",
+    "tail, name",
     [
-        ("--c-jlt", "nan", "c_jlt"),
-        ("--c-jlt", "inf", "c_jlt"),
-        ("--c-jlt", "0", "c_jlt"),
-        ("--solver-eps", "nan", "solver_eps"),
-        ("--solver-eps", "inf", "solver_eps"),
-        ("--solver-eps", "0", "solver_eps"),
-        ("--solver-eps", "-0.000001", "solver_eps"),  # argparse reads "-1e-6" as a flag
+        (["--c-jlt", "nan"], "c_jlt"),
+        (["--c-jlt", "inf"], "c_jlt"),
+        (["--c-jlt", "0"], "c_jlt"),
+        (["--solver-eps", "nan"], "solver_eps"),
+        (["--solver-eps", "inf"], "solver_eps"),
+        (["--solver-eps", "0"], "solver_eps"),
+        (["--solver-eps", "-0.000001"], "solver_eps"),  # argparse reads "-1e-6" as a flag
+        (["--solver-eps=-1e-6"], "solver_eps"),  # unless it is joined to its flag
     ],
+    ids=lambda v: "-".join(v) if isinstance(v, list) else v,
 )
-def test_optimize_non_finite_or_non_positive_knob_exit2(tmp_path, capsys, flag, value, name):
+def test_optimize_non_finite_or_non_positive_knob_exit2(tmp_path, capsys, tail, name):
     path = write_graph(tmp_path, P3_EDGES)
-    argv = ["optimize", "--input", path, "--k", "1", "--heuristic", "colstochjlt", flag, value]
+    argv = ["optimize", "--input", path, "--k", "1", "--heuristic", "colstochjlt", *tail]
     code, _, err = run_cli(capsys, argv)
     assert code == 2
     assert name in err

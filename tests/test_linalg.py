@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from kgrip import graphs, greedy, linalg, oracles
+from kgrip import greedy, linalg, oracles
 from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
 from kgrip.graphs import DENSE_SOLVE_MAX_N, DenseCholesky, Graph, GroundedLU, GrownFactor, generate
 from kgrip.greedy import GreedyParams, Heuristic, run_kgrip
@@ -519,13 +519,16 @@ def _spy_dense_inversions(monkeypatch, orders: list) -> None:
     [
         (generate("ba", {"n": 650, "m_attach": 3}, seed=1), True),
         (generate("ws", {"n": 650, "degree": 10, "rewire_prob": 0.01}, seed=1), True),
-        (generate("er", {"n": 650, "p": 0.01}, seed=1), False),  # the work guard sends it to the dense form
+        (generate("er", {"n": 650, "p": 0.01}, seed=1), True),
+        (generate("er", {"n": 1000, "p": 0.05}, seed=1), True),  # mean degree 50: the recurrences gather the most
+        (generate("er", {"n": 1000, "p": 0.008}, seed=1), True),
+        (Graph(625, [(i, i + 1) for i in range(625) if i % 25 < 24] + [(i, i + 25) for i in range(600)]), True),
         (generate("ba", {"n": 120, "m_attach": 3}, seed=1), False),
         (generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1), False),
         (path_graph(210), True),
         (star_graph(210), True),
     ],
-    ids=["ba650", "ws650", "er650", "ba120", "ws120", "path210", "star210"],
+    ids=["ba650", "ws650", "er650", "er1000-deg50", "er1000-deg8", "grid25", "ba120", "ws120", "path210", "star210"],
 )
 def test_lpinv_diagonal_matches_the_dense_pseudoinverse(graph, selected, monkeypatch):
     expected, dense = np.diagonal(pseudoinverse_dense(graph.copy())), []
@@ -565,21 +568,22 @@ def test_lpinv_diagonal_meets_the_closed_form_of_the_path(n):
 
 
 @pytest.mark.parametrize(
-    "model, params, selected",
+    "model, params",
     [
-        ("ba", {"n": 650, "m_attach": 3}, True),
-        ("ba", {"n": 2000, "m_attach": 3}, True),
-        ("ws", {"n": 700, "degree": 10, "rewire_prob": 0.01}, True),
-        ("er", {"n": 650, "p": 0.01}, False),
+        ("ba", {"n": 650, "m_attach": 3}),
+        ("ba", {"n": 2000, "m_attach": 3}),
+        ("ws", {"n": 700, "degree": 10, "rewire_prob": 0.01}),
+        ("er", {"n": 650, "p": 0.01}),
     ],
     ids=["ba650", "ba2000", "ws700", "er650"],
 )
-def test_r_initial_matches_the_dense_oracle_on_either_side_of_the_fill_rule(model, params, selected, monkeypatch):
+def test_r_initial_by_selected_inversion_matches_the_dense_oracle(model, params, monkeypatch):
+    # a scale-free or ring graph fills little, ER fills much: every fresh sparse factor takes selected inversion
     g = generate(model, params, seed=1)
     expected, dense = total_resistance(g), []
     _spy_dense_inversions(monkeypatch, dense)
     assert _r_initial(g) == pytest.approx(expected, rel=1e-9)
-    assert dense == ([] if selected else [g.n])  # a scale-free or ring graph fills little, ER fills much
+    assert dense == []
 
 
 @pytest.mark.parametrize(
@@ -588,19 +592,16 @@ def test_r_initial_matches_the_dense_oracle_on_either_side_of_the_fill_rule(mode
     ids=["path210", "star210", "cycle250", "tree230", "k210"],
 )
 def test_selected_inversion_on_extreme_elimination_trees(graph, monkeypatch):
-    # deep chains, a flat star, and K_210, whose root block is the whole factor; the fill rule sends K_210 to the
-    # dense form, so it is switched off to run the recurrences on each
-    expected = total_resistance(graph)
+    # deep chains, a flat star, and K_210, whose root block is the whole factor: the recurrences run on each
+    expected, dense = total_resistance(graph), []
+    _spy_dense_inversions(monkeypatch, dense)
     assert _r_initial(graph) == pytest.approx(expected, rel=1e-9)
-    monkeypatch.setattr(graphs, "_SELINV_ENTRIES_PER_CUBE", math.inf)
-    assert graph.factor().inverse_diagonal() is not None
-    assert _r_initial(graph) == pytest.approx(expected, rel=1e-9)
+    assert dense == []
 
 
 def test_selected_inversion_meets_the_closed_form_of_the_cycle():
     n = 2000  # R_tot(C_n) = (n^3 - n) / 12; the dense oracle is off it by about 3e-11 here
     g = cycle_graph(n)
-    assert g.factor().inverse_diagonal() is not None
     assert _r_initial(g) == pytest.approx((n**3 - n) / 12, rel=1e-12)
 
 
@@ -615,9 +616,8 @@ def test_selected_inversion_on_a_disconnected_graph_raises(split):
 
 
 def test_selected_inversion_gathers_at_most_a_quarter_square(monkeypatch):
-    # ER(650, 0.01) fills enough that, with the rule off, some batch holds more than n^2/4 entries of Z at once
+    # ER(650, 0.01) fills enough that some batch of one width would hold more than n^2/4 entries of Z at once
     g = generate("er", {"n": 650, "p": 0.01}, seed=1)
-    monkeypatch.setattr(graphs, "_SELINV_ENTRIES_PER_CUBE", math.inf)
     gathers, einsum, expected = [], np.einsum, total_resistance(g)
 
     def spy(spec, *ops):
@@ -649,8 +649,7 @@ class _Factor:
     ],
     ids=["closed", "row-off-the-parent", "leaf-row"],
 )
-def test_selected_inversion_refuses_a_pattern_not_closed_along_the_tree(below, closed, monkeypatch):
-    monkeypatch.setattr(graphs, "_SELINV_ENTRIES_PER_CUBE", math.inf)
+def test_selected_inversion_refuses_a_pattern_not_closed_along_the_tree(below, closed):
     factor = GroundedLU.__new__(GroundedLU)
     factor._lu = _Factor(below)
     if closed:
