@@ -436,20 +436,23 @@ class _Sketch(_Scorer):
 
 
 class _Spectral(_Scorer):
-    """Lower bounds of the spectral gain bracket over the low Laplacian spectrum."""
+    """Lower bounds of the spectral gain bracket over the low Laplacian spectrum.
+
+    A run or local batch eigensolves once. With more than one round it carries ``spectral.RITZ_BUFFER`` more pairs
+    than the c-1 it reads, across each insertion by :func:`spectral.carry_low_spectrum`, so after round 0 the
+    estimate comes from Ritz pairs and is no longer a proven lower bound; the reported gains stay exact.
+    """
 
     def compute(self, source: _Source) -> None:
-        self._solve()
-
-    def _solve(self) -> None:
-        cutoff = max(2, min(self.params.cutoff, self.graph.n - 1))
-        self.state = spectral.compute_low_spectrum(self.graph, cutoff)
+        self.used = max(2, min(self.params.cutoff, self.graph.n - 1)) - 1  # the bracket's c-1 pairs
+        carried = self.used if self.k == 1 else min(self.used + spectral.RITZ_BUFFER, self.graph.n - 1)
+        self.state = spectral.compute_low_spectrum(self.graph, carried + 1)
 
     def gains(self, pairs: np.ndarray) -> np.ndarray:
-        return spectral.gains_spectral(self.state, pairs)
+        return spectral.gains_spectral(self.state.leading(self.used), pairs)
 
     def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
-        self._solve()
+        self.state = spectral.carry_low_spectrum(self.graph, self.state, report, self.used)
 
 
 # Each heuristic is one candidate source paired with one gain scorer.

@@ -30,6 +30,15 @@ The eigenpairs come from a dense symmetric eigensolve up to
 graph's Laplacian factor (centre, solve, centre again; the run's solves
 share it), and shift-invert Lanczos (ARPACK) finds the c-1 largest
 eigenvalues 1/lambda_i of L^+, one ARPACK call per eigensolve.
+
+A run eigensolves once. Inserting {a,b} adds the rank-one term bb^T
+(b = e_a - e_b) to L, and the new low eigenpairs lie close to span[U, L^+ b]
+(Bunch, Nielsen & Sorensen 1978); L^+ b is the round's report solve.
+:func:`carry_low_spectrum` takes one Rayleigh-Ritz step on that span, over
+``RITZ_BUFFER`` more pairs than the bracket reads, and eigensolves afresh
+only when the pairs in use drift past ``DRIFT_TOL``. The bracket is proven
+for exact eigenpairs, so after round 0 its lower bound is an estimate, no
+longer a proven lower bound; the gains a run reports stay exact.
 """
 
 from __future__ import annotations
@@ -46,11 +55,13 @@ from .graphs import Graph
 _DENSE_EIG_LIMIT = 600
 EIG_TOL = 1e-7  # the largest residual ||L u - lambda u|| an eigenpair may keep
 MAXITER = 500  # ARPACK's restart budget
+RITZ_BUFFER = 10  # pairs carried beyond the c-1 in use, so the Ritz step has room to track them
+DRIFT_TOL = 0.1  # largest ||L u - theta u|| / theta_(c-1) over the pairs in use before a fresh eigensolve
 
 
 @dataclass
 class SpectralState:
-    """c-1 smallest nonzero eigenpairs plus an upper bound on the largest eigenvalue."""
+    """c-1 smallest nonzero eigenpairs, or Ritz pairs carried to them, plus an upper bound on the largest eigenvalue."""
 
     eigenvalues: np.ndarray  # lambda_2..lambda_c, ascending
     vectors: np.ndarray  # n x (c-1), orthonormal, each orthogonal to ones
@@ -59,6 +70,10 @@ class SpectralState:
     @property
     def n(self) -> int:
         return self.vectors.shape[0]
+
+    def leading(self, count: int) -> "SpectralState":
+        """A view of the ``count`` lowest pairs: the state at cutoff c = count + 1."""
+        return SpectralState(self.eigenvalues[:count], self.vectors[:, :count], self.lambda_bound)
 
 
 def _degree_bound(graph: Graph) -> float:
@@ -132,6 +147,30 @@ def compute_low_spectrum(graph: Graph, c: int) -> SpectralState:
             float(residuals.max()),
         )
     return SpectralState(eigenvalues=vals, vectors=vecs, lambda_bound=_degree_bound(graph))
+
+
+def carry_low_spectrum(graph: Graph, state: SpectralState, report: np.ndarray, used: int) -> SpectralState:
+    """The pairs of ``state`` carried across the insertion that grew ``graph`` by one Rayleigh-Ritz step on
+    span[U, report], ``report`` = L^+ (e_a - e_b) before it; the lowest Ritz pairs, as many as ``state`` holds.
+
+    When U spans the complement of the ones vector, the grown L maps that span to itself: the step on U alone is
+    exact, and the report, rounding noise once projected, stays out. If a residual ||L u - theta u|| of the ``used``
+    lowest pairs passes ``DRIFT_TOL`` times the largest of their Ritz values, :func:`compute_low_spectrum` re-solves.
+    """
+    basis = state.vectors
+    count = basis.shape[1]
+    if count < graph.n - 1:
+        v = report - basis @ (basis.T @ report)
+        v -= basis @ (basis.T @ v)
+        basis = np.column_stack([basis, v / np.linalg.norm(v)])
+    lap_basis = graph.laplacian() @ basis
+    theta, rotation = scipy.linalg.eigh(basis.T @ lap_basis)
+    theta, rotation = theta[:count], rotation[:, :count]
+    vectors = basis @ rotation
+    residuals = np.linalg.norm(lap_basis @ rotation[:, :used] - vectors[:, :used] * theta[:used], axis=0)
+    if residuals.max() > DRIFT_TOL * theta[used - 1]:
+        return compute_low_spectrum(graph, count + 1)
+    return SpectralState(eigenvalues=theta, vectors=vectors, lambda_bound=_degree_bound(graph))
 
 
 def gain_bounds(state: SpectralState, a: int, b: int) -> tuple[float, float]:

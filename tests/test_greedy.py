@@ -10,7 +10,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from kgrip import graphs, greedy, jlt, linalg, oracles, ust
+from kgrip import graphs, greedy, jlt, linalg, oracles, spectral, ust
 from kgrip.errors import ConfigError, InvariantError
 from kgrip.graphs import DENSE_SOLVE_MAX_N, Graph, generate
 from kgrip.linalg import total_resistance
@@ -574,8 +574,8 @@ def test_colstoch_cached_columns_stay_consistent_over_long_runs():
     ids=["ba700", "er700", "ba2000"],
 )
 def test_specstoch_resolves_after_insertions(model, params, k):
-    # above the dense eigensolver limit every round after the first re-solves the
-    # low spectrum of the grown graph at default parameters
+    # above the dense eigensolver limit every round after the first carries the low
+    # spectrum across the insertion at default parameters, re-solving if it drifts
     g = generate(model, params, seed=1)
     sol = run_kgrip(g, k, Heuristic.SPEC_STOCH, seed=7)
     assert len(sol.inserted_edges) == k
@@ -602,6 +602,73 @@ def test_specstoch_quality_on_scale_free_graphs():
     assert np.mean(local_q) >= 0.80
 
 
+def _per_round_eigensolve(monkeypatch):
+    """SpecStoch as it ran before it carried the spectrum: c-1 pairs, eigensolved afresh after every insertion."""
+    monkeypatch.setattr(spectral, "RITZ_BUFFER", 0)
+    monkeypatch.setattr(spectral, "carry_low_spectrum",
+                        lambda graph, state, report, used: spectral.compute_low_spectrum(graph, used + 1))
+
+
+@pytest.mark.parametrize("n", [12, 20, 35, 40])
+def test_specstoch_carrying_the_full_spectrum_picks_as_a_per_round_eigensolve(n, monkeypatch):
+    # at the default cutoff c-1 + RITZ_BUFFER pairs clamp to n-1, the whole complement of the ones vector; the step
+    # on U alone is exact there, where a report direction, rounding noise once projected, would corrupt the basis
+    g = generate("ba", {"n": n, "m_attach": 3}, seed=1)
+    carried = {seed: run_kgrip(g, 4, Heuristic.SPEC_STOCH, seed=seed).inserted_edges for seed in (0, 3)}
+    _per_round_eigensolve(monkeypatch)
+    for seed, edges in carried.items():
+        assert edges == run_kgrip(g, 4, Heuristic.SPEC_STOCH, seed=seed).inserted_edges, seed
+
+
+_DENSE_EIG_GRAPHS = {
+    "ba400": lambda: generate("ba", {"n": 400, "m_attach": 3}, seed=2),
+    "ws120": lambda: generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1),
+    "er600": lambda: generate("er", {"n": 600, "p": 0.015}, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DENSE_EIG_GRAPHS))
+def test_specstoch_with_the_drift_guard_at_zero_equals_a_per_round_eigensolve(name, monkeypatch):
+    # a guard at 0 re-solves every round; the dense eigensolve returns the same leading pairs whatever count is
+    # kept, so the runs equal those that eigensolve c-1 pairs afresh each round, bit for bit
+    g = _DENSE_EIG_GRAPHS[name]()
+    monkeypatch.setattr(spectral, "DRIFT_TOL", 0.0)
+    rounds, compute = [], spectral.compute_low_spectrum
+    monkeypatch.setattr(spectral, "compute_low_spectrum",
+                        lambda graph, c: rounds.append(graph.round) or compute(graph, c))
+    runs = [lambda: [run_kgrip(g, 4, Heuristic.SPEC_STOCH, seed=7)],
+            lambda: run_klrip(g, [3, 50, 90], 3, Heuristic.SPEC_STOCH, seed=7)]
+    guarded = [[(s.inserted_edges, s.per_edge_true_gain) for s in run()] for run in runs]
+    assert rounds == [0, 1, 2, 3] + [0] + [1, 2] * 3
+    _per_round_eigensolve(monkeypatch)
+    assert guarded == [[(s.inserted_edges, s.per_edge_true_gain) for s in run()] for run in runs]
+
+
+@pytest.mark.parametrize(
+    "model, params, focus, k",
+    [
+        ("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, None, 5),
+        ("ba", {"n": 650, "m_attach": 3}, None, 5),  # shift-invert Lanczos
+        ("ba", {"n": 120, "m_attach": 3}, [3, 30, 60, 90], 2),
+        ("ba", {"n": 120, "m_attach": 3}, None, 1),
+        ("ba", {"n": 120, "m_attach": 3}, [3, 30], 1),
+    ],
+    ids=["ws120-k5", "ba650-k5", "ba120-batch-k2", "ba120-k1", "ba120-batch-k1"],
+)
+def test_specstoch_eigensolves_once_per_run(model, params, focus, k, monkeypatch):
+    # one eigensolve per run, or per local batch; later rounds carry its pairs by Rayleigh-Ritz steps. With more
+    # than one round it carries RITZ_BUFFER pairs beyond the c-1 in use; a single round asks for c-1 pairs
+    cutoffs, compute = [], spectral.compute_low_spectrum
+    monkeypatch.setattr(spectral, "compute_low_spectrum", lambda graph, c: cutoffs.append(c) or compute(graph, c))
+    g = generate(model, params, seed=1)
+    if focus is None:
+        run_kgrip(g, k, Heuristic.SPEC_STOCH, seed=7)
+    else:
+        run_klrip(g, focus, k, Heuristic.SPEC_STOCH, seed=7)
+    cutoff = GreedyParams().cutoff
+    assert cutoffs == [cutoff if k == 1 else cutoff + spectral.RITZ_BUFFER]
+
+
 # which preprocessing each heuristic rebuilds between rounds
 _REFRESHED_BY = {
     Heuristic.ST_GREEDY: set(),
@@ -609,7 +676,7 @@ _REFRESHED_BY = {
     Heuristic.COL_STOCH: {"rank_one_diag_step"},
     Heuristic.SIMPL_STOCH_JLT: {"build_sketch"},
     Heuristic.COL_STOCH_JLT: {"rank_one_diag_step", "build_sketch"},
-    Heuristic.SPEC_STOCH: {"compute_low_spectrum"},
+    Heuristic.SPEC_STOCH: {"carry_low_spectrum"},
 }
 
 
@@ -624,6 +691,7 @@ def test_refresh_skipped_after_last_insertion(kind, monkeypatch):
         (linalg, "rank_one_diag_step"),
         (jlt, "build_sketch"),
         (spectral, "compute_low_spectrum"),
+        (spectral, "carry_low_spectrum"),
         (linalg.DenseState, "apply_insertion"),
     ):
         original = getattr(module, name)

@@ -13,7 +13,7 @@ from kgrip import oracles, spectral
 from kgrip.errors import ConfigError, SolverError
 from kgrip.graphs import Graph, generate
 from kgrip.greedy import GreedyParams
-from kgrip.linalg import DenseState, gain_exact
+from kgrip.linalg import DenseState, gain_exact, report_insertion
 from kgrip.spectral import compute_low_spectrum, gain_bounds, gain_spectral
 
 from conftest import random_connected
@@ -295,3 +295,51 @@ def test_rank_correlation_ba300():
     approx = [gain_spectral(st, *non_edges[i]) for i in idx]
     exact = [gain_exact(state, *non_edges[i]) for i in idx]
     assert spearmanr(approx, exact).statistic >= 0.7
+
+
+# -- carry_low_spectrum ---------------------------------------------------------------
+
+
+def _carried_across(g: Graph, count: int, a: int, b: int):
+    """Pairs lambda_2..lambda_(count+1) of g carried across the insertion of {a,b} by one Ritz step."""
+    state = compute_low_spectrum(g, count + 1)
+    _, report = report_insertion(g, a, b)
+    g.insert_edge(a, b)
+    return spectral.carry_low_spectrum(g, state, report, count)
+
+
+@pytest.mark.parametrize("count", [12, 39])
+def test_ritz_values_bound_the_grown_spectrum_from_above(count, monkeypatch):
+    # Rayleigh-Ritz on a subspace orthogonal to ones: each theta_i is at least lambda_(i+1) of the grown L, the
+    # vectors stay orthonormal and orthogonal to ones, and lambda_bound is the grown graph's degree bound
+    tol = spectral.DRIFT_TOL
+    monkeypatch.setattr(spectral, "DRIFT_TOL", np.inf)
+    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1)
+    st = _carried_across(g, count, 0, 60)
+    vals = scipy.linalg.eigh(g.laplacian_dense(), eigvals_only=True)
+    assert st.eigenvalues.shape == (count,) and np.all(np.diff(st.eigenvalues) >= -1e-12)
+    assert np.all(st.eigenvalues >= vals[1 : count + 1] - 1e-10)
+    assert np.allclose(st.vectors.T @ st.vectors, np.eye(count), atol=1e-10)
+    assert np.max(np.abs(st.vectors.sum(axis=0))) < 1e-10
+    assert st.lambda_bound == spectral._degree_bound(g)
+    residuals = np.linalg.norm(g.laplacian() @ st.vectors - st.vectors * st.eigenvalues, axis=0)
+    assert residuals[:10].max() < tol * st.eigenvalues[9]  # the guard's measure, on c-1 = 10 pairs
+
+
+def test_ritz_step_on_the_full_spectrum_is_exact():
+    # n-1 carried pairs span the complement of ones, which the grown L maps to itself
+    g = generate("ba", {"n": 35, "m_attach": 3}, seed=1)
+    st = _carried_across(g, g.n - 1, 2, 30)
+    vals = scipy.linalg.eigh(g.laplacian_dense(), eigvals_only=True)
+    assert np.max(np.abs(st.eigenvalues - vals[1:])) < 1e-10
+    residuals = np.linalg.norm(g.laplacian() @ st.vectors - st.vectors * st.eigenvalues, axis=0)
+    assert residuals.max() < 1e-10
+
+
+def test_drift_guard_resolves_past_its_threshold(monkeypatch):
+    # at 0 every step re-solves: the state equals compute_low_spectrum's on the grown graph
+    monkeypatch.setattr(spectral, "DRIFT_TOL", 0.0)
+    g = generate("ba", {"n": 120, "m_attach": 3}, seed=1)
+    st = _carried_across(g, 39, 0, 100)
+    fresh = compute_low_spectrum(g, 40)
+    assert np.array_equal(st.eigenvalues, fresh.eigenvalues) and np.array_equal(st.vectors, fresh.vectors)
