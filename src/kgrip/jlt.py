@@ -10,15 +10,15 @@ r x n square root of the Laplacian, S^T S = L + c J (J = all-ones, c >= 0):
   resist = pinv(L) (H S)^T, the rows of H S centred, so
            ||resist[a] - resist[b]||^2 tracks the effective resistance.
 
-The square root is the cheapest one the graph already holds. Where the
-solver uses the dense factor (n <= ``DENSE_SOLVE_MAX_N``), S stacks the
-Cholesky factor U of L_0 + J/n (U^T U = L_0 + J/n, L_0 the Laplacian the
-factor was built on) over one incidence row e_a - e_b per edge {a,b} the
-factor has grown by since, so S^T S = L + J/n and r = n + (edges grown by);
-the centring removes J/n. Elsewhere S is the signed m x n edge-vertex
-incidence B (B^T B = L, r = m). All 2q right-hand sides go to the Laplacian
-solver as one block. Both sketches are stored n x q, so a pair reads two
-contiguous rows.
+The sketch asks the graph for its Laplacian factor, which its block of
+solves then uses, and the square root is the cheapest one that factor
+gives. On a dense Cholesky factor U of L_0 + J/n (U^T U = L_0 + J/n, L_0
+the Laplacian the factor was built on), S stacks U over one incidence row
+e_a - e_b per edge {a,b} the factor has grown by since, so S^T S = L + J/n
+and r = n + (edges grown by); the centring removes J/n. On a sparse factor
+S is the signed m x n edge-vertex incidence B (B^T B = L, r = m). All 2q
+right-hand sides go to the Laplacian solver as one block. Both sketches are
+stored n x q, so a pair reads two contiguous rows.
 
 Each distance estimate uses its projection exactly once, which keeps it
 unbiased: with y = pinv(L) d for the biharmonic half and y = S pinv(L) d for
@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ConfigError, StaleStateError
-from .graphs import DENSE_SOLVE_MAX_N, Graph, GrownFactor
+from .graphs import DenseCholesky, Graph, GrownFactor
 from .linalg import RESIDUAL_TOL, solve
 
 _CHUNK = 4096  # pairs gathered at once by gains_jlt
@@ -92,15 +92,17 @@ def _incidence(graph: Graph) -> sp.csr_matrix:
 
 
 def _square_root(graph: Graph) -> np.ndarray | sp.csr_matrix:
-    """An r x n square root S of the Laplacian, S^T S = L + c J: the dense Cholesky factor of the graph's solver
-    stacked over one incidence row per edge it has grown by, or the incidence (module docstring)."""
-    if graph.n > DENSE_SOLVE_MAX_N:
-        return _incidence(graph)
-    factor = graph.factor()  # a DenseCholesky of L_0 + J/n, or one grown by the edges inserted since
+    """An r x n square root S of the Laplacian, S^T S = L + c J, by the kind of the graph's factor (built here if
+    the graph holds none): a dense Cholesky factor stacked over one incidence row per edge it has grown by, or, on
+    a sparse factor, the incidence (module docstring)."""
+    factor = graph.factor()  # the one the sketch's solves use
     grown = isinstance(factor, GrownFactor)
+    base = factor.base if grown else factor
+    if not isinstance(base, DenseCholesky):
+        return _incidence(graph)
     ends = factor.ends if grown else np.empty((0, 2), dtype=np.int64)
     root = np.zeros((graph.n + len(ends), graph.n))
-    root[: graph.n] = (factor.base if grown else factor).upper
+    root[: graph.n] = base.upper
     rows = np.arange(graph.n, len(root))
     root[rows, ends[:, 0]], root[rows, ends[:, 1]] = -1.0, 1.0
     return root

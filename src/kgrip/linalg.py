@@ -97,19 +97,19 @@ def solve(graph: Graph, rhs: np.ndarray, tol: float = RESIDUAL_TOL) -> np.ndarra
     Every linear solve of the package goes through here, but for two that call the graph's factor directly:
     spectral's shift-invert operator and ``GrownFactor``'s solves on its base. ``rhs`` is a vector or an n x s block
     whose columns sum to zero. All columns are solved through the graph's :meth:`~kgrip.graphs.Graph.factor` when
-    the graph holds one, n <= ``DENSE_SOLVE_MAX_N``, s >= 16, or s >= 2 and n <= 1000 (README tables); otherwise
-    each column runs Jacobi-preconditioned CG on the cached Laplacian. Every column's relative residual
-    ||L x - rhs|| / ||rhs|| must reach ``tol``, which must be finite and positive (:class:`ConfigError` otherwise,
-    before any work). Raises :class:`SolverError` carrying the worst achieved relative residual if the
+    the graph holds one or n <= ``DENSE_SOLVE_MAX_N`` (README tables); otherwise each column runs
+    Jacobi-preconditioned CG on the cached Laplacian, and no factor is built: the callers that need one ask for it
+    (the sketch's square root, the exact diagonal, shift-invert), and later solves use it. Every column's relative
+    residual ||L x - rhs|| / ||rhs|| must reach ``tol``, which must be finite and positive (:class:`ConfigError`
+    otherwise, before any work). Raises :class:`SolverError` carrying the worst achieved relative residual if the
     factorisation fails (x = 0 is then judged), CG stops early or any column misses ``tol``.
     """
     if not (math.isfinite(tol) and tol > 0):  # CG at rtol=inf would return x = 0 and pass its own check
         raise ConfigError(f"tol must be finite and positive, got {tol}")
     lap = graph.laplacian()
     block = rhs.reshape(graph.n, -1)
-    n, s = graph.n, block.shape[1]
     stopped_early = False
-    if graph.has_factor or n <= DENSE_SOLVE_MAX_N or s >= 16 or (n <= 1000 and s >= 2):
+    if graph.has_factor or graph.n <= DENSE_SOLVE_MAX_N:
         failure = "Laplacian factor solve missed the residual tolerance"
         try:
             x = graph.factor().solve(block)
@@ -162,15 +162,17 @@ def effective_resistance(col_a: np.ndarray, col_b: np.ndarray, a: int, b: int) -
 
 
 def lpinv_diagonal(graph: Graph, tol: float = RESIDUAL_TOL) -> np.ndarray:
-    """diag(L^+) exactly, from one inversion pass; R_tot is n times its sum.
+    """diag(L^+) exactly, from one inversion pass over the graph's factor (built here if the graph holds none, after
+    the dense cap is checked); R_tot is n times its sum.
 
-    Off ``GroundedLU.inverse_diagonal`` where the graph's factor is one not grown by insertions (n above
-    ``DENSE_SOLVE_MAX_N``): with M = L_g^(-1) padded by zeros at vertex 0, L^+ = (I - J/n) M (I - J/n), so L^+[i,i] =
+    On a :class:`GroundedLU` (n above ``DENSE_SOLVE_MAX_N``, not grown by insertions), off its
+    ``inverse_diagonal``: with M = L_g^(-1) padded by zeros at vertex 0, L^+ = (I - J/n) M (I - J/n), so L^+[i,i] =
     M[i,i] - 2 (M 1)[i] / n + 1^T M 1 / n^2, where M 1 = x - x[0] for the :func:`solve` x of L x = 1 - n e_0.
-    Otherwise, on the dense Cholesky factor or a grown one, by :func:`_dense_lpinv_diagonal`.
+    On the dense Cholesky factor or a grown one, by :func:`_dense_lpinv_diagonal`.
     """
     n = graph.n
-    factor = graph.factor() if DENSE_SOLVE_MAX_N < n <= DENSE_CAP_DEFAULT else None
+    check_dense_cap(n)
+    factor = graph.factor()
     if not isinstance(factor, GroundedLU):
         return _dense_lpinv_diagonal(graph)
     x = solve(graph, np.r_[1.0 - n, np.ones(n - 1)], tol)

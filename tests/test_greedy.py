@@ -940,6 +940,44 @@ def test_graphs_above_the_dense_limit_are_factored_once_per_run(factorisations):
                 assert len(factorisations.sparse) == 1, (n, kind)
 
 
+# the three benchmark shapes, a global run and a local batch between the dense solve limit and the eigensolver's
+_TRAFFIC_SHAPES = {
+    "ba650": ("ba", {"n": 650, "m_attach": 3, "m0": 3}, 1, None),
+    "ws120": ("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, 4, None),
+    "ba120-4foci": ("ba", {"n": 120, "m_attach": 3, "m0": 3}, 2, [3, 30, 60, 90]),
+    "ba400": ("ba", {"n": 400, "m_attach": 3}, 3, None),
+    "ws300-8foci": ("ws", {"n": 300, "degree": 10, "rewire_prob": 0.01}, 2, list(range(5, 300, 37))),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_TRAFFIC_SHAPES))
+def test_solve_traffic_of_every_heuristic(shape, monkeypatch, cg_calls, factorisations):
+    # a solve never factors above DENSE_SOLVE_MAX_N: StGreedy and SimplStoch, which hold the dense P, solve their
+    # reports and the r_final block by CG there and build no sparse factor; every other run factors its graph once,
+    # at the caller that needs the factor, and every one of its solves goes through it
+    paths = []
+    for module in (linalg, jlt):
+
+        def spy(graph, rhs, *args, inner=linalg.solve, **kwargs):
+            before = cg_calls[0]
+            x = inner(graph, rhs, *args, **kwargs)
+            paths.append("cg" if cg_calls[0] > before else "factor")
+            return x
+
+        monkeypatch.setattr(module, "solve", spy)
+    model, params, k, focus = _TRAFFIC_SHAPES[shape]
+    g = generate(model, params, seed=1)
+    for kind in Heuristic:
+        paths.clear()
+        factorisations.dense.clear()
+        factorisations.sparse.clear()
+        run_kgrip(g, k, kind, seed=7) if focus is None else run_klrip(g, focus, k, kind, seed=7)
+        dense_p = kind not in _FACTOR_HOLDING
+        assert set(paths) == {"cg" if dense_p and g.n > DENSE_SOLVE_MAX_N else "factor"}, kind
+        built = factorisations.dense.count(g.n) + len(factorisations.sparse)  # L + J/n dense, L[1:,1:] sparse
+        assert built == 1 and not (dense_p and factorisations.sparse), kind
+
+
 def test_specstoch_below_the_eigensolver_limit_solves_through_the_r_initial_factor(factorisations, cg_calls):
     # SpecStoch's dense eigensolve (n <= 600) holds no factor; r_initial builds the sparse one, as for every other
     # factor-holding heuristic, and the reports and the r_final block solve through it, with no CG and no dense
@@ -1021,10 +1059,10 @@ def test_validate_names_both_computations():
 
 def _assert_runs_repeat_exactly(g: Graph, kind: Heuristic) -> None:
     # a run's solve path follows its input's edges: neither a run's own solves
-    # nor the caller's, which leave a factor on the graph, may carry over
+    # nor the caller's factor request, which leaves a factor on the graph, may carry over
     first = run_kgrip(g, 3, kind, seed=4)
     first_local = run_klrip(g, [5, 60], 2, kind, seed=4)
-    linalg.solve_lpinv_columns(g, list(range(20)))
+    g.factor()
     assert g.has_factor
     for _ in range(2):
         again = run_kgrip(g, 3, kind, seed=4)
@@ -1039,7 +1077,7 @@ def test_runs_on_one_graph_object_repeat_exactly(kind):
     _assert_runs_repeat_exactly(generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=2), kind)
 
 
-_ABOVE_DENSE = DENSE_SOLVE_MAX_N + 50  # the caller's 20-column solve leaves a sparse factor here
+_ABOVE_DENSE = DENSE_SOLVE_MAX_N + 50  # the caller's factor request leaves a sparse factor here
 
 
 @pytest.mark.parametrize("kind", list(Heuristic))

@@ -72,7 +72,7 @@ def test_dense_pinv_is_the_same_with_or_without_a_round_factor():
     for n in (120, DENSE_SOLVE_MAX_N + 50):
         g = generate("ba", {"n": n, "m_attach": 3, "m0": 3}, seed=5)
         expected = pseudoinverse_dense(g.copy())
-        solve_lpinv_columns(g, list(range(16)))  # leaves the round's factor on the graph
+        g.factor()  # leaves the round's factor on the graph
         assert g.has_factor
         assert np.array_equal(pseudoinverse_dense(g), expected)
         assert total_resistance(g) == total_resistance(g.copy()) == total_resistance(Graph(g.n, g.edges()))
@@ -280,43 +280,32 @@ def test_grown_factor_matches_a_fresh_pseudoinverse(model, params, base, factori
     assert len(factorisations.sparse) == (base is GroundedLU)  # the grown graph was never factored again
 
 
-def test_single_columns_of_a_large_scale_free_graph_stay_on_cg(cg_calls, factorisations):
-    # above n = 1000 a lone column or a block of fewer than 16 runs CG while the graph holds no factor
-    g = generate("ba", {"n": 2000, "m_attach": 3, "m0": 3}, seed=1)
-    for v in range(3):
-        solve_lpinv_column(g, v)
-    solve_lpinv_columns(g, list(range(15)))
-    assert cg_calls[0] == 18 and not g.has_factor
-    solve_lpinv_columns(g, list(range(16)))  # a block of 16 factors, and the factor serves it
-    assert cg_calls[0] == 18 and len(factorisations.sparse) == 1
+@pytest.mark.parametrize(
+    "model, params",
+    [
+        ("ws", {"n": _ABOVE_DENSE, "degree": 10, "rewire_prob": 0.01}),
+        ("er", {"n": 1000, "p": 0.01}),
+        ("ba", {"n": 2000, "m_attach": 3, "m0": 3}),
+    ],
+    ids=["ws250", "er1000", "ba2000"],
+)
+def test_above_the_dense_limit_a_solve_never_factors(model, params, cg_calls, factorisations):
+    # with no factor held, every block runs CG, one call per column, and leaves the graph unfactored; once a caller
+    # has asked for the factor, every block goes through it, and through its growth across an insertion
+    g = generate(model, params, seed=1)
+    widths = [1, 2, 16, 40]
+    for s in widths:
+        solve_lpinv_columns(g, list(range(s)))
+    assert cg_calls[0] == sum(widths) and not g.has_factor and factorisations.sparse == []
+    factor = g.factor()
+    assert isinstance(factor, GroundedLU)
+    for s in widths:
+        solve_lpinv_columns(g, list(range(s)))
     g.insert_edge(0, next(v for v in range(1, g.n) if not g.has_edge(0, v)))
-    solve_lpinv_column(g, 0)  # the grown factor serves a lone column of the grown graph
-    assert cg_calls[0] == 18 and len(factorisations.sparse) == 1 and isinstance(g.factor(), GrownFactor)
-
-
-def test_high_fill_graph_solves_sixteen_columns_by_cg(cg_calls, factorisations):
-    # ER(1000, 0.01) holds ~280 fill entries per vertex: sixteen lone columns run CG while no factor is held;
-    # once a block has factored, its factor serves every later solve, across an insertion too
-    g = generate("er", {"n": 1000, "p": 0.01}, seed=1)
-    for v in range(16):
-        solve_lpinv_column(g, v)
-    assert cg_calls[0] == 16 and not g.has_factor
-    solve_lpinv_columns(g, [0, 1])
-    g.insert_edge(0, next(v for v in range(1, g.n) if not g.has_edge(0, v)))
-    solve_lpinv_columns(g, list(range(16)))
-    assert cg_calls[0] == 16 and len(factorisations.sparse) == 1
-
-
-def test_small_ring_lattice_factors_from_its_second_column(cg_calls):
-    # with no factor held, a lone column runs CG and a block of two columns factors
-    g = generate("ws", {"n": _ABOVE_DENSE, "degree": 10, "rewire_prob": 0.01}, seed=1)
-    solve_lpinv_column(g, 0)
-    assert cg_calls[0] == 1 and not g.has_factor
-    solve_lpinv_column(g, 1)
-    assert cg_calls[0] == 2 and not g.has_factor
-    solve_lpinv_columns(g, [1, 2])
-    assert cg_calls[0] == 2 and g.has_factor
-    assert isinstance(g.factor(), GroundedLU)
+    for s in widths:
+        solve_lpinv_columns(g, list(range(s)))
+    assert cg_calls[0] == sum(widths) and len(factorisations.sparse) == 1
+    assert isinstance(g.factor(), GrownFactor) and g.factor().base is factor
 
 
 @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0])
@@ -349,13 +338,16 @@ def test_factor_path_unattainable_tolerance_raises():
 @pytest.mark.parametrize("s", [1, 16])
 @pytest.mark.parametrize("n, split", [(6, 3), (40, 13), (60, 30), (_ABOVE_DENSE, 150)])
 def test_solve_on_disconnected_graph_raises(n, split, s):
-    # three paths: up to DENSE_SOLVE_MAX_N the dense factor; above, s = 16 the sparse factor, s = 1 CG
+    # two paths: up to DENSE_SOLVE_MAX_N the dense factor; above, with no factor held, CG at any s
     edges = [(i, i + 1) for i in range(split - 1)] + [(i, i + 1) for i in range(split, n - 1)]
     g = Graph(n, edges)
     with pytest.raises(SolverError) as err:
         solve_lpinv_columns(g, [v % n for v in range(s)])
     assert np.isfinite(err.value.achieved_residual)
-    assert ("CG" in str(err.value)) == (n > DENSE_SOLVE_MAX_N and s == 1)
+    assert ("CG" in str(err.value)) == (n > DENSE_SOLVE_MAX_N)
+    if n > DENSE_SOLVE_MAX_N:  # a caller's request for the sparse factor fails on its zero pivot
+        with pytest.raises(SolverError, match="grounded Laplacian"):
+            g.factor()
 
 
 def test_colstoch_k1_solves_its_columns_by_factor(cg_calls, factorisations):
