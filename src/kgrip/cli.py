@@ -73,13 +73,17 @@ def parse_generator_spec(spec: str) -> tuple[str, dict, int | None]:
     return model, params, seed
 
 
+def _read_edge_list(path: str) -> Graph:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return load_edge_list(fh)
+    except OSError as exc:
+        raise _IoFailure(f"cannot read {path}: {exc}") from exc
+
+
 def _load_graph(args, master_seed: int) -> tuple[Graph, dict]:
     if getattr(args, "input", None):
-        try:
-            with open(args.input, "r", encoding="utf-8") as fh:
-                return load_edge_list(fh), {"input": args.input}
-        except OSError as exc:
-            raise _IoFailure(f"cannot read {args.input}: {exc}") from exc
+        return _read_edge_list(args.input), {"input": args.input}
     if getattr(args, "generate", None):
         model, params, spec_seed = parse_generator_spec(args.generate)
         seed = spec_seed if spec_seed is not None else derive_int_seed(master_seed, "generate")
@@ -276,8 +280,7 @@ def cmd_bench(args) -> int:
     instances: list[tuple[str, Graph]] = []
     for spec in args.instances:
         if os.path.exists(spec):
-            with open(spec, "r", encoding="utf-8") as fh:
-                instances.append((spec, load_edge_list(fh)))
+            instances.append((spec, _read_edge_list(spec)))
         else:
             model, gparams, spec_seed = parse_generator_spec(spec)
             seed = spec_seed if spec_seed is not None else derive_int_seed(args.seed, "bench", spec)

@@ -52,14 +52,7 @@ import numpy as np
 from . import jlt, linalg, spectral
 from .errors import ConfigError, InvariantError
 from .graphs import Edge, Graph, assert_connected
-from .linalg import (
-    ColumnCache,
-    DenseState,
-    RunningDiagonal,
-    report_insertion,
-    total_resistance,
-    total_resistance_after,
-)
+from .linalg import ColumnCache, DenseState, RunningDiagonal, report_insertion, total_resistance_after
 from .seeds import derive_rng
 
 
@@ -366,7 +359,7 @@ class _Scorer(_Part):
 
     @cached_property
     def initial_diagonal(self) -> np.ndarray:
-        """Exact diag(L+) of the input graph, from one inversion pass (:func:`linalg.lpinv_diagonal`)."""
+        """Exact diag(L+) of the input graph, by :func:`linalg.lpinv_diagonal`; the dense scorer sets P's instead."""
         return linalg.lpinv_diagonal(self.graph, self.params.solver_eps)
 
     def total_resistance(self) -> float:
@@ -398,13 +391,11 @@ class _Columns(_Scorer):
 
 
 class _DenseP(_Columns):
-    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison."""
+    """Exact gains from the full pseudoinverse, kept current by Sherman-Morrison; its exact diagonal is P's."""
 
     def compute(self, source: _Source) -> None:
         self.cache = DenseState.compute(self.graph)
-
-    def total_resistance(self) -> float:
-        return total_resistance(self.cache)  # n * trace, no second factorisation
+        self.initial_diagonal = self.cache.diagonals[0]  # round 0's copy, which no insertion writes into
 
     def pick(self, pairs: np.ndarray | None) -> tuple[int, int]:
         """None (every non-edge) is one streamed pass over the dense state, by the same rule."""

@@ -63,8 +63,9 @@ def check_dense_cap(n: int) -> None:
         raise ConfigError(f"n={n}: 4 n x n arrays exceed the dense budget (n <= {DENSE_CAP_DEFAULT})")
 
 
-def _shifted_cholesky(graph: Graph) -> tuple[np.ndarray, bool]:
-    """Cholesky factor U of L + J/n and whether to invert it in place (not the graph's plain dense factor)."""
+def _shifted_cholesky(graph: Graph) -> np.ndarray:
+    """Cholesky factor U of L + J/n, F-ordered, in an array the caller may overwrite: a copy of the graph's dense
+    factor up to ``DENSE_SOLVE_MAX_N`` (the one LAPACK would make), else factored in ``laplacian_dense``'s array."""
     n = graph.n
     check_dense_cap(n)
     # L + J/n is singular exactly when the graph is disconnected, but rounding
@@ -72,16 +73,15 @@ def _shifted_cholesky(graph: Graph) -> tuple[np.ndarray, bool]:
     if not is_connected(graph):
         raise SolverError("L + J/n is singular: the graph is disconnected")
     if n <= DENSE_SOLVE_MAX_N and isinstance(graph.factor(), DenseCholesky):
-        return graph.factor().upper, False
+        return np.array(graph.factor().upper, order="F")
     shifted = graph.laplacian_dense()
     shifted += 1.0 / n
-    return DenseCholesky(shifted).upper, True
+    return DenseCholesky(shifted).upper
 
 
 def pseudoinverse_dense(graph: Graph) -> np.ndarray:
     """Dense pseudoinverse (L + J/n)^(-1) - J/n; dpotri's triangle is mirrored in place, so P == P.T exactly."""
-    upper, in_place = _shifted_cholesky(graph)
-    inv, info = lapack.dpotri(upper, overwrite_c=in_place)
+    inv, info = lapack.dpotri(_shifted_cholesky(graph), overwrite_c=1)
     if info != 0:
         raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
     p = inv.T  # C-ordered, with dpotri's triangle as its lower one: mirrored 64 rows at a time
@@ -183,20 +183,16 @@ def lpinv_diagonal(graph: Graph, tol: float = RESIDUAL_TOL) -> np.ndarray:
 def _dense_lpinv_diagonal(graph: Graph) -> np.ndarray:
     """diag(L^+) off the Cholesky factor R of L + J/n (upper, R^T R, :class:`SolverError` if the graph is
     disconnected): diag((L + J/n)^(-1)) holds the squared row norms of R^(-1), and the J/n term adds 1/n to each."""
-    upper, in_place = _shifted_cholesky(graph)
-    r_inv, info = lapack.dtrtri(upper, overwrite_c=in_place)
+    r_inv, info = lapack.dtrtri(_shifted_cholesky(graph), overwrite_c=1)
     if info != 0:
         raise SolverError(f"Cholesky inversion of L + J/n failed (LAPACK info {info})")
     return np.einsum("ij,ij->i", r_inv, r_inv) - 1.0 / graph.n
 
 
-def total_resistance(obj) -> float:
-    """n * trace(pseudoinverse), from an existing DenseState, or from a Graph by :func:`_dense_lpinv_diagonal`."""
-    if isinstance(obj, DenseState):
-        return obj.graph.n * float(np.trace(obj.block))
-    if not isinstance(obj, Graph):
-        raise TypeError(f"expected Graph or DenseState, got {type(obj)!r}")
-    return obj.n * float(_dense_lpinv_diagonal(obj).sum())
+def total_resistance(graph: Graph) -> float:
+    """n * trace(L^+) by :func:`_dense_lpinv_diagonal`: the dense oracle of the tests and the README. No run calls
+    it; every run's r_initial is n times the sum of its scorer's exact diagonal."""
+    return graph.n * float(_dense_lpinv_diagonal(graph).sum())
 
 
 def total_resistance_after(graph: Graph, r_total: float, edge_sets, tol: float = RESIDUAL_TOL) -> list[float]:
@@ -262,8 +258,6 @@ class ColumnCache:
     solved. Each insertion brings the whole block forward in one rank-one
     update; ``round`` is the round of the graph the block belongs to.
     ``gains`` scores a batch of pairs off the columns it touches.
-    :class:`DenseState` is the cache that holds every column from the start,
-    and reads each gain off P and Q instead.
     """
 
     def __init__(self, graph: Graph, tol: float = RESIDUAL_TOL):
@@ -337,14 +331,15 @@ class ColumnCache:
         self.round += 1
 
 
-class DenseState(ColumnCache):
-    """The cache of every column: ``block`` is the dense P (column v at slot v), ``square`` Q = P^2's upper triangle."""
+class DenseState:
+    """The dense P (``block``), Q = P^2's upper triangle (``square``) and contiguous copies of both ``diagonals``,
+    replaced, never written into, per insertion; ``round`` is the round of the graph they belong to."""
 
     @classmethod
     def compute(cls, graph: Graph) -> "DenseState":
-        state = cls(graph)
+        state = cls()
+        state.graph, state.round = graph, graph.round
         state.block = pseudoinverse_dense(graph)
-        state.slot = np.arange(graph.n)
         state.square = blas.dsyrk(1.0, state.block.T, lower=1).T
         state._copy_diagonals()
         return state
@@ -383,7 +378,7 @@ class DenseState(ColumnCache):
                 best = (top, first + i // gains.shape[1], first + i % gains.shape[1])
         return best[1:]
 
-    def note_insertion(self, a: int, b: int) -> None:
+    def apply_insertion(self, a: int, b: int) -> None:
         """Bring P and Q across the just-inserted edge {a,b}, in place (module docstring)."""
         a, b = canonical_edge(a, b)
         p, q = self.block, self.square
@@ -396,8 +391,6 @@ class DenseState(ColumnCache):
         self.square = blas.dsyr2(1.0, u, v, a=q.T, lower=1, overwrite_a=1).T
         self._copy_diagonals()
         self.round += 1
-
-    apply_insertion = note_insertion  # the dense scorer's update step
 
 
 def gain_exact(state, a: int, b: int) -> float:

@@ -343,6 +343,13 @@ def test_bench_accepts_edge_list_files(tmp_path, capsys):
     assert rows[0]["instance"] == path and rows[0]["status"] == "ok"
 
 
+def test_bench_unreadable_instance_exit3(tmp_path, capsys):
+    # an existing path is read as an edge list, with the exit code of optimize --input
+    code, _, err = run_cli(capsys, ["bench", "--instance", str(tmp_path), "--heuristics", "stgreedy", "--k", "1"])
+    assert code == 3
+    assert "cannot read" in err
+
+
 def test_bench_sets_the_sketch_width(monkeypatch, capsys):
     # bench runs the sketch heuristics, so it takes --c-jlt like optimize and lrip
     from kgrip import jlt

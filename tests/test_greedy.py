@@ -888,6 +888,29 @@ def test_klrip_batch_reproduces_single_focus_runs(kind):
 
 
 @pytest.mark.parametrize("kind", list(Heuristic))
+def test_r_initial_never_calls_the_dense_oracle(kind, monkeypatch):
+    # every run's r_initial is n times the sum of its scorer's exact diagonal, the dense scorers' P's included;
+    # linalg.total_resistance is the tests' oracle only
+    instances = [generate("ba", {"n": n, "m_attach": 3}, seed=1) for n in (120, 650)]
+    expected = [total_resistance(g) for g in instances]
+    calls = []
+
+    def spy(obj):
+        calls.append(type(obj).__name__)
+        return total_resistance(obj)
+
+    for module in [m for name, m in sys.modules.items() if name == "kgrip" or name.startswith("kgrip.")]:
+        for name, value in list(vars(module).items()):
+            if value is total_resistance:  # wherever the name was imported
+                monkeypatch.setattr(module, name, spy)
+    for g, r_initial in zip(instances, expected):
+        for solutions in ([run_kgrip(g, 2, kind, seed=1)], run_klrip(g, [4, 30, 90], 2, kind, seed=1)):
+            assert not calls, (kind, g.n)
+            for solution in solutions:
+                assert solution.r_initial == pytest.approx(r_initial, rel=1e-9)
+
+
+@pytest.mark.parametrize("kind", list(Heuristic))
 def test_no_dense_factorisation_of_a_grown_graph(kind, monkeypatch):
     # r_final comes from one Woodbury block solve on the input graph, never a dense Cholesky
     calls = []
