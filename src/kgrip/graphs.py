@@ -155,17 +155,19 @@ class GrownFactor:
 class Graph:
     """Undirected simple graph held as one ascending int64 array of edge keys a*n + b, a < b, and an insertion log.
 
-    Every other view derives from the keys through the cached CSR Laplacian. The keys and the round caches (the
-    Laplacian and its factor) are built once, never modified in place and shared by copies: an insertion replaces
-    the keys and drops the Laplacian of the graph that grows; a factor it holds grows into a :class:`GrownFactor`.
+    The pair views (edge tests, non-neighbours, non-edge rows) read the keys; the degree and adjacency views read
+    the CSR Laplacian. The keys and the round caches (the last-built Laplacian, with the round it belongs to, and
+    the factor) are built once, never modified in place and shared by copies. An insertion replaces the keys and
+    keeps the Laplacian: :meth:`apply_laplacian` adds the edges inserted since to its products, and only
+    :meth:`laplacian` rebuilds it for the current round. A factor the graph holds grows into a :class:`GrownFactor`.
     """
 
-    __slots__ = ("_n", "_keys", "_log", "_lap", "_factor", "_pending")
+    __slots__ = ("_n", "_keys", "_log", "_lap", "_lap_round", "_factor", "_pending")
 
     def __init__(self, n: int, edges: Iterable[Edge] = ()):
         if n <= 0:
             raise ConfigError("graph needs at least one vertex")
-        self._n, self._log, self._lap = int(n), [], None
+        self._n, self._log, self._lap, self._lap_round = int(n), [], None, 0
         a, b = np.sort(np.array([*edges], dtype=np.int64).reshape(-1, 2), axis=1).T  # each edge as (min, max)
         bad = (a == b) | (a < 0) | (b >= n)
         if bad.any():
@@ -226,16 +228,19 @@ class Graph:
         return self._n * (self._n - 1) // 2 - self.m
 
     def non_neighbors(self, v: int) -> list[int]:
-        """Vertices u != v with {v,u} not an edge, ascending."""
-        free = np.ones(self._n, dtype=bool)
-        free[self._row(v)] = False  # v's neighbours and v
+        """Vertices u != v with {v,u} not an edge, ascending, read off the edge keys: the pair keys of v with every
+        vertex ascend (see :func:`in_sorted`)."""
+        if not 0 <= v < self._n:
+            raise InvariantError(f"vertex {v} is outside 0..{self._n - 1}")
+        free = ~self.has_edges(np.full(self._n, v), np.arange(self._n))
+        free[v] = False
         return np.flatnonzero(free).tolist()
 
     def copy(self) -> "Graph":
         """Same edges, insertion log and round caches."""
         g = Graph.__new__(Graph)
         g._n, g._keys, g._log = self._n, self._keys, list(self._log)
-        g._lap, g._factor, g._pending = self._lap, self._factor, list(self._pending)
+        g._lap, g._lap_round, g._factor, g._pending = self._lap, self._lap_round, self._factor, list(self._pending)
         return g
 
     def clear_solve_record(self) -> None:
@@ -251,7 +256,7 @@ class Graph:
         if not (0 <= a and b < self._n) or self.has_edge(a, b):
             raise InvariantError(f"edge ({a},{b}) is already present or out of range for n={self._n}")
         key = a * self._n + b
-        self._keys, self._lap = np.insert(self._keys, np.searchsorted(self._keys, key), key), None
+        self._keys = np.insert(self._keys, np.searchsorted(self._keys, key), key)
         self._log.append((a, b))
         if self._factor is not None:
             self._pending.append((a, b))
@@ -296,12 +301,23 @@ class Graph:
     def laplacian(self) -> sp.csr_matrix:
         """Sparse Laplacian L = D - A, CSR with sorted int32 indices, storing every diagonal entry (0.0 if isolated).
 
-        The matrix is cached for the current round and shared by every
-        caller and copy, so it must not be modified in place.
+        The matrix is cached, rebuilt only when asked for after an insertion, and shared by every caller and copy,
+        so it must not be modified in place. A product alone needs no rebuild: see :meth:`apply_laplacian`.
         """
-        if self._lap is None:
-            self._lap = self._build_laplacian()
+        if self._lap is None or self._lap_round != self.round:
+            self._lap, self._lap_round = self._build_laplacian(), self.round
         return self._lap
+
+    def apply_laplacian(self, x: np.ndarray) -> np.ndarray:
+        """L x for the graph as it stands, ``x`` a vector or an n x s block: the last-built Laplacian (built here if
+        there is none) times x, plus (x[a] - x[b]) (e_a - e_b) for each edge {a,b} inserted since."""
+        lap = self.laplacian() if self._lap is None else self._lap
+        y = lap @ x
+        for a, b in self._log[self._lap_round :]:
+            step = x[a] - x[b]
+            y[a] += step
+            y[b] -= step
+        return y
 
     def _build_laplacian(self) -> sp.csr_matrix:
         n, keys = self._n, self._keys

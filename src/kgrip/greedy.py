@@ -24,11 +24,13 @@ selects through :class:`LazyQueue`; for every non-edge the dense scorer gets it
 from one streamed pass over its state instead, so StGreedy is the exact
 greedy; the sampled heuristics are stochastic greedy (Mirzasoleiman et al.,
 2015). No gain is carried from one round to the next.
-Regardless of the scorer, the
-reported per-edge gain of every accepted edge is recomputed exactly from one
-linear solve, and total resistance must strictly decrease on every insertion.
-That solve, v = L+ (e_a - e_b), also carries the diag source's exact diagonal
-across the insertion (Sherman-Morrison), so the update solves nothing more.
+The loop then asks the scorer's ``report`` for the exact gain of the pick,
+which reads one vector v = L+ (e_a - e_b): the dense scorer, which holds the
+exact L+, reads it off its columns, and every other scorer solves for it.
+Either way v must meet the same residual contract on the graph as it stands,
+and total resistance must strictly decrease on every insertion. The same v
+carries the dense state and the diag source's exact diagonal across the
+insertion (Sherman-Morrison), so the update solves nothing more.
 
 The local variant (one focus node v) restricts candidates to non-neighbors of
 v and inserts edges (v, b). One runner serves both variants: it preprocesses
@@ -52,7 +54,7 @@ import numpy as np
 from . import jlt, linalg, spectral
 from .errors import ConfigError, InvariantError
 from .graphs import Edge, Graph, assert_connected
-from .linalg import ColumnCache, DenseState, RunningDiagonal, report_insertion, total_resistance_after
+from .linalg import ColumnCache, DenseState, RunningDiagonal, total_resistance_after
 from .seeds import derive_rng
 
 
@@ -269,8 +271,8 @@ class _Part:
         return derive_rng(self.seed, stream, self.kind.value, scope, round_idx, *tokens)
 
     def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
-        """Bring the state across the insertion of {a,b}, a < b, in round ``round_idx``; ``report`` is the
-        round's report solve, P (e_a - e_b) on the graph before the insertion."""
+        """Bring the state across the insertion of {a,b}, a < b, in round ``round_idx``; ``report`` is the vector
+        of the round's :meth:`_Scorer.report`, P (e_a - e_b) on the graph before the insertion."""
 
 
 class _Source(_Part):
@@ -351,8 +353,8 @@ class _DiagVertices(_Source):
 
 
 class _Scorer(_Part):
-    """Estimates gains: ``gains`` scores a round's candidates, an (s, 2) array of pairs, in one call, and ``pick``
-    takes the round's pair from them."""
+    """Estimates gains: ``gains`` scores a round's candidates, an (s, 2) array of pairs, in one call, ``pick``
+    takes the round's pair from them, and ``report`` gives its exact gain."""
 
     def compute(self, source: _Source) -> None:
         raise NotImplementedError
@@ -375,6 +377,11 @@ class _Scorer(_Part):
         selection, stamp = LazyQueue(), self.graph.round
         selection.push_many(pairs, self.gains(pairs), stamp)
         return selection.lazy_next(None, stamp)[:2]
+
+    def report(self, a: int, b: int) -> tuple[float, np.ndarray]:
+        """The exact gain of the picked non-edge {a,b}, a < b, and v = P (e_a - e_b), by
+        :func:`linalg.report_insertion`'s solve."""
+        return linalg.report_insertion(self.graph, a, b, self.params.solver_eps)
 
 
 class _Columns(_Scorer):
@@ -401,8 +408,12 @@ class _DenseP(_Columns):
         """None (every non-edge) is one streamed pass over the dense state, by the same rule."""
         return self.cache.best_non_edge() if pairs is None else super().pick(pairs)
 
+    def report(self, a: int, b: int) -> tuple[float, np.ndarray]:
+        """Read off the exact P, under the residual contract of a solve (:meth:`linalg.DenseState.report`)."""
+        return self.cache.report(a, b, self.params.solver_eps)
+
     def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
-        self.cache.apply_insertion(a, b)
+        self.cache.apply_insertion(a, b, report)
 
 
 class _Sketch(_Scorer):
@@ -520,9 +531,10 @@ class Solution:
 
 
 def _run_rounds(
-    graph: Graph, parts: tuple[_Source, _Scorer], k: int, params: GreedyParams, timings: dict[str, float]
+    graph: Graph, parts: tuple[_Source, _Scorer], k: int, timings: dict[str, float]
 ) -> tuple[list[Edge], list[float]]:
-    """The main loop shared by the global and focus-node runs: each round inserts the scorer's pick."""
+    """The main loop shared by the global and focus-node runs: each round inserts the scorer's pick and records
+    the scorer's report of its exact gain."""
     source, scorer = parts
     picked: list[Edge] = []
     gains: list[float] = []
@@ -537,7 +549,7 @@ def _run_rounds(
         timings["eval"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
-        exact_gain, report = report_insertion(graph, a, b, params.solver_eps)
+        exact_gain, report = scorer.report(a, b)
         timings["report"] += time.perf_counter() - t0
         if exact_gain <= 0:  # Rayleigh monotonicity: every insertion strictly decreases R_tot
             raise InvariantError(
@@ -592,7 +604,7 @@ def _runs(
             timings["compute"] += time.perf_counter() - t0
             timings["preprocess_shared"] = pre_seconds
 
-        picked, gains = _run_rounds(work, parts, k, params, timings)
+        picked, gains = _run_rounds(work, parts, k, timings)
         solution = Solution(
             heuristic=kind.value,
             seed=seed,

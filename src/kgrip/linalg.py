@@ -12,7 +12,10 @@ pseudoinverse P = L^+ (all implemented below):
 
 All three pair quantities read off the one vector v = P[:,a] - P[:,b]:
 B2(a,b) = v.v and R(a,b) = v[a] - v[b]. A single pair therefore needs one
-solve, L v = e_a - e_b, not the two columns.
+solve, L v = e_a - e_b, not the two columns, and none where the dense P is
+held: ``DenseState.report`` reads v off it. Every residual ||L x - b|| is
+judged on the graph as it stands through ``Graph.apply_laplacian``, which
+needs no Laplacian rebuilt after an insertion.
 
 The dense P and R_tot both come from one Cholesky factor of L + J/n, which
 refuses a disconnected graph; up to ``DENSE_SOLVE_MAX_N`` vertices it is the
@@ -98,15 +101,15 @@ def solve(graph: Graph, rhs: np.ndarray, tol: float = RESIDUAL_TOL) -> np.ndarra
     spectral's shift-invert operator and ``GrownFactor``'s solves on its base. ``rhs`` is a vector or an n x s block
     whose columns sum to zero. All columns are solved through the graph's :meth:`~kgrip.graphs.Graph.factor` when
     the graph holds one or n <= ``DENSE_SOLVE_MAX_N`` (README tables); otherwise each column runs
-    Jacobi-preconditioned CG on the cached Laplacian, and no factor is built: the callers that need one ask for it
+    Jacobi-preconditioned CG on the current Laplacian, and no factor is built: the callers that need one ask for it
     (the sketch's square root, the exact diagonal, shift-invert), and later solves use it. Every column's relative
     residual ||L x - rhs|| / ||rhs|| must reach ``tol``, which must be finite and positive (:class:`ConfigError`
-    otherwise, before any work). Raises :class:`SolverError` carrying the worst achieved relative residual if the
-    factorisation fails (x = 0 is then judged), CG stops early or any column misses ``tol``.
+    otherwise, before any work); it is judged by :func:`relative_residuals`, with no Laplacian rebuilt on the factor
+    path. Raises :class:`SolverError` carrying the worst achieved relative residual if the factorisation fails
+    (x = 0 is then judged), CG stops early or any column misses ``tol``.
     """
     if not (math.isfinite(tol) and tol > 0):  # CG at rtol=inf would return x = 0 and pass its own check
         raise ConfigError(f"tol must be finite and positive, got {tol}")
-    lap = graph.laplacian()
     block = rhs.reshape(graph.n, -1)
     stopped_early = False
     if graph.has_factor or graph.n <= DENSE_SOLVE_MAX_N:
@@ -117,7 +120,7 @@ def solve(graph: Graph, rhs: np.ndarray, tol: float = RESIDUAL_TOL) -> np.ndarra
             x, failure, stopped_early = np.zeros_like(block), str(exc), True
         x -= x.mean(axis=0)
     else:
-        maxiter = 10 * graph.n
+        lap, maxiter = graph.laplacian(), 10 * graph.n
         precond = sp.diags(1.0 / np.maximum(lap.diagonal(), 1.0))
         x = np.empty_like(block)
         for j, column in enumerate(np.ascontiguousarray(block.T)):
@@ -129,10 +132,16 @@ def solve(graph: Graph, rhs: np.ndarray, tol: float = RESIDUAL_TOL) -> np.ndarra
             x[:, j] = xj - xj.mean()
             stopped_early |= info != 0
         failure = f"CG did not converge within {maxiter} iterations"
-    achieved = np.linalg.norm(lap @ x - block, axis=0) / np.maximum(np.linalg.norm(block, axis=0), 1e-300)
+    achieved = relative_residuals(graph, x, block)
     if stopped_early or not achieved.max() <= tol:  # NaN fails too
         raise SolverError(failure, float(achieved.max()))
     return x.reshape(rhs.shape)
+
+
+def relative_residuals(graph: Graph, x: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """||L x - rhs|| / ||rhs|| of each column of ``x``, with L the graph as it stands, by
+    :meth:`~kgrip.graphs.Graph.apply_laplacian`."""
+    return np.linalg.norm(graph.apply_laplacian(x) - rhs, axis=0) / np.maximum(np.linalg.norm(rhs, axis=0), 1e-300)
 
 
 def solve_lpinv_columns(graph: Graph, vertices, tol: float = RESIDUAL_TOL) -> np.ndarray:
@@ -378,11 +387,31 @@ class DenseState:
                 best = (top, first + i // gains.shape[1], first + i % gains.shape[1])
         return best[1:]
 
-    def apply_insertion(self, a: int, b: int) -> None:
-        """Bring P and Q across the just-inserted edge {a,b}, in place (module docstring)."""
+    def report(self, a: int, b: int, tol: float = RESIDUAL_TOL) -> tuple[float, np.ndarray]:
+        """:func:`report_insertion` read off P with no solve: v = P (e_a - e_b) for a < b is the difference of P's
+        columns, the ones :meth:`apply_insertion` reads (its dger keeps P symmetric only to the last bits).
+
+        As there, {a,b} must be a non-edge; the graph must stand at the state's round (:class:`StaleStateError`
+        otherwise), and v's relative residual on the graph as it stands must reach ``tol``
+        (:func:`relative_residuals`; :class:`SolverError` otherwise)."""
+        a, b = _non_edge(self.graph, a, b)
+        if self.graph.round != self.round:
+            raise StaleStateError(f"dense state expects graph round {self.round}, got {self.graph.round}")
+        v = self.block[:, a] - self.block[:, b]
+        rhs = np.zeros(self.graph.n)
+        rhs[a], rhs[b] = 1.0, -1.0
+        achieved = float(relative_residuals(self.graph, v, rhs))
+        if not achieved <= tol:  # NaN fails too
+            raise SolverError("the dense pseudoinverse missed the residual tolerance", achieved)
+        return _reported(self.graph, v, a, b)
+
+    def apply_insertion(self, a: int, b: int, v: np.ndarray | None = None) -> None:
+        """Bring P and Q across the just-inserted edge {a,b}, a < b, in place (module docstring); ``v`` is
+        P (e_a - e_b) before it, as :meth:`report` gives it, or read off P here."""
         a, b = canonical_edge(a, b)
         p, q = self.block, self.square
-        v = p[:, a] - p[:, b]
+        if v is None:
+            v = p[:, a] - p[:, b]
         w = np.concatenate((q[:a, a] - q[:a, b], q[a, a:b] - q[a:b, b], q[a, b:] - q[b, b:]))
         c = 1.0 / (1.0 + (v[a] - v[b]))
         u = (0.5 * c * c * float(v @ v)) * v - c * w
@@ -415,5 +444,9 @@ def report_insertion(graph: Graph, a: int, b: int, tol: float = RESIDUAL_TOL) ->
     """The :func:`true_gain` of the non-edge {a,b} and the solve it reads, v = P (e_a - e_b) for a < b, with which
     Sherman-Morrison moves P across the insertion (module docstring)."""
     a, b = _non_edge(graph, a, b)
-    v = solve_lpinv_difference(graph, a, b, tol)
+    return _reported(graph, solve_lpinv_difference(graph, a, b, tol), a, b)
+
+
+def _reported(graph: Graph, v: np.ndarray, a: int, b: int) -> tuple[float, np.ndarray]:
+    """The gain n (v.v) / (1 + v[a] - v[b]) of {a,b}, v = P (e_a - e_b), and v."""
     return graph.n * float(v @ v) / (1.0 + float(v[a] - v[b])), v

@@ -203,6 +203,70 @@ def test_laplacian_cache_follows_insertions():
     assert (dup.laplacian() != _laplacian_from_triples(dup)).nnz == 0
 
 
+def _exact_products(g: Graph, x: np.ndarray) -> np.ndarray:
+    """The product of a freshly built Laplacian of g's edges with x."""
+    return Graph(g.n, g.edges()).laplacian() @ x
+
+
+def test_apply_laplacian_adds_the_insertions_since_the_last_build(monkeypatch):
+    # the product with the last-built Laplacian plus one term per edge inserted since equals the current
+    # Laplacian's, after 0, 1 and 5 insertions, with no rebuild; integer entries make both sides exact
+    g = generate("ba", {"n": 60, "m_attach": 2, "m0": 2}, seed=4)
+    g.laplacian()
+    built = []
+    build = Graph._build_laplacian
+    monkeypatch.setattr(Graph, "_build_laplacian", lambda graph: built.append((graph, graph.round)) or build(graph))
+    rng = np.random.default_rng(4)
+    vector, block = rng.integers(-9, 10, size=g.n).astype(float), rng.integers(-9, 10, size=(g.n, 3)).astype(float)
+    floats = rng.standard_normal((g.n, 2))
+    for inserted in (0, 1, 5):
+        while g.round < inserted:
+            _insert_any(g, rng)
+        for x in (vector, block):
+            got = g.apply_laplacian(x)
+            assert got.shape == x.shape and np.array_equal(got, _exact_products(g, x))
+        assert np.allclose(g.apply_laplacian(floats), _exact_products(g, floats), rtol=0, atol=1e-12)
+    assert [r for graph, r in built if graph is g] == [] and g.round == 5
+    # a graph that never built its Laplacian builds it on its first product
+    fresh = Graph(g.n, g.edges())
+    _insert_any(fresh, rng)
+    assert np.array_equal(fresh.apply_laplacian(block), _exact_products(fresh, block))
+    assert [r for graph, r in built if graph is fresh] == [1]
+
+
+def test_apply_laplacian_on_a_copy_whose_parent_rebuilt_later():
+    # a copy keeps the Laplacian it shared; the parent's later rebuild replaces only the parent's
+    g = generate("ws", {"n": 50, "degree": 4, "rewire_prob": 0.1}, seed=6)
+    shared = g.laplacian()
+    dup = g.copy()
+    rng = np.random.default_rng(6)
+    for _ in range(2):
+        _insert_any(g, rng)
+    assert g.laplacian() is not shared  # the parent rebuilds at round 2
+    for _ in range(3):
+        _insert_any(dup, rng)
+    x = rng.integers(-9, 10, size=(g.n, 4)).astype(float)
+    for graph in (dup, g, dup):
+        assert np.array_equal(graph.apply_laplacian(x), _exact_products(graph, x))
+        assert np.array_equal(graph.apply_laplacian(x[:, 0]), _exact_products(graph, x[:, 0]))
+    assert dup.laplacian() is not shared and (dup.laplacian() != _laplacian_from_triples(dup)).nnz == 0
+
+
+def test_non_neighbors_from_the_keys_equal_the_csr_rows():
+    g = generate("ba", {"n": 40, "m_attach": 2, "m0": 2}, seed=8)
+    rng = np.random.default_rng(8)
+    for _ in range(3):  # before and after insertions
+        lap = g.laplacian()
+        for v in range(g.n):
+            row = lap.indices[lap.indptr[v] : lap.indptr[v + 1]].tolist()  # v's neighbours and v
+            assert g.non_neighbors(v) == sorted(set(range(g.n)) - set(row))
+        for _ in range(4):
+            _insert_any(g, rng)
+    for v in (-1, g.n):
+        with pytest.raises(InvariantError, match=f"vertex {v} is outside"):
+            g.non_neighbors(v)
+
+
 # the factor is a dense Cholesky of L + J/n up to DENSE_SOLVE_MAX_N vertices and a grounded sparse LU above
 _FACTOR_KINDS = [(50, DenseCholesky), (DENSE_SOLVE_MAX_N + 50, GroundedLU)]
 

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from kgrip import graphs, greedy, jlt, linalg, oracles, spectral, ust
-from kgrip.errors import ConfigError, InvariantError
+from kgrip.errors import ConfigError, InvariantError, SolverError, StaleStateError
 from kgrip.graphs import DENSE_SOLVE_MAX_N, Graph, generate
 from kgrip.linalg import total_resistance
 from kgrip.greedy import (
@@ -339,26 +339,91 @@ def test_every_round_picks_the_argmax_of_its_scored_batch(monkeypatch, kind, foc
 
 def test_round_loop_asks_the_scorer_only_for_its_pick():
     # the loop hands each round's candidates to the scorer's pick and inserts what it returns, here the batch's last
-    # pair rather than its best: it asks for no gains and keeps no selection of its own
+    # pair rather than its best; it asks the scorer for exactly one report a round, of the picked pair, before the
+    # insertion, and hands the report's vector to both parts' update: it asks for no gains and keeps no selection
     g = generate("ba", {"n": 40, "m_attach": 3}, seed=1)
-    picks = []
+    calls, reports = [], []
 
     class Stub:
         def candidates(self, round_idx):
             return g.non_edges()
 
         def pick(self, pairs):
-            picks.append(tuple(pairs[-1].tolist()))
-            return picks[-1]
+            calls.append(("pick", tuple(pairs[-1].tolist())))
+            return calls[-1][1]
+
+        def report(self, a, b):
+            calls.append(("report", (a, b)))
+            assert not g.has_edge(a, b)
+            reports.append(linalg.report_insertion(g, a, b))
+            return reports[-1]
 
         def update(self, a, b, round_idx, report):
-            pass
+            calls.append(("update", (a, b)))
+            assert report is reports[round_idx][1]
 
     stub = Stub()
     timings = dict.fromkeys(("compute", "eval", "update", "report"), 0.0)
-    picked, gains = greedy._run_rounds(g, (stub, stub), 2, GreedyParams(), timings)
-    assert picked == picks and len(picked) == 2
-    assert all(gain > 0 for gain in gains)
+    picked, gains = greedy._run_rounds(g, (stub, stub), 2, timings)
+    first, second = picked
+    assert calls == [
+        ("pick", first), ("report", first), ("update", first), ("update", first),  # source and scorer
+        ("pick", second), ("report", second),  # no update after the last insertion
+    ]
+    assert gains == [gain for gain, _ in reports] and all(gain > 0 for gain in gains)
+
+
+@pytest.mark.parametrize(
+    "n,rel,vector_rel", [(120, 1e-12, 1e-12), (DENSE_SOLVE_MAX_N + 50, 1e-8, 1e-6)], ids=["factor", "cg"]
+)
+@pytest.mark.parametrize("kind", [Heuristic.ST_GREEDY, Heuristic.SIMPL_STOCH], ids=lambda kind: kind.value)
+def test_dense_report_equals_the_report_solve(kind, n, rel, vector_rel, monkeypatch):
+    # the dense scorer reads every round's report off P; a solve on the same graph and round (through the dense
+    # factor at n = 120, by CG above DENSE_SOLVE_MAX_N, whose vector is only as close as its residual tolerance)
+    # gives the same gain and vector
+    checked = []
+    inner = greedy._DenseP.report
+
+    def spy(self, a, b):
+        gain, v = inner(self, a, b)
+        solved_gain, solved = linalg.report_insertion(self.graph.copy(), a, b)
+        assert gain == pytest.approx(solved_gain, rel=rel)
+        assert np.max(np.abs(v - solved)) <= vector_rel * np.max(np.abs(solved))
+        checked.append((self.focus, self.graph.round))
+        return gain, v
+
+    monkeypatch.setattr(greedy._DenseP, "report", spy)
+    g = generate("ba", {"n": n, "m_attach": 3, "m0": 3}, seed=1)
+    k, focus = 4, [3, 30, 90]
+    run_kgrip(g, k, kind, seed=7)
+    run_klrip(g, focus, k, kind, seed=7)
+    assert checked == [(v, r) for v in [None, *focus] for r in range(k)]
+
+
+def test_dense_report_keeps_the_report_contract():
+    # a residual above solver_eps raises SolverError, as a solve's would, from the scorer and from a run; the pair
+    # must be a non-edge and the state must stand at the graph's round
+    g = generate("ws", {"n": 120, "degree": 10, "rewire_prob": 0.01}, seed=1)
+
+    def dense_scorer(eps):
+        scorer = greedy._DenseP(g.copy(), 2, GreedyParams(solver_eps=eps), 0, Heuristic.ST_GREEDY)
+        scorer.compute(greedy._StGreedy(scorer.graph, 2, scorer.params, 0, Heuristic.ST_GREEDY))
+        return scorer
+
+    scorer = dense_scorer(1e-20)
+    with pytest.raises(SolverError, match="missed the residual tolerance") as err:
+        scorer.report(*scorer.pick(None))
+    assert 1e-20 < err.value.achieved_residual <= linalg.RESIDUAL_TOL
+    with pytest.raises(SolverError):
+        run_kgrip(g, 2, Heuristic.ST_GREEDY, GreedyParams(solver_eps=1e-20))
+    scorer = dense_scorer(linalg.RESIDUAL_TOL)
+    a, b = scorer.pick(None)
+    assert scorer.report(a, b)[0] > 0
+    with pytest.raises(InvariantError, match="non-edges"):
+        scorer.report(*next(g.edges()))
+    scorer.graph.insert_edge(a, b)
+    with pytest.raises(StaleStateError, match="round"):
+        scorer.report(*scorer.graph.non_edges()[0].tolist())
 
 
 @pytest.mark.parametrize(
@@ -552,7 +617,7 @@ def test_colstoch_cached_columns_stay_consistent_over_long_runs():
     parts = _computed_parts(work, 8, Heuristic.COL_STOCH, params, seed=2)
 
     timings = {"compute": 0.0, "eval": 0.0, "update": 0.0, "report": 0.0}
-    picked, _ = _run_rounds(work, parts, 8, params, timings)
+    picked, _ = _run_rounds(work, parts, 8, timings)
     cache = parts[1].cache
     stored_for = g.copy()  # nothing brings the columns across the last insertion
     for a, b in picked[:-1]:
@@ -975,9 +1040,10 @@ _TRAFFIC_SHAPES = {
 
 @pytest.mark.parametrize("shape", sorted(_TRAFFIC_SHAPES))
 def test_solve_traffic_of_every_heuristic(shape, monkeypatch, cg_calls, factorisations):
-    # a solve never factors above DENSE_SOLVE_MAX_N: StGreedy and SimplStoch, which hold the dense P, solve their
-    # reports and the r_final block by CG there and build no sparse factor; every other run factors its graph once,
-    # at the caller that needs the factor, and every one of its solves goes through it
+    # a solve never factors above DENSE_SOLVE_MAX_N: StGreedy and SimplStoch, which hold the dense P, read their
+    # reports off it and make one solve a run, the r_final block, by CG there and with no sparse factor built; every
+    # other run factors its graph once, at the caller that needs the factor, and every one of its solves goes
+    # through it
     paths = []
     for module in (linalg, jlt):
 
@@ -997,6 +1063,7 @@ def test_solve_traffic_of_every_heuristic(shape, monkeypatch, cg_calls, factoris
         run_kgrip(g, k, kind, seed=7) if focus is None else run_klrip(g, focus, k, kind, seed=7)
         dense_p = kind not in _FACTOR_HOLDING
         assert set(paths) == {"cg" if dense_p and g.n > DENSE_SOLVE_MAX_N else "factor"}, kind
+        assert len(paths) == 1 or not dense_p, kind
         built = factorisations.dense.count(g.n) + len(factorisations.sparse)  # L + J/n dense, L[1:,1:] sparse
         assert built == 1 and not (dense_p and factorisations.sparse), kind
 
@@ -1114,16 +1181,19 @@ def test_runs_above_the_dense_limit_repeat_exactly(model, params, kind):
 
 
 @pytest.mark.parametrize("kind", list(Heuristic))
-def test_local_batch_builds_one_laplacian_per_grown_round(kind, monkeypatch):
-    # the caller's graph builds the input's Laplacian once (the connectivity check), every
-    # copy shares it, and each focus run builds one for each of its rounds 1 .. k-1
+def test_local_batch_builds_a_laplacian_only_where_its_csr_is_read(kind, monkeypatch):
+    # the caller's graph builds the input's Laplacian once (the connectivity check) and every copy shares it: the
+    # rounds judge their residuals by adding the inserted edges to its products and read non-neighbours off the
+    # edge keys, so only SpecStoch's Ritz step and degree bound, which read the grown CSR, build one, for each of a
+    # focus run's rounds 1 .. k-1
     built, build = [], Graph._build_laplacian
     monkeypatch.setattr(Graph, "_build_laplacian", lambda graph: built.append(graph.round) or build(graph))
     g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=1)
     focus, k = [3, 30, 60, 90], 2
     run_klrip(g, focus, k, kind, seed=5)
-    assert len(built) == 1 + len(focus) * (k - 1)
-    assert built == [0] + [1] * len(focus)
+    grown = len(focus) * (k - 1) if kind is Heuristic.SPEC_STOCH else 0
+    assert len(built) == 1 + grown
+    assert built == [0] + [1] * grown
 
 
 def test_klrip_saturated_focus_rejected():
