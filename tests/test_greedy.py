@@ -1181,11 +1181,11 @@ def test_runs_above_the_dense_limit_repeat_exactly(model, params, kind):
 
 
 @pytest.mark.parametrize("kind", list(Heuristic))
-def test_local_batch_builds_a_laplacian_only_where_its_csr_is_read(kind, monkeypatch):
-    # the caller's graph builds the input's Laplacian once (the connectivity check) and every copy shares it: the
-    # rounds judge their residuals by adding the inserted edges to its products and read non-neighbours off the
-    # edge keys, so only SpecStoch's Ritz step and degree bound, which read the grown CSR, build one, for each of a
-    # focus run's rounds 1 .. k-1
+def test_local_batch_builds_one_laplacian_per_grown_round(kind, monkeypatch):
+    # at most one per grown round: the caller's graph builds the input's Laplacian once (the connectivity check) and
+    # every copy shares it; the rounds judge their residuals by adding the inserted edges to its products and read
+    # non-neighbours off the edge keys, so only SpecStoch's Ritz step and degree bound, which read the grown CSR,
+    # build one, for each of a focus run's rounds 1 .. k-1
     built, build = [], Graph._build_laplacian
     monkeypatch.setattr(Graph, "_build_laplacian", lambda graph: built.append(graph.round) or build(graph))
     g = generate("ba", {"n": 120, "m_attach": 3, "m0": 3}, seed=1)
