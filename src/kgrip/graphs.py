@@ -313,10 +313,10 @@ class Graph:
         there is none) times x, plus (x[a] - x[b]) (e_a - e_b) for each edge {a,b} inserted since."""
         lap = self.laplacian() if self._lap is None else self._lap
         y = lap @ x
-        for a, b in self._log[self._lap_round :]:
-            step = x[a] - x[b]
-            y[a] += step
-            y[b] -= step
+        if self._lap_round < self.round:
+            since = np.array(self._log[self._lap_round :], dtype=np.int64)  # (k, 2): each inserted {a,b}
+            step = x[since[:, 0]] - x[since[:, 1]]
+            np.add.at(y, since.T.ravel(), np.concatenate((step, -step)))  # every a, then every b
         return y
 
     def _build_laplacian(self) -> sp.csr_matrix:

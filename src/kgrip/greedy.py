@@ -329,7 +329,7 @@ class _UniformPairs(_Source):
 class _DiagVertices(_Source):
     """Vertices drawn with probability proportional to the exact diag(L+), which the paper estimates from spanning trees
     (``ust.approx_diag_lpinv``, kept as a test hook): the non-edges among them, or each paired with the focus. The
-    diagonal moves across each insertion by the rank-one term of the round's report solve."""
+    diagonal moves across each insertion by the rank-one term of the round's report, v = P (e_a - e_b)."""
 
     global_mode = "grip-col"
 
@@ -413,7 +413,7 @@ class _DenseP(_Columns):
         return self.cache.report(a, b, self.params.solver_eps)
 
     def update(self, a: int, b: int, round_idx: int, report: np.ndarray) -> None:
-        self.cache.apply_insertion(a, b, report)
+        self.cache.apply_insertion(a, b)
 
 
 class _Sketch(_Scorer):

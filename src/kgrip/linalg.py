@@ -405,13 +405,11 @@ class DenseState:
             raise SolverError("the dense pseudoinverse missed the residual tolerance", achieved)
         return _reported(self.graph, v, a, b)
 
-    def apply_insertion(self, a: int, b: int, v: np.ndarray | None = None) -> None:
-        """Bring P and Q across the just-inserted edge {a,b}, a < b, in place (module docstring); ``v`` is
-        P (e_a - e_b) before it, as :meth:`report` gives it, or read off P here."""
+    def apply_insertion(self, a: int, b: int) -> None:
+        """Bring P and Q across the just-inserted edge {a,b}, in place (module docstring)."""
         a, b = canonical_edge(a, b)
         p, q = self.block, self.square
-        if v is None:
-            v = p[:, a] - p[:, b]
+        v = p[:, a] - p[:, b]
         w = np.concatenate((q[:a, a] - q[:a, b], q[a, a:b] - q[a:b, b], q[a, b:] - q[b, b:]))
         c = 1.0 / (1.0 + (v[a] - v[b]))
         u = (0.5 * c * c * float(v @ v)) * v - c * w
